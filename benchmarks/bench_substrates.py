@@ -1,15 +1,18 @@
 """Microbenchmarks for the substrates (repeated-timing mode).
 
 These measure the hot paths the figure experiments sit on: autograd
-training rounds, conv forward/backward, sparse solvers, WSN aggregation
-simulation and dataset generation.
+training rounds, conv forward/backward, the Adam update over the DCSNet
+baseline's dense layers, sparse solvers, WSN aggregation simulation and
+dataset generation.
 """
 
 import numpy as np
 
 from repro import nn
+from repro.baselines.dcsnet import build_dcsnet_decoder, build_dcsnet_encoder
 from repro.cs import gaussian_matrix, omp
-from repro.datasets import generate_digits, render_sign
+from repro.datasets import (FieldRegime, SensorField, generate_digits,
+                            normalized_rounds, render_sign)
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.wsn import (
@@ -54,6 +57,20 @@ class TestNNSubstrate:
             return out.shape
 
         assert benchmark(step) == (16, 16, 28, 28)
+
+    def test_adam_step_large(self, benchmark):
+        """One Adam step over DCSNet's parameters on the signs task
+        (3x32x32 input, fixed 1024-d latent): ~5.3M elements, the
+        optimiser load behind the paper's baseline figures."""
+        rng = np.random.default_rng(0)
+        params = (build_dcsnet_encoder(3 * 32 * 32, rng).parameters()
+                  + build_dcsnet_decoder((3, 32, 32), rng).parameters())
+        for param in params:
+            param.grad = rng.standard_normal(param.shape)
+        optimizer = nn.Adam(params, lr=1e-3)
+        benchmark(optimizer.step)
+        assert sum(p.data.size for p in params) > 5_000_000
+        assert all(np.isfinite(p.data).all() for p in params)
 
     def test_maxpool_forward_backward(self, benchmark):
         rng = np.random.default_rng(0)
@@ -103,6 +120,21 @@ class TestDatasetSubstrate:
             return images.shape
 
         assert benchmark(generate) == (64, 28, 28)
+
+    def test_sensor_field_rounds(self, benchmark):
+        """One cluster's sensor dataset as the resilience experiment
+        builds it (32 devices, 128 rounds)."""
+        positions = np.random.default_rng(0).uniform(0.0, 80.0, (32, 2))
+
+        def generate():
+            field = SensorField(regime=FieldRegime(mean=18.0, amplitude=2.0,
+                                                   correlation_length=6.0),
+                                rng=np.random.default_rng(0))
+            data, _, _ = normalized_rounds(field.generate_rounds(positions,
+                                                                 128))
+            return data.shape
+
+        assert benchmark(generate) == (128, 32)
 
     def test_sign_rendering(self, benchmark):
         rng = np.random.default_rng(0)

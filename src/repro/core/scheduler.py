@@ -109,7 +109,6 @@ comparisons measure *scheduling*, not data-order luck.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -125,7 +124,7 @@ from ..obs.telemetry import (
     RoundCompleted,
     TelemetryBus,
 )
-from ..sim.channel import ARQConfig, ChannelSpec, TracePolicy, as_loss_model
+from ..sim.channel import ARQConfig, ChannelSpec, as_loss_model
 from ..sim.coding import (
     CodingSpec,
     delivery_probability,
@@ -672,12 +671,6 @@ class EdgeTrainingScheduler:
         channels are lossless and the clusters stack (see the module
         docstring).  ``False`` forces the per-round unfused loop — the
         reference the fused path is validated against.
-    trace_chunk:
-        **Deprecated** (warns): explicit chunk size for channel-trace
-        recording.  Declare the policy on the channel spec instead —
-        ``ChannelSpec(trace=TracePolicy(chunk=...))`` — whose defaults
-        reproduce the old automatic behaviour (full traces for short
-        horizons, chunked recording past 4096 rounds).
     telemetry:
         Optional :class:`~repro.obs.telemetry.TelemetryBus` receiving
         structured run events (rounds, segments, faults, channel
@@ -696,7 +689,6 @@ class EdgeTrainingScheduler:
                  channels: Optional[ChannelSpec] = None,
                  backhaul_distance_m: float = 100.0,
                  segment_batching: bool = True,
-                 trace_chunk: Optional[int] = None,
                  telemetry: Optional[TelemetryBus] = None,
                  control=None):
         if policy not in _POLICIES:
@@ -738,19 +730,6 @@ class EdgeTrainingScheduler:
         # fields are folded from bus events) and restores this default.
         self._bus: TelemetryBus = (telemetry if telemetry is not None
                                    else NULL_BUS)
-        if trace_chunk is not None:
-            warnings.warn(
-                "EdgeTrainingScheduler(trace_chunk=...) is deprecated; "
-                "declare the policy on the channel spec instead: "
-                "ChannelSpec(trace=TracePolicy(chunk=...))",
-                DeprecationWarning, stacklevel=2)
-            if trace_chunk < 1:
-                raise ValueError("trace_chunk must be >= 1")
-        self.trace_chunk = trace_chunk
-        # None lets each channel's own TracePolicy (ChannelSpec.trace)
-        # govern recording; the shim maps the legacy knob onto one.
-        self._trace_policy = (TracePolicy(chunk=trace_chunk)
-                              if trace_chunk is not None else None)
 
     def attach_telemetry(self, bus: Optional[TelemetryBus]) -> None:
         """Attach (or, with ``None``, detach) a telemetry bus post-init.
@@ -1025,14 +1004,12 @@ class EdgeTrainingScheduler:
 
         Recording runs on the channels' vectorized batch kernel; each
         channel's :class:`~repro.sim.channel.TracePolicy` (from
-        ``ChannelSpec.trace``, or the scheduler's deprecated
-        ``trace_chunk`` override) decides whether a long horizon
+        ``ChannelSpec.trace``) decides whether a long horizon
         records **chunked** — one chunk ahead, refilled lazily from the
         same RNG stream — so trace memory stays bounded for 1e5+-round
         runs; the entry sequence, and therefore the run, is identical
         either way.
         """
-        policy = self._trace_policy
         with self._bus.span("trace_record"):
             for cluster in self.clusters:
                 state = states[cluster.name]
@@ -1040,9 +1017,9 @@ class EdgeTrainingScheduler:
                     continue
                 costs = cluster.trainer.round_costs(cluster.batch_size)
                 state.up_channel.replay(state.up_channel.record_trace(
-                    costs.up_bytes, rounds_per_cluster, policy=policy))
+                    costs.up_bytes, rounds_per_cluster))
                 state.down_channel.replay(state.down_channel.record_trace(
-                    costs.down_bytes, rounds_per_cluster, policy=policy))
+                    costs.down_bytes, rounds_per_cluster))
 
     def _budget_rederiver(self, states: Dict[str, "_EventClusterState"],
                           budget: Dict[str, int], sim: EventScheduler):

@@ -57,22 +57,37 @@ from ..wsn import place_uniform
 from .common import ExperimentResult, scaled
 
 
-def _make_cluster_factory(num_clusters: int, devices: int, rounds: int,
-                          seed: int):
-    """Build per-cluster (name, trainer, data) tuples with distinct
-    sensing regimes — the paper's 'distinct sensing tasks'."""
+def _cluster_datasets(num_clusters: int, devices: int, rounds: int,
+                      seed: int) -> List[np.ndarray]:
+    """Each cluster's sensor rounds, generated once and read-only, with
+    distinct sensing regimes — the paper's 'distinct sensing tasks'.
+
+    Cluster ``i`` depends only on ``seed * 1000 + i``, so the first
+    ``k`` entries are exactly the data of a ``k``-cluster fleet.
+    """
+    datasets = []
+    for index in range(num_clusters):
+        rng = np.random.default_rng(seed * 1000 + index)
+        positions = place_uniform(devices, (80.0, 80.0), rng)
+        regime = FieldRegime(mean=18.0 + 4 * index,
+                             amplitude=2.0 + index,
+                             correlation_length=6.0 + 2 * index)
+        field = SensorField(regime=regime, rng=rng)
+        data, _, _ = normalized_rounds(field.generate_rounds(positions,
+                                                             rounds))
+        data.setflags(write=False)
+        datasets.append(data)
+    return datasets
+
+
+def _make_cluster_factory(datasets: List[np.ndarray]):
+    """Factory of fresh per-cluster (name, trainer, data) tuples over
+    shared read-only ``datasets``: new frameworks on every call."""
 
     def factory() -> List:
         clusters = []
-        for index in range(num_clusters):
-            rng = np.random.default_rng(seed * 1000 + index)
-            positions = place_uniform(devices, (80.0, 80.0), rng)
-            regime = FieldRegime(mean=18.0 + 4 * index,
-                                 amplitude=2.0 + index,
-                                 correlation_length=6.0 + 2 * index)
-            field = SensorField(regime=regime, rng=rng)
-            data, _, _ = normalized_rounds(field.generate_rounds(positions,
-                                                                 rounds))
+        for index, data in enumerate(datasets):
+            devices = data.shape[1]
             config = OrcoDCSConfig(input_dim=devices,
                                    latent_dim=max(4, devices // 6),
                                    noise_sigma=0.05, seed=index,
@@ -148,9 +163,11 @@ def _run_impl(scale: float, seed: int,
 
     # --- scaling sweep (fleet-executed) --------------------------------
     cluster_counts = [2, 4, 8, 16] if scale >= 0.5 else [2, 4, 8]
+    datasets = _cluster_datasets(cluster_counts[-1], devices, rounds_data,
+                                 seed)
     makespans, edge_times = [], []
     for count in cluster_counts:
-        factory = _make_cluster_factory(count, devices, rounds_data, seed)
+        factory = _make_cluster_factory(datasets[:count])
         scheduler = _build_scheduler(factory, "round_robin", seed, "auto",
                                     telemetry=bus)
         report = scheduler.run(rounds_per_cluster=train_rounds)
@@ -184,7 +201,7 @@ def _run_impl(scale: float, seed: int,
                        magnitude=3.0),
             FaultEvent(0.7 * makespan, "recover", "cluster-1"),
         ])
-        factory = _make_cluster_factory(count, devices, rounds_data, seed)
+        factory = _make_cluster_factory(datasets[:count])
         fused = _build_scheduler(factory, "round_robin", seed, "event",
                                  fault_schedule=faults, telemetry=bus)
         start = time.perf_counter()
@@ -215,7 +232,7 @@ def _run_impl(scale: float, seed: int,
                  fused_speedups[-1] > 1.3)
 
     # --- engine equivalence -------------------------------------------
-    factory = _make_cluster_factory(2, devices, rounds_data, seed)
+    factory = _make_cluster_factory(datasets[:2])
     check_rounds = min(train_rounds, 12)
     seq = _build_scheduler(factory, "round_robin", seed, "sequential",
                            telemetry=bus)
@@ -231,7 +248,7 @@ def _run_impl(scale: float, seed: int,
                  max_divergence <= 1e-6)
 
     # --- policy comparison (scheduled fairness) ------------------------
-    factory = _make_cluster_factory(4, devices, rounds_data, seed)
+    factory = _make_cluster_factory(datasets[:4])
     reports: dict = {}
     halfway: dict = {}
     for policy in ("fifo", "round_robin", "loss_priority", "deadline"):

@@ -74,33 +74,40 @@ RECOVERY_RATES = (0.05, 0.1, 0.15, 0.2, 0.3)
 SENSOR_LOSS_RATES = (0.0, 0.1, 0.2, 0.3)
 
 
-def _make_fleet(num_clusters: int, devices: int, rounds_data: int, seed: int,
-                narrow_backhaul: bool = False):
-    """Factory for (name, trainer, train_data, held_out, positions) tuples.
+def _make_fleet(num_clusters: int, devices: int, rounds_data: int, seed: int):
+    """Generate the fleet's sensor data once; return its factory.
 
-    Called fresh per condition so every condition starts from identical
-    weights, data and device geometry — differences measure the channel
-    and the faults, nothing else.  ``narrow_backhaul`` swaps the
-    aggregator<->edge links for 802.15.4-class sensor links (the
-    aggregator is itself an IoT device in the paper's setting): messages
-    then stripe across many small frames, which is the regime where the
-    ARQ-vs-FEC tradeoff is live — per-frame retry budgets give a long
-    message many chances to die, while a shared parity budget protects
-    it as a whole.  Trajectories are timing-independent, so thresholds
-    derived from the wide-backhaul ideal run carry over unchanged.
+    ``factory()`` returns fresh (name, trainer, train_data, held_out,
+    positions) tuples: new frameworks on every call, so every condition
+    starts from identical weights, while the data and device geometry
+    are generated here once and handed out read-only — differences
+    measure the channel and the faults, nothing else.
+    ``factory(narrow_backhaul=True)`` swaps the aggregator<->edge links
+    for 802.15.4-class sensor links (the aggregator is itself an IoT
+    device in the paper's setting): messages then stripe across many
+    small frames, which is the regime where the ARQ-vs-FEC tradeoff is
+    live — per-frame retry budgets give a long message many chances to
+    die, while a shared parity budget protects it as a whole.
+    Trajectories are timing-independent, so thresholds derived from the
+    wide-backhaul ideal run carry over unchanged.
     """
+    sensed = []
+    for index in range(num_clusters):
+        rng = np.random.default_rng(seed * 1000 + index)
+        positions = place_uniform(devices, (80.0, 80.0), rng)
+        regime = FieldRegime(mean=18.0 + 3 * index,
+                             amplitude=2.0 + 0.5 * index,
+                             correlation_length=6.0 + 2 * index)
+        field = SensorField(regime=regime, rng=rng)
+        rounds = field.generate_rounds(positions, rounds_data + 32)
+        data, _, _ = normalized_rounds(rounds)
+        data.setflags(write=False)
+        positions.setflags(write=False)
+        sensed.append((positions, data))
 
-    def factory() -> List[Tuple]:
+    def factory(narrow_backhaul: bool = False) -> List[Tuple]:
         fleet = []
-        for index in range(num_clusters):
-            rng = np.random.default_rng(seed * 1000 + index)
-            positions = place_uniform(devices, (80.0, 80.0), rng)
-            regime = FieldRegime(mean=18.0 + 3 * index,
-                                 amplitude=2.0 + 0.5 * index,
-                                 correlation_length=6.0 + 2 * index)
-            field = SensorField(regime=regime, rng=rng)
-            rounds = field.generate_rounds(positions, rounds_data + 32)
-            data, _, _ = normalized_rounds(rounds)
+        for index, (positions, data) in enumerate(sensed):
             config = OrcoDCSConfig(input_dim=devices,
                                    latent_dim=max(4, devices // 6),
                                    noise_sigma=0.05, seed=index,
@@ -383,9 +390,6 @@ def _run_impl(scale: float, seed: int,
     # frames — the regime where recovery strategy matters (see
     # _make_fleet).  Same trajectories as the wide fleet (timing never
     # touches the math), so the ideal-run thresholds carry over.
-    narrow_factory = _make_fleet(num_clusters, devices, rounds_data, seed,
-                                 narrow_backhaul=True)
-
     def run_recovery(recovery: str, channels: Optional[ChannelSpec],
                      deadline_s: Optional[float] = None):
         resilience = ResilientOrchestrationPolicy(
@@ -394,7 +398,8 @@ def _run_impl(scale: float, seed: int,
             "round_robin", rng=np.random.default_rng(seed), engine="event",
             channels=channels, resilience=resilience, telemetry=bus)
         held = []
-        for name, trainer, data, held_rows, positions in narrow_factory():
+        for name, trainer, data, held_rows, positions in factory(
+                narrow_backhaul=True):
             scheduler.add_cluster(name, trainer, data, batch_size=16,
                                   positions=positions, deadline_s=deadline_s)
             held.append(held_rows)

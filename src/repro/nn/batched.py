@@ -44,7 +44,8 @@ from .layers import (
     Softmax,
     Tanh,
 )
-from .optim import Adam, AdaGrad, Optimizer, RMSProp, SGD
+from .optim import (Adam, AdaGrad, Optimizer, RMSProp, SGD, adam_scratch,
+                    adam_update)
 from .tensor import Tensor
 
 ActiveSlices = Optional[Union[Sequence[int], np.ndarray]]
@@ -319,12 +320,10 @@ class FleetAdam(FleetOptimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        self._v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
         self._t = np.zeros(num_slices, dtype=np.int64)
-        # Scratch buffers for the allocation-free full-fleet step.
-        self._s1 = [np.empty_like(p.data) for p in self.params]
-        self._s2 = [np.empty_like(p.data) for p in self.params]
+        self._scratch = adam_scratch(self.params, rows=num_slices)
 
     def step(self, active: ActiveSlices = None) -> None:
         if active is None:
@@ -351,36 +350,19 @@ class FleetAdam(FleetOptimizer):
                 - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def _step_all(self) -> None:
-        """Allocation-free fast path when every slice steps (the common
-        wave).  Mirrors the sequential Adam expressions operation for
-        operation, so slice trajectories stay bit-identical."""
+        """Full-fleet step (the common wave): the sequential
+        :func:`~repro.nn.optim.adam_update` kernel with one row and one
+        bias-correction pair per slice, so slice trajectories stay
+        bit-identical."""
         self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        for param, m, v, s1, s2 in zip(self.params, self._m, self._v,
-                                       self._s1, self._s2):
+        bias1 = (1.0 - self.beta1 ** self._t)[:, None]
+        bias2 = (1.0 - self.beta2 ** self._t)[:, None]
+        for param, m, v in zip(self.params, self._m, self._v):
             if param.grad is None:
                 continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            # m += (1 - beta1) * grad
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=s1)
-            m += s1
-            # v += ((1 - beta2) * grad) * grad
-            v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=s2)
-            s2 *= grad
-            v += s2
-            # param -= (lr * (m / bias1)) / (sqrt(v / bias2) + eps)
-            np.divide(v, self._per_slice(bias2, v.ndim), out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            np.divide(m, self._per_slice(bias1, m.ndim), out=s1)
-            s1 *= self.lr
-            s1 /= s2
-            param.data -= s1
+            adam_update(param, m, v, self._scratch, self.lr, self.beta1,
+                        self.beta2, self.eps, self.weight_decay, bias1, bias2,
+                        rows=self.num_slices)
 
 
 class FleetRMSProp(FleetOptimizer):

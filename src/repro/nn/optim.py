@@ -4,12 +4,18 @@ The paper trains with stochastic gradient descent (Sec. III-B); Adam and
 RMSProp are provided because the follow-up classifier and the DCSNet
 baseline converge substantially faster with adaptive steps, and because a
 complete framework needs them anyway.
+
+:class:`Adam` updates ``param.data`` **in place** (and so does
+:class:`~repro.nn.batched.FleetAdam`): an array obtained from
+``param.data`` before a step sees the step.  Take snapshots with
+:meth:`~repro.nn.layers.Module.state_dict` or ``param.data.copy()``.
+The other optimisers rebind ``param.data`` to a new array.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -67,8 +73,97 @@ class SGD(Optimizer):
             param.data = param.data - self.lr * update
 
 
+#: Elements per block of the in-place Adam kernel.  One 16K-element
+#: block of param, grad, m, v and the two scratch buffers (6 x 128 KiB
+#: in float64) stays resident in L2 across the update's passes.
+CHUNK = 1 << 14
+
+#: Per-dtype pair of flat scratch buffers used by :func:`adam_update`.
+AdamScratch = Dict[np.dtype, Tuple[np.ndarray, np.ndarray]]
+
+
+def adam_scratch(params: Iterable[Tensor], rows: int = 1) -> AdamScratch:
+    """Scratch for :func:`adam_update` over ``params``.
+
+    Two flat buffers per parameter dtype, each as long as the largest
+    block any of those parameters needs: ``min(CHUNK, size)`` elements
+    for a plain parameter, ``rows`` rows of at most ``CHUNK // rows``
+    columns (at least one) for a slice-stacked one.
+    """
+    sizes: Dict[np.dtype, int] = {}
+    for param in params:
+        block = rows * min(param.data.size // rows, max(1, CHUNK // rows))
+        sizes[param.data.dtype] = max(sizes.get(param.data.dtype, 0), block)
+    return {dtype: (np.empty(n, dtype), np.empty(n, dtype))
+            for dtype, n in sizes.items()}
+
+
+def adam_update(param: Tensor, m: np.ndarray, v: np.ndarray,
+                scratch: AdamScratch, lr: float, beta1: float, beta2: float,
+                eps: float, weight_decay: float, bias1, bias2,
+                rows: int = 1) -> None:
+    """One Adam step of ``param.data``, ``m`` and ``v``, all in place.
+
+    Every element goes through the operations of the reference
+    expression, in its order::
+
+        g = grad + weight_decay * p            (only if weight_decay)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + ((1 - beta2) * g) * g
+        p = p - (lr * (m / bias1)) / (sqrt(v / bias2) + eps)
+
+    so blocking changes no bit of the result.  The arrays are viewed as
+    ``rows`` rows (one per fleet slice; ``bias1``/``bias2`` are then
+    ``(rows, 1)`` arrays, otherwise scalars) and walked in column blocks
+    that fit the scratch from :func:`adam_scratch`.  ``m`` and ``v``
+    must be C-contiguous; ``param.grad`` is only read.  A parameter that
+    is not C-contiguous is updated through a contiguous copy that is
+    written back.
+    """
+    data = param.data
+    p = data if data.flags.c_contiguous else np.ascontiguousarray(data)
+    whole = (p.reshape(rows, -1),
+             np.ascontiguousarray(param.grad).reshape(rows, -1),
+             m.reshape(rows, -1), v.reshape(rows, -1))
+    buf1, buf2 = scratch[p.dtype]
+    cols, width = whole[0].shape[1], buf1.size // rows
+    # A parameter that fits one block skips the slicing, whose per-call
+    # cost is comparable to the update of a small fleet parameter.
+    blocks = ([whole] if cols <= width else
+              [[a[:, j:j + width] for a in whole]
+               for j in range(0, cols, width)])
+    for pc, g, mc, vc in blocks:
+        s1 = buf1[:pc.size].reshape(pc.shape)
+        s2 = buf2[:pc.size].reshape(pc.shape)
+        if weight_decay:
+            np.multiply(pc, weight_decay, out=s1)
+            s1 += g
+            g = s1
+        mc *= beta1
+        np.multiply(g, 1.0 - beta1, out=s2)
+        mc += s2
+        vc *= beta2
+        np.multiply(g, 1.0 - beta2, out=s2)
+        s2 *= g
+        vc += s2
+        np.divide(vc, bias2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        np.divide(mc, bias1, out=s1)
+        s1 *= lr
+        s1 /= s2
+        pc -= s1
+    if p is not data:
+        data[...] = p
+
+
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction."""
+    """Adam (Kingma & Ba, 2015) with bias correction.
+
+    :meth:`step` runs :func:`adam_update`: ``param.data`` changes in
+    place, and the working memory is one scratch of
+    ``min(CHUNK, largest param)`` elements per dtype, allocated once here.
+    """
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
                  betas=(0.9, 0.999), eps: float = 1e-8,
@@ -77,9 +172,10 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        self._v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
         self._t = 0
+        self._scratch = adam_scratch(self.params)
 
     def step(self) -> None:
         self._t += 1
@@ -88,16 +184,8 @@ class Adam(Optimizer):
         for param, m, v in zip(self.params, self._m, self._v):
             if param.grad is None:
                 continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            adam_update(param, m, v, self._scratch, self.lr, self.beta1,
+                        self.beta2, self.eps, self.weight_decay, bias1, bias2)
 
 
 class RMSProp(Optimizer):

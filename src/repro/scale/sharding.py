@@ -255,12 +255,30 @@ def run_sharded(builder: FleetBuilder, jobs: Sequence[FleetJob], *,
 # ----------------------------------------------------------------------
 # A ready-made builder (tests, CI smoke, benchmarks, experiments)
 # ----------------------------------------------------------------------
+#: Every ``params`` key :func:`default_fleet_builder` reads.
+FLEET_PARAM_KEYS = frozenset({
+    "clusters", "devices", "rounds_data", "batch_size", "engine", "policy",
+    "loss", "retries", "recovery", "deadline_s", "battery_j", "seed_base"})
+
+
+def reject_unknown_keys(params: Dict[str, Any], known, what: str) -> None:
+    """Raise ``ValueError`` naming every key of ``params`` not in
+    ``known`` — a typo such as ``"retry"`` must not fall back to a
+    default."""
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+            f"expected some of {', '.join(sorted(known))}")
+
+
 def default_fleet_builder(job: FleetJob, dataset: Optional[np.ndarray],
                           rng: np.random.Generator,
                           telemetry: Optional[TelemetryBus] = None):
     """Build a small homogeneous OrcoDCS fleet from plain params.
 
-    Module-level (spawn-picklable) on purpose.  Recognised ``params``:
+    Module-level (spawn-picklable) on purpose.  Recognised ``params``
+    (:data:`FLEET_PARAM_KEYS`; any other key raises ``ValueError``):
     ``clusters`` (default 2), ``devices`` (24; ignored when ``dataset``
     gives the width), ``rounds_data`` (48; ignored with a dataset),
     ``batch_size`` (16), ``engine`` ("auto"), ``policy``
@@ -269,6 +287,8 @@ def default_fleet_builder(job: FleetJob, dataset: Optional[np.ndarray],
     ``dataset`` — the pickle-once shared array — is used read-only as
     every cluster's training data.
     """
+    reject_unknown_keys(job.params, FLEET_PARAM_KEYS,
+                        f"job {job.name!r} param")
     from ..core import OrcoDCSConfig, OrcoDCSFramework
     from ..core.scheduler import (
         EdgeTrainingScheduler,

@@ -39,12 +39,17 @@ import numpy as np
 
 from ..obs.metrics import MetricsCollector
 from ..obs.telemetry import TelemetryBus
-from ..scale.sharding import FleetJob, default_fleet_builder
+from ..scale.sharding import (FLEET_PARAM_KEYS, FleetJob,
+                              default_fleet_builder, reject_unknown_keys)
 from ..sim.faults import FaultEvent, FaultSchedule
 from .bridge import AsyncTelemetryBridge, EventStream
 from .commands import RunController
 
 __all__ = ["FleetService", "RunHandle", "build_scheduler_from_spec"]
+
+
+#: Every key :func:`build_scheduler_from_spec` reads.
+SPEC_KEYS = FLEET_PARAM_KEYS | {"seed", "faults", "name"}
 
 
 def build_scheduler_from_spec(spec: Dict[str, Any],
@@ -62,9 +67,11 @@ def build_scheduler_from_spec(spec: Dict[str, Any],
     * ``faults`` — a list of :class:`~repro.sim.faults.FaultEvent`
       field dicts (requires ``engine: "event"``).
 
-    Service-level keys (``rounds``, ``paused``, ``name``) are consumed
-    by :meth:`FleetService.submit_spec` before this runs.
+    ``name`` labels the run.  Service-level keys (``rounds``,
+    ``paused``) are consumed by :meth:`FleetService.submit_spec` before
+    this runs.  Any other key raises ``ValueError``.
     """
+    reject_unknown_keys(spec, SPEC_KEYS, "run spec")
     params = dict(spec)
     seed = int(params.pop("seed", 0))
     faults = params.pop("faults", None)

@@ -42,7 +42,6 @@ stretch) and still match the unfused live run exactly.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
@@ -201,12 +200,10 @@ class RecoveryStrategy:
 class TracePolicy:
     """Declarative trace-recording policy for one channel.
 
-    Folds the three knobs that accreted across PRs 3–5 —
-    ``record_trace(chunk=)``, the scheduler's ``trace_chunk`` and its
-    hard-wired chunk-past-4096 heuristic — into one place.  ``chunk``
-    forces chunked recording at that size; with ``chunk=None`` horizons
-    longer than ``auto_threshold`` transmits record chunked at
-    ``auto_chunk`` (bounded memory), shorter horizons record in full.
+    ``chunk`` forces chunked recording at that size; with
+    ``chunk=None`` horizons longer than ``auto_threshold`` transmits
+    record chunked at ``auto_chunk`` (bounded memory), shorter horizons
+    record in full.
     """
 
     chunk: Optional[int] = None
@@ -514,8 +511,7 @@ class UnreliableChannel:
         self._elapsed_memo: Dict[int, dict] = {}
 
     # ------------------------------------------------------------------
-    def record_trace(self, payload_bytes: int, transmits: int,
-                     chunk: Optional[int] = None, *,
+    def record_trace(self, payload_bytes: int, transmits: int, *,
                      policy: Optional[TracePolicy] = None
                      ) -> ChannelTraceLike:
         """Pre-sample ``transmits`` fixed-payload transmit outcomes.
@@ -531,18 +527,10 @@ class UnreliableChannel:
         :class:`TracePolicy`): a chunked horizon records as a
         :class:`ChunkedChannelTrace` that keeps only one chunk ahead
         and refills lazily from the same RNG stream — identical entry
-        sequence, bounded memory.  The legacy ``chunk=`` argument is a
-        deprecated alias for ``policy=TracePolicy(chunk=...)``.
+        sequence, bounded memory.
         """
         if transmits < 0:
             raise ValueError("transmits must be non-negative")
-        if chunk is not None:
-            warnings.warn(
-                "record_trace(chunk=...) is deprecated; pass "
-                "policy=TracePolicy(chunk=...) or set the channel's "
-                "trace policy (ChannelSpec.trace)", DeprecationWarning,
-                stacklevel=2)
-            policy = TracePolicy(chunk=chunk)
         policy = policy or self.trace_policy
         chunk_size = policy.chunk_for(transmits)
         if chunk_size is not None:

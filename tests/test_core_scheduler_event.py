@@ -462,30 +462,6 @@ class TestCodedRecovery:
         assert full_report.completion_times == chunked_report.completion_times
         assert full_report.failed_rounds == chunked_report.failed_rounds
 
-    def test_legacy_trace_chunk_kwarg_warns_and_still_works(self):
-        """Deprecation shim: the scheduler-level override maps onto
-        TracePolicy and reproduces the declarative-spec run exactly."""
-        with pytest.warns(DeprecationWarning, match="trace_chunk"):
-            legacy = EdgeTrainingScheduler(
-                "round_robin", rng=np.random.default_rng(0), engine="event",
-                channels=ChannelSpec(loss=0.15,
-                                     arq=ARQConfig(max_retries=1)),
-                resilience=ResilientOrchestrationPolicy(recovery="fec"),
-                trace_chunk=3)
-        for index in range(3):
-            config = OrcoDCSConfig(input_dim=DIM, latent_dim=LATENT,
-                                   seed=index, noise_sigma=0.05,
-                                   batch_size=BATCH)
-            data = np.random.default_rng(100 + index).random((ROWS, DIM))
-            legacy.add_cluster(f"c{index}", OrcoDCSFramework(config),
-                               data, batch_size=BATCH)
-        legacy_report = legacy.run(rounds_per_cluster=10)
-        modern = self._build(recovery="fec", trace_chunk=3, clusters=3)
-        modern_report = modern.run(rounds_per_cluster=10)
-        assert legacy_report.makespan_s == modern_report.makespan_s
-        assert legacy_report.completion_times \
-            == modern_report.completion_times
-
     def test_fec_loses_fewer_rounds_than_tight_arq_at_high_loss(self):
         """The motivating contrast: at heavy loss a tight ARQ budget
         loses whole rounds; adaptive parity keeps delivering."""

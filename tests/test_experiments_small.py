@@ -8,7 +8,11 @@ assert their shape checks hold.
 import numpy as np
 import pytest
 
+from repro.datasets import SensorField
 from repro.experiments import EXPERIMENTS
+from repro.experiments.multicluster_scaling import (_cluster_datasets,
+                                                    _make_cluster_factory)
+from repro.experiments.resilience import _make_fleet
 
 
 class TestOverheadAnalysis:
@@ -65,3 +69,55 @@ class TestResilience:
         assert all(np.isfinite(v) for v in series["y"])
         overhead = result.series["energy_overhead_vs_loss"]["y"]
         assert overhead[0] == pytest.approx(1.0)
+
+
+class TestSensorDataGeneratedOnce:
+    """resilience and multicluster generate each distinct sensor dataset
+    once per call and hand it out read-only; frameworks stay fresh."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        calls = []
+        original = SensorField.generate_rounds
+
+        def counted(field, *args, **kwargs):
+            calls.append(args)
+            return original(field, *args, **kwargs)
+
+        monkeypatch.setattr(SensorField, "generate_rounds", counted)
+        return calls
+
+    # resilience: 4 fleet clusters + the intra-cluster deployment;
+    # multicluster: the clusters of its largest count.
+    @pytest.mark.parametrize("name, distinct",
+                             [("resilience", 5), ("multicluster", 8)])
+    def test_one_generation_per_distinct_dataset(self, generated, name,
+                                                 distinct):
+        EXPERIMENTS[name](scale=0.02, seed=0)
+        assert len(generated) == distinct
+
+    def test_resilience_factory_builds_fresh_frameworks(self):
+        factory = _make_fleet(2, 16, 32, seed=0)
+        first, second = factory(), factory()
+        narrow = factory(narrow_backhaul=True)
+        for a, b, c in zip(first, second, narrow):
+            assert a[1] is not b[1] and a[1] is not c[1]
+            # train rows, held-out rows, positions: shared and read-only.
+            for mine, *others in zip(a[2:], b[2:], c[2:]):
+                assert all(np.shares_memory(mine, o) for o in others)
+                assert not mine.flags.writeable
+            with pytest.raises(ValueError):
+                a[2][0, 0] = 1.0
+
+    def test_multicluster_factory_builds_fresh_frameworks(self):
+        datasets = _cluster_datasets(3, 16, 32, seed=0)
+        factory = _make_cluster_factory(datasets[:2])
+        first, second = factory(), factory()
+        assert len(first) == 2
+        for (_, a, data_a), (_, b, data_b) in zip(first, second):
+            assert a is not b
+            assert data_a is data_b
+            assert not data_a.flags.writeable
+        # A prefix of the largest fleet is exactly the smaller fleet.
+        np.testing.assert_array_equal(_cluster_datasets(2, 16, 32, seed=0)[1],
+                                      datasets[1])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn.optim import CHUNK
+from repro.nn.tensor import get_default_dtype, set_default_dtype
 
 
 def quadratic_param(start=5.0):
@@ -81,6 +83,176 @@ class TestAdam:
         p.grad = np.zeros(1)
         opt.step()
         assert p.data[0] < 1.0
+
+
+class ReferenceAdam(nn.Optimizer):
+    """The allocating Adam expression the in-place kernel must match."""
+
+    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0):
+        super().__init__(params, lr)
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._t = 0
+
+    def step(self):
+        self._t += 1
+        bias1 = 1.0 - self.beta1 ** self._t
+        bias2 = 1.0 - self.beta2 ** self._t
+        for param, m, v in zip(self.params, self._m, self._v):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            m_hat = m / bias1
+            v_hat = v / bias2
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def run_against_reference(arrays, steps=4, no_grad=(), **kwargs):
+    """Step Adam and ReferenceAdam on copies of ``arrays`` with the same
+    read-only gradients; return both optimisers."""
+    rng = np.random.default_rng(0)
+    fast = [nn.Parameter(a.copy(order="K")) for a in arrays]
+    slow = [nn.Parameter(a.copy(order="K")) for a in arrays]
+    fast_opt = nn.Adam(fast, lr=0.01, **kwargs)
+    slow_opt = ReferenceAdam(slow, lr=0.01, **kwargs)
+    for _ in range(steps):
+        for i, (f, s) in enumerate(zip(fast, slow)):
+            if i in no_grad:
+                f.grad = s.grad = None
+                continue
+            grad = rng.standard_normal(f.shape).astype(f.data.dtype)
+            grad.setflags(write=False)
+            f.grad = s.grad = grad
+        fast_opt.step()
+        slow_opt.step()
+    return fast_opt, slow_opt
+
+
+def assert_bit_identical(fast_opt, slow_opt):
+    for f, s, fm, sm, fv, sv in zip(fast_opt.params, slow_opt.params,
+                                    fast_opt._m, slow_opt._m,
+                                    fast_opt._v, slow_opt._v):
+        assert f.data.dtype == s.data.dtype
+        np.testing.assert_array_equal(f.data, s.data)
+        np.testing.assert_array_equal(fm, sm)
+        np.testing.assert_array_equal(fv, sv)
+
+
+class TestAdamKernelOracle:
+    """The blocked in-place kernel is bit-identical to the allocating
+    expression, across block boundaries and awkward layouts."""
+
+    SIZES = (1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
+
+    def arrays(self, dtype=np.float64):
+        rng = np.random.default_rng(1)
+        return [rng.standard_normal(n).astype(dtype) for n in self.SIZES]
+
+    def test_block_boundary_sizes(self):
+        assert_bit_identical(*run_against_reference(self.arrays()))
+
+    def test_weight_decay(self):
+        assert_bit_identical(*run_against_reference(self.arrays(),
+                                                    weight_decay=0.05))
+
+    def test_param_without_grad_mid_list(self):
+        fast_opt, slow_opt = run_against_reference(self.arrays(), no_grad={1})
+        assert_bit_identical(fast_opt, slow_opt)
+        np.testing.assert_array_equal(fast_opt.params[1].data,
+                                      self.arrays()[1])
+        assert not fast_opt._m[1].any()
+
+    def test_fortran_ordered_and_transposed_params(self):
+        rng = np.random.default_rng(2)
+        fortran = np.asfortranarray(rng.standard_normal((170, 130)))
+        transposed = rng.standard_normal((130, 170)).T
+        assert not fortran.flags.c_contiguous
+        assert not transposed.flags.c_contiguous
+        fast_opt, slow_opt = run_against_reference([fortran, transposed],
+                                                   weight_decay=0.01)
+        assert_bit_identical(fast_opt, slow_opt)
+        # The update landed in the parameter's own array.
+        assert not np.array_equal(fast_opt.params[0].data, fortran)
+
+    def test_float32_param(self):
+        previous = get_default_dtype()
+        set_default_dtype(np.float32)
+        try:
+            param = nn.Parameter(np.arange(3 * CHUNK + 7) % 11 - 5)
+        finally:
+            set_default_dtype(previous)
+        assert param.data.dtype == np.float32
+        fast_opt, slow_opt = run_against_reference([param.data, np.ones(5)])
+        assert_bit_identical(fast_opt, slow_opt)
+        assert fast_opt.params[0].data.dtype == np.float32
+
+    def test_step_updates_param_data_in_place(self):
+        param = nn.Parameter(np.ones(CHUNK + 3))
+        data = param.data
+        opt = nn.Adam([param], lr=0.1)
+        param.grad = np.ones(CHUNK + 3)
+        opt.step()
+        assert param.data is data
+        assert (data < 1.0).all()
+
+    def test_step_never_writes_grad(self):
+        # Autograd can hand two tensors the same gradient array.
+        rng = np.random.default_rng(3)
+        shared = rng.standard_normal(CHUNK + 9)
+        before = shared.copy()
+        a = nn.Parameter(rng.standard_normal(CHUNK + 9))
+        b = nn.Parameter(rng.standard_normal(CHUNK + 9))
+        a.grad = b.grad = shared
+        nn.Adam([a, b], lr=0.01, weight_decay=0.1).step()
+        np.testing.assert_array_equal(shared, before)
+
+    def test_fleet_adam_matches_reference_per_slice(self):
+        rng = np.random.default_rng(4)
+        slices, n = 3, CHUNK + 5
+        stacked = nn.Parameter(rng.standard_normal((slices, 1, n)))
+        singles = [nn.Parameter(stacked.data[k].copy()) for k in range(slices)]
+        fleet = nn.FleetAdam([stacked], lr=0.01, num_slices=slices,
+                             weight_decay=0.02)
+        refs = [ReferenceAdam([p], lr=0.01, weight_decay=0.02)
+                for p in singles]
+        for _ in range(3):
+            stacked.grad = rng.standard_normal(stacked.shape)
+            for k, (p, ref) in enumerate(zip(singles, refs)):
+                p.grad = stacked.grad[k]
+                ref.step()
+            fleet.step()
+        for k, (p, ref) in enumerate(zip(singles, refs)):
+            np.testing.assert_array_equal(stacked.data[k], p.data)
+            np.testing.assert_array_equal(fleet._m[0][k], ref._m[0])
+            np.testing.assert_array_equal(fleet._v[0][k], ref._v[0])
+
+
+class TestAdamScratch:
+    def test_scratch_is_min_of_chunk_and_largest_param(self):
+        small = nn.Adam([nn.Parameter(np.zeros(3)),
+                         nn.Parameter(np.zeros((4, 50)))])
+        large = nn.Adam([nn.Parameter(np.zeros(7)),
+                         nn.Parameter(np.zeros(3 * CHUNK + 7))])
+        for opt, expected in ((small, 200), (large, CHUNK)):
+            (buffers,) = opt._scratch.values()
+            assert [b.size for b in buffers] == [expected, expected]
+
+    def test_scratch_takes_each_params_dtype(self):
+        opt = nn.Adam([nn.Parameter(np.zeros(9, np.float32)),
+                       nn.Parameter(np.zeros(4))])
+        assert {dtype: buffers[0].size
+                for dtype, buffers in opt._scratch.items()} == {
+            np.dtype(np.float32): 9, np.dtype(np.float64): 4}
 
 
 class TestRMSPropAdaGrad:

@@ -157,6 +157,12 @@ class TestRunShardedValidation:
             rounds_per_cluster=1, workers=8)
         assert sharded.workers == 1
 
+    def test_unknown_param_key_rejected(self):
+        # A typo must not silently fall back to the default (1 retry).
+        job = FleetJob(0, "typo", {**JOB_PARAMS, "retry": 3})
+        with pytest.raises(ValueError, match="'retry'"):
+            default_fleet_builder(job, None, np.random.default_rng(0))
+
     def test_shared_dataset_sets_cluster_width(self):
         dataset = np.random.default_rng(0).standard_normal((10, 6))
         sharded = run_sharded(

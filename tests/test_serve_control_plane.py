@@ -216,6 +216,12 @@ def test_service_hosted_fault_only_fused_run_is_bit_identical_offline():
     assert any(isinstance(e, FaultApplied) for e in events)
 
 
+def test_spec_rejects_unknown_keys():
+    # "retry" is a typo for "retries": it must fail, not run 1 retry.
+    with pytest.raises(ValueError, match="'retry'"):
+        build_scheduler_from_spec({**LOSSY_SPEC, "retry": 3})
+
+
 def test_spec_faults_require_event_engine():
     with pytest.raises(ValueError, match="event"):
         build_scheduler_from_spec({

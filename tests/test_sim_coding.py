@@ -348,16 +348,6 @@ class TestChunkedChannelTrace:
         with pytest.raises(ValueError):
             channel.record_trace(300, -1, policy=TracePolicy(chunk=4))
 
-    def test_legacy_chunk_argument_warns_and_maps(self):
-        """The one deprecation shim at the channel layer still works."""
-        with pytest.warns(DeprecationWarning, match="chunk"):
-            legacy = self._channel().record_trace(300, 50, chunk=4)
-        assert isinstance(legacy, ChunkedChannelTrace)
-        modern = self._channel().record_trace(
-            300, 50, policy=TracePolicy(chunk=4))
-        assert [legacy.next() for _ in range(50)] \
-            == [modern.next() for _ in range(50)]
-
     def test_spec_trace_policy_governs_recording(self):
         """ChannelSpec.trace is the declarative home of the knobs."""
         spec = ChannelSpec(loss=0.2, arq=ARQConfig(max_retries=1),
