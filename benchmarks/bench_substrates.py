@@ -2,22 +2,25 @@
 
 These measure the hot paths the figure experiments sit on: autograd
 training rounds, conv forward/backward, the Adam update over the DCSNet
-baseline's dense layers, sparse solvers, WSN aggregation simulation and
-dataset generation.
+baseline's dense layers, sparse solvers, WSN aggregation simulation,
+deployed data collection and dataset generation.
 """
 
 import numpy as np
 
 from repro import nn
 from repro.baselines.dcsnet import build_dcsnet_decoder, build_dcsnet_encoder
+from repro.core import AsymmetricAutoencoder, EncoderDeployment, OrcoDCSConfig
 from repro.cs import gaussian_matrix, omp
 from repro.datasets import (FieldRegime, SensorField, generate_digits,
                             normalized_rounds, render_sign)
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.sim import ARQConfig, ChannelSpec, CodingSpec
 from repro.wsn import (
     WSNetwork,
     build_aggregation_tree,
+    place_grid,
     select_aggregator,
     simulate_raw_aggregation,
 )
@@ -111,6 +114,38 @@ class TestWSNSubstrate:
 
         report = benchmark(simulate)
         assert report.values_transmitted >= 255
+
+    def test_collection_round(self, benchmark):
+        """One deployed data-collection round (Sec. III-C): 128 devices on
+        a jittered 16 x 8 grid, two of them dead, erasure-coded lossy
+        sensor hops, an ARQ uplink and the edge decode."""
+        rng = np.random.default_rng(0)
+        positions = place_grid(128, (160.0, 80.0), jitter=2.0, rng=rng)
+        network = WSNetwork(positions, comm_range_m=15.0,
+                            battery_capacity_j=1e9)
+        network.set_aggregator(select_aggregator(positions))
+        network.attach_unreliable(
+            sensor=ChannelSpec.preset("802154_indoor",
+                                      arq=ARQConfig(max_retries=1),
+                                      coding=CodingSpec(parity_frames=1)),
+            up=ChannelSpec.preset("802154_indoor", arq=ARQConfig(max_retries=3)),
+            rng=np.random.default_rng(1))
+        model = AsymmetricAutoencoder(OrcoDCSConfig(input_dim=128,
+                                                    latent_dim=16, seed=0))
+        deployment = EncoderDeployment(model, network,
+                                       build_aggregation_tree(network))
+        deployment.distribute()
+        victims = (5, 77)
+        assert network.aggregator_id not in victims
+        for device in victims:
+            network.kill_node(device)
+        readings = dict(zip(network.device_ids, rng.random(128).tolist()))
+
+        latent, reconstruction = benchmark(deployment.end_to_end_round,
+                                           readings)
+        assert latent.shape == (16,) and reconstruction.shape == (128,)
+        assert np.isfinite(reconstruction).all()
+        assert len(network.alive_device_ids) == 126
 
 
 class TestDatasetSubstrate:

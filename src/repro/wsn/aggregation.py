@@ -32,6 +32,10 @@ from .network import WSNetwork
 class AggregationTree:
     """A rooted spanning tree over a cluster's devices.
 
+    A tree is fixed once built: depths, subtree sizes, the post-order and
+    the TDMA slots are computed on first use and cached, and the
+    traversals come back as tuples so no caller can corrupt the cache.
+
     Parameters
     ----------
     parent:
@@ -52,6 +56,8 @@ class AggregationTree:
                 self.children[par].append(child)
         self._depths: Optional[Dict[int, int]] = None
         self._subtree: Optional[Dict[int, int]] = None
+        self._post_order: Optional[Tuple[int, ...]] = None
+        self._slots: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._validate_acyclic()
 
     def _validate_acyclic(self) -> None:
@@ -97,18 +103,41 @@ class AggregationTree:
                                                  for c in self.children[current])
         return self._subtree[node]
 
-    def post_order(self) -> List[int]:
+    def post_order(self) -> Tuple[int, ...]:
         """Children-before-parent traversal (the aggregation order)."""
-        order: List[int] = []
-        stack: List[Tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                stack.extend((c, False) for c in self.children[node])
-        return order
+        if self._post_order is None:
+            order: List[int] = []
+            stack: List[Tuple[int, bool]] = [(self.root, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if expanded:
+                    order.append(node)
+                else:
+                    stack.append((node, True))
+                    stack.extend((c, False) for c in self.children[node])
+            self._post_order = tuple(order)
+        return self._post_order
+
+    def tdma_slots(self) -> Tuple[Tuple[int, ...], ...]:
+        """Upward TDMA slots: transmissions to a common parent serialise,
+        transmissions to distinct parents at one level share a slot, and
+        the deepest level goes first so parents hold complete subtrees."""
+        if self._slots is None:
+            by_level: Dict[int, List[int]] = {}
+            for node in self.parent:
+                if node != self.root:
+                    by_level.setdefault(self.depth(node), []).append(node)
+            slots: List[Tuple[int, ...]] = []
+            for level in sorted(by_level, reverse=True):
+                pending: Dict[int, List[int]] = {}
+                for node in by_level[level]:
+                    pending.setdefault(self.parent[node], []).append(node)
+                for turn in range(max(len(v) for v in pending.values())):
+                    slots.append(tuple(children[turn]
+                                       for children in pending.values()
+                                       if turn < len(children)))
+            self._slots = tuple(slots)
+        return self._slots
 
     def path_to_root(self, node: int) -> List[int]:
         """Nodes on the way from ``node`` (inclusive) to the root (inclusive)."""
@@ -134,6 +163,9 @@ def build_aggregation_tree(network: WSNetwork, root: Optional[int] = None,
         ``"distance"`` — minimise total metres (energy-friendly);
         ``"hops"`` — minimise hop count (latency-friendly).
     """
+    if weight not in ("distance", "hops"):
+        raise ValueError(f"unknown weight {weight!r}; "
+                         "expected 'distance' or 'hops'")
     root = root if root is not None else network.aggregator_id
     if root is None:
         raise ValueError("network has no aggregator and no root was given")
@@ -166,8 +198,7 @@ def build_aggregation_tree(network: WSNetwork, root: Optional[int] = None,
         graph.add_edge(a, b, distance=float(d), hops=1.0)
         extended.append((a, b))
 
-    metric = "distance" if weight == "distance" else "hops"
-    lengths, paths = nx.single_source_dijkstra(graph, root, weight=metric)
+    _, paths = nx.single_source_dijkstra(graph, root, weight=weight)
     parent: Dict[int, Optional[int]] = {root: None}
     for node, path in paths.items():
         if node != root:
@@ -204,31 +235,12 @@ class AggregationReport:
 
 class TDMASchedule:
     """Slot assignment: transmissions to a common parent serialise;
-    transmissions to distinct parents at the same tree level parallelise."""
+    transmissions to distinct parents at the same tree level parallelise.
+    The slots are the tree's cached :meth:`AggregationTree.tdma_slots`."""
 
     def __init__(self, tree: AggregationTree):
         self.tree = tree
-        self.slots: List[List[int]] = self._build()
-
-    def _build(self) -> List[List[int]]:
-        by_level: Dict[int, List[int]] = {}
-        for node in self.tree.nodes:
-            if node == self.tree.root:
-                continue
-            by_level.setdefault(self.tree.depth(node), []).append(node)
-        slots: List[List[int]] = []
-        # Deepest level transmits first so parents hold complete subtrees.
-        for level in sorted(by_level, reverse=True):
-            nodes = by_level[level]
-            pending: Dict[int, List[int]] = {}
-            for node in nodes:
-                pending.setdefault(self.tree.parent[node], []).append(node)
-            round_count = max(len(v) for v in pending.values())
-            for turn in range(round_count):
-                slot = [children[turn] for children in pending.values()
-                        if turn < len(children)]
-                slots.append(slot)
-        return slots
+        self.slots: Tuple[Tuple[int, ...], ...] = tree.tdma_slots()
 
     @property
     def num_slots(self) -> int:
@@ -262,10 +274,10 @@ def _simulate_upward(network: WSNetwork, tree: AggregationTree,
     stay silent.
     """
     report = AggregationReport()
-    schedule = TDMASchedule(tree)
-    report.slots = schedule.num_slots
+    slots = tree.tdma_slots()
+    report.slots = len(slots)
     delivered_pool: Dict[int, int] = {}
-    for slot in schedule.slots:
+    for slot in slots:
         slot_time = 0.0
         for node in slot:
             if transmitters is not None and node not in transmitters:
@@ -366,10 +378,10 @@ def reachable_nodes(tree: AggregationTree,
         raise ValueError("root (aggregator) is failed; run failover before "
                          "aggregating")
     reachable = set()
-    for node in tree.nodes:
-        if node in failed:
-            continue
-        if all(hop not in failed for hop in tree.path_to_root(node)):
+    # Reversed post-order visits every parent before its children.
+    for node in reversed(tree.post_order()):
+        parent = tree.parent[node]
+        if node not in failed and (parent is None or parent in reachable):
             reachable.add(node)
     return frozenset(reachable)
 
@@ -384,6 +396,9 @@ def hybrid_encode_partial(tree: AggregationTree, readings: Dict[int, float],
     drops its whole subtree (the partial sums have no route up).  The
     returned latent equals the centralized masked product
     ``We[:, alive] @ x[alive]`` over the contributing devices exactly.
+    A coding node adds its raw readings' column products to its
+    children's partial sums one reading after another, so the bits are
+    those of a per-reading loop.
 
     Returns
     -------
@@ -395,6 +410,8 @@ def hybrid_encode_partial(tree: AggregationTree, readings: Dict[int, float],
     """
     alive = reachable_nodes(tree, failed)
     latent_dim = weight.shape[0]
+    # The dtype ``weight[:, i] * x_i`` takes for a Python scalar reading.
+    product_dtype = np.result_type(weight, 0.0)
     raw_carry: Dict[int, List[Tuple[int, float]]] = {}
     coded_carry: Dict[int, np.ndarray] = {}
     sent: Dict[int, int] = {}
@@ -410,9 +427,14 @@ def hybrid_encode_partial(tree: AggregationTree, readings: Dict[int, float],
             if child_coded is not None:
                 coded = child_coded if coded is None else coded + child_coded
         if coded is not None or len(raw) >= latent_dim or node == tree.root:
-            acc = coded if coded is not None else np.zeros(latent_dim)
-            for dev, value in raw:
-                acc = acc + weight[:, device_index[dev]] * value
+            start = coded if coded is not None else np.zeros(latent_dim)
+            columns = [device_index[dev] for dev, _ in raw]
+            values = np.array([value for _, value in raw], dtype=product_dtype)
+            products = weight.T[columns] * values[:, None]
+            # accumulate adds row after row by definition: the order of a
+            # per-reading loop.  sum, reduce and @ leave the order to
+            # NumPy or BLAS, which may add pairwise and change bits.
+            acc = np.add.accumulate(np.vstack((start, products)))[-1]
             if node == tree.root:
                 return acc, sent, alive
             coded_carry[node] = acc

@@ -50,7 +50,9 @@ class Node:
 
     IoT devices and the aggregator live in the sensor field and own a
     battery; the edge server is mains-powered (battery is ignored but
-    kept so accounting code stays uniform).
+    kept so accounting code stays uniform).  ``position`` is a read-only
+    copy: nodes never move, which lets :class:`WSNetwork` cache hop
+    distances.
     """
 
     node_id: int
@@ -60,7 +62,8 @@ class Node:
     radio: RadioEnergyModel = field(default_factory=RadioEnergyModel)
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
+        self.position = np.array(self.position, dtype=float)
+        self.position.flags.writeable = False
 
     @property
     def is_powered(self) -> bool:
@@ -207,6 +210,7 @@ class WSNetwork:
         self.sensor_channel: Optional["UnreliableChannel"] = None
         self.uplink_channel: Optional["UnreliableChannel"] = None
         self.downlink_channel: Optional["UnreliableChannel"] = None
+        self._hop_m: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -276,10 +280,13 @@ class WSNetwork:
             self.downlink_channel = down.build(
                 self.downlink, np.random.default_rng(rng.integers(2 ** 63)))
 
+    def _node(self, node_id: int) -> Node:
+        return self.edge if node_id == EDGE_SERVER_ID else self.nodes[node_id]
+
     def _require_alive(self, node_id: int) -> Node:
         if node_id != EDGE_SERVER_ID and not self.is_alive(node_id):
             raise DeadNodeError(f"node {node_id} is dead")
-        return self.edge if node_id == EDGE_SERVER_ID else self.nodes[node_id]
+        return self._node(node_id)
 
     def connectivity(self) -> "np.ndarray":
         """Boolean adjacency matrix: nodes within radio range."""
@@ -294,7 +301,13 @@ class WSNetwork:
         return [ids[j] for j, connected in enumerate(row) if connected]
 
     def link_distance(self, src: int, dst: int) -> float:
-        return distance(self.nodes[src].position, self.nodes[dst].position)
+        """Metres from ``src`` to ``dst`` (either may be the edge server),
+        memoized per pair on first use: node positions never change."""
+        hop = self._hop_m.get((src, dst))
+        if hop is None:
+            hop = self._hop_m[src, dst] = distance(self._node(src).position,
+                                                   self._node(dst).position)
+        return hop
 
     # ------------------------------------------------------------------
     # Transmission primitives
@@ -380,7 +393,7 @@ class WSNetwork:
         aggregator = self._require_alive(self.aggregator_id)
         wire, _, elapsed, attempts, delivered = self._transmit(
             self.uplink, self.uplink_channel, payload_bytes)
-        backhaul = distance(aggregator.position, self.edge.position)
+        backhaul = self.link_distance(self.aggregator_id, EDGE_SERVER_ID)
         self._charge(aggregator, aggregator.radio.tx_energy(wire * 8, backhaul))
         self.ledger.record(self.aggregator_id, EDGE_SERVER_ID, payload_bytes,
                            wire, kind, elapsed, attempts, delivered)

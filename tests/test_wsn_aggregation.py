@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import ARQConfig, UnreliableChannel
+from repro.sim import ARQConfig, ChannelSpec, CodingSpec, UnreliableChannel
 from repro.wsn import (
     AggregationTree,
     TDMASchedule,
@@ -100,6 +100,10 @@ class TestBuildTree:
         by_dist = build_aggregation_tree(net, weight="distance")
         by_hops = build_aggregation_tree(net, weight="hops")
         assert by_hops.max_depth() <= by_dist.max_depth()
+
+    def test_rejects_unknown_weight(self):
+        with pytest.raises(ValueError, match="'distances'"):
+            build_aggregation_tree(grid_network(), weight="distances")
 
 
 class TestTDMA:
@@ -402,3 +406,237 @@ class TestLossAdaptiveCounts:
         assert report.per_node_values == {
             node: tree.subtree_size(node) for node in tree.nodes
             if node != tree.root}
+
+
+# ----------------------------------------------------------------------
+# Reference implementations the cached and vectorized paths must match
+# ----------------------------------------------------------------------
+def _reference_reachable(tree, failed):
+    """A node is reachable iff its whole path to the root avoids failures."""
+    return frozenset(node for node in tree.nodes
+                     if all(hop not in failed
+                            for hop in tree.path_to_root(node)))
+
+
+def _reference_encode_partial(tree, readings, weight, device_index,
+                              failed=frozenset()):
+    """Masked eq. (6) with one vector add per raw reading, in post-order."""
+    alive = _reference_reachable(tree, failed)
+    latent_dim = weight.shape[0]
+    raw_carry, coded_carry, sent = {}, {}, {}
+    for node in tree.post_order():
+        if node not in alive:
+            continue
+        raw = [(node, readings[node])]
+        coded = None
+        for child in tree.children[node]:
+            raw.extend(raw_carry.pop(child, []))
+            child_coded = coded_carry.pop(child, None)
+            if child_coded is not None:
+                coded = child_coded if coded is None else coded + child_coded
+        if coded is not None or len(raw) >= latent_dim or node == tree.root:
+            acc = coded if coded is not None else np.zeros(latent_dim)
+            for dev, value in raw:
+                acc = acc + weight[:, device_index[dev]] * value
+            if node == tree.root:
+                return acc, sent, alive
+            coded_carry[node] = acc
+            sent[node] = latent_dim
+        else:
+            raw_carry[node] = raw
+            sent[node] = len(raw)
+    raise AssertionError("post_order did not end at the root")
+
+
+def _reference_slots(tree):
+    """Per-level TDMA slots, deepest level first, one child per parent."""
+    by_level = {}
+    for node in tree.nodes:
+        if node != tree.root:
+            by_level.setdefault(tree.depth(node), []).append(node)
+    slots = []
+    for level in sorted(by_level, reverse=True):
+        pending = {}
+        for node in by_level[level]:
+            pending.setdefault(tree.parent[node], []).append(node)
+        for turn in range(max(len(v) for v in pending.values())):
+            slots.append([children[turn] for children in pending.values()
+                          if turn < len(children)])
+    return slots
+
+
+def _random_tree(rng, count):
+    """Random recursive tree with shuffled labels, so ids and depths are
+    unrelated."""
+    labels = rng.permutation(count)
+    parent = {int(labels[0]): None}
+    for position in range(1, count):
+        parent[int(labels[position])] = int(labels[rng.integers(position)])
+    return AggregationTree(parent)
+
+
+def _generated_trees():
+    rng = np.random.default_rng(7)
+    trees = [_random_tree(rng, count) for count in (1, 2, 9, 40, 130)]
+    trees.append(AggregationTree({i: (i - 1 if i else None)
+                                  for i in range(12)}))          # chain
+    trees.append(AggregationTree({i: (0 if i else None)
+                                  for i in range(12)}))          # star
+    trees.append(build_aggregation_tree(grid_network(49, range_m=15.0)))
+    return trees
+
+
+def _failed_sets(tree, rng):
+    """No failures, an id outside the tree, one dead leaf, one dead
+    relay, and a random mix."""
+    others = [n for n in tree.nodes if n != tree.root]
+    leaves = [n for n in others if not tree.children[n]]
+    relays = [n for n in others if tree.children[n]]
+    sets = [frozenset(), frozenset({max(tree.nodes) + 1})]
+    if leaves:
+        sets.append(frozenset({leaves[0]}))
+    if relays:
+        sets.append(frozenset({relays[len(relays) // 2]}))
+    if len(others) > 3:
+        sets.append(frozenset(int(n) for n in rng.choice(
+            others, size=len(others) // 4, replace=False)))
+    return sets
+
+
+def _signed_readings(tree, rng):
+    """Readings including exact zeros of both signs and negatives."""
+    nodes = sorted(tree.nodes)
+    values = rng.standard_normal(len(nodes)).tolist()
+    for position, special in zip(range(0, len(nodes), 3),
+                                 (0.0, -0.0, -1.5, 0.0, -0.0)):
+        values[position] = special
+    return dict(zip(nodes, values))
+
+
+def _assert_bits_equal(actual, expected):
+    assert np.array_equal(actual, expected)
+    # array_equal treats -0.0 and 0.0 as equal; the bits must match too.
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestPartialSumOracle:
+    """The vectorized partial sums equal the per-reading loop bit for bit."""
+
+    @pytest.mark.parametrize("tree_index", range(8))
+    def test_matches_per_reading_loop(self, tree_index):
+        tree = _generated_trees()[tree_index]
+        rng = np.random.default_rng(tree_index)
+        count = len(tree.nodes)
+        index = {nid: i for i, nid in enumerate(sorted(tree.nodes))}
+        readings = _signed_readings(tree, rng)
+        for latent_dim in sorted({1, max(1, count // 3), count, count + 5}):
+            weight = rng.standard_normal((latent_dim, count))
+            for failed in _failed_sets(tree, rng):
+                latent, sent, contributors = hybrid_encode_partial(
+                    tree, readings, weight, index, failed=failed)
+                ref, ref_sent, ref_alive = _reference_encode_partial(
+                    tree, readings, weight, index, failed)
+                _assert_bits_equal(latent, ref)
+                assert sent == ref_sent
+                assert contributors == ref_alive
+            full, full_sent = hybrid_encode(tree, readings, weight, index)
+            ref, ref_sent, _ = _reference_encode_partial(
+                tree, readings, weight, index)
+            _assert_bits_equal(full, ref)
+            assert full_sent == ref_sent
+
+    def test_negative_zero_lone_root_reading(self):
+        # The loop starts from +0.0, so a lone -0.0 product becomes +0.0.
+        tree = AggregationTree({0: None, 1: 0})
+        weight = np.array([[1.0, 2.0], [-3.0, 4.0]])
+        latent, _, _ = hybrid_encode_partial(tree, {0: -0.0, 1: 5.0}, weight,
+                                             {0: 0, 1: 1}, failed={1})
+        _assert_bits_equal(latent, np.zeros(2))
+
+    def test_float32_weights_keep_the_loops_product_dtype(self):
+        tree = _generated_trees()[3]
+        rng = np.random.default_rng(11)
+        index = {nid: i for i, nid in enumerate(sorted(tree.nodes))}
+        readings = _signed_readings(tree, rng)
+        weight = rng.standard_normal((6, len(tree.nodes))).astype(np.float32)
+        latent, _, _ = hybrid_encode_partial(tree, readings, weight, index)
+        ref, _, _ = _reference_encode_partial(tree, readings, weight, index)
+        _assert_bits_equal(latent, ref)
+
+
+class TestReachability:
+    def test_equals_path_to_root_definition(self):
+        rng = np.random.default_rng(3)
+        for tree in _generated_trees():
+            for failed in _failed_sets(tree, rng):
+                assert (reachable_nodes(tree, failed)
+                        == _reference_reachable(tree, failed))
+
+
+class TestTraversalCache:
+    def test_post_order_is_built_once_and_immutable(self):
+        tree = _generated_trees()[3]
+        order = tree.post_order()
+        assert tree.post_order() is order
+        assert isinstance(order, tuple)
+        with pytest.raises(TypeError):
+            order[0] = -1
+
+    def test_slots_are_built_once_and_immutable(self):
+        tree = _generated_trees()[4]
+        slots = TDMASchedule(tree).slots
+        assert TDMASchedule(tree).slots is slots
+        assert tree.tdma_slots() is slots
+        assert isinstance(slots, tuple)
+        assert all(isinstance(slot, tuple) for slot in slots)
+        with pytest.raises(TypeError):
+            slots[0][0] = -1
+
+    def test_slots_match_per_level_build(self):
+        for tree in _generated_trees():
+            assert [list(slot) for slot in tree.tdma_slots()] \
+                == _reference_slots(tree)
+
+
+def _lossy_grid_network(seed):
+    """Coded lossy hops, lossy enough that both rounds sever subtrees."""
+    net = grid_network(49, range_m=15.0)
+    net.attach_unreliable(
+        sensor=ChannelSpec(loss=0.2, arq=ARQConfig(max_retries=1),
+                           coding=CodingSpec(parity_frames=1)),
+        rng=np.random.default_rng(seed))
+    return net
+
+
+class TestReusedTreeRounds:
+    """Caches on a reused tree and network leave every round unchanged."""
+
+    FAILED = ({12, 30}, {5})
+
+    def test_reused_tree_equals_fresh_trees(self):
+        reused_net, fresh_net = _lossy_grid_network(1), _lossy_grid_network(1)
+        reused_tree = build_aggregation_tree(reused_net)
+        for failed in self.FAILED:
+            reused = simulate_masked_hybrid_aggregation(
+                reused_net, reused_tree, latent_dim=6, failed=failed)
+            fresh = simulate_masked_hybrid_aggregation(
+                fresh_net, build_aggregation_tree(fresh_net), latent_dim=6,
+                failed=failed)
+            assert reused.failed_hops
+            assert reused == fresh
+            assert (reused_net.reset_ledger().records
+                    == fresh_net.reset_ledger().records)
+
+    def test_reused_network_equals_fresh_networks(self):
+        reused_net = grid_network(49, range_m=15.0)
+        reused_tree = build_aggregation_tree(reused_net)
+        for failed in self.FAILED:
+            reused = simulate_masked_hybrid_aggregation(
+                reused_net, reused_tree, latent_dim=6, failed=failed)
+            fresh_net = grid_network(49, range_m=15.0)
+            fresh = simulate_masked_hybrid_aggregation(
+                fresh_net, build_aggregation_tree(fresh_net), latent_dim=6,
+                failed=failed)
+            assert reused == fresh
+            assert reused_net.reset_ledger().records == fresh_net.ledger.records

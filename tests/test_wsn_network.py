@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from repro.wsn import (
+    EDGE_SERVER_ID,
     DeadNodeError,
     NodeRole,
     TransmissionLedger,
     WSNetwork,
     build_cluster,
+    distance,
+    place_grid,
+    place_uniform,
 )
 
 
@@ -50,6 +54,44 @@ class TestTopology:
             WSNetwork(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             WSNetwork(np.zeros((3, 2)), comm_range_m=0)
+
+    def test_node_positions_are_read_only_copies(self):
+        positions = np.array([[0.0, 0.0], [10.0, 0.0]])
+        net = WSNetwork(positions)
+        positions[1] = [99.0, 99.0]
+        assert net.nodes[1].position.tolist() == [10.0, 0.0]
+        with pytest.raises(ValueError):
+            net.nodes[1].position[0] = 5.0
+        with pytest.raises(ValueError):
+            net.edge.position[0] = 5.0
+
+    @pytest.mark.parametrize("layout", ["jittered_grid", "uniform"])
+    def test_link_distance_equals_distance_bitwise(self, layout):
+        rng = np.random.default_rng(4)
+        positions = (place_grid(36, (60.0, 60.0), jitter=2.0, rng=rng)
+                     if layout == "jittered_grid"
+                     else place_uniform(36, (60.0, 60.0), rng))
+        net = WSNetwork(positions)
+        net.set_aggregator(0)
+        ids = net.device_ids + [EDGE_SERVER_ID]
+        position = {nid: net.nodes[nid].position for nid in net.device_ids}
+        position[EDGE_SERVER_ID] = net.edge.position
+        for _ in range(2):   # first call computes, second reads the memo
+            for src in ids:
+                for dst in ids:
+                    expected = distance(position[src], position[dst])
+                    assert (np.float64(net.link_distance(src, dst)).tobytes()
+                            == np.float64(expected).tobytes())
+
+    def test_backhaul_distance_follows_the_aggregator(self):
+        moved, direct = small_network(), small_network()
+        moved.uplink_to_edge(100)
+        moved.set_aggregator(5)
+        moved.uplink_to_edge(100)
+        direct.set_aggregator(5)
+        direct.uplink_to_edge(100)
+        assert moved.nodes[5].battery.consumed_j \
+            == direct.nodes[5].battery.consumed_j > 0
 
 
 class TestTransmissions:
