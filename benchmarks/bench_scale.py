@@ -1,35 +1,23 @@
-"""Benchmarks for the :mod:`repro.scale` speed layers (ISSUE 8 tentpole).
+"""Benchmarks for the :mod:`repro.scale` analytic ensemble engine.
 
-Two workloads, each with the acceptance criteria asserted directly:
+``engine="analytic"`` prices a 1000-cluster lossy ensemble in closed
+form.  The event engine's cost grows linearly in clusters (independent
+sessions), so its measured 8-cluster reference extrapolates to the
+1000-cluster sweep; the analytic run must beat that extrapolation by
+>= 100x while agreeing with the event engine's delivered rounds
+(<= 5%) and energy (<= 8%) at the reference size.
 
-* **Analytic ensemble mode** — ``engine="analytic"`` prices a
-  1000-cluster lossy ensemble in closed form.  The event engine's cost
-  grows linearly in clusters (independent sessions), so its measured
-  8-cluster reference extrapolates to the 1000-cluster sweep; the
-  analytic run must beat that extrapolation by >= 100x while agreeing
-  with the event engine's delivered rounds (<= 5%) and energy (<= 8%)
-  at the reference size.
-* **Sharded multi-fleet execution** — independent fleets dealt across
-  a spawn pool.  Bit-identity across worker counts is always asserted;
-  the wall-clock speedup assertion soft-passes on single-core hosts
-  (``os.cpu_count() < 2``), where a process pool can only add spawn
-  overhead — the CI VM for this repo advertises one core.
-
-Gate wiring lives in ``check_regression.py`` (``analytic-ensemble`` /
-``shard-parallel``), with the committed baselines in
-``BENCH_scale.json``.
+Gate wiring lives in ``check_regression.py`` (``analytic-ensemble``),
+with the committed baselines in ``BENCH_scale.json``.
 """
 
-import os
 import statistics
 import time
 
 import numpy as np
-import pytest
 
 from repro.core import (EdgeTrainingScheduler, OrcoDCSConfig,
                         OrcoDCSFramework, ResilientOrchestrationPolicy)
-from repro.scale import FleetJob, default_fleet_builder, run_sharded
 from repro.sim import ARQConfig, ChannelSpec
 
 REF_CLUSTERS = 8
@@ -38,10 +26,6 @@ BENCH_CLUSTERS = 256
 ENSEMBLE_ROUNDS = 60
 ENSEMBLE_DEVICES = 16
 LOSS_RATE = 0.12
-
-SHARD_FLEETS = 4
-SHARD_WORKERS = 2
-SHARD_ROUNDS = 8
 
 ANALYTIC_SPEEDUP_FLOOR = 100.0
 DELIVERED_TOLERANCE = 0.05
@@ -97,33 +81,6 @@ def analytic_speedup_ratios(trials=3):
     return ratios
 
 
-def shard_jobs():
-    params = {"clusters": 2, "devices": 16, "rounds_data": 32,
-              "engine": "event", "loss": 0.1, "retries": 2}
-    return [FleetJob(index, f"fleet-{index}", dict(params))
-            for index in range(SHARD_FLEETS)]
-
-
-def run_sharded_fleets(workers):
-    return run_sharded(default_fleet_builder, shard_jobs(),
-                       rounds_per_cluster=SHARD_ROUNDS,
-                       workers=workers, root_seed=0)
-
-
-def shard_speedup_ratios(trials=3):
-    """Interleaved inline / pooled wall-clock ratios (>1 = pool wins)."""
-    ratios = []
-    for _ in range(trials):
-        start = time.perf_counter()
-        run_sharded_fleets(1)
-        inline_s = time.perf_counter() - start
-        start = time.perf_counter()
-        run_sharded_fleets(SHARD_WORKERS)
-        pooled_s = time.perf_counter() - start
-        ratios.append(inline_s / pooled_s)
-    return ratios
-
-
 class TestScaleBenchmarks:
     def test_event_reference_8_clusters(self, run_once):
         report = run_once(run_event_reference)
@@ -139,16 +96,6 @@ class TestScaleBenchmarks:
         report = run_once(run_analytic_sweep, SWEEP_CLUSTERS)
         assert report.engine == "analytic"
         assert len(report.delivered_rounds) == SWEEP_CLUSTERS
-
-    def test_sharded_inline_4_fleets(self, run_once):
-        sharded = run_once(run_sharded_fleets, 1)
-        assert sharded.workers == 1
-        assert len(sharded.outcomes) == SHARD_FLEETS
-
-    def test_sharded_pooled_4_fleets(self, run_once):
-        sharded = run_once(run_sharded_fleets, SHARD_WORKERS)
-        assert sharded.workers == SHARD_WORKERS
-        assert len(sharded.outcomes) == SHARD_FLEETS
 
 
 class TestScaleAcceptance:
@@ -180,27 +127,3 @@ class TestScaleAcceptance:
         assert speedup >= ANALYTIC_SPEEDUP_FLOOR, (
             f"analytic speedup {speedup:.0f}x < "
             f"{ANALYTIC_SPEEDUP_FLOOR:.0f}x")
-
-    def test_shard_bit_identity(self):
-        """Tentpole criterion: worker count never changes the answer."""
-        inline = run_sharded_fleets(1)
-        pooled = run_sharded_fleets(SHARD_WORKERS)
-        assert inline.fingerprint == pooled.fingerprint
-
-    def test_shard_speedup(self):
-        """Pool wall-clock wins on multi-core hosts; soft-pass on one.
-
-        A spawn pool on a single advertised core can only add process
-        startup cost, so the speedup assertion is meaningless there —
-        bit-identity (above) is the contract that always holds.
-        """
-        cores = os.cpu_count() or 1
-        if cores < 2:
-            pytest.skip(f"os.cpu_count()={cores}: shard speedup needs "
-                        f">= 2 cores; bit-identity still asserted")
-        ratios = shard_speedup_ratios(3)
-        speedup = statistics.median(ratios)
-        print(f"\nshard speedup at {SHARD_WORKERS} workers: {speedup:.2f}x "
-              f"(trials: {', '.join(f'{r:.2f}' for r in ratios)})")
-        assert speedup >= 1.1, (
-            f"shard speedup {speedup:.2f}x < 1.1x on a {cores}-core host")

@@ -22,17 +22,12 @@ baselines (exit code 1 below the floor):
   ``bench_resilience.py``'s kernel benchmarks) against
   ``BENCH_resilience.json``.
 
-Two :mod:`repro.scale` gates ride along against ``BENCH_scale.json``
-(the workloads of ``bench_scale.py``):
-
-* the **analytic-ensemble** ratio — unfused 8-cluster event reference
-  over the 1000-cluster analytic sweep — gated at 80% of its committed
-  baseline (the absolute >= 100x extrapolated-speedup contract lives in
-  the bench's own acceptance test);
-* the **shard-parallel** inline/pooled ratio at 2 workers — skipped
-  outright when ``os.cpu_count() < 2`` (a spawn pool on one advertised
-  core can only add startup cost; bit-identity is gated by tests, not
-  by wall clock).
+One :mod:`repro.scale` gate rides along against ``BENCH_scale.json``
+(the workload of ``bench_scale.py``): the **analytic-ensemble** ratio —
+unfused 8-cluster event reference over the 1000-cluster analytic sweep
+— gated at 80% of its committed baseline (the absolute >= 100x
+extrapolated-speedup contract lives in the bench's own acceptance
+test).
 
 One *ceiling* gate rides along with inverted semantics: the
 **telemetry-overhead** gate fails when full JSONL telemetry costs more
@@ -60,8 +55,7 @@ Usage (from the repo root, CI's bench-smoke job)::
 
     PYTHONPATH=src python benchmarks/check_regression.py \
         [--gate fleet|lossy-fused|coded-fused|adaptive-fused|\
-vectorized-kernel|analytic-ensemble|shard-parallel|telemetry-overhead|\
-all] \
+vectorized-kernel|analytic-ensemble|telemetry-overhead|all] \
         [--from-json measured.json] [--list-gates]
 """
 
@@ -89,10 +83,8 @@ from bench_resilience import (  # noqa: E402
 )
 from bench_scale import (  # noqa: E402
     REF_CLUSTERS,
-    SHARD_WORKERS,
     SWEEP_CLUSTERS,
     analytic_speedup_ratios,
-    shard_speedup_ratios,
 )
 
 REGRESSION_FLOOR = 0.8
@@ -199,62 +191,10 @@ GATES = {
 }
 
 
-#: (inline, pooled) benchmark names for the shard-parallel gate.
-SHARD_PAIR = ("test_sharded_inline_4_fleets", "test_sharded_pooled_4_fleets")
-
-
 def _record(rows, gate, measured, reference, verdict):
     """Collect one gate verdict for the markdown step summary."""
     if rows is not None:
         rows.append((gate, measured, reference, verdict))
-
-
-def check_shard_gate(from_json: pathlib.Path = None, rows=None) -> bool:
-    """Shard-parallel floor gate with a single-core soft-pass.
-
-    On a one-core host the pooled run can only lose to inline (spawn
-    startup dominates), so measuring the ratio there gates nothing
-    real — the gate SKIPs and bit-identity tests carry the contract.
-    """
-    label = f"shard-parallel inline/pooled ratio at {SHARD_WORKERS} workers"
-    inline_name, pooled_name = SHARD_PAIR
-    baseline = ratio_from_json(REPO_ROOT / "BENCH_scale.json",
-                               inline_name, pooled_name)
-    if baseline is None:
-        print(f"error: committed baseline BENCH_scale.json lacks "
-              f"{inline_name!r}/{pooled_name!r} — re-commit it from a "
-              f"full benchmark run", file=sys.stderr)
-        _record(rows, "shard-parallel", "—", "missing baseline", "ERROR")
-        return False
-    floor = REGRESSION_FLOOR * baseline
-    reference = f"floor {floor:.3f}x ({REGRESSION_FLOOR:.0%} of {baseline:.3f}x)"
-    if from_json:
-        measured = ratio_from_json(from_json, inline_name, pooled_name)
-        if measured is None:
-            print(f"{label}: SKIPPED — {from_json.name} has no "
-                  f"{inline_name!r}/{pooled_name!r} entries (partial "
-                  f"artifact); re-run without --from-json to measure live")
-            _record(rows, "shard-parallel", "—", reference, "SKIPPED")
-            return True
-    else:
-        cores = os.cpu_count() or 1
-        if cores < 2:
-            print(f"{label}: SKIPPED — os.cpu_count()={cores} (< 2); a "
-                  f"spawn pool cannot win wall-clock on one core and "
-                  f"bit-identity is gated by tests")
-            _record(rows, "shard-parallel", "—", reference, "SKIPPED")
-            return True
-        measured = statistics.median(shard_speedup_ratios(TRIALS))
-    ok = measured >= floor
-    verdict = "OK" if ok else "REGRESSION"
-    print(f"{label}: measured {measured:.3f}x vs baseline {baseline:.3f}x "
-          f"(floor {REGRESSION_FLOOR:.0%} -> {floor:.3f}x): {verdict}")
-    _record(rows, "shard-parallel", f"{measured:.3f}x", reference, verdict)
-    if not ok:
-        print(f"error: measured {label} {measured:.3f}x fell below "
-              f"{floor:.3f}x — the shard executor regressed (worker "
-              f"init, job dealing, or the merge step)", file=sys.stderr)
-    return ok
 
 
 #: (enabled, disabled) benchmark names for the telemetry ceiling gate's
@@ -346,11 +286,6 @@ def list_gates() -> None:
         print(f"{name}: {label}")
         print(f"    kind: floor ({REGRESSION_FLOOR:.0%} of committed baseline)")
         print(f"    baseline: {path.name} [{slow} / {fast}]")
-    inline_name, pooled_name = SHARD_PAIR
-    print(f"shard-parallel: inline/pooled ratio at {SHARD_WORKERS} workers")
-    print(f"    kind: floor ({REGRESSION_FLOOR:.0%} of committed baseline; "
-          f"SKIPs on single-core hosts)")
-    print(f"    baseline: BENCH_scale.json [{inline_name} / {pooled_name}]")
     enabled, disabled = TELEMETRY_PAIR
     print(f"telemetry-overhead: enabled/disabled overhead at "
           f"{FUSED_CLUSTERS} clusters (lossy live)")
@@ -382,7 +317,7 @@ def write_step_summary(rows) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    all_gates = [*GATES, "shard-parallel", "telemetry-overhead"]
+    all_gates = [*GATES, "telemetry-overhead"]
     parser.add_argument("--gate", choices=[*all_gates, "all"], default="all",
                         help="which gate to check (default: all)")
     parser.add_argument("--from-json", type=pathlib.Path, default=None,
@@ -403,8 +338,6 @@ def main() -> int:
     def run_gate(name):
         if name == "telemetry-overhead":
             return check_telemetry_gate(args.from_json, rows)
-        if name == "shard-parallel":
-            return check_shard_gate(args.from_json, rows)
         return check_gate(name, args.from_json, rows)
 
     ok = all([run_gate(name) for name in names])

@@ -297,54 +297,6 @@ class ScheduleReport:
         return None
 
 
-def merge_schedule_reports(reports: Dict[str, "ScheduleReport"]
-                           ) -> "ScheduleReport":
-    """Fold per-fleet reports into one fleet-level report.
-
-    ``reports`` maps a fleet name to its report; per-cluster keys are
-    prefixed ``"<fleet>/<cluster>"`` so heterogeneous fleets never
-    collide.  The fold is **order-independent** by construction — fleet
-    names are sorted before merging, so the shard executor produces the
-    same merged report no matter which worker finished first.  Scalars
-    compose as a concurrent-fleet model: edge time and fault/fusion
-    counters sum (each fleet owns an edge), the makespan is the slowest
-    fleet's, ``halted``/``expected_values`` are any-of.
-    """
-    if not reports:
-        raise ValueError("no reports to merge")
-    ordered = [(name, reports[name]) for name in sorted(reports)]
-    merged = ScheduleReport(
-        policy="+".join(sorted({r.policy for _, r in ordered})),
-        total_edge_time_s=sum(r.total_edge_time_s for _, r in ordered),
-        makespan_s=max(r.makespan_s for _, r in ordered),
-        rounds_per_cluster={},
-        final_loss_per_cluster={},
-        engine="sharded[" + "+".join(sorted({r.engine
-                                             for _, r in ordered})) + "]",
-        halted=any(r.halted for _, r in ordered),
-        faults_applied=sum(r.faults_applied for _, r in ordered),
-        fused_rounds=sum(r.fused_rounds for _, r in ordered),
-        segments=sum(r.segments for _, r in ordered),
-        expected_values=any(r.expected_values for _, r in ordered),
-    )
-    per_cluster = ("rounds_per_cluster", "final_loss_per_cluster",
-                   "deadline_miss_rounds", "completion_times",
-                   "failed_rounds", "dead_clusters", "energy_j",
-                   "arq_budgets", "coding_budgets", "delivered_rounds",
-                   "lifetime_rounds", "deadline_miss_probability")
-    for fleet, report in ordered:
-        for field_name in per_cluster:
-            target = getattr(merged, field_name)
-            for cluster, value in getattr(report, field_name).items():
-                target[f"{fleet}/{cluster}"] = value
-        merged.deadline_misses.extend(f"{fleet}/{name}"
-                                      for name in report.deadline_misses)
-        for reason, count in report.retirement_reasons.items():
-            merged.retirement_reasons[reason] = (
-                merged.retirement_reasons.get(reason, 0) + count)
-    return merged
-
-
 # ----------------------------------------------------------------------
 # Ideal-world loop (sequential engine + batched replay)
 # ----------------------------------------------------------------------

@@ -17,8 +17,6 @@ def _run_experiments(names, args, serve_box=None) -> int:
         kwargs = {"scale": args.scale, "seed": args.seed}
         run_fn = EXPERIMENTS[name]
         run_params = inspect.signature(run_fn).parameters
-        if args.processes != 1 and "processes" in run_params:
-            kwargs["processes"] = args.processes
         handle = None
         if serve_box is not None and "telemetry" in run_params:
             # Live-stream this experiment's bus through the control
@@ -77,13 +75,7 @@ def main(argv=None) -> int:
                              "events to TCP subscribers (e.g. "
                              "python -m repro.serve.dashboard --connect ...) "
                              "instead of a file")
-    parser.add_argument("--processes", type=int, default=1, metavar="N",
-                        help="worker processes for sharded multi-fleet "
-                             "sections (default 1 = in-process; results "
-                             "are bit-identical at any worker count)")
     args = parser.parse_args(argv)
-    if args.processes < 1:
-        parser.error(f"--processes must be >= 1, got {args.processes}")
     if args.serve and args.telemetry:
         parser.error("--serve and --telemetry are mutually exclusive "
                      "(the control plane streams events over TCP)")

@@ -23,13 +23,11 @@ the modeled clock — the engine that makes the 16-cluster sweep cheap:
   *unreliable* world: a fault-only sweep (scheduled node death +
   straggler window, lossless channels) under ``engine="event"`` with
   and without fusion, at each cluster count;
-* how the two :mod:`repro.scale` speed layers extend the sweep beyond
-  what per-round execution can reach: a **sharded multi-fleet** run
-  (independent fleets dealt across a process pool, merged into one
-  report that is bit-identical to the single-process run) and the
-  **analytic ensemble engine** (``engine="analytic"``) pricing
-  lifetime / energy / delivered rounds in closed form out to 1000
-  clusters, cross-checked against the event engine at small scale.
+* how the **analytic ensemble engine** (``engine="analytic"``,
+  :mod:`repro.scale`) extends the sweep beyond what per-round
+  execution can reach: lifetime / energy / delivered rounds priced in
+  closed form out to 1000 clusters, cross-checked against the event
+  engine at small scale.
 
 Expected shape: edge compute grows linearly in clusters while makespan
 grows sub-linearly (aggregator-side work overlaps); round-robin and
@@ -51,7 +49,6 @@ from ..core.scheduler import EdgeTrainingScheduler
 from ..obs import JsonlWriter, TelemetryBus
 from ..datasets import FieldRegime, SensorField
 from ..datasets.sensing import normalized_rounds
-from ..scale import FleetJob, default_fleet_builder, run_sharded
 from ..sim import ARQConfig, ChannelSpec, FaultEvent, FaultSchedule
 from ..wsn import place_uniform
 from .common import ExperimentResult, scaled
@@ -126,8 +123,7 @@ def _mean_scheduled_time_to_halfway(scheduler, report) -> float:
 
 
 def run(scale: float = 1.0, seed: int = 0,
-        telemetry: Optional[object] = None,
-        processes: int = 1) -> ExperimentResult:
+        telemetry: Optional[object] = None) -> ExperimentResult:
     """Quantify multi-cluster edge contention and policy effects.
 
     ``telemetry`` names a JSONL path: every scheduler session in the
@@ -135,23 +131,18 @@ def run(scale: float = 1.0, seed: int = 0,
     segments, spans) to that event log.  Passing a live
     :class:`~repro.obs.TelemetryBus` instead wires the events straight
     onto that bus (the control plane's ``--serve`` path).
-    ``processes`` sets the worker count for the sharded multi-fleet
-    section (1 = inline, today's behavior; N > 1 deals fleets across a
-    spawn pool and asserts the merged report is bit-identical to the
-    inline run).
     """
     if telemetry is None:
-        return _run_impl(scale, seed, None, processes)
+        return _run_impl(scale, seed, None)
     if isinstance(telemetry, TelemetryBus):
-        return _run_impl(scale, seed, telemetry, processes)
+        return _run_impl(scale, seed, telemetry)
     bus = TelemetryBus()
     with JsonlWriter(telemetry, bus):
-        return _run_impl(scale, seed, bus, processes)
+        return _run_impl(scale, seed, bus)
 
 
 def _run_impl(scale: float, seed: int,
-              bus: Optional[TelemetryBus],
-              processes: int = 1) -> ExperimentResult:
+              bus: Optional[TelemetryBus]) -> ExperimentResult:
     result = ExperimentResult(
         "Future work — multi-cluster edge scheduling",
         "Edge-busy time / makespan vs concurrent clusters (batched fleet "
@@ -269,50 +260,6 @@ def _run_impl(scale: float, seed: int,
     result.check("fair policies reach loss thresholds sooner than FIFO",
                  min(halfway["round_robin"], halfway["loss_priority"])
                  <= halfway["fifo"] * 1.05)
-
-    # --- sharded multi-fleet execution ---------------------------------
-    # Independent fleets dealt across a process pool and merged back
-    # into one fleet-level report.  The merge is order-independent and
-    # bit-identical to the single-process run (per-fleet RNG streams
-    # are seed-spaced by fleet id, never by shard), so worker count is
-    # purely a wall-clock knob — asserted here whenever processes > 1.
-    fleet_count = 6 if scale >= 0.5 else 3
-    shard_params = {"clusters": 2, "devices": 16, "rounds_data": 32,
-                    "engine": "event", "loss": 0.1, "retries": 2}
-    jobs = [FleetJob(index, f"fleet-{index}", dict(shard_params))
-            for index in range(fleet_count)]
-    shard_rounds = min(train_rounds, 8)
-    start = time.perf_counter()
-    inline_run = run_sharded(default_fleet_builder, jobs,
-                             rounds_per_cluster=shard_rounds,
-                             workers=1, root_seed=seed)
-    inline_s = time.perf_counter() - start
-    workers = max(1, int(processes))
-    if workers > 1:
-        start = time.perf_counter()
-        pooled_run = run_sharded(default_fleet_builder, jobs,
-                                 rounds_per_cluster=shard_rounds,
-                                 workers=workers, root_seed=seed)
-        pooled_s = time.perf_counter() - start
-        bit_identical = pooled_run.fingerprint == inline_run.fingerprint
-    else:
-        pooled_s, bit_identical = inline_s, True
-    merged = inline_run.report
-    result.add_row(scenario="sharded multi-fleet",
-                   fleets=fleet_count, workers=workers,
-                   merged_clusters=len(merged.rounds_per_cluster),
-                   inline_wall_s=round(inline_s, 2),
-                   pooled_wall_s=round(pooled_s, 2))
-    result.summary["sharded_fleets"] = fleet_count
-    result.summary["sharded_workers"] = workers
-    result.summary["sharded_fingerprint"] = inline_run.fingerprint[:16]
-    result.check("sharded merge covers every fleet's clusters",
-                 len(merged.rounds_per_cluster)
-                 == fleet_count * shard_params["clusters"]
-                 and all(key.startswith("fleet-")
-                         for key in merged.rounds_per_cluster))
-    result.check("sharded run is bit-identical across worker counts",
-                 bit_identical)
 
     # --- analytic ensemble sweep: answers at 1000 clusters -------------
     # ``engine="analytic"`` prices each cluster's expected lifetime,

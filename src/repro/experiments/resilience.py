@@ -62,7 +62,7 @@ from ..core.timing import OrchestrationTimingModel
 from ..datasets import FieldRegime, SensorField
 from ..datasets.sensing import normalized_rounds
 from ..metrics import nmse
-from ..scale import FleetJob, default_fleet_builder, run_sharded
+from ..scale import FleetJob, default_fleet_builder, fleet_rng
 from ..sim import ARQConfig, ChannelSpec, CodingSpec, FaultEvent, FaultSchedule
 from ..wsn import WSNetwork, place_uniform, select_aggregator
 from ..wsn.aggregation import build_aggregation_tree
@@ -181,8 +181,7 @@ def _fleet_wire_bytes(scheduler: EdgeTrainingScheduler) -> int:
 
 
 def run(scale: float = 1.0, seed: int = 0,
-        telemetry: Optional[object] = None,
-        processes: int = 1) -> ExperimentResult:
+        telemetry: Optional[object] = None) -> ExperimentResult:
     """Sweep frame loss x fault schedules on the event runtime.
 
     ``telemetry`` names a JSONL path: every scheduler session in the
@@ -192,22 +191,18 @@ def run(scale: float = 1.0, seed: int = 0,
     live :class:`~repro.obs.TelemetryBus` instead wires the sweep's
     events straight onto that bus (the control plane's ``--serve``
     path) with no file in between.
-    ``processes`` sets the worker count for the sharded replicate
-    section (1 = inline, today's behavior; N > 1 deals replicas across
-    a spawn pool and asserts the merged report is bit-identical).
     """
     if telemetry is None:
-        return _run_impl(scale, seed, None, processes)
+        return _run_impl(scale, seed, None)
     if isinstance(telemetry, TelemetryBus):
-        return _run_impl(scale, seed, telemetry, processes)
+        return _run_impl(scale, seed, telemetry)
     bus = TelemetryBus()
     with JsonlWriter(telemetry, bus):
-        return _run_impl(scale, seed, bus, processes)
+        return _run_impl(scale, seed, bus)
 
 
 def _run_impl(scale: float, seed: int,
-              bus: Optional[TelemetryBus],
-              processes: int = 1) -> ExperimentResult:
+              bus: Optional[TelemetryBus]) -> ExperimentResult:
     result = ExperimentResult(
         "Resilience — unreliable networks and fault injection",
         "Event-engine equivalence anchor, Bernoulli frame-loss sweep "
@@ -667,44 +662,27 @@ def _run_impl(scale: float, seed: int,
     result.check("sensor-hop coding pays a parity wire premium",
                  worst_stats["coded_wire"] > worst_stats["plain_wire"])
 
-    # --- 6. sharded replicates: loss statistics across the fleet ------
-    # The lossy scenario replicated as independent fleets through
-    # :func:`repro.scale.run_sharded` — replicate-to-replicate spread
-    # of failed rounds is the statistic single runs cannot give, and
-    # the per-fleet seed spacing makes it reproducible regardless of
-    # how many workers deal the replicas.
+    # --- 6. replicates: loss statistics across independent fleets ----
+    # The lossy scenario replicated as independent fleets, replicate
+    # ``i`` on its own :func:`repro.scale.fleet_rng` stream — the
+    # replicate-to-replicate spread of failed rounds is the statistic
+    # single runs cannot give.
     replica_count = 4
     replica_params = {"clusters": 2, "devices": min(devices, 16),
                       "rounds_data": 32, "engine": "event",
                       "loss": 0.15, "retries": 1}
-    replica_jobs = [FleetJob(index, f"replica-{index}", dict(replica_params))
-                    for index in range(replica_count)]
     replica_rounds = min(train_rounds, 8)
-    inline_run = run_sharded(default_fleet_builder, replica_jobs,
-                             rounds_per_cluster=replica_rounds,
-                             workers=1, root_seed=seed)
-    workers = max(1, int(processes))
-    if workers > 1:
-        pooled_run = run_sharded(default_fleet_builder, replica_jobs,
-                                 rounds_per_cluster=replica_rounds,
-                                 workers=workers, root_seed=seed)
-        replicas_identical = (pooled_run.fingerprint
-                              == inline_run.fingerprint)
-    else:
-        replicas_identical = True
-    per_replica_failed = [
-        sum(outcome.report.failed_rounds.values())
-        for outcome in inline_run.outcomes]
-    result.add_row(scenario="sharded replicates", loss_rate=0.15,
+    per_replica_failed = []
+    for index in range(replica_count):
+        job = FleetJob(index, f"replica-{index}", replica_params)
+        fleet = default_fleet_builder(job, None, fleet_rng(seed, index))
+        report = fleet.run(rounds_per_cluster=replica_rounds)
+        per_replica_failed.append(sum(report.failed_rounds.values()))
+    result.add_row(scenario="replicates", loss_rate=0.15,
                    failed_rounds=int(sum(per_replica_failed)),
-                   replicas=replica_count, workers=workers)
+                   replicas=replica_count)
     result.summary["replica_failed_rounds_spread"] = (
         int(min(per_replica_failed)), int(max(per_replica_failed)))
-    result.check("sharded replicates merge into one fleet report",
-                 len(inline_run.report.rounds_per_cluster)
-                 == replica_count * replica_params["clusters"])
-    result.check("sharded replicates are bit-identical across workers",
-                 replicas_identical)
     return result
 
 

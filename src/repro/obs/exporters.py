@@ -32,8 +32,8 @@ from typing import Dict, Tuple
 from .metrics import Histogram, MetricsCollector
 from .telemetry import EVENT_TYPES, TelemetryBus, TelemetryEvent
 
-__all__ = ["JsonlWriter", "merge_event_logs", "read_events",
-           "read_sharded_events", "render_prometheus", "summary_table"]
+__all__ = ["JsonlWriter", "read_events", "render_prometheus",
+           "summary_table"]
 
 #: One shared compact encoder — ``json.dumps(obj, separators=...)``
 #: builds a fresh ``JSONEncoder`` per call.  Used as the slow-path
@@ -201,10 +201,7 @@ def read_events(path: Union[str, Path], follow: bool = False,
     """Yield typed events back from a :class:`JsonlWriter` log.
 
     Unknown kinds (from a newer writer) raise ``KeyError`` — logs are a
-    contract, not a best-effort stream.  A ``"shard"`` tag (stamped by
-    :func:`merge_event_logs`) is transparently dropped, so merged
-    multi-shard logs round-trip through the same reader; use
-    :func:`read_sharded_events` to keep the tag.
+    contract, not a best-effort stream.
 
     With ``follow=True`` the reader replays the file then **tails** it:
     it keeps polling (every ``poll_s`` seconds) for lines a live
@@ -214,16 +211,18 @@ def read_events(path: Union[str, Path], follow: bool = False,
     so nothing flushed before the flag flipped is missed — or until the
     consumer abandons it.
     """
-    if not follow:
-        for _, event in read_sharded_events(path):
-            yield event
-        return
-
     def parse(line: str) -> TelemetryEvent:
         payload = json.loads(line)
-        payload.pop("shard", None)
         cls = EVENT_TYPES[payload.pop("kind")]
         return cls(**payload)
+
+    if not follow:
+        with open(path) as handle:
+            for line in handle:
+                line = line.strip()
+                if line:
+                    yield parse(line)
+        return
 
     buffer = ""
     with open(path) as handle:
@@ -242,63 +241,6 @@ def read_events(path: Union[str, Path], follow: bool = False,
                 return
             else:
                 time.sleep(poll_s)
-
-
-def read_sharded_events(path: Union[str, Path]
-                        ) -> Iterator[Tuple[Optional[int], TelemetryEvent]]:
-    """Yield ``(shard, event)`` pairs from a (possibly merged) log.
-
-    ``shard`` is ``None`` for lines a plain :class:`JsonlWriter` wrote;
-    merged logs carry the originating shard id on every line.
-    """
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            shard = payload.pop("shard", None)
-            cls = EVENT_TYPES[payload.pop("kind")]
-            yield shard, cls(**payload)
-
-
-def merge_event_logs(paths: Sequence[Union[str, Path]],
-                     out_path: Union[str, Path],
-                     shard_ids: Optional[Sequence[int]] = None) -> int:
-    """Fold per-shard JSONL logs into one shard-tagged stream.
-
-    Each input line gains a leading ``"shard": <id>`` key (ids default
-    to the position of the source file in ``paths``), preserving the
-    original event payload byte for byte — so
-    :func:`read_sharded_events` recovers exactly the typed events each
-    shard emitted, attributed to its shard, and :func:`read_events`
-    round-trips the merged file like any single-writer log.  Events
-    appear shard by shard in ``paths`` order (within a shard, in
-    emission order); per-event ``time_s`` fields carry each fleet's own
-    simulated clock, so cross-shard interleaving has no meaning to
-    restore.  Returns the number of events written.
-    """
-    if shard_ids is None:
-        shard_ids = list(range(len(paths)))
-    if len(shard_ids) != len(paths):
-        raise ValueError(
-            f"{len(paths)} paths but {len(shard_ids)} shard_ids")
-    written = 0
-    with open(out_path, "w") as out:
-        for shard, path in zip(shard_ids, paths):
-            prefix = f'{{"shard":{int(shard)},'
-            with open(path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if not line.startswith("{"):
-                        raise ValueError(
-                            f"{path}: not a JSONL event log line: "
-                            f"{line[:60]!r}")
-                    out.write(prefix + line[1:] + "\n")
-                    written += 1
-    return written
 
 
 def summary_table(collector: MetricsCollector) -> str:

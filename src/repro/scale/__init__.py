@@ -1,20 +1,13 @@
 """`repro.scale` — answers at 1000 clusters, not 16.
 
-Two complementary speed layers on top of the existing engines:
-
-* :mod:`repro.scale.sharding` — a **process-parallel shard executor**:
-  independent fleets partitioned across a spawn-safe
-  ``multiprocessing`` pool, each shard running the existing scheduler
-  engines, merged into one fleet-level report that is order-independent
-  and bit-identical to the single-process run for the same seeds.
 * :mod:`repro.scale.analytic` — the **analytic ensemble mode** behind
   ``EdgeTrainingScheduler(engine="analytic")``: lifetime, energy,
   expected delivered rounds and deadline-miss probabilities priced
   directly from the closed-form channel/coding/battery math instead of
   stepping the event kernel.
-* :mod:`repro.scale.seeding` — per-fleet ``SeedSequence`` spacing, the
-  invariant that makes shard count irrelevant to any cluster's RNG
-  stream.
+* :mod:`repro.scale.sharding` — independent fleets: :class:`FleetJob`
+  specs, per-fleet :func:`fleet_rng` streams and
+  :func:`default_fleet_builder`.
 """
 
 from .analytic import (
@@ -24,29 +17,15 @@ from .analytic import (
     price_transmit,
     run_analytic,
 )
-from .seeding import fleet_rng, fleet_seed_sequence, spaced_seed_sequences
-from .sharding import (
-    FleetJob,
-    FleetOutcome,
-    ShardedRunReport,
-    default_fleet_builder,
-    merge_outcomes,
-    run_sharded,
-)
+from .sharding import FleetJob, default_fleet_builder, fleet_rng
 
 __all__ = [
     "ClusterForecast",
     "DirectionForecast",
     "FleetJob",
-    "FleetOutcome",
-    "ShardedRunReport",
     "default_fleet_builder",
     "fleet_rng",
-    "fleet_seed_sequence",
     "forecast_fleet",
-    "merge_outcomes",
     "price_transmit",
     "run_analytic",
-    "run_sharded",
-    "spaced_seed_sequences",
 ]

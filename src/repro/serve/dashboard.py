@@ -125,7 +125,6 @@ class FleetDashboard(LiveConsole):
 
 def _event_from_wire(payload: Dict[str, object]) -> TelemetryEvent:
     fields = dict(payload)
-    fields.pop("shard", None)
     kind = str(fields.pop("kind"))
     return EVENT_TYPES[kind](**fields)
 

@@ -3,18 +3,21 @@
 The PR 7 telemetry contract extends to the control plane: hosting a run
 under :class:`repro.serve.FleetService` with live TCP subscribers (even
 slow, dropping ones) must leave the simulation bit-identical to the
-same seed offline — asserted here with the same digest helpers the
-sharded-run invariance tests use.  No pytest-asyncio in the container:
-async paths run under plain ``asyncio.run`` wrappers.
+same seed offline — asserted here by digesting the report, every
+cluster's RNG state and transmission ledger, and the modeled clock.
+No pytest-asyncio in the container: async paths run under plain
+``asyncio.run`` wrappers.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import io
 import json
 import re
 import threading
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +31,6 @@ from repro.obs.exporters import _flush_on_exit
 from repro.obs.telemetry import (
     ClusterRetired, FaultApplied, RoundCompleted, SpanClosed,
 )
-from repro.scale.sharding import _ledger_digest, _rng_digest, report_digest
 from repro.serve import (
     AsyncTelemetryBridge, Command, ControlPlaneClient, EventStream,
     FleetDashboard, FleetService, RunController,
@@ -59,6 +61,28 @@ ROUNDS = 10
 def _round_event(i: int) -> RoundCompleted:
     return RoundCompleted(cluster="c0", round=i, delivered=True,
                           loss=0.5 / (i + 1), time_s=float(i))
+
+
+def _sha(payload: str) -> str:
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def report_digest(report) -> str:
+    """Canonical content hash of a report.
+
+    ``json.dumps`` renders floats via ``repr`` (shortest round-trip),
+    so two reports hash equal iff every float is bit-equal.
+    """
+    return _sha(json.dumps(asdict(report), sort_keys=True, default=repr))
+
+
+def _rng_digest(gen: np.random.Generator) -> str:
+    return _sha(json.dumps(gen.bit_generator.state, sort_keys=True,
+                           default=int))
+
+
+def _ledger_digest(ledger) -> str:
+    return _sha(repr(ledger.records))
 
 
 def _digests(scheduler, report):
