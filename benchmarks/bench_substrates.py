@@ -3,14 +3,20 @@
 These measure the hot paths the figure experiments sit on: autograd
 training rounds, conv forward/backward, the Adam update over the DCSNet
 baseline's dense layers, sparse solvers, WSN aggregation simulation,
-deployed data collection and dataset generation.
+deployed data collection and dataset generation; and two the event
+engine sits on: the edge's pick queue and partial fleet waves.
 """
+
+import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro import nn
 from repro.baselines.dcsnet import build_dcsnet_decoder, build_dcsnet_encoder
-from repro.core import AsymmetricAutoencoder, EncoderDeployment, OrcoDCSConfig
+from repro.core import (AsymmetricAutoencoder, EncoderDeployment, FleetTrainer,
+                        OrcoDCSConfig, OrcoDCSFramework)
+from repro.core.rounds import PickQueue
 from repro.cs import gaussian_matrix, omp
 from repro.datasets import (FieldRegime, SensorField, generate_digits,
                             normalized_rounds, render_sign)
@@ -86,6 +92,58 @@ class TestNNSubstrate:
             return out.shape
 
         assert benchmark(step) == (32, 16, 14, 14)
+
+
+class TestSchedulingSubstrate:
+    ROUNDS = 64
+
+    @classmethod
+    def _drain(cls, size):
+        """Serve ``size`` round-robin clusters ``ROUNDS`` rounds each
+        through one pick queue; returns the number of picks."""
+        clusters = [SimpleNamespace(rounds_completed=0) for _ in range(size)]
+        budget = [cls.ROUNDS] * size
+        queue = PickQueue("round_robin", clusters)
+        picks = 0
+        while True:
+            index = queue.pick(lambda k: budget[k] > 0)
+            if index is None:
+                return picks
+            budget[index] -= 1
+            clusters[index].rounds_completed += 1
+            picks += 1
+
+    def test_pick_queue_scaling(self, benchmark):
+        """Per-pick cost at 256 clusters stays within 3x of 16 clusters
+        (a scan over the pending clusters costs ~16x)."""
+
+        def per_pick_s(size):
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                picks = self._drain(size)
+                best = min(best, (time.perf_counter() - start) / picks)
+            return best
+
+        ratio = per_pick_s(256) / per_pick_s(16)
+        benchmark.extra_info["per_pick_ratio_256_vs_16"] = ratio
+        assert benchmark(self._drain, 256) == 256 * self.ROUNDS
+        assert ratio < 3.0, f"per-pick cost grew {ratio:.2f}x from 16 to 256"
+
+    def test_partial_fleet_wave(self, benchmark):
+        """One partial wave as a fused lossy run trains it: 28 of 32
+        stacked clusters (40 devices, latent 6, batch 8) through
+        ``FleetTrainer.subset(...).step``."""
+        fleet = FleetTrainer([
+            OrcoDCSFramework(OrcoDCSConfig(input_dim=40, latent_dim=6,
+                                           seed=k, noise_sigma=0.05,
+                                           batch_size=8))
+            for k in range(32)])
+        active = [k for k in range(32) if k not in (3, 11, 17, 30)]
+        batches = np.random.default_rng(0).random((len(active), 8, 40))
+        records = benchmark(lambda: fleet.subset(active).step(batches))
+        assert len(records) == 28
+        assert all(np.isfinite(r.train_loss) for r in records)
 
 
 class TestCSSubstrate:

@@ -44,6 +44,7 @@ from ..nn.batched import (
     _OPTIMIZER_HYPERPARAMS,
     ActiveSlices,
     FleetIncompatibilityError,
+    _as_index,
     check_fleet_optimizers,
     fleet_optimizer_from,
     fleet_optimizer_to,
@@ -189,14 +190,11 @@ class FleetTrainer:
     def num_clusters(self) -> int:
         return len(self.trainers)
 
-    def _active_trainers(self, active: ActiveSlices
+    def _active_trainers(self, index: Optional[np.ndarray]
                          ) -> List[OrchestratedTrainer]:
-        if active is None:
+        if index is None:
             return self.trainers
-        index = np.asarray(active)
-        if index.dtype == bool:
-            index = np.flatnonzero(index)
-        return [self.trainers[int(k)] for k in index]
+        return [self.trainers[k] for k in index.tolist()]
 
     def _inject_noise(self, latent: Tensor,
                       trainers: Sequence[OrchestratedTrainer]) -> Tensor:
@@ -226,12 +224,12 @@ class FleetTrainer:
     def forward(self, batches: np.ndarray, training: bool = True,
                 active: ActiveSlices = None) -> Tensor:
         """Stacked encode -> noise -> decode over ``(K, B, N)`` batches."""
-        trainers = self._active_trainers(active)
+        index = _as_index(active, self.num_clusters)
         x = Tensor(batches)
-        latent = run_stack(self.encoder_layers, x, active)
+        latent = run_stack(self.encoder_layers, x, index)
         if training:
-            latent = self._inject_noise(latent, trainers)
-        return run_stack(self.decoder_layers, latent, active)
+            latent = self._inject_noise(latent, self._active_trainers(index))
+        return run_stack(self.decoder_layers, latent, index)
 
     def step(self, batches: np.ndarray,
              epochs: Optional[Sequence[int]] = None,
@@ -246,7 +244,8 @@ class FleetTrainer:
         epochs:
             Optional per-active-cluster epoch labels for the records.
         active:
-            Subset of cluster indices to train this round; the other
+            Subset of cluster indices (unique, in range) or a boolean
+            mask over the fleet to train this round; the other
             clusters' weights and optimiser state are untouched.
 
         Returns
@@ -255,7 +254,8 @@ class FleetTrainer:
         charging each cluster's own modeled clock and ledger.
         """
         batches = np.asarray(batches, dtype=float)
-        trainers = self._active_trainers(active)
+        index = _as_index(active, self.num_clusters)
+        trainers = self._active_trainers(index)
         if batches.ndim != 3 or batches.shape[0] != len(trainers):
             raise ValueError(
                 f"expected ({len(trainers)}, B, {self.input_dim}) batch "
@@ -263,14 +263,14 @@ class FleetTrainer:
         if batches.shape[2] != self.input_dim:
             raise ValueError(f"batch dim {batches.shape[2]} != "
                              f"input_dim {self.input_dim}")
-        reconstruction = self.forward(batches, training=True, active=active)
+        reconstruction = self.forward(batches, training=True, active=index)
         per_cluster = self.loss.per_cluster(reconstruction, batches)
         total = per_cluster.sum()
         self.encoder_optimizer.zero_grad()
         self.decoder_optimizer.zero_grad()
         total.backward()
-        self.decoder_optimizer.step(active)   # edge first, as sequentially
-        self.encoder_optimizer.step(active)
+        self.decoder_optimizer.step(index)   # edge first, as sequentially
+        self.encoder_optimizer.step(index)
 
         batch_size = batches.shape[1]
         losses = per_cluster.data
@@ -316,25 +316,12 @@ class FleetTrainer:
         ``active``-slice machinery, so it can be created mid-training at
         every membership change (the event engine re-slices the
         surviving clusters at each fault boundary) for the cost of an
-        index array.
+        index array.  ``indices`` is validated like ``step``'s
+        ``active``.
         """
-        index = np.asarray(indices)
-        if index.dtype == bool:
-            if index.shape != (self.num_clusters,):
-                raise ValueError(
-                    f"boolean subset mask must have shape "
-                    f"({self.num_clusters},), got {index.shape}")
-            index = np.flatnonzero(index)
-        index = index.astype(np.intp)
-        if index.size == 0:
-            raise ValueError("fleet subset needs at least one cluster")
-        if index.size != np.unique(index).size:
-            raise ValueError(f"duplicate cluster indices in subset: "
-                             f"{index.tolist()}")
-        if index.min() < 0 or index.max() >= self.num_clusters:
-            raise IndexError(f"subset indices {index.tolist()} out of range "
-                             f"for a {self.num_clusters}-cluster fleet")
-        return FleetSubset(self, index)
+        if indices is None:
+            raise ValueError("a fleet subset needs cluster indices")
+        return FleetSubset(self, _as_index(indices, self.num_clusters))
 
     # ------------------------------------------------------------------
     def sync_to_trainers(self) -> None:

@@ -87,6 +87,8 @@ and ``benchmarks/bench_resilience.py``.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
@@ -106,40 +108,104 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards (typing only)
     from .scheduler import ScheduledCluster
 
 __all__ = [
-    "ScheduleReport", "IdealRoundLoop", "InlineRoundExecutor",
+    "ScheduleReport", "IdealRoundLoop", "InlineRoundExecutor", "PickQueue",
     "SegmentedFleetExecutor", "contributor_batch", "deadline_key",
-    "epoch_of", "policy_pick", "spend_round", "stretch_record",
+    "epoch_of", "loss_rank", "spend_round", "stretch_record",
 ]
 
 
 # ----------------------------------------------------------------------
 # Policy pick rules — the single definition every engine and the
 # segment planner share.  The fused engine's exactness contract depends
-# on identical picks (including min/max tie-breaking over the pending
-# list's order), so there must be exactly one copy of these keys.
+# on identical picks (ties included), so there is exactly one copy of
+# these keys.
 # ----------------------------------------------------------------------
 def deadline_key(cluster: "ScheduledCluster"):
     """Earliest-deadline-first sort key; deadline-less clusters last."""
     return (cluster.deadline_s is None, cluster.deadline_s or 0.0)
 
 
-def policy_pick(policy: str, pending: List["ScheduledCluster"],
-                rounds_completed_of: Callable[["ScheduledCluster"], int],
-                current_loss_of: Optional[Callable] = None
-                ) -> "ScheduledCluster":
-    """Pick the next cluster the shared edge serves.
+def loss_rank(loss: float) -> float:
+    """``loss_priority``'s key: the negated loss, so the highest loss
+    sorts first.  A NaN loss (a diverged cluster, which no round can
+    improve) ranks like ``-inf``: after every other loss."""
+    return -loss if loss == loss else math.inf
 
-    ``rounds_completed_of`` abstracts where the round counts live (the
-    clusters themselves, or the segment planner's shadow copies);
-    ``current_loss_of`` is only consulted by ``loss_priority``.
+
+class PickQueue:
+    """The shared edge's next pick, kept as a heap instead of a scan.
+
+    Holds ``(policy key, registration index)`` entries for a fleet's
+    clusters.  The keys are ``fifo``: the index; ``round_robin``: rounds
+    completed; ``deadline``: :func:`deadline_key`; ``loss_priority``:
+    :func:`loss_rank` of the latest loss.  Ties go to the lowest
+    registration index, which is what ``min``/``max`` over the pending
+    clusters in registration order would give, so :meth:`pick` returns
+    exactly the cluster a scan of the pending ones would.
+
+    A cluster's key changes only when it is served, so :meth:`pick`
+    re-queues the *previous* pick under its current key before popping
+    the next one; that covers every way a caller can leave a pick,
+    served or not.  Entries of clusters that are no longer pending (dead
+    or out of budget, as ``pending(index)`` reports) are dropped when
+    they surface; neither state ever reverts.
+
+    ``rounds_completed(index)`` says where round counts live (the
+    clusters by default, or the segment planner's shadow cursors).
     """
-    if policy == "fifo":
-        return pending[0]
-    if policy == "round_robin":
-        return min(pending, key=rounds_completed_of)
-    if policy == "loss_priority":
-        return max(pending, key=current_loss_of)
-    return min(pending, key=deadline_key)
+
+    __slots__ = ("policy", "clusters", "rounds_completed", "_heap", "_held")
+
+    def __init__(self, policy: str, clusters: Sequence["ScheduledCluster"],
+                 rounds_completed: Optional[Callable[[int], int]] = None
+                 ) -> None:
+        self.policy = policy
+        self.clusters = clusters
+        self.rounds_completed = rounds_completed or (
+            lambda index: clusters[index].rounds_completed)
+        self._heap = self._keyed(range(len(clusters)))
+        self._held: Optional[int] = None
+
+    def key(self, index: int):
+        policy = self.policy
+        if policy == "round_robin":
+            return self.rounds_completed(index)
+        if policy == "fifo":
+            return index
+        if policy == "deadline":
+            return deadline_key(self.clusters[index])
+        return loss_rank(self.clusters[index].current_loss)
+
+    def _keyed(self, indices) -> List[tuple]:
+        heap = [(self.key(index), index) for index in indices]
+        heapq.heapify(heap)
+        return heap
+
+    def pick(self, pending: Callable[[int], bool]) -> Optional[int]:
+        """Registration index of the next cluster to serve, or None."""
+        heap = self._heap
+        held, self._held = self._held, None
+        if held is not None:
+            # Re-queue the previous pick and pop the head in one sift.
+            index = heapq.heappushpop(heap, (self.key(held), held))[1]
+            if pending(index):
+                self._held = index
+                return index
+        while heap:
+            index = heapq.heappop(heap)[1]
+            if pending(index):
+                self._held = index
+                return index
+        return None
+
+    def set_policy(self, policy: str) -> None:
+        """Switch the pick rule, re-keying every queued cluster."""
+        self.policy = policy
+        indices = [index for _, index in self._heap]
+        if self._held is not None:
+            indices.append(self._held)
+            self._held = None
+        self._heap = self._keyed(indices)
 
 
 # ----------------------------------------------------------------------
@@ -310,21 +376,19 @@ class IdealRoundLoop:
     :class:`RoundRecord` comes from (a live ``trainer.step`` for the
     sequential engine, a pre-executed fleet wave for the batched
     replay).  Identical pick sequences + identical arithmetic is what
-    makes the engines' reports interchangeable.
+    makes the engines' reports interchangeable; picks come from a
+    :class:`PickQueue` under ``policy``, as in the event engine.
     """
 
     def __init__(self, clusters: Sequence["ScheduledCluster"],
                  rounds_per_cluster: int,
-                 pick: Callable,
-                 pick_order: Optional[List["ScheduledCluster"]] = None,
+                 policy: str,
                  bus: "TelemetryBus" = NULL_BUS,
                  control=None):
         self.clusters = list(clusters)
-        self.pick = pick
-        self.pick_order = pick_order
         self.bus = bus
         self.control = control
-        self._cursor = 0
+        self._picks = PickQueue(policy, self.clusters)
         self.budget = {c.name: rounds_per_cluster for c in self.clusters}
         self.cluster_clock = {c.name: 0.0 for c in self.clusters}
         self.completion: Dict[str, List[float]] = {c.name: []
@@ -337,16 +401,9 @@ class IdealRoundLoop:
                          for c in self.clusters}
 
     def _next_cluster(self) -> Optional["ScheduledCluster"]:
-        if self.pick_order is not None:
-            if self._cursor >= len(self.pick_order):
-                return None
-            cluster = self.pick_order[self._cursor]
-            self._cursor += 1
-            return cluster
-        pending = [c for c in self.clusters if self.budget[c.name] > 0]
-        if not pending:
-            return None
-        return self.pick(pending, self.budget, self.edge_clock)
+        clusters, budget = self.clusters, self.budget
+        index = self._picks.pick(lambda k: budget[clusters[k].name] > 0)
+        return None if index is None else clusters[index]
 
     def settle(self, cluster: "ScheduledCluster",
                record: RoundRecord) -> None:
@@ -619,6 +676,7 @@ class SegmentedFleetExecutor:
         # is byte-identical to a gate-less run.
         self.command_gate = command_gate
         self.clusters = list(clusters)
+        self._index = {c.name: k for k, c in enumerate(self.clusters)}
         self.states = states
         self.injector = injector
         self.budget = budget
@@ -785,8 +843,10 @@ class SegmentedFleetExecutor:
         kernel will commit.  No fault fires inside the window by
         construction; the in-segment state changes (battery and
         consecutive-failure retirements, failed rounds burning budget,
-        the quorum halt) are all replicated here.  Returns each
-        cluster's planned rounds, in round order, as
+        the quorum halt) are all replicated here, and picks come from a
+        :class:`PickQueue` keyed on the cursors, the same rule the
+        kernel's queue applies.  Returns each cluster's planned rounds,
+        in round order, as
         ``("success", clock stretch)`` / ``("fail", clock charge)``
         items: successes pre-execute as waves; failures pre-apply their
         cluster-clock charge between waves (so later successes carry
@@ -795,13 +855,13 @@ class SegmentedFleetExecutor:
         admitting bound for telemetry.
         """
         edge_clock = self.edge_clock_ref[0]
-        cursors = {c.name: _PlanCursor(self, c, self.states[c.name])
-                   for c in self.clusters}
+        cursors = [_PlanCursor(self, c, self.states[c.name])
+                   for c in self.clusters]
         plan: Dict[str, List[tuple]] = {c.name: [] for c in self.clusters}
 
         # The requesting cluster sits at its math point: its round is
         # unconditionally safe and already half-committed by the kernel.
-        cursors[current.name].seed_current(edge_clock, agg_s)
+        cursors[self._index[current.name]].seed_current(edge_clock, agg_s)
         plan[current.name].append(("success", extra_s))
 
         # A pending runtime command clamps the plan to this round only:
@@ -812,18 +872,18 @@ class SegmentedFleetExecutor:
         if self.command_gate is not None and self.command_gate():
             return plan, "command-pending"
 
+        picks = PickQueue(self.policy, self.clusters,
+                          lambda k: cursors[k].rounds_completed)
         quorum = self.resilience.quorum
         total = len(self.clusters)
         while True:
-            alive = [c for c in self.clusters if not cursors[c.name].dead]
-            if quorum > 0.0 and total and len(alive) / total < quorum:
+            if quorum > 0.0 and total and \
+                    sum(not c.dead for c in cursors) / total < quorum:
                 break
-            pending = [c for c in alive if cursors[c.name].budget > 0]
-            if not pending:
+            index = picks.pick(lambda k: cursors[k].pending)
+            if index is None:
                 break
-            cluster = policy_pick(self.policy, pending,
-                                  lambda c: cursors[c.name].rounds_completed)
-            cursor = cursors[cluster.name]
+            cursor = cursors[index]
             kind, up, down = cursor.peek()
             start = max(edge_clock, cursor.ready)
             if kind == "fail_up":
@@ -833,7 +893,7 @@ class SegmentedFleetExecutor:
                 if not start < horizon:
                     break
                 cursor.ready = start + cursor.agg_s + up.elapsed_s
-                plan[cluster.name].append(
+                plan[cursor.name].append(
                     ("fail", cursor.fail_charge(kind, up, down)))
                 cursor.apply(kind, up, down)
                 continue
@@ -849,10 +909,10 @@ class SegmentedFleetExecutor:
             cursor.ready = edge_clock + cursor.agg_s + up.elapsed_s \
                 + down.elapsed_s
             if kind == "success":
-                plan[cluster.name].append(("success",
-                                           cursor.extra(up, down)))
+                plan[cursor.name].append(("success",
+                                          cursor.extra(up, down)))
             else:
-                plan[cluster.name].append(
+                plan[cursor.name].append(
                     ("fail", cursor.fail_charge(kind, up, down)))
             cursor.apply(kind, up, down)
         return plan, "before-horizon"

@@ -143,12 +143,11 @@ from .orchestrator import OrchestratedTrainer, RoundRecord, TrainingHistory
 from .rounds import (
     IdealRoundLoop,
     InlineRoundExecutor,
+    PickQueue,
     ScheduleReport,
     SegmentedFleetExecutor,
     contributor_batch,
-    deadline_key,
     epoch_of,
-    policy_pick,
     spend_round,
 )
 
@@ -748,9 +747,16 @@ class EdgeTrainingScheduler:
                     deadline_s: Optional[float] = None,
                     positions: Optional[np.ndarray] = None,
                     aggregator_battery_j: float = 1e9) -> ScheduledCluster:
-        """Register a cluster's training session."""
+        """Register a cluster's training session.
+
+        ``deadline_s`` may be any number but NaN, which has no place in
+        the earliest-deadline-first order; a zero or negative deadline
+        is already expired.
+        """
         if any(c.name == name for c in self.clusters):
             raise ValueError(f"duplicate cluster name {name!r}")
+        if deadline_s is not None and deadline_s != deadline_s:
+            raise ValueError(f"cluster {name!r} has a NaN deadline")
         stream = np.random.default_rng(self.rng.integers(2 ** 63))
         cluster = ScheduledCluster(name, trainer, data, batch_size, deadline_s,
                                    stream_rng=stream, positions=positions,
@@ -759,14 +765,6 @@ class EdgeTrainingScheduler:
         return cluster
 
     # ------------------------------------------------------------------
-    def _pick(self, pending: List[ScheduledCluster], rounds_budget: Dict[str, int],
-              clock_s: float) -> ScheduledCluster:
-        # One shared pick-rule definition (rounds.policy_pick): the
-        # segment planner must mirror these picks exactly.
-        return policy_pick(self.policy, pending,
-                           lambda c: c.rounds_completed,
-                           lambda c: c.current_loss)
-
     def _stacking_groups(self) -> Tuple[Tuple[int, ...], ...]:
         """Partition clusters into homogeneous stacking groups.
 
@@ -912,8 +910,7 @@ class EdgeTrainingScheduler:
     # Sequential engine: the shared ideal loop, rounds stepped inline
     # ------------------------------------------------------------------
     def _run_sequential(self, rounds_per_cluster: int) -> ScheduleReport:
-        loop = IdealRoundLoop(self.clusters, rounds_per_cluster, self._pick,
-                              self._static_pick_order(rounds_per_cluster),
+        loop = IdealRoundLoop(self.clusters, rounds_per_cluster, self.policy,
                               bus=self._bus, control=self.control)
 
         def live_round(cluster: ScheduledCluster) -> RoundRecord:
@@ -1188,6 +1185,14 @@ class EdgeTrainingScheduler:
         surface = (RunControlSurface(self, sim, states, injector,
                                      budget, executor)
                    if control is not None else None)
+        picks = PickQueue(self.policy, self.clusters)
+        by_index = [(c, states[c.name]) for c in self.clusters]
+        quorum = self.resilience.quorum
+        total = len(self.clusters)
+
+        def pending(index: int) -> bool:
+            cluster, state = by_index[index]
+            return not state.dead and budget[cluster.name] > 0
 
         def edge_process():
             while True:
@@ -1196,30 +1201,25 @@ class EdgeTrainingScheduler:
                 # controller defers mutations until the executor has
                 # zero pre-executed rounds outstanding).  One boolean
                 # read per round when no command or pause is pending.
-                if control is not None and not control.checkpoint(surface):
-                    break
-                alive = [c for c in self.clusters if not states[c.name].dead]
-                if (self.resilience.quorum > 0.0 and self.clusters
-                        and len(alive) / len(self.clusters)
-                        < self.resilience.quorum):
-                    halted[0] = True
+                if control is not None:
+                    if not control.checkpoint(surface):
+                        break
+                    if picks.policy != self.policy:   # set_policy applied
+                        picks.set_policy(self.policy)
+                if quorum > 0.0:
+                    alive = sum(not s.dead for s in states.values())
+                    halt = alive / total < quorum
                     if bus.wants(QuorumCheck.kind):
                         bus.emit(QuorumCheck(
-                            alive=len(alive), total=len(self.clusters),
-                            quorum=self.resilience.quorum, halted=True,
-                            time_s=sim.now))
+                            alive=alive, total=total,
+                            quorum=quorum, halted=halt, time_s=sim.now))
+                    if halt:
+                        halted[0] = True
+                        break
+                index = picks.pick(pending)
+                if index is None:
                     break
-                if self.resilience.quorum > 0.0 \
-                        and bus.wants(QuorumCheck.kind):
-                    bus.emit(QuorumCheck(
-                        alive=len(alive), total=len(self.clusters),
-                        quorum=self.resilience.quorum, halted=False,
-                        time_s=sim.now))
-                pending = [c for c in alive if budget[c.name] > 0]
-                if not pending:
-                    break
-                cluster = self._pick(pending, budget, edge_clock[0])
-                state = states[cluster.name]
+                cluster, state = by_index[index]
                 start = max(edge_clock[0], state.ready_at)
                 if start > sim.now:
                     yield start - sim.now
@@ -1420,26 +1420,6 @@ class EdgeTrainingScheduler:
             fleet.sync_to_trainers()
         return records
 
-    def _static_pick_order(self, rounds_per_cluster: int
-                           ) -> Optional[List[ScheduledCluster]]:
-        """Precomputed pick sequence for loss-independent policies.
-
-        ``fifo``/``deadline`` drain clusters one at a time (arrival /
-        earliest-deadline order); ``round_robin`` cycles the cluster list
-        (ties on ``rounds_completed`` resolve in list order, exactly as
-        ``min`` does in :meth:`_pick`).  ``loss_priority`` depends on the
-        evolving losses and returns None (generic replay loop).
-        """
-        if self.policy == "fifo":
-            drain_order = list(self.clusters)
-        elif self.policy == "deadline":
-            drain_order = sorted(self.clusters, key=deadline_key)
-        elif self.policy == "round_robin":
-            return list(self.clusters) * rounds_per_cluster
-        else:
-            return None
-        return [c for c in drain_order for _ in range(rounds_per_cluster)]
-
     def _replay_policy(self, rounds_per_cluster: int,
                        records: List[List[RoundRecord]],
                        engine: str) -> ScheduleReport:
@@ -1452,8 +1432,7 @@ class EdgeTrainingScheduler:
         bookkeeping over a pre-executed record.
         """
         index_of = {c.name: k for k, c in enumerate(self.clusters)}
-        loop = IdealRoundLoop(self.clusters, rounds_per_cluster, self._pick,
-                              self._static_pick_order(rounds_per_cluster),
+        loop = IdealRoundLoop(self.clusters, rounds_per_cluster, self.policy,
                               bus=self._bus, control=self.control)
         loop.run(lambda c: records[index_of[c.name]][c.rounds_completed])
         return loop.report(self.policy, engine)

@@ -86,20 +86,65 @@ def _batched_affine(x: Tensor, weight: Tensor,
     return out
 
 
-def _as_index(active: ActiveSlices) -> Optional[np.ndarray]:
+def _as_index(active: ActiveSlices, num_slices: int) -> Optional[np.ndarray]:
+    """Validated slice positions of ``active`` (None: every slice).
+
+    ``active`` is a sequence of positions or a boolean mask over all
+    ``num_slices`` slices.  Positions must be unique and in
+    ``[0, num_slices)``: a repeated position would step its slice twice
+    in one masked update (and :func:`_gather_rows` would keep only one
+    of its gradients), and a negative one would wrap round to another
+    slice.
+    """
     if active is None:
         return None
     index = np.asarray(active)
     if index.dtype == bool:
+        if index.shape != (num_slices,):
+            raise ValueError(f"boolean slice mask must have shape "
+                             f"({num_slices},), got {index.shape}")
         index = np.flatnonzero(index)
-    return index.astype(np.intp)
+    if index.size == 0:
+        raise ValueError("need at least one active slice")
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValueError(f"slice indices must be a 1-d integer sequence, "
+                         f"got {index.tolist()}")
+    index = index.astype(np.intp, copy=False)
+    ordered = np.sort(index)
+    if ordered[0] < 0 or ordered[-1] >= num_slices:
+        raise IndexError(f"slice indices {index.tolist()} out of range "
+                         f"for {num_slices} slices")
+    if np.count_nonzero(ordered[1:] == ordered[:-1]):
+        raise ValueError(f"duplicate slice indices: {index.tolist()}")
+    return index
+
+
+def _gather_rows(stacked: Tensor, index: np.ndarray) -> Tensor:
+    """Slices ``index`` of a slice-stacked tensor, as one autograd node.
+
+    The backward scatters with ``full[index] += grad`` into zeros.  With
+    unique indices (which :func:`_as_index` enforces) every row is
+    written once, so the result has the bits ``np.add.at`` would give,
+    signed zeros included (``0.0 + -0.0`` is ``0.0``), without its
+    unbuffered loop.
+    """
+    out = stacked._make_child(stacked.data[index], (stacked,), "gather_rows")
+    if out.requires_grad:
+
+        def backward(grad: np.ndarray) -> None:
+            full = np.zeros_like(stacked.data)
+            full[index] += grad
+            stacked._accumulate(full)
+
+        out._backward = backward
+    return out
 
 
 class BatchedDense(Module):
     """K independent dense layers stacked into one ``(K, in, out)`` matmul.
 
     ``forward`` maps ``(K, B, in)`` to ``(K, B, out)``; slice ``k`` sees
-    only weight slice ``k``.  With ``active`` (a subset of slice indices)
+    only weight slice ``k``.  With ``active`` (unique slice indices)
     the input is ``(A, B, in)`` and only those slices' weights are
     gathered — gradients scatter back into the full stacked parameter
     with zeros elsewhere, which pairs with the masked ``Fleet*``
@@ -154,12 +199,12 @@ class BatchedDense(Module):
                 layer.bias.data = self.bias.data[k, 0].copy()
 
     def forward(self, x: Tensor, active: ActiveSlices = None) -> Tensor:
-        index = _as_index(active)
+        index = _as_index(active, self.num_slices)
         weight: Tensor = self.weight
         bias: Optional[Tensor] = self.bias
         if index is not None:
-            weight = weight[index]
-            bias = bias[index] if bias is not None else None
+            weight = _gather_rows(weight, index)
+            bias = _gather_rows(bias, index) if bias is not None else None
         return _batched_affine(x, weight, bias)
 
     def __repr__(self) -> str:
@@ -263,15 +308,9 @@ class FleetOptimizer(Optimizer):
     def step(self, active: ActiveSlices = None) -> None:
         raise NotImplementedError
 
-    @staticmethod
-    def _index(active: ActiveSlices):
-        index = _as_index(active)
+    def _index(self, active: ActiveSlices):
+        index = _as_index(active, self.num_slices)
         return slice(None) if index is None else index
-
-    @staticmethod
-    def _per_slice(values: np.ndarray, ndim: int) -> np.ndarray:
-        """Reshape per-slice scalars for broadcasting over a parameter."""
-        return values.reshape(values.shape + (1,) * (ndim - 1))
 
 
 class FleetSGD(FleetOptimizer):
@@ -310,7 +349,11 @@ class FleetAdam(FleetOptimizer):
 
     The bias-correction step count is a **per-slice** integer vector:
     slices stepped under different masks stay bit-identical to
-    independently trained models.
+    independently trained models.  Every step runs the sequential
+    :func:`~repro.nn.optim.adam_update` kernel with one row and one
+    bias-correction pair per slice: in place over the whole stack, or,
+    under a mask, over gathered copies of the active rows (unique
+    indices) that are written back.
     """
 
     def __init__(self, params, lr: float = 1e-3, num_slices: int = 1,
@@ -326,43 +369,30 @@ class FleetAdam(FleetOptimizer):
         self._scratch = adam_scratch(self.params, rows=num_slices)
 
     def step(self, active: ActiveSlices = None) -> None:
-        if active is None:
-            self._step_all()
-            return
-        idx = self._index(active)
-        self._t[idx] += 1
-        t = self._t[idx]
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        index = _as_index(active, self.num_slices)
+        if index is None:
+            self._t += 1
+            t = self._t
+        else:
+            self._t[index] += 1
+            t = self._t[index]
+        bias1 = (1.0 - self.beta1 ** t)[:, None]
+        bias2 = (1.0 - self.beta2 ** t)[:, None]
+        hyper = (self._scratch, self.lr, self.beta1, self.beta2, self.eps,
+                 self.weight_decay, bias1, bias2)
         for param, m, v in zip(self.params, self._m, self._v):
             if param.grad is None:
                 continue
-            grad = param.grad[idx]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data[idx]
-            m_new = m[idx] * self.beta1 + (1.0 - self.beta1) * grad
-            v_new = v[idx] * self.beta2 + (1.0 - self.beta2) * grad * grad
-            m[idx] = m_new
-            v[idx] = v_new
-            m_hat = m_new / self._per_slice(bias1, param.data.ndim)
-            v_hat = v_new / self._per_slice(bias2, param.data.ndim)
-            param.data[idx] = param.data[idx] \
-                - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _step_all(self) -> None:
-        """Full-fleet step (the common wave): the sequential
-        :func:`~repro.nn.optim.adam_update` kernel with one row and one
-        bias-correction pair per slice, so slice trajectories stay
-        bit-identical."""
-        self._t += 1
-        bias1 = (1.0 - self.beta1 ** self._t)[:, None]
-        bias2 = (1.0 - self.beta2 ** self._t)[:, None]
-        for param, m, v in zip(self.params, self._m, self._v):
-            if param.grad is None:
+            if index is None:
+                adam_update(param.data, param.grad, m, v, *hyper,
+                            rows=self.num_slices)
                 continue
-            adam_update(param, m, v, self._scratch, self.lr, self.beta1,
-                        self.beta2, self.eps, self.weight_decay, bias1, bias2,
-                        rows=self.num_slices)
+            data, m_rows, v_rows = param.data[index], m[index], v[index]
+            adam_update(data, param.grad[index], m_rows, v_rows, *hyper,
+                        rows=index.size)
+            param.data[index] = data
+            m[index] = m_rows
+            v[index] = v_rows
 
 
 class FleetRMSProp(FleetOptimizer):

@@ -98,11 +98,11 @@ def adam_scratch(params: Iterable[Tensor], rows: int = 1) -> AdamScratch:
             for dtype, n in sizes.items()}
 
 
-def adam_update(param: Tensor, m: np.ndarray, v: np.ndarray,
-                scratch: AdamScratch, lr: float, beta1: float, beta2: float,
-                eps: float, weight_decay: float, bias1, bias2,
+def adam_update(data: np.ndarray, grad: np.ndarray, m: np.ndarray,
+                v: np.ndarray, scratch: AdamScratch, lr: float, beta1: float,
+                beta2: float, eps: float, weight_decay: float, bias1, bias2,
                 rows: int = 1) -> None:
-    """One Adam step of ``param.data``, ``m`` and ``v``, all in place.
+    """One Adam step of a parameter's ``data``, ``m`` and ``v``, in place.
 
     Every element goes through the operations of the reference
     expression, in its order::
@@ -116,14 +116,13 @@ def adam_update(param: Tensor, m: np.ndarray, v: np.ndarray,
     ``rows`` rows (one per fleet slice; ``bias1``/``bias2`` are then
     ``(rows, 1)`` arrays, otherwise scalars) and walked in column blocks
     that fit the scratch from :func:`adam_scratch`.  ``m`` and ``v``
-    must be C-contiguous; ``param.grad`` is only read.  A parameter that
+    must be C-contiguous; ``grad`` is only read.  A ``data`` array that
     is not C-contiguous is updated through a contiguous copy that is
     written back.
     """
-    data = param.data
     p = data if data.flags.c_contiguous else np.ascontiguousarray(data)
     whole = (p.reshape(rows, -1),
-             np.ascontiguousarray(param.grad).reshape(rows, -1),
+             np.ascontiguousarray(grad).reshape(rows, -1),
              m.reshape(rows, -1), v.reshape(rows, -1))
     buf1, buf2 = scratch[p.dtype]
     cols, width = whole[0].shape[1], buf1.size // rows
@@ -184,8 +183,9 @@ class Adam(Optimizer):
         for param, m, v in zip(self.params, self._m, self._v):
             if param.grad is None:
                 continue
-            adam_update(param, m, v, self._scratch, self.lr, self.beta1,
-                        self.beta2, self.eps, self.weight_decay, bias1, bias2)
+            adam_update(param.data, param.grad, m, v, self._scratch, self.lr,
+                        self.beta1, self.beta2, self.eps, self.weight_decay,
+                        bias1, bias2)
 
 
 class RMSProp(Optimizer):

@@ -167,6 +167,34 @@ class TestFleetSubset:
             fleet.subset([0, 3])
         with pytest.raises(ValueError):
             fleet.subset(np.array([True, False]))   # wrong mask length
+        with pytest.raises(ValueError):
+            fleet.subset(None)
+
+    @pytest.mark.parametrize("active,error", [
+        ([1, 1], ValueError),                  # duplicate
+        ([-1], IndexError),                    # negative
+        ([0, 3], IndexError),                  # out of range
+        (np.array([True, False]), ValueError),  # wrong-length mask
+        ([], ValueError),                      # empty
+        ([0.5], ValueError),                   # not an integer
+    ])
+    def test_step_and_forward_reject_bad_active(self, active, error):
+        """Before validation, ``active=[1, 1]`` returned two records and
+        charged trainer 1 twice for one Adam step, and ``active=[-1]``
+        trained slice 2."""
+        fleet = FleetTrainer(make_trainers(3))
+        before = fleet.decoder_layers[0].weight.data.copy()
+        with pytest.raises(error):
+            fleet.step(batch_stack(K=max(len(active), 1)), active=active)
+        with pytest.raises(error):
+            fleet.forward(batch_stack(K=max(len(active), 1)), active=active)
+        with pytest.raises(error):
+            fleet.subset(active)
+        assert [t.clock_s for t in fleet.trainers] == [0.0, 0.0, 0.0]
+        assert [len(t.ledger) for t in fleet.trainers] == [0, 0, 0]
+        assert list(fleet.decoder_optimizer._t) == [0, 0, 0]
+        np.testing.assert_array_equal(fleet.decoder_layers[0].weight.data,
+                                      before)
 
     def test_boolean_mask_selects_members(self):
         fleet = FleetTrainer(make_trainers(3))

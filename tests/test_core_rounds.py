@@ -7,8 +7,12 @@ per-cluster losses to stacked-GEMM reduction noise; the zero-fault
 anchor still matches the sequential engine to <= 1e-6.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EdgeTrainingScheduler,
@@ -16,6 +20,13 @@ from repro.core import (
     OrcoDCSFramework,
     ResilientOrchestrationPolicy,
 )
+from repro.core.rounds import (
+    PickQueue,
+    SegmentedFleetExecutor,
+    deadline_key,
+    loss_rank,
+)
+from repro.obs import RoundCompleted, TelemetryBus
 from repro.sim import ARQConfig, ChannelSpec, FaultEvent, FaultSchedule
 
 DIM = 24
@@ -27,7 +38,7 @@ ROUNDS = 10
 
 def build_scheduler(fused=True, clusters=4, policy="round_robin", seed=0,
                     faults=None, batteries=None, engine="event",
-                    latents=None, **kwargs):
+                    latents=None, deadlines=None, **kwargs):
     scheduler = EdgeTrainingScheduler(policy, rng=np.random.default_rng(seed),
                                       engine=engine, fault_schedule=faults,
                                       segment_batching=fused, **kwargs)
@@ -38,6 +49,7 @@ def build_scheduler(fused=True, clusters=4, policy="round_robin", seed=0,
         data = np.random.default_rng(100 + index).random((ROWS, DIM))
         scheduler.add_cluster(
             f"c{index}", OrcoDCSFramework(config), data, batch_size=BATCH,
+            deadline_s=deadlines[index] if deadlines else None,
             aggregator_battery_j=batteries[index] if batteries else 1e9)
     return scheduler
 
@@ -222,6 +234,21 @@ class TestSegmentEdgeCases:
                    for reason in fused_report.dead_clusters.values())
         assert all(n < 60 for n in fused_report.rounds_per_cluster.values())
         assert fused_report.fused_rounds > 0
+
+    def test_in_segment_deaths_trip_the_quorum(self):
+        """Two battery deaths inside one segment drop the fleet below
+        quorum: the planner's alive count must see both, or it plans
+        rounds past the kernel's halt."""
+        probe = build_scheduler(fused=False).run(rounds_per_cluster=ROUNDS)
+        per_round = probe.energy_j["c0"] / ROUNDS
+        pair = run_pair(
+            batteries=[2.5 * per_round, 4.5 * per_round, 1e9, 1e9],
+            resilience=ResilientOrchestrationPolicy(quorum=0.75))
+        assert_fused_matches_unfused(*pair)
+        report = pair[1]
+        assert report.halted and report.segments == 1
+        assert set(report.dead_clusters) == {"c0", "c1"}
+        assert report.fused_rounds > 0
 
     def test_no_two_homogeneous_survivors(self):
         """Faults that leave one survivor degenerate the waves to
@@ -642,3 +669,187 @@ class TestAdaptiveArqRederivation:
         report = self._scheduler(faults=faults, adaptive=False).run(
             rounds_per_cluster=ROUNDS)
         assert report.arq_budgets == {"c0": 3, "c1": 3}
+
+
+# ----------------------------------------------------------------------
+# The pick queue
+# ----------------------------------------------------------------------
+POLICIES = ("fifo", "round_robin", "loss_priority", "deadline")
+
+
+def policy_pick(policy, pending, rounds_completed_of, current_loss_of=None):
+    """Oracle: the O(K) scan over the pending clusters (registration
+    order) that every engine picked with before the pick queue."""
+    if policy == "fifo":
+        return pending[0]
+    if policy == "round_robin":
+        return min(pending, key=rounds_completed_of)
+    if policy == "loss_priority":
+        return max(pending, key=current_loss_of)
+    return min(pending, key=deadline_key)
+
+
+@st.composite
+def pick_runs(draw):
+    """A small fleet and a script of picks, driven like the kernel does.
+
+    Each step kills some clusters before the pick, then the picked
+    cluster is skipped (picked, not served), fails (budget spent,
+    rounds unchanged), succeeds (budget spent, rounds and loss
+    updated) or dies in its round.  At most one step switches policy
+    first.
+    """
+    size = draw(st.integers(1, 6))
+    deadlines = draw(st.lists(
+        st.sampled_from([None, -1.0, 0.0, 1.0, 2.0, float("inf"),
+                         float("-inf")]), min_size=size, max_size=size))
+    budgets = draw(st.lists(st.integers(0, 4), min_size=size,
+                            max_size=size))
+    steps = draw(st.lists(st.tuples(
+        st.frozensets(st.integers(0, size - 1), max_size=1),
+        st.sampled_from(["success", "success", "fail", "skip", "die"]),
+        st.sampled_from([0.0, -0.0, 0.25, 1.0, 3.0, float("inf")])),
+        max_size=30))
+    switch = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, 30), st.sampled_from(POLICIES))))
+    return deadlines, budgets, steps, switch
+
+
+class TestPickQueue:
+    @given(st.sampled_from(POLICIES), pick_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_picks_match_the_scan(self, policy, run):
+        deadlines, budgets, steps, switch = run
+        clusters = [SimpleNamespace(rounds_completed=0, deadline_s=deadline,
+                                    current_loss=float("inf"))
+                    for deadline in deadlines]
+        budget = list(budgets)
+        dead = [False] * len(clusters)
+        queue = PickQueue(policy, clusters)
+
+        def pending(k):
+            return not dead[k] and budget[k] > 0
+
+        def kill(k):
+            dead[k] = True
+
+        for step, (deaths, outcome, loss) in enumerate(steps):
+            for k in deaths:
+                kill(k)
+            if switch is not None and step == switch[0]:
+                policy = switch[1]
+                queue.set_policy(policy)
+            scan = [c for k, c in enumerate(clusters) if pending(k)]
+            expected = policy_pick(policy, scan,
+                                   lambda c: c.rounds_completed,
+                                   lambda c: c.current_loss) if scan else None
+            index = queue.pick(pending)
+            assert (None if index is None else clusters[index]) is expected
+            if index is None:
+                break
+            if outcome == "skip":
+                continue
+            budget[index] -= 1
+            if outcome == "success":
+                clusters[index].rounds_completed += 1
+                clusters[index].current_loss = loss
+            elif outcome == "die":
+                kill(index)
+
+    def test_nan_loss_ranks_after_every_loss(self):
+        """Under ``max`` a NaN loss won when it came first in the list
+        and lost otherwise; the queue ranks it last, ties by index."""
+        losses = [float("nan"), 1.0, float("nan"), 0.5, float("inf")]
+        clusters = [SimpleNamespace(current_loss=loss) for loss in losses]
+        served = [False] * len(clusters)
+        queue = PickQueue("loss_priority", clusters)
+        order = []
+        while True:
+            index = queue.pick(lambda k: not served[k])
+            if index is None:
+                break
+            served[index] = True
+            order.append(index)
+        assert order == [4, 1, 3, 0, 2]
+        assert loss_rank(float("nan")) == float("inf")
+        assert loss_rank(2.0) == -2.0
+
+    def test_set_policy_before_first_pick(self):
+        clusters = [SimpleNamespace(rounds_completed=r, deadline_s=None)
+                    for r in (3, 1, 2)]
+        queue = PickQueue("round_robin", clusters)
+        queue.set_policy("fifo")
+        assert queue.pick(lambda k: True) == 0
+
+    @pytest.mark.parametrize("policy", ["fifo", "round_robin", "deadline"])
+    def test_planner_picks_mirror_the_kernel(self, monkeypatch, policy):
+        """On a fused lossy run with faults, every segment plan picks
+        exactly the clusters the kernel goes on to pick."""
+        log = []
+        plans = []
+        pick = PickQueue.pick
+        plan_segment = SegmentedFleetExecutor._plan_segment
+
+        def spy_pick(queue, pending):
+            index = pick(queue, pending)
+            log.append(index)
+            return index
+
+        def spy_plan(executor, *args):
+            start = len(log)
+            result = plan_segment(executor, *args)
+            plans.append((start, len(log)))
+            return result
+
+        monkeypatch.setattr(PickQueue, "pick", spy_pick)
+        monkeypatch.setattr(SegmentedFleetExecutor, "_plan_segment",
+                            spy_plan)
+        faults = FaultSchedule([
+            FaultEvent(0.02, "node_death", "c1", device=3),
+            FaultEvent(0.05, "brownout", "c2", magnitude=0.5),
+            FaultEvent(0.08, "straggler", "c0", magnitude=2.0),
+        ])
+        scheduler = build_scheduler(
+            policy=policy, clusters=5, faults=faults,
+            deadlines=[3.0, 1.0, None, 1.0, 2.0],
+            channels=ChannelSpec.preset("802154_indoor",
+                                        arq=ARQConfig(max_retries=1)))
+        report = scheduler.run(rounds_per_cluster=ROUNDS)
+        assert report.fused_rounds > 0 and report.faults_applied == 3
+        assert sum(report.failed_rounds.values()) > 0
+        assert len(plans) > 2
+        inside = set()
+        for start, stop in plans:
+            inside.update(range(start, stop))
+        kernel = [index for at, index in enumerate(log) if at not in inside]
+        mirrored = 0
+        for start, stop in plans:
+            before = sum(1 for at in range(start) if at not in inside)
+            planned = log[start:stop]
+            assert planned == kernel[before:before + len(planned)]
+            mirrored += len(planned)
+        assert mirrored > len(kernel) // 2
+
+    def test_runtime_set_policy_rekeys_the_kernel_queue(self):
+        """A policy switch at a round boundary takes effect at the very
+        next pick: round-robin for five picks, then fifo drains."""
+
+        class SwitchAt:
+            calls = 0
+
+            def checkpoint(self, surface):
+                self.calls += 1
+                if self.calls == 6:
+                    surface.scheduler.policy = "fifo"
+                return True
+
+        bus = TelemetryBus()
+        served = []
+        bus.subscribe(lambda event: served.append(event.cluster),
+                      kinds=(RoundCompleted.kind,))
+        scheduler = build_scheduler(fused=False, clusters=3,
+                                    telemetry=bus, control=SwitchAt())
+        report = scheduler.run(rounds_per_cluster=4)
+        assert served == ["c0", "c1", "c2", "c0", "c1",
+                          "c0", "c0", "c1", "c1", "c2", "c2", "c2"]
+        assert report.policy == "fifo"

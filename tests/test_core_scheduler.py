@@ -36,6 +36,27 @@ class TestSchedulerSetup:
         with pytest.raises(RuntimeError):
             EdgeTrainingScheduler("fifo").run()
 
+    def test_nan_deadline_rejected(self):
+        """A NaN deadline has no place in the EDF order: deadlines
+        [5.0, nan, 1.0] used to serve the 1.0 s cluster last."""
+        scheduler = EdgeTrainingScheduler("deadline",
+                                          rng=np.random.default_rng(0))
+        scheduler.add_cluster("a", make_framework(), cluster_data(),
+                              deadline_s=5.0)
+        with pytest.raises(ValueError, match="NaN deadline"):
+            scheduler.add_cluster("b", make_framework(seed=1),
+                                  cluster_data(seed=1),
+                                  deadline_s=float("nan"))
+        assert [c.name for c in scheduler.clusters] == ["a"]
+        # Infinite deadlines are ordered, so they stay legal.
+        scheduler.add_cluster("c", make_framework(seed=2),
+                              cluster_data(seed=2), deadline_s=float("inf"))
+        scheduler.add_cluster("d", make_framework(seed=3),
+                              cluster_data(seed=3), deadline_s=-float("inf"))
+        report = scheduler.run(rounds_per_cluster=1)
+        assert report.completion_times["d"] < report.completion_times["a"] \
+            < report.completion_times["c"]
+
     def test_rounds_validation(self):
         scheduler = EdgeTrainingScheduler("fifo")
         scheduler.add_cluster("a", make_framework(), cluster_data())

@@ -25,6 +25,7 @@ from repro.nn import (
     stack_sequential,
     unstack_sequential,
 )
+from repro.nn.batched import _gather_rows
 from repro.nn.losses import BCELoss, CrossEntropyLoss
 
 
@@ -117,6 +118,80 @@ class TestStackSequential:
         with pytest.raises(FleetIncompatibilityError):
             stack_sequential([Sequential(Dense(3, 2), Dropout(0.5)),
                               Sequential(Dense(3, 2), Dropout(0.5))])
+
+
+class TestRowGather:
+    def test_backward_matches_add_at_bitwise(self):
+        """``full[index] += grad`` over unique rows gives the bits
+        ``np.add.at`` gives, ``-0.0`` turned to ``0.0`` included."""
+        rng = np.random.default_rng(0)
+        stacked = Tensor(rng.standard_normal((5, 3, 4)), requires_grad=True)
+        index = np.array([3, 0, 4])
+        grad = rng.standard_normal((3, 3, 4))
+        grad[0, 0] = -0.0
+        grad[2, 1, 2] = 0.0
+        out = _gather_rows(stacked, index)
+        np.testing.assert_array_equal(out.data, stacked.data[index])
+        out.backward(grad)
+        expected = np.zeros_like(stacked.data)
+        np.add.at(expected, index, grad)
+        assert np.array_equal(stacked.grad.view(np.uint64),
+                              expected.view(np.uint64))
+        zeros = stacked.grad[stacked.grad == 0.0]
+        assert zeros.size == 2 * 12 + 5 and not np.signbit(zeros).any()
+
+    def test_active_forward_grads_match_getitem_path(self):
+        rng = np.random.default_rng(1)
+        batched = BatchedDense.from_layers(
+            [Dense(4, 3, rng=rng) for _ in range(5)])
+        x = rng.standard_normal((2, 6, 4))
+        active = [4, 1]
+        out = batched(Tensor(x), active=active)
+        out.backward(np.ones_like(out.data))
+        weight = Tensor(batched.weight.data, requires_grad=True)
+        bias = Tensor(batched.bias.data, requires_grad=True)
+        reference = Tensor(x) @ weight[active] + bias[active]
+        reference.backward(np.ones_like(reference.data))
+        np.testing.assert_array_equal(out.data, reference.data)
+        np.testing.assert_array_equal(batched.weight.grad, weight.grad)
+        np.testing.assert_array_equal(batched.bias.grad, bias.grad)
+
+    @pytest.mark.parametrize("active,error", [
+        ([1, 1], ValueError),                  # duplicate
+        ([2, 0, 2], ValueError),               # duplicate, unsorted
+        ([-1], IndexError),                    # negative
+        ([0, 3], IndexError),                  # out of range
+        (np.array([True, False]), ValueError),  # wrong-length mask
+        ([], ValueError),                      # empty
+        ([0.5], ValueError),                   # not an integer
+    ])
+    def test_bad_active_slices_raise(self, active, error):
+        """``active=[1, 1]`` used to gather slice 1 twice, and its row
+        gather keeps only one of the two gradients; ``[-1]`` wrapped
+        round to slice 2."""
+        rng = np.random.default_rng(2)
+        batched = BatchedDense.from_layers(
+            [Dense(4, 3, rng=rng) for _ in range(3)])
+        x = Tensor(rng.standard_normal((max(len(active), 1), 2, 4)))
+        with pytest.raises(error):
+            batched(x, active=active)
+        batched.weight.grad = np.ones_like(batched.weight.data)
+        batched.bias.grad = np.ones_like(batched.bias.data)
+        before = batched.weight.data.copy()
+        for opt in (FleetAdam(batched.parameters(), num_slices=3),
+                    FleetSGD(batched.parameters(), num_slices=3)):
+            with pytest.raises(error):
+                opt.step(active)
+        np.testing.assert_array_equal(batched.weight.data, before)
+
+    def test_boolean_mask_selects_slices(self):
+        rng = np.random.default_rng(3)
+        batched = BatchedDense.from_layers(
+            [Dense(4, 3, rng=rng) for _ in range(3)])
+        x = Tensor(rng.standard_normal((2, 2, 4)))
+        np.testing.assert_array_equal(
+            batched(x, active=np.array([True, False, True])).data,
+            batched(x, active=[0, 2]).data)
 
 
 class TestFleetOptimizers:

@@ -237,6 +237,88 @@ class TestAdamKernelOracle:
             np.testing.assert_array_equal(fleet._v[0][k], ref._v[0])
 
 
+def reference_masked_fleet_adam_step(opt, active):
+    """Oracle: ``FleetAdam.step(active)`` as the allocating expression
+    it used to be (gather, update and scatter the active slices)."""
+    idx = np.asarray(active, dtype=np.intp)
+    opt._t[idx] += 1
+    t = opt._t[idx]
+    bias1 = 1.0 - opt.beta1 ** t
+    bias2 = 1.0 - opt.beta2 ** t
+    for param, m, v in zip(opt.params, opt._m, opt._v):
+        if param.grad is None:
+            continue
+        grad = param.grad[idx]
+        if opt.weight_decay:
+            grad = grad + opt.weight_decay * param.data[idx]
+        m_new = m[idx] * opt.beta1 + (1.0 - opt.beta1) * grad
+        v_new = v[idx] * opt.beta2 + (1.0 - opt.beta2) * grad * grad
+        m[idx] = m_new
+        v[idx] = v_new
+        per_slice = t.shape + (1,) * (param.data.ndim - 1)
+        m_hat = m_new / bias1.reshape(per_slice)
+        v_hat = v_new / bias2.reshape(per_slice)
+        param.data[idx] = param.data[idx] \
+            - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestMaskedFleetAdam:
+    """The masked step runs the in-place kernel on gathered rows; it
+    must keep every bit of the allocating expression."""
+
+    SLICES = 4
+
+    def _pair(self, weight_decay):
+        rng = np.random.default_rng(7)
+        shapes = [(self.SLICES, 1, CHUNK + 5), (self.SLICES, 3, 4)]
+        pair = []
+        for _ in range(2):
+            params = [nn.Parameter(np.random.default_rng(k).standard_normal(
+                shape)) for k, shape in enumerate(shapes)]
+            pair.append(nn.FleetAdam(params, lr=0.01,
+                                     num_slices=self.SLICES,
+                                     weight_decay=weight_decay))
+        return rng, pair
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.02])
+    def test_matches_the_allocating_expression(self, weight_decay):
+        rng, (fleet, reference) = self._pair(weight_decay)
+        # A=1, A=K-1 unsorted, a full step between, then A=K-1 again.
+        for active in ([2], [3, 0, 1], None, [1, 3, 0], [0]):
+            for a, b in zip(fleet.params, reference.params):
+                a.grad = rng.standard_normal(a.shape)
+                b.grad = a.grad.copy()
+            fleet.step(active)
+            if active is None:
+                reference.step()
+            else:
+                reference_masked_fleet_adam_step(reference, active)
+            np.testing.assert_array_equal(fleet._t, reference._t)
+            for a, b, ma, mb, va, vb in zip(fleet.params, reference.params,
+                                            fleet._m, reference._m,
+                                            fleet._v, reference._v):
+                assert_bits_equal(a.data, b.data)
+                assert_bits_equal(ma, mb)
+                assert_bits_equal(va, vb)
+
+    def test_inactive_slices_untouched(self):
+        rng, (fleet, _) = self._pair(0.02)
+        before = [p.data.copy() for p in fleet.params]
+        for p in fleet.params:
+            p.grad = rng.standard_normal(p.shape)
+        fleet.step([1, 2])
+        assert list(fleet._t) == [0, 1, 1, 0]
+        for p, old, m in zip(fleet.params, before, fleet._m):
+            assert_bits_equal(p.data[[0, 3]], old[[0, 3]])
+            assert not m[[0, 3]].any()
+            assert m[[1, 2]].all()
+
+
 class TestAdamScratch:
     def test_scratch_is_min_of_chunk_and_largest_param(self):
         small = nn.Adam([nn.Parameter(np.zeros(3)),
