@@ -109,7 +109,7 @@ def _as_index(active: ActiveSlices, num_slices: int) -> Optional[np.ndarray]:
     if index.ndim != 1 or index.dtype.kind not in "iu":
         raise ValueError(f"slice indices must be a 1-d integer sequence, "
                          f"got {index.tolist()}")
-    index = index.astype(np.intp, copy=False)
+    index = index.astype(np.intp)
     ordered = np.sort(index)
     if ordered[0] < 0 or ordered[-1] >= num_slices:
         raise IndexError(f"slice indices {index.tolist()} out of range "

@@ -170,6 +170,13 @@ class TestFleetSubset:
         with pytest.raises(ValueError):
             fleet.subset(None)
 
+    def test_subset_owns_its_index(self):
+        fleet = FleetTrainer(make_trainers(3))
+        rows = np.array([0, 2], dtype=np.intp)
+        subset = fleet.subset(rows)
+        rows[0] = 1
+        assert subset.index.tolist() == [0, 2]
+
     @pytest.mark.parametrize("active,error", [
         ([1, 1], ValueError),                  # duplicate
         ([-1], IndexError),                    # negative
