@@ -112,8 +112,8 @@ class DCSNetOnline(OrchestratedTrainer):
             loss=losses_mod.MSELoss(), noise=None,
             encoder_forward_flops=dense_flops(input_dim, DCSNET_LATENT_DIM),
             decoder_forward_flops=dcsnet_decoder_flops(image_shape),
-            timing=timing, optimizer="adam", learning_rate=learning_rate,
-            rng=rng, name=f"DCSNet-{int(data_fraction * 100)}%")
+            timing=timing, learning_rate=learning_rate, rng=rng,
+            name=f"DCSNet-{int(data_fraction * 100)}%")
         self.image_shape = image_shape
         self.data_fraction = data_fraction
 

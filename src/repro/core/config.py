@@ -3,11 +3,13 @@
 The whole point of OrcoDCS (vs. offline DCDA) is that these knobs —
 latent dimension, decoder depth, noise level, loss — are chosen *per
 sensing task* instead of being fixed in the cloud, so they live in one
-explicit config object that experiments sweep over.
+explicit config object that experiments sweep over.  The optimiser is
+not among them: the aggregator and the edge both train with Adam.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -39,8 +41,9 @@ class OrcoDCSConfig:
     loss / huber_delta:
         Reconstruction loss ("huber" per eq. 4, or "mse"/"l1" for
         ablations) and the Huber threshold.
-    learning_rate / optimizer / batch_size:
-        Online-training knobs shared by aggregator and edge.
+    learning_rate / batch_size:
+        Online-training knobs shared by aggregator and edge, which each
+        train their side with Adam.
     seed:
         Seed for parameter init and noise draws.
     """
@@ -54,7 +57,6 @@ class OrcoDCSConfig:
     loss: str = "huber"
     huber_delta: float = 1.0
     learning_rate: float = 3e-3
-    optimizer: str = "adam"
     batch_size: int = 32
     seed: int = 0
 
@@ -63,8 +65,9 @@ class OrcoDCSConfig:
             raise ValueError("input_dim must be positive")
         if self.latent_dim <= 0:
             raise ValueError("latent_dim must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and "
+                             f"non-negative, got {self.noise_sigma}")
         if self.decoder_layers < 1:
             raise ValueError("decoder needs at least one layer")
         if self.batch_size <= 0:

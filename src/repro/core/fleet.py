@@ -41,13 +41,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..nn.batched import (
-    _OPTIMIZER_HYPERPARAMS,
     ActiveSlices,
     FleetIncompatibilityError,
     _as_index,
     check_fleet_optimizers,
     fleet_optimizer_from,
     fleet_optimizer_to,
+    fleet_settings,
     run_stack,
     stack_sequential,
     unstack_sequential,
@@ -103,7 +103,7 @@ def stacking_key(trainer: OrchestratedTrainer) -> Optional[tuple]:
     """Hashable architecture signature for homogeneous-group stacking.
 
     Trainers with equal keys are candidates for the same stacked
-    program (same dimensions, layer stack, loss and optimiser recipe);
+    program (same dimensions, layer stack, loss and Adam settings);
     mixed-architecture fleets partition into groups by this key, each
     group batching on its own.  ``None`` marks a trainer with no
     stacked form at all (non-``Sequential`` models).  The key is a
@@ -128,22 +128,16 @@ def stacking_key(trainer: OrchestratedTrainer) -> Optional[tuple]:
             signature.append(tuple(entry))
         return tuple(signature)
 
-    def optimizer_signature(optimizer) -> tuple:
-        # Same fields check_fleet_optimizers compares: a hyperparameter
-        # mismatch must land in a *different* group, not shatter a
-        # candidate group at validation time.
-        hyperparams = _OPTIMIZER_HYPERPARAMS.get(type(optimizer), ())
-        return (type(optimizer).__name__, optimizer.lr,
-                tuple((name, getattr(optimizer, name))
-                      for name in hyperparams))
-
     loss = trainer.loss
+    # The Adam settings are the ones check_fleet_optimizers compares: a
+    # mismatch must land in a *different* group, not shatter a candidate
+    # group at validation time.
     return (trainer.input_dim, trainer.latent_dim,
             type(loss).__name__,
             tuple(sorted((k, repr(v)) for k, v in vars(loss).items())),
             model_signature(encoder), model_signature(decoder),
-            optimizer_signature(trainer.encoder_optimizer),
-            optimizer_signature(trainer.decoder_optimizer))
+            fleet_settings(trainer.encoder_optimizer),
+            fleet_settings(trainer.decoder_optimizer))
 
 
 class FleetTrainer:

@@ -10,6 +10,7 @@ autoencoders.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -33,8 +34,9 @@ class GaussianNoiseInjector:
 
     def __init__(self, sigma: float, rng: Optional[np.random.Generator] = None,
                  decay: float = 1.0):
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0.0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be finite and non-negative, "
+                             f"got {sigma}")
         if not 0 < decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
         self.initial_sigma = float(sigma)

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..nn import losses as losses_mod
-from ..nn import optim as optim_mod
+from ..nn.optim import Adam
 from ..nn.layers import Module
 from ..nn.tensor import Tensor
 from ..wsn.network import TransmissionLedger
@@ -161,10 +161,10 @@ class OrchestratedTrainer:
         Per-sample forward FLOPs of each side, for the timing model.
     timing:
         :class:`OrchestrationTimingModel` (devices + links).
-    optimizer / learning_rate:
-        Optimiser spec, instantiated separately per side — the aggregator
-        and the edge each keep their own optimiser state, as in the real
-        deployment.
+    learning_rate:
+        Adam learning rate.  Each side gets its own :class:`Adam` — the
+        aggregator and the edge each keep their own optimiser state, as
+        in the real deployment.
     """
 
     def __init__(self, encoder: Module, decoder: Module, *,
@@ -174,7 +174,6 @@ class OrchestratedTrainer:
                  encoder_forward_flops: float,
                  decoder_forward_flops: float,
                  timing: Optional[OrchestrationTimingModel] = None,
-                 optimizer: str = "adam",
                  learning_rate: float = 1e-3,
                  rng: Optional[np.random.Generator] = None,
                  name: str = "orchestrated"):
@@ -189,10 +188,8 @@ class OrchestratedTrainer:
         self.timing = timing or OrchestrationTimingModel()
         self.rng = rng or np.random.default_rng()
         self.name = name
-        self.encoder_optimizer = optim_mod.make_optimizer(
-            optimizer, encoder.parameters(), lr=learning_rate)
-        self.decoder_optimizer = optim_mod.make_optimizer(
-            optimizer, decoder.parameters(), lr=learning_rate)
+        self.encoder_optimizer = Adam(encoder.parameters(), lr=learning_rate)
+        self.decoder_optimizer = Adam(decoder.parameters(), lr=learning_rate)
         self.ledger = TransmissionLedger()
         self.clock_s = 0.0
         self._round_index = 0
@@ -361,8 +358,8 @@ class OrcoDCSFramework(OrchestratedTrainer):
             loss=loss, noise=model.noise,
             encoder_forward_flops=dense_flops(config.input_dim, config.latent_dim),
             decoder_forward_flops=dense_stack_flops(decoder_dims),
-            timing=timing, optimizer=config.optimizer,
-            learning_rate=config.learning_rate, rng=rng, name="OrcoDCS")
+            timing=timing, learning_rate=config.learning_rate, rng=rng,
+            name="OrcoDCS")
         self.config = config
         self.model = model
 

@@ -2,7 +2,10 @@
 
 Built because the reproduction environment has no deep-learning package;
 the OrcoDCS models (one-dense-layer encoder, shallow decoders, a 2-conv
-classifier) train comfortably on numpy.
+classifier) train comfortably on numpy.  It holds what those models use:
+dense, convolutional, pooling and activation layers, the losses, and
+Adam — the one optimiser, with :class:`FleetAdam` as its slice-stacked
+form for batched fleets.
 
 Public surface::
 
@@ -15,28 +18,20 @@ Public surface::
 from . import functional
 from .batched import (
     BatchedDense,
-    FleetAdaGrad,
     FleetAdam,
     FleetIncompatibilityError,
-    FleetOptimizer,
-    FleetRMSProp,
-    FleetSGD,
     fleet_optimizer_from,
     fleet_optimizer_to,
     run_stack,
     stack_sequential,
     unstack_sequential,
 )
-from .data import ArrayDataset, DataLoader, one_hot, train_test_split
+from .data import ArrayDataset, DataLoader, one_hot
 from .init import get_initializer
 from .layers import (
-    AvgPool2D,
-    BatchNorm1d,
-    BatchNorm2d,
     Conv2D,
     ConvTranspose2D,
     Dense,
-    Dropout,
     Flatten,
     Identity,
     LeakyReLU,
@@ -63,38 +58,21 @@ from .losses import (
     accuracy,
     make_loss,
 )
-from .optim import (
-    AdaGrad,
-    Adam,
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    Optimizer,
-    RMSProp,
-    SGD,
-    StepLR,
-    clip_grad_norm,
-    make_optimizer,
-)
-from .serialize import load_module, load_state, save_module, save_state
+from .optim import Adam, Optimizer
 from .tensor import Tensor, concatenate, stack, where
 
 __all__ = [
-    "BatchedDense", "FleetAdaGrad", "FleetAdam", "FleetIncompatibilityError",
-    "FleetOptimizer", "FleetRMSProp", "FleetSGD", "fleet_optimizer_from",
-    "fleet_optimizer_to", "run_stack", "stack_sequential",
-    "unstack_sequential",
-    "ArrayDataset", "DataLoader", "one_hot", "train_test_split",
+    "BatchedDense", "FleetAdam", "FleetIncompatibilityError",
+    "fleet_optimizer_from", "fleet_optimizer_to", "run_stack",
+    "stack_sequential", "unstack_sequential",
+    "ArrayDataset", "DataLoader", "one_hot",
     "get_initializer",
-    "AvgPool2D", "BatchNorm1d", "BatchNorm2d", "Conv2D", "ConvTranspose2D",
-    "Dense", "Dropout", "Flatten", "Identity", "LeakyReLU", "MaxPool2D",
-    "Module", "Parameter", "ReLU", "Reshape", "Sequential", "Sigmoid",
-    "Softmax", "Tanh", "Upsample2D", "make_activation",
+    "Conv2D", "ConvTranspose2D", "Dense", "Flatten", "Identity", "LeakyReLU",
+    "MaxPool2D", "Module", "Parameter", "ReLU", "Reshape", "Sequential",
+    "Sigmoid", "Softmax", "Tanh", "Upsample2D", "make_activation",
     "BCELoss", "CrossEntropyLoss", "HuberLoss", "L1Loss", "Loss", "MSELoss",
     "VectorHuberLoss", "accuracy", "make_loss",
-    "AdaGrad", "Adam", "CosineAnnealingLR", "ExponentialLR", "LRScheduler",
-    "Optimizer", "RMSProp", "SGD", "StepLR", "clip_grad_norm", "make_optimizer",
-    "load_module", "load_state", "save_module", "save_state",
+    "Adam", "Optimizer",
     "Tensor", "concatenate", "stack", "where",
     "functional",
 ]

@@ -15,10 +15,10 @@ per-slice semantics:
   per-cluster :class:`~repro.nn.layers.Sequential` models and one batched
   layer list (and back), so a fleet can be assembled from live trainers
   and its trained weights written back.
-* ``Fleet*`` optimisers mirror :mod:`repro.nn.optim` elementwise updates
-  with **per-slice** step counters and masked updates, so a slice that
-  skips a round keeps optimiser state identical to a standalone model
-  that skipped that round.
+* :class:`FleetAdam` mirrors :class:`~repro.nn.optim.Adam` with
+  **per-slice** step counters and masked updates, so a slice that skips
+  a round keeps optimiser state identical to a standalone model that
+  skipped that round.
 
 The equivalence contract (relied on by ``repro.core.fleet`` and asserted
 in the test suite): for identical seeds, per-slice trajectories match the
@@ -28,7 +28,7 @@ practice; the repo-wide tolerance budget is 1e-6).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,8 +44,7 @@ from .layers import (
     Softmax,
     Tanh,
 )
-from .optim import (Adam, AdaGrad, Optimizer, RMSProp, SGD, adam_scratch,
-                    adam_update)
+from .optim import Adam, Optimizer, adam_scratch, adam_update
 from .tensor import Tensor
 
 ActiveSlices = Optional[Union[Sequence[int], np.ndarray]]
@@ -147,8 +146,8 @@ class BatchedDense(Module):
     only weight slice ``k``.  With ``active`` (unique slice indices)
     the input is ``(A, B, in)`` and only those slices' weights are
     gathered — gradients scatter back into the full stacked parameter
-    with zeros elsewhere, which pairs with the masked ``Fleet*``
-    optimiser steps.
+    with zeros elsewhere, which pairs with the masked
+    :meth:`FleetAdam.step`.
     """
 
     def __init__(self, num_slices: int, in_features: int, out_features: int,
@@ -241,8 +240,8 @@ def stack_sequential(models: Sequence[Sequential]) -> List[Module]:
     shared activation instance for elementwise positions) whose
     composition applied to ``(K, B, F)`` equals the K models applied
     slice-wise.  Raises :class:`FleetIncompatibilityError` for layer
-    types whose stacked semantics would differ (Dropout, BatchNorm,
-    pooling, ...).
+    types with no slice-exact stacked form (convolution, pooling,
+    reshaping, ...).
     """
     if not models:
         raise FleetIncompatibilityError("cannot stack an empty model list")
@@ -283,72 +282,17 @@ def run_stack(layers: Sequence[Module], x: Tensor,
 
 
 # ----------------------------------------------------------------------
-# Fleet optimisers: per-slice state, masked steps
+# Fleet Adam: per-slice state, masked steps
 # ----------------------------------------------------------------------
-class FleetOptimizer(Optimizer):
-    """Base optimiser over slice-stacked parameters.
+class FleetAdam(Adam):
+    """Slice-stacked :class:`~repro.nn.optim.Adam` over K models.
 
-    ``step(active)`` updates only the listed slices, leaving the others'
-    parameters *and state* untouched — exactly what K standalone
-    optimisers would do when only some of their models trained a round.
-    All state arrays are stacked along axis 0 like the parameters.
-    """
-
-    def __init__(self, params, lr: float, num_slices: int):
-        super().__init__(params, lr)
-        if num_slices <= 0:
-            raise ValueError("num_slices must be positive")
-        for param in self.params:
-            if param.shape[0] != num_slices:
-                raise ValueError(
-                    f"parameter leading dim {param.shape[0]} != "
-                    f"num_slices {num_slices}")
-        self.num_slices = num_slices
-
-    def step(self, active: ActiveSlices = None) -> None:
-        raise NotImplementedError
-
-    def _index(self, active: ActiveSlices):
-        index = _as_index(active, self.num_slices)
-        return slice(None) if index is None else index
-
-
-class FleetSGD(FleetOptimizer):
-    """Slice-stacked :class:`~repro.nn.optim.SGD` (momentum supported)."""
-
-    def __init__(self, params, lr: float = 0.01, num_slices: int = 1,
-                 momentum: float = 0.0, nesterov: bool = False,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr, num_slices)
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = momentum
-        self.nesterov = nesterov
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self, active: ActiveSlices = None) -> None:
-        idx = self._index(active)
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad[idx]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data[idx]
-            if self.momentum:
-                vel = self.momentum * velocity[idx] + grad
-                velocity[idx] = vel
-                update = grad + self.momentum * vel if self.nesterov else vel
-            else:
-                update = grad
-            param.data[idx] = param.data[idx] - self.lr * update
-
-
-class FleetAdam(FleetOptimizer):
-    """Slice-stacked :class:`~repro.nn.optim.Adam`.
-
-    The bias-correction step count is a **per-slice** integer vector:
-    slices stepped under different masks stay bit-identical to
+    Parameters, moments and the bias-correction step count are stacked
+    along axis 0, one slice per model.  ``step(active)`` updates only
+    the listed slices, leaving the others' parameters *and state*
+    untouched — exactly what K standalone optimisers would do when only
+    some of their models trained a round; the **per-slice** step counts
+    keep slices stepped under different masks bit-identical to
     independently trained models.  Every step runs the sequential
     :func:`~repro.nn.optim.adam_update` kernel with one row and one
     bias-correction pair per slice: in place over the whole stack, or,
@@ -359,12 +303,17 @@ class FleetAdam(FleetOptimizer):
     def __init__(self, params, lr: float = 1e-3, num_slices: int = 1,
                  betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        super().__init__(params, lr, num_slices)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
-        self._v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        super().__init__(params, lr, betas, eps, weight_decay)
+        if num_slices <= 0:
+            raise ValueError("num_slices must be positive")
+        for param in self.params:
+            if param.shape[0] != num_slices:
+                raise ValueError(
+                    f"parameter leading dim {param.shape[0]} != "
+                    f"num_slices {num_slices}")
+        self.num_slices = num_slices
+        # Adam's scalar step count and single-row scratch give way to one
+        # count per slice and blocks that span every slice's row.
         self._t = np.zeros(num_slices, dtype=np.int64)
         self._scratch = adam_scratch(self.params, rows=num_slices)
 
@@ -395,139 +344,64 @@ class FleetAdam(FleetOptimizer):
             v[index] = v_rows
 
 
-class FleetRMSProp(FleetOptimizer):
-    """Slice-stacked :class:`~repro.nn.optim.RMSProp`."""
+def fleet_settings(optimizer: Adam) -> Tuple[Tuple[str, float], ...]:
+    """The Adam settings that K optimisers must share to step as one fleet.
 
-    def __init__(self, params, lr: float = 1e-3, num_slices: int = 1,
-                 alpha: float = 0.99, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr, num_slices)
-        self.alpha = alpha
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._sq = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self, active: ActiveSlices = None) -> None:
-        idx = self._index(active)
-        for param, sq in zip(self.params, self._sq):
-            if param.grad is None:
-                continue
-            grad = param.grad[idx]
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data[idx]
-            sq_new = sq[idx] * self.alpha + (1.0 - self.alpha) * grad * grad
-            sq[idx] = sq_new
-            param.data[idx] = param.data[idx] \
-                - self.lr * grad / (np.sqrt(sq_new) + self.eps)
-
-
-class FleetAdaGrad(FleetOptimizer):
-    """Slice-stacked :class:`~repro.nn.optim.AdaGrad`."""
-
-    def __init__(self, params, lr: float = 0.01, num_slices: int = 1,
-                 eps: float = 1e-10):
-        super().__init__(params, lr, num_slices)
-        self.eps = eps
-        self._acc = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self, active: ActiveSlices = None) -> None:
-        idx = self._index(active)
-        for param, acc in zip(self.params, self._acc):
-            if param.grad is None:
-                continue
-            grad = param.grad[idx]
-            acc_new = acc[idx] + grad * grad
-            acc[idx] = acc_new
-            param.data[idx] = param.data[idx] \
-                - self.lr * grad / (np.sqrt(acc_new) + self.eps)
-
-
-# Maps a sequential optimiser class to (fleet class, stacked-state attrs).
-_FLEET_EQUIVALENTS = {
-    SGD: (FleetSGD, ("_velocity",)),
-    Adam: (FleetAdam, ("_m", "_v")),
-    RMSProp: (FleetRMSProp, ("_sq",)),
-    AdaGrad: (FleetAdaGrad, ("_acc",)),
-}
-
-# Hyperparameters that must match across slices for each optimiser class
-# (besides lr): any mismatch would silently retrain some slices with the
-# wrong settings, breaking the per-slice equivalence contract.
-_OPTIMIZER_HYPERPARAMS = {
-    SGD: ("momentum", "nesterov", "weight_decay"),
-    Adam: ("beta1", "beta2", "eps", "weight_decay"),
-    RMSProp: ("alpha", "eps", "weight_decay"),
-    AdaGrad: ("eps",),
-}
+    ``(name, value)`` pairs for the learning rate, both betas, eps and
+    weight decay.  Stacking optimisers that differ in any of them would
+    silently retrain some slices with another slice's settings, so
+    :func:`check_fleet_optimizers` compares them and
+    :func:`repro.core.fleet.stacking_key` groups trainers by them.
+    """
+    return tuple((name, getattr(optimizer, name))
+                 for name in ("lr", "beta1", "beta2", "eps", "weight_decay"))
 
 
 def check_fleet_optimizers(optimizers: Sequence[Optimizer]) -> None:
-    """Validate that K sequential optimisers admit one fleet equivalent."""
+    """Validate that K optimisers can step as one :class:`FleetAdam`."""
     if not optimizers:
         raise FleetIncompatibilityError("no optimisers to stack")
-    first = optimizers[0]
-    if type(first) not in _FLEET_EQUIVALENTS:
-        raise FleetIncompatibilityError(
-            f"no fleet equivalent for optimiser {type(first).__name__}")
-    hyperparams = _OPTIMIZER_HYPERPARAMS[type(first)]
     for opt in optimizers:
-        if type(opt) is not type(first) or opt.lr != first.lr:
+        if type(opt) is not Adam:
             raise FleetIncompatibilityError(
-                "optimiser class/learning-rate differs across slices")
-        for name in hyperparams:
-            if getattr(opt, name) != getattr(first, name):
+                f"no fleet equivalent for optimiser {type(opt).__name__}")
+    first = fleet_settings(optimizers[0])
+    for opt in optimizers[1:]:
+        for (name, value), (_, other) in zip(first, fleet_settings(opt)):
+            if other != value:
                 raise FleetIncompatibilityError(
-                    f"optimiser hyperparameter {name!r} differs across "
-                    "slices")
+                    f"Adam setting {name!r} differs across slices: "
+                    f"{value!r} vs {other!r}")
 
 
-def fleet_optimizer_from(optimizers: Sequence[Optimizer],
-                         params) -> FleetOptimizer:
-    """Build a fleet optimiser mirroring K sequential ones, state included.
+def fleet_optimizer_from(optimizers: Sequence[Adam], params) -> FleetAdam:
+    """Build a :class:`FleetAdam` mirroring K Adam optimisers, state included.
 
-    ``optimizers[k]`` must all share a class, learning rate and
-    hyperparameters; ``params`` are the slice-stacked parameters in the
-    same per-model order as each sequential optimiser's param list.  Any
-    accumulated state (Adam moments, momenta, per-slice step counts) is
-    copied in, so a fleet assembled mid-training continues exactly where
-    the standalone models left off.
+    ``optimizers[k]`` must share the :func:`fleet_settings`; ``params``
+    are the slice-stacked parameters in the same per-model order as each
+    optimiser's param list.  The moments and step counts are copied in,
+    so a fleet assembled mid-training continues exactly where the
+    standalone models left off.
     """
     check_fleet_optimizers(optimizers)
     first = optimizers[0]
-    fleet_cls, state_attrs = _FLEET_EQUIVALENTS[type(first)]
-    kwargs = {"lr": first.lr, "num_slices": len(optimizers)}
-    if fleet_cls is FleetAdam:
-        kwargs["betas"] = (first.beta1, first.beta2)
-        kwargs["eps"] = first.eps
-        kwargs["weight_decay"] = first.weight_decay
-    elif fleet_cls is FleetSGD:
-        kwargs.update(momentum=first.momentum, nesterov=first.nesterov,
+    fleet = FleetAdam(params, lr=first.lr, num_slices=len(optimizers),
+                      betas=(first.beta1, first.beta2), eps=first.eps,
                       weight_decay=first.weight_decay)
-    elif fleet_cls is FleetRMSProp:
-        kwargs.update(alpha=first.alpha, eps=first.eps,
-                      weight_decay=first.weight_decay)
-    else:
-        kwargs["eps"] = first.eps
-    fleet = fleet_cls(params, **kwargs)
-    for attr in state_attrs:
-        stacked_state = getattr(fleet, attr)
-        for j, stacked in enumerate(stacked_state):
-            for k, opt in enumerate(optimizers):
-                stacked[k] = getattr(opt, attr)[j]
-    if isinstance(fleet, FleetAdam):
-        fleet._t[:] = [opt._t for opt in optimizers]
+    for k, opt in enumerate(optimizers):
+        for stacked_m, stacked_v, m, v in zip(fleet._m, fleet._v,
+                                              opt._m, opt._v):
+            stacked_m[k] = m
+            stacked_v[k] = v
+    fleet._t[:] = [opt._t for opt in optimizers]
     return fleet
 
 
-def fleet_optimizer_to(fleet: FleetOptimizer,
-                       optimizers: Sequence[Optimizer]) -> None:
-    """Write fleet optimiser state back into K sequential optimisers."""
-    _, state_attrs = _FLEET_EQUIVALENTS[type(optimizers[0])]
-    for attr in state_attrs:
-        stacked_state = getattr(fleet, attr)
-        for j, stacked in enumerate(stacked_state):
-            for k, opt in enumerate(optimizers):
-                getattr(opt, attr)[j][...] = stacked[k]
-    if isinstance(fleet, FleetAdam):
-        for k, opt in enumerate(optimizers):
-            opt._t = int(fleet._t[k])
+def fleet_optimizer_to(fleet: FleetAdam, optimizers: Sequence[Adam]) -> None:
+    """Write fleet optimiser state back into K Adam optimisers."""
+    for k, opt in enumerate(optimizers):
+        for stacked_m, stacked_v, m, v in zip(fleet._m, fleet._v,
+                                              opt._m, opt._v):
+            m[...] = stacked_m[k]
+            v[...] = stacked_v[k]
+        opt._t = int(fleet._t[k])

@@ -7,7 +7,7 @@ consumes them directly).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -97,32 +97,6 @@ class DataLoader:
             if self.drop_last and len(batch) < self.batch_size:
                 return
             yield self.dataset[batch]
-
-
-def train_test_split(*arrays: np.ndarray, test_fraction: float = 0.2,
-                     rng: Optional[np.random.Generator] = None
-                     ) -> Tuple[np.ndarray, ...]:
-    """Split aligned arrays into train/test partitions.
-
-    Returns ``(a_train, a_test, b_train, b_test, ...)`` in the order the
-    arrays were given.
-    """
-    if not arrays:
-        raise ValueError("nothing to split")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    rng = rng or np.random.default_rng()
-    count = len(arrays[0])
-    if any(len(a) != count for a in arrays):
-        raise ValueError("arrays disagree on length")
-    order = rng.permutation(count)
-    cut = count - max(1, int(round(test_fraction * count)))
-    train_idx, test_idx = order[:cut], order[cut:]
-    out = []
-    for array in arrays:
-        array = np.asarray(array)
-        out.extend((array[train_idx], array[test_idx]))
-    return tuple(out)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 The pure-numpy helpers (:func:`im2col_array`, :func:`col2im_array`) do the
 data movement that convolution and pooling need.  The public functions
-(:func:`conv2d`, :func:`max_pool2d`, :func:`avg_pool2d`,
-:func:`upsample2d`) operate on :class:`~repro.nn.tensor.Tensor` objects
-and register backward closures, so they compose with the rest of the
-autograd graph.
+(:func:`conv2d`, :func:`max_pool2d`, :func:`upsample2d`) operate on
+:class:`~repro.nn.tensor.Tensor` objects and register backward closures,
+so they compose with the rest of the autograd graph.
 
 All spatial operators use the NCHW layout: ``(batch, channels, height,
 width)``.
@@ -234,31 +233,6 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
     return out
 
 
-def avg_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
-    """Average pooling over windows."""
-    stride = stride if stride is not None else kernel
-    batch, channels, height, width = x.shape
-    kh, kw = _pair(kernel)
-    out_h, out_w = conv_output_shape(height, width, (kh, kw), stride, 0)
-
-    flat = x.data.reshape(batch * channels, 1, height, width)
-    cols = im2col_array(flat, (kh, kw), stride, 0)
-    out_data = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
-
-    out = x._make_child(out_data, (x,), "avg_pool2d")
-    if out.requires_grad:
-        window = kh * kw
-
-        def backward(grad: np.ndarray) -> None:
-            gflat = grad.reshape(batch * channels, 1, -1) / window
-            gcols = np.broadcast_to(gflat, cols.shape).astype(grad.dtype)
-            gx = col2im_array(gcols, flat.shape, (kh, kw), stride, 0)
-            x._accumulate(gx.reshape(x.shape))
-
-        out._backward = backward
-    return out
-
-
 def upsample2d(x: Tensor, scale: int = 2) -> Tensor:
     """Nearest-neighbour upsampling of the last two axes by ``scale``."""
     if scale < 1:
@@ -288,15 +262,3 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shift = Tensor(x.data.max(axis=axis, keepdims=True))
     shifted = x - shift
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator,
-            training: bool = True) -> Tensor:
-    """Inverted dropout: zeroes a ``rate`` fraction and rescales the rest."""
-    if not training or rate <= 0.0:
-        return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
-    return x * Tensor(mask)

@@ -74,7 +74,7 @@ class Module:
     # Modes and gradients
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Switch train/eval mode (affects Dropout and BatchNorm)."""
+        """Switch train/eval mode (the latent noise reads ``training``)."""
         for module in self.modules():
             object.__setattr__(module, "training", mode)
         return self
@@ -87,42 +87,12 @@ class Module:
             param.zero_grad()
 
     # ------------------------------------------------------------------
-    # Serialization
+    # Snapshots
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a flat ``name -> array`` mapping of all parameters and buffers."""
-        state: Dict[str, np.ndarray] = OrderedDict()
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for prefix, module in self._named_modules(""):
-            for bname, buf in getattr(module, "_buffers", {}).items():
-                state[prefix + bname] = np.array(buf, copy=True)
-        return state
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters (and buffers) from :meth:`state_dict` output."""
-        params = dict(self.named_parameters())
-        buffers = {}
-        for prefix, module in self._named_modules(""):
-            for bname in getattr(module, "_buffers", {}):
-                buffers[prefix + bname] = (module, bname)
-        for name, value in state.items():
-            if name in params:
-                if params[name].shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {name}: have {params[name].shape}, "
-                        f"loading {value.shape}")
-                params[name].data = np.array(value, copy=True)
-            elif name in buffers:
-                module, bname = buffers[name]
-                module._buffers[bname] = np.array(value, copy=True)
-            else:
-                raise KeyError(f"unexpected key {name!r} in state dict")
-
-    def _named_modules(self, prefix: str) -> Iterator[Tuple[str, "Module"]]:
-        yield prefix, self
-        for name, module in self._modules.items():
-            yield from module._named_modules(prefix + name + ".")
+        """Return a flat ``name -> array`` snapshot of all parameters."""
+        return OrderedDict((name, param.data.copy())
+                           for name, param in self.named_parameters())
 
     # ------------------------------------------------------------------
     # Call protocol
@@ -262,18 +232,6 @@ class MaxPool2D(Module):
         return F.max_pool2d(x, self.kernel_size, self.stride)
 
 
-class AvgPool2D(Module):
-    """Average pooling layer."""
-
-    def __init__(self, kernel_size: F.IntPair, stride: F.IntPair = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
 class Upsample2D(Module):
     """Nearest-neighbour spatial upsampling."""
 
@@ -358,82 +316,3 @@ def make_activation(name: str) -> Module:
         return _ACTIVATIONS[name]()
     except KeyError:
         raise KeyError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, rate: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self.rng = rng or np.random.default_rng()
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, self.rng, self.training)
-
-
-class BatchNorm1d(Module):
-    """Batch normalisation over the feature axis of ``(B, F)`` inputs."""
-
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__()
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(np.ones(num_features))
-        self.beta = Parameter(np.zeros(num_features))
-        self._buffers = {
-            "running_mean": np.zeros(num_features),
-            "running_var": np.ones(num_features),
-        }
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.data.mean(axis=0)
-            var = x.data.var(axis=0)
-            rm = self._buffers["running_mean"]
-            rv = self._buffers["running_var"]
-            self._buffers["running_mean"] = (1 - self.momentum) * rm + self.momentum * mean
-            self._buffers["running_var"] = (1 - self.momentum) * rv + self.momentum * var
-            centered = x - Tensor(mean)
-            scale = Tensor(1.0 / np.sqrt(var + self.eps))
-        else:
-            centered = x - Tensor(self._buffers["running_mean"])
-            scale = Tensor(1.0 / np.sqrt(self._buffers["running_var"] + self.eps))
-        return centered * scale * self.gamma + self.beta
-
-
-class BatchNorm2d(Module):
-    """Batch normalisation over channels of NCHW inputs."""
-
-    def __init__(self, num_channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__()
-        self.num_channels = num_channels
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(np.ones(num_channels))
-        self.beta = Parameter(np.zeros(num_channels))
-        self._buffers = {
-            "running_mean": np.zeros(num_channels),
-            "running_var": np.ones(num_channels),
-        }
-
-    def forward(self, x: Tensor) -> Tensor:
-        axes = (0, 2, 3)
-        if self.training:
-            mean = x.data.mean(axis=axes)
-            var = x.data.var(axis=axes)
-            rm = self._buffers["running_mean"]
-            rv = self._buffers["running_var"]
-            self._buffers["running_mean"] = (1 - self.momentum) * rm + self.momentum * mean
-            self._buffers["running_var"] = (1 - self.momentum) * rv + self.momentum * var
-        else:
-            mean = self._buffers["running_mean"]
-            var = self._buffers["running_var"]
-        shape = (1, self.num_channels, 1, 1)
-        centered = x - Tensor(mean.reshape(shape))
-        scale = Tensor((1.0 / np.sqrt(var + self.eps)).reshape(shape))
-        return (centered * scale * self.gamma.reshape(shape)
-                + self.beta.reshape(shape))

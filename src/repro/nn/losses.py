@@ -9,6 +9,8 @@ cross-entropy for the follow-up classifier.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import functional as F
@@ -103,8 +105,8 @@ class HuberLoss(Loss):
     """
 
     def __init__(self, delta: float = 1.0):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"delta must be finite and positive, got {delta}")
         self.delta = delta
 
     def _elementwise(self, prediction: Tensor, target: Tensor) -> Tensor:
@@ -164,8 +166,8 @@ class VectorHuberLoss(Loss):
     """
 
     def __init__(self, delta: float = 1.0):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"delta must be finite and positive, got {delta}")
         self.delta = delta
 
     def _per_sample(self, prediction: Tensor, target: Tensor,

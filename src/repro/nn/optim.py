@@ -1,15 +1,13 @@
-"""First-order optimisers and learning-rate schedules.
+"""Adam, the one optimiser every model in this repository trains with.
 
-The paper trains with stochastic gradient descent (Sec. III-B); Adam and
-RMSProp are provided because the follow-up classifier and the DCSNet
-baseline converge substantially faster with adaptive steps, and because a
-complete framework needs them anyway.
+OrcoDCS, the DCSNet baseline, the downstream classifier and every
+stacked fleet (:class:`~repro.nn.batched.FleetAdam`) use Adam with bias
+correction; :class:`Optimizer` is the base they share.
 
 :class:`Adam` updates ``param.data`` **in place** (and so does
 :class:`~repro.nn.batched.FleetAdam`): an array obtained from
 ``param.data`` before a step sees the step.  Take snapshots with
 :meth:`~repro.nn.layers.Module.state_dict` or ``param.data.copy()``.
-The other optimisers rebind ``param.data`` to a new array.
 """
 
 from __future__ import annotations
@@ -29,8 +27,9 @@ class Optimizer:
         self.params: List[Tensor] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < lr < math.inf:
+            raise ValueError(f"learning rate must be finite and positive, "
+                             f"got {lr}")
         self.lr = float(lr)
 
     def zero_grad(self) -> None:
@@ -39,38 +38,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """SGD with optional momentum, Nesterov acceleration and weight decay."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0, nesterov: bool = False,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        if momentum < 0:
-            raise ValueError("momentum must be non-negative")
-        if nesterov and momentum == 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = momentum
-        self.nesterov = nesterov
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = grad + self.momentum * velocity if self.nesterov else velocity
-            else:
-                update = grad
-            param.data = param.data - self.lr * update
 
 
 #: Elements per block of the in-place Adam kernel.  One 16K-element
@@ -162,12 +129,21 @@ class Adam(Optimizer):
     :meth:`step` runs :func:`adam_update`: ``param.data`` changes in
     place, and the working memory is one scratch of
     ``min(CHUNK, largest param)`` elements per dtype, allocated once here.
+
+    Settings under which the first step would write NaN into every
+    weight raise ``ValueError``: a beta outside ``[0, 1)`` (a beta of 1
+    zeroes its bias correction), ``eps <= 0`` (a zero gradient then
+    divides 0 by 0), or a learning rate that is not finite and positive.
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
                  betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         super().__init__(params, lr)
+        if not all(0.0 <= beta < 1.0 for beta in betas):
+            raise ValueError(f"Adam betas must lie in [0, 1), got {betas}")
+        if not eps > 0.0:
+            raise ValueError(f"Adam eps must be positive, got {eps}")
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -186,131 +162,3 @@ class Adam(Optimizer):
             adam_update(param.data, param.grad, m, v, self._scratch, self.lr,
                         self.beta1, self.beta2, self.eps, self.weight_decay,
                         bias1, bias2)
-
-
-class RMSProp(Optimizer):
-    """RMSProp with exponentially decayed squared-gradient average."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 alpha: float = 0.99, eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.alpha = alpha
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._sq = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, sq in zip(self.params, self._sq):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            sq *= self.alpha
-            sq += (1.0 - self.alpha) * grad * grad
-            param.data = param.data - self.lr * grad / (np.sqrt(sq) + self.eps)
-
-
-class AdaGrad(Optimizer):
-    """AdaGrad: per-parameter learning rates from accumulated squares."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 0.01,
-                 eps: float = 1e-10):
-        super().__init__(params, lr)
-        self.eps = eps
-        self._acc = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, acc in zip(self.params, self._acc):
-            if param.grad is None:
-                continue
-            acc += param.grad * param.grad
-            param.data = param.data - self.lr * param.grad / (np.sqrt(acc) + self.eps)
-
-
-class LRScheduler:
-    """Base learning-rate schedule; mutates ``optimizer.lr`` on :meth:`step`."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def get_lr(self) -> float:
-        raise NotImplementedError
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr()
-        return self.optimizer.lr
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class ExponentialLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95):
-        super().__init__(optimizer)
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** self.epoch
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base rate to ``min_lr`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = t_max
-        self.min_lr = min_lr
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch, self.t_max) / self.t_max
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + math.cos(math.pi * progress))
-
-
-def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
-    """Scale gradients in-place so their global L2 norm is <= ``max_norm``.
-
-    Returns the pre-clipping norm.
-    """
-    params = [p for p in params if p.grad is not None]
-    total = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for p in params:
-            p.grad = p.grad * scale
-    return total
-
-
-_OPTIMIZERS = {
-    "sgd": SGD,
-    "adam": Adam,
-    "rmsprop": RMSProp,
-    "adagrad": AdaGrad,
-}
-
-
-def make_optimizer(name: str, params: Iterable[Tensor], **kwargs) -> Optimizer:
-    """Instantiate an optimiser by name."""
-    try:
-        return _OPTIMIZERS[name](params, **kwargs)
-    except KeyError:
-        raise KeyError(f"unknown optimizer {name!r}; choose from {sorted(_OPTIMIZERS)}")

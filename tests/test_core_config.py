@@ -17,6 +17,8 @@ class TestValidation:
         {"input_dim": 100, "noise_sigma": -0.1},
         {"input_dim": 100, "decoder_layers": 0},
         {"input_dim": 100, "batch_size": 0},
+        {"input_dim": 100, "noise_sigma": float("nan")},
+        {"input_dim": 100, "noise_sigma": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -46,8 +46,9 @@ class TestInjector:
         assert injector.sigma == 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GaussianNoiseInjector(-0.1)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                GaussianNoiseInjector(sigma)
         with pytest.raises(ValueError):
             GaussianNoiseInjector(0.1, decay=0.0)
         with pytest.raises(ValueError):

@@ -204,6 +204,14 @@ class TestOrcoDCSFramework:
         history = framework.fit_config(toy_rows(16, 30), epochs=1)
         assert history.rounds[0].train_loss > 0
 
+    @pytest.mark.parametrize("loss", ["huber", "vector_huber"])
+    def test_nan_huber_delta_fails_at_construction(self, loss):
+        """It used to build a framework whose first round's loss was NaN."""
+        config = OrcoDCSConfig(input_dim=30, latent_dim=6, loss=loss,
+                               huber_delta=float("nan"))
+        with pytest.raises(ValueError, match="delta"):
+            OrcoDCSFramework(config)
+
     def test_reconstruct_diverse_shapes_and_clean_head(self):
         config = OrcoDCSConfig(input_dim=30, latent_dim=6, noise_sigma=0.3,
                                seed=0)

@@ -383,6 +383,18 @@ class TestGroupBatching:
                                        c_s.history.losses, atol=1e-6)
         assert report.completion_times == report_seq.completion_times
 
+    def test_adam_settings_split_groups(self):
+        """Clusters whose Adam learning rates differ never share a
+        stacked program, even when registered interleaved."""
+        scheduler = EdgeTrainingScheduler("round_robin",
+                                          rng=np.random.default_rng(0))
+        for index, lr in enumerate([1e-3, 2e-3, 1e-3, 2e-3]):
+            config = OrcoDCSConfig(input_dim=24, latent_dim=4, seed=index,
+                                   noise_sigma=0.0, learning_rate=lr)
+            scheduler.add_cluster(f"c{index}", OrcoDCSFramework(config),
+                                  cluster_data(seed=index))
+        assert scheduler.execution_plan().groups == ((0, 2), (1, 3))
+
     def test_two_odd_singletons_fall_back_to_sequential(self):
         scheduler = EdgeTrainingScheduler("round_robin",
                                           rng=np.random.default_rng(0))

@@ -6,15 +6,14 @@ import pytest
 from repro.nn import (
     Adam,
     BatchedDense,
+    Conv2D,
     Dense,
-    Dropout,
     FleetAdam,
     FleetIncompatibilityError,
-    FleetSGD,
     HuberLoss,
     MSELoss,
+    Optimizer,
     ReLU,
-    SGD,
     Sequential,
     Sigmoid,
     Tensor,
@@ -115,9 +114,10 @@ class TestStackSequential:
                               Sequential(Dense(3, 2), ReLU())])
 
     def test_stateful_layers_rejected(self):
+        # A convolution carries weights but has no slice-exact stacked form.
         with pytest.raises(FleetIncompatibilityError):
-            stack_sequential([Sequential(Dense(3, 2), Dropout(0.5)),
-                              Sequential(Dense(3, 2), Dropout(0.5))])
+            stack_sequential([Sequential(Dense(3, 2), Conv2D(1, 1, 1)),
+                              Sequential(Dense(3, 2), Conv2D(1, 1, 1))])
 
 
 class TestRowGather:
@@ -178,10 +178,8 @@ class TestRowGather:
         batched.weight.grad = np.ones_like(batched.weight.data)
         batched.bias.grad = np.ones_like(batched.bias.data)
         before = batched.weight.data.copy()
-        for opt in (FleetAdam(batched.parameters(), num_slices=3),
-                    FleetSGD(batched.parameters(), num_slices=3)):
-            with pytest.raises(error):
-                opt.step(active)
+        with pytest.raises(error):
+            FleetAdam(batched.parameters(), num_slices=3).step(active)
         np.testing.assert_array_equal(batched.weight.data, before)
 
     def test_boolean_mask_selects_slices(self):
@@ -218,14 +216,12 @@ class TestFleetOptimizers:
             loss.backward()
             opt.step(active) if batched else opt.step()
 
-    @pytest.mark.parametrize("fleet_cls,single_cls",
-                             [(FleetAdam, Adam), (FleetSGD, SGD)])
-    def test_full_step_matches_singles(self, fleet_cls, single_cls):
+    def test_full_step_matches_singles(self):
         singles, batched, x, target = self._stacked_problem()
-        fleet_opt = fleet_cls(batched.parameters(), lr=0.01, num_slices=3)
+        fleet_opt = FleetAdam(batched.parameters(), lr=0.01, num_slices=3)
         self._train(batched, fleet_opt, x, target, batched=True, steps=4)
         for k, layer in enumerate(singles):
-            opt = single_cls(layer.parameters(), lr=0.01)
+            opt = Adam(layer.parameters(), lr=0.01)
             self._train(layer, opt, x[k], target[k], batched=False, steps=4)
             np.testing.assert_allclose(batched.weight.data[k],
                                        layer.weight.data, atol=1e-12)
@@ -258,28 +254,34 @@ class TestFleetOptimizers:
         np.testing.assert_array_equal(single_opts[1]._m[0], fleet_opt._m[0][1])
 
     def test_mixed_optimizers_rejected(self):
+        # Only Adam has a fleet form.
+        class Momentum(Optimizer):
+            def step(self):
+                pass
+
         layers = [Dense(2, 2), Dense(2, 2)]
         batched = BatchedDense.from_layers(layers)
-        with pytest.raises(FleetIncompatibilityError):
+        with pytest.raises(FleetIncompatibilityError,
+                           match="no fleet equivalent for optimiser Momentum"):
             fleet_optimizer_from([Adam(layers[0].parameters(), lr=0.01),
-                                  SGD(layers[1].parameters(), lr=0.01)],
+                                  Momentum(layers[1].parameters(), lr=0.01)],
                                  batched.parameters())
 
     def test_mixed_hyperparameters_rejected(self):
-        # Same class + lr but different momentum must not stack silently:
-        # slice 1 would be retrained with slice 0's momentum.
+        # Adam optimisers that differ in any shared setting must not
+        # stack silently: slice 1 would be retrained with slice 0's.
         layers = [Dense(2, 2), Dense(2, 2)]
         batched = BatchedDense.from_layers(layers)
-        with pytest.raises(FleetIncompatibilityError):
-            fleet_optimizer_from(
-                [SGD(layers[0].parameters(), lr=0.01, momentum=0.9),
-                 SGD(layers[1].parameters(), lr=0.01)],
-                batched.parameters())
-        with pytest.raises(FleetIncompatibilityError):
-            fleet_optimizer_from(
-                [Adam(layers[0].parameters(), lr=0.01, betas=(0.8, 0.999)),
-                 Adam(layers[1].parameters(), lr=0.01)],
-                batched.parameters())
+        for name, setting in [("lr", {"lr": 0.02}),
+                              ("beta1", {"betas": (0.8, 0.999)}),
+                              ("beta2", {"betas": (0.9, 0.99)}),
+                              ("eps", {"eps": 1e-6}),
+                              ("weight_decay", {"weight_decay": 0.1})]:
+            odd = Adam(layers[1].parameters(), **{"lr": 0.01, **setting})
+            with pytest.raises(FleetIncompatibilityError,
+                               match=f"setting '{name}' differs"):
+                fleet_optimizer_from([Adam(layers[0].parameters(), lr=0.01),
+                                      odd], batched.parameters())
 
 
 class TestPerClusterLosses:

@@ -85,36 +85,6 @@ class TestDataLoader:
             nn.DataLoader(nn.ArrayDataset(np.arange(4)), batch_size=0)
 
 
-class TestTrainTestSplit:
-    def test_sizes(self):
-        x = np.arange(100)
-        xtr, xte = nn.train_test_split(x, test_fraction=0.2,
-                                       rng=np.random.default_rng(0))
-        assert len(xtr) == 80 and len(xte) == 20
-
-    def test_multiple_arrays_stay_aligned(self):
-        x = np.arange(50)
-        y = np.arange(50) * 10
-        xtr, xte, ytr, yte = nn.train_test_split(
-            x, y, test_fraction=0.2, rng=np.random.default_rng(0))
-        assert np.allclose(ytr, xtr * 10)
-        assert np.allclose(yte, xte * 10)
-
-    def test_partitions_disjoint_and_complete(self):
-        x = np.arange(30)
-        xtr, xte = nn.train_test_split(x, test_fraction=0.3,
-                                       rng=np.random.default_rng(1))
-        assert sorted(np.concatenate([xtr, xte]).tolist()) == list(range(30))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            nn.train_test_split(np.arange(5), test_fraction=0.0)
-        with pytest.raises(ValueError):
-            nn.train_test_split()
-        with pytest.raises(ValueError):
-            nn.train_test_split(np.arange(5), np.arange(6))
-
-
 class TestOneHot:
     def test_encoding(self):
         out = nn.one_hot(np.array([0, 2, 1]), 3)

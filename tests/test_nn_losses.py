@@ -60,8 +60,10 @@ class TestHuber:
         assert np.allclose(p.grad, [1.0])   # slope capped at delta
 
     def test_delta_validation(self):
-        with pytest.raises(ValueError):
-            nn.HuberLoss(0.0)
+        for loss in (nn.HuberLoss, nn.VectorHuberLoss):
+            for delta in (0.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError):
+                    loss(delta)
 
 
 class TestVectorHuber:

@@ -1,4 +1,4 @@
-"""Unit tests for optimisers and LR schedules."""
+"""Unit tests for Adam and its slice-stacked fleet form."""
 
 import numpy as np
 import pytest
@@ -18,48 +18,6 @@ def quadratic_step(param, optimizer):
     loss.backward()
     optimizer.step()
     return float(loss.data)
-
-
-class TestSGD:
-    def test_vanilla_step_math(self):
-        p = quadratic_param(1.0)
-        opt = nn.SGD([p], lr=0.1)
-        quadratic_step(p, opt)          # grad = 2 -> p = 1 - 0.2
-        assert np.allclose(p.data, [0.8])
-
-    def test_momentum_accumulates(self):
-        p = quadratic_param(1.0)
-        opt = nn.SGD([p], lr=0.1, momentum=0.9)
-        quadratic_step(p, opt)
-        first = p.data.copy()
-        quadratic_step(p, opt)
-        # Second update is bigger than plain SGD would give from first.
-        assert abs(1.0 - first[0]) < abs(first[0] - p.data[0]) / 0.9 + 1e-9
-
-    def test_weight_decay_shrinks(self):
-        p = nn.Parameter(np.array([1.0]))
-        opt = nn.SGD([p], lr=0.1, weight_decay=0.5)
-        # Zero-loss gradient: only decay acts.
-        p.grad = np.zeros(1)
-        opt.step()
-        assert p.data[0] < 1.0
-
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError):
-            nn.SGD([quadratic_param()], lr=0.1, nesterov=True)
-
-    def test_skips_params_without_grad(self):
-        p = quadratic_param(1.0)
-        opt = nn.SGD([p], lr=0.1)
-        opt.step()
-        assert np.allclose(p.data, [1.0])
-
-    def test_converges_on_quadratic(self):
-        p = quadratic_param(3.0)
-        opt = nn.SGD([p], lr=0.1, momentum=0.5)
-        for _ in range(100):
-            quadratic_step(p, opt)
-        assert abs(p.data[0]) < 1e-3
 
 
 class TestAdam:
@@ -337,81 +295,37 @@ class TestAdamScratch:
             np.dtype(np.float32): 9, np.dtype(np.float64): 4}
 
 
-class TestRMSPropAdaGrad:
-    def test_rmsprop_converges(self):
-        p = quadratic_param(2.0)
-        opt = nn.RMSProp([p], lr=0.05)
-        for _ in range(300):
-            quadratic_step(p, opt)
-        assert abs(p.data[0]) < 0.05
-
-    def test_adagrad_steps_shrink(self):
-        p = quadratic_param(5.0)
-        opt = nn.AdaGrad([p], lr=1.0)
-        quadratic_step(p, opt)
-        first_step = abs(5.0 - p.data[0])
-        before = p.data[0]
-        quadratic_step(p, opt)
-        second_step = abs(before - p.data[0])
-        assert second_step < first_step
-
-
 class TestValidation:
     def test_empty_params(self):
         with pytest.raises(ValueError):
-            nn.SGD([], lr=0.1)
+            nn.Adam([], lr=0.1)
 
     def test_nonpositive_lr(self):
         with pytest.raises(ValueError):
             nn.Adam([quadratic_param()], lr=0.0)
 
-    def test_make_optimizer(self):
-        opt = nn.make_optimizer("sgd", [quadratic_param()], lr=0.1)
-        assert isinstance(opt, nn.SGD)
-        with pytest.raises(KeyError):
-            nn.make_optimizer("lion", [quadratic_param()])
+    @pytest.mark.parametrize("settings", [
+        {"betas": (1.0, 0.999)},      # zero first-moment bias correction
+        {"betas": (0.9, 1.0)},        # zero second-moment bias correction
+        {"eps": 0.0},                 # 0 / 0 on a zero gradient
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+    ])
+    def test_settings_that_make_the_first_step_nan_rejected(self, settings):
+        """Each of these used to be accepted, and one step on a zero
+        gradient wrote NaN into every weight, of a model and of a fleet."""
+        with pytest.raises(ValueError):
+            nn.Adam([quadratic_param()], **settings)
+        with pytest.raises(ValueError):
+            nn.FleetAdam([nn.Parameter(np.zeros((2, 3)))], num_slices=2,
+                         **settings)
 
-
-class TestSchedulers:
-    def test_step_lr(self):
-        # step() is called at the end of each epoch (PyTorch semantics):
-        # epochs 0-1 run at the base rate, 2-3 at base*gamma, ...
-        opt = nn.SGD([quadratic_param()], lr=1.0)
-        sched = nn.StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert np.allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-
-    def test_exponential_lr(self):
-        opt = nn.SGD([quadratic_param()], lr=1.0)
-        sched = nn.ExponentialLR(opt, gamma=0.5)
-        sched.step()
-        sched.step()
-        assert abs(opt.lr - 0.25) < 1e-12
-
-    def test_cosine_reaches_min(self):
-        opt = nn.SGD([quadratic_param()], lr=1.0)
-        sched = nn.CosineAnnealingLR(opt, t_max=10, min_lr=0.1)
-        for _ in range(10):
-            sched.step()
-        assert abs(opt.lr - 0.1) < 1e-9
-
-    def test_cosine_monotone_decreasing(self):
-        opt = nn.SGD([quadratic_param()], lr=1.0)
-        sched = nn.CosineAnnealingLR(opt, t_max=5)
-        lrs = [sched.step() for _ in range(5)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-
-class TestClipGradNorm:
-    def test_scales_down_large_grads(self):
-        p = nn.Parameter(np.zeros(4))
-        p.grad = np.full(4, 10.0)
-        norm = nn.clip_grad_norm([p], max_norm=1.0)
-        assert abs(norm - 20.0) < 1e-9
-        assert abs(np.linalg.norm(p.grad) - 1.0) < 1e-9
-
-    def test_leaves_small_grads(self):
-        p = nn.Parameter(np.zeros(4))
-        p.grad = np.full(4, 0.1)
-        nn.clip_grad_norm([p], max_norm=10.0)
-        assert np.allclose(p.grad, 0.1)
+    def test_boundary_settings_step_finitely(self):
+        params = [nn.Parameter(np.ones(3)), nn.Parameter(np.ones((2, 3)))]
+        for opt in (nn.Adam(params[:1], lr=1e-3, betas=(0.0, 0.0), eps=1e-12),
+                    nn.FleetAdam(params[1:], lr=1e-3, num_slices=2,
+                                 betas=(0.0, 0.0), eps=1e-12)):
+            for param in opt.params:
+                param.grad = np.zeros_like(param.data)
+            opt.step()
+        assert all(np.isfinite(p.data).all() for p in params)
