@@ -249,9 +249,14 @@ class TestFleetOptimizers:
         fleet_opt = fleet_optimizer_from(single_opts, batched.parameters())
         assert list(fleet_opt._t) == [2, 2, 2]
         np.testing.assert_array_equal(fleet_opt._m[0][1], single_opts[1]._m[0])
+        np.testing.assert_array_equal(fleet_opt._v[0][2], single_opts[2]._v[0])
         fleet_opt._m[0][1] += 0.5
+        fleet_opt._v[0][2] += 0.25
+        fleet_opt._t[1] = 7
         fleet_optimizer_to(fleet_opt, single_opts)
         np.testing.assert_array_equal(single_opts[1]._m[0], fleet_opt._m[0][1])
+        np.testing.assert_array_equal(single_opts[2]._v[0], fleet_opt._v[0][2])
+        assert [opt._t for opt in single_opts] == [2, 7, 2]
 
     def test_mixed_optimizers_rejected(self):
         # Only Adam has a fleet form.
