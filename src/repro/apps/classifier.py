@@ -62,7 +62,10 @@ class ClassifierHistory:
 
 
 class ImageClassifier:
-    """Train/evaluate wrapper around the simple CNN.
+    """Train/evaluate wrapper around the simple CNN, in float32.
+
+    The weights are drawn in float64 and rounded once, before Adam is
+    built; every input is cast to float32 by :meth:`_to_nchw`.
 
     Parameters
     ----------
@@ -77,14 +80,15 @@ class ImageClassifier:
         self.image_shape = image_shape
         self.num_classes = num_classes
         self.rng = np.random.default_rng(seed)
-        self.model = build_simple_cnn(image_shape, num_classes, self.rng)
+        self.model = build_simple_cnn(image_shape, num_classes,
+                                      self.rng).astype(np.float32)
         self.optimizer = Adam(self.model.parameters(), lr=learning_rate)
         self.loss = CrossEntropyLoss()
 
     # ------------------------------------------------------------------
     def _to_nchw(self, rows_or_images: np.ndarray) -> np.ndarray:
-        """Accept flat rows or (B, H, W[, C]) images; return NCHW."""
-        data = np.asarray(rows_or_images, dtype=float)
+        """Accept flat rows or (B, H, W[, C]) images; return float32 NCHW."""
+        data = np.asarray(rows_or_images, dtype=np.float32)
         channels, height, width = self.image_shape
         if data.ndim == 2:                      # flat rows
             if channels == 1:

@@ -92,6 +92,8 @@ class DCSNetOnline(OrchestratedTrainer):
     Same orchestrated protocol as OrcoDCS but with the fixed 1024-dim
     latent, the 4-conv decoder, plain L2 loss and no latent noise.  Its
     data handicap (30/50/70 %) is applied via :meth:`fit_fraction`.
+    Like the published network, it trains in float32: its weights are
+    drawn in float64 and rounded once, before Adam is built.
     """
 
     def __init__(self, image_shape: Tuple[int, int, int],
@@ -104,8 +106,8 @@ class DCSNetOnline(OrchestratedTrainer):
         channels, height, width = image_shape
         input_dim = channels * height * width
         rng = np.random.default_rng(seed)
-        encoder = build_dcsnet_encoder(input_dim, rng)
-        decoder = build_dcsnet_decoder(image_shape, rng)
+        encoder = build_dcsnet_encoder(input_dim, rng).astype(np.float32)
+        decoder = build_dcsnet_decoder(image_shape, rng).astype(np.float32)
         super().__init__(
             encoder, decoder,
             input_dim=input_dim, latent_dim=DCSNET_LATENT_DIM,
@@ -123,7 +125,7 @@ class DCSNetOnline(OrchestratedTrainer):
                      **kwargs) -> TrainingHistory:
         """Train on the framework's data fraction of ``train_rows`` —
         the offline-data handicap of the paper's setup."""
-        train_rows = np.atleast_2d(np.asarray(train_rows, dtype=float))
+        train_rows = np.atleast_2d(np.asarray(train_rows, dtype=self.dtype))
         count = max(1, int(round(self.data_fraction * len(train_rows))))
         subset = train_rows[self.rng.choice(len(train_rows), count, replace=False)]
         return self.fit(subset, epochs=epochs, batch_size=batch_size,
@@ -164,7 +166,7 @@ class DCSNetOffline(DCSNetOnline):
                      val_rows: Optional[np.ndarray] = None,
                      **kwargs) -> TrainingHistory:
         """Charge the raw-data upload, then train cloud-side."""
-        train_rows = np.atleast_2d(np.asarray(train_rows, dtype=float))
+        train_rows = np.atleast_2d(np.asarray(train_rows, dtype=self.dtype))
         count = max(1, int(round(self.data_fraction * len(train_rows))))
         upload_bytes = count * self.input_dim * self.timing.value_bytes
         self.clock_s += self.wan.transfer_time(upload_bytes)

@@ -20,12 +20,13 @@ from .noise import GaussianNoiseInjector
 
 def build_encoder(config: OrcoDCSConfig,
                   rng: Optional[np.random.Generator] = None) -> L.Sequential:
-    """One dense layer + activation: the paper's eq. (1)."""
+    """One dense layer + activation: the paper's eq. (1), in
+    ``config.dtype``."""
     rng = rng or np.random.default_rng(config.seed)
     return L.Sequential(
         L.Dense(config.input_dim, config.latent_dim, rng=rng),
         L.make_activation(config.activation),
-    )
+    ).astype(config.dtype)
 
 
 def build_decoder(config: OrcoDCSConfig,
@@ -34,7 +35,8 @@ def build_decoder(config: OrcoDCSConfig,
 
     One layer reproduces the paper's default; deeper variants interleave
     ReLU hidden layers (Fig. 8's 3L/5L sensitivity points).  The output
-    layer is always sigmoid so reconstructions live in [0, 1].
+    layer is always sigmoid so reconstructions live in [0, 1].  The
+    parameters are in ``config.dtype``.
     """
     rng = rng or np.random.default_rng(config.seed + 1)
     layers: List[L.Module] = []
@@ -51,7 +53,7 @@ def build_decoder(config: OrcoDCSConfig,
             layers.append(L.ReLU())
         layers.append(L.Dense(hidden, config.input_dim, rng=rng))
     layers.append(L.Sigmoid())
-    return L.Sequential(*layers)
+    return L.Sequential(*layers).astype(config.dtype)
 
 
 class AsymmetricAutoencoder(L.Module):
@@ -93,7 +95,8 @@ class AsymmetricAutoencoder(L.Module):
         """Inference helper on raw numpy rows (no noise, no grad)."""
         was_training = self.training
         self.eval()
-        out = self.forward(Tensor(np.atleast_2d(rows))).data
+        rows = np.atleast_2d(np.asarray(rows, dtype=self.config.dtype))
+        out = self.forward(Tensor(rows)).data
         self.train(was_training)
         return out
 

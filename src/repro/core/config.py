@@ -13,6 +13,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
+#: The dtypes a model may train in.
+TRAINING_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
 
 @dataclass
 class OrcoDCSConfig:
@@ -46,6 +51,12 @@ class OrcoDCSConfig:
         train their side with Adam.
     seed:
         Seed for parameter init and noise draws.
+    dtype:
+        float32 or float64 (stored as a ``numpy.dtype``): the dtype of
+        the model's parameters, Adam state and every array a round
+        computes.  The initial weights and the noise are drawn in
+        float64 either way, so a float32 model is the float64 one
+        rounded.  Fleets stack only clusters of one dtype.
     """
 
     input_dim: int
@@ -59,6 +70,7 @@ class OrcoDCSConfig:
     learning_rate: float = 3e-3
     batch_size: int = 32
     seed: int = 0
+    dtype: np.dtype = TRAINING_DTYPES[1]
 
     def __post_init__(self):
         if self.input_dim <= 0:
@@ -72,6 +84,7 @@ class OrcoDCSConfig:
             raise ValueError("decoder needs at least one layer")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        self.dtype = _training_dtype(self.dtype)
 
     @property
     def compression_ratio(self) -> float:
@@ -98,6 +111,21 @@ class OrcoDCSConfig:
     def with_overrides(self, **kwargs) -> "OrcoDCSConfig":
         """Functional update — used by the sensitivity sweeps."""
         return replace(self, **kwargs)
+
+
+def _training_dtype(value) -> np.dtype:
+    """``value`` as one of :data:`TRAINING_DTYPES`, or ``ValueError``.
+
+    ``None`` is refused before NumPy sees it: ``np.dtype(None)`` is
+    float64, and float64 compares equal to ``None``.
+    """
+    try:
+        dtype = None if value is None else np.dtype(value)
+    except TypeError:
+        dtype = None
+    if dtype is None or dtype not in TRAINING_DTYPES:
+        raise ValueError(f"dtype must be float32 or float64, got {value!r}")
+    return dtype
 
 
 def mnist_task_config(**overrides) -> OrcoDCSConfig:

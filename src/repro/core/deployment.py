@@ -75,7 +75,11 @@ class EncoderDeployment:
         self.model = model
         self.network = network
         self.tree = tree
-        self.weight_e, self.bias_e = model.encoder_weights()
+        # The deployed encoder is float64 whatever the model trains in:
+        # the in-network partial sums then reproduce eq. (1) exactly.
+        weight_e, bias_e = model.encoder_weights()
+        self.weight_e = weight_e.astype(np.float64, copy=False)
+        self.bias_e = bias_e.astype(np.float64, copy=False)
         # Device -> encoder column assignment: sorted node ids map to
         # columns 0..N-1 so the stacked vector X is well defined.
         self.device_index = {nid: idx for idx, nid in enumerate(network.device_ids)}
@@ -162,11 +166,13 @@ class EncoderDeployment:
         return self.network.uplink_to_edge(payload, kind="latent_uplink")
 
     def reconstruct_at_edge(self, latent: np.ndarray) -> np.ndarray:
-        """Edge-side decode of an aggregated latent vector."""
+        """Edge-side decode of an aggregated latent vector, in the
+        model's dtype."""
         from ..nn.tensor import Tensor
         was_training = self.model.training
         self.model.eval()
-        out = self.model.decode(Tensor(np.atleast_2d(latent))).data[0]
+        latent = np.atleast_2d(np.asarray(latent, dtype=self.model.config.dtype))
+        out = self.model.decode(Tensor(latent)).data[0]
         self.model.train(was_training)
         return out
 

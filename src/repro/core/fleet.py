@@ -70,6 +70,12 @@ def _check_homogeneous(trainers: Sequence[OrchestratedTrainer]) -> None:
                 "input/latent dimensions differ across trainers: "
                 f"({trainer.input_dim}, {trainer.latent_dim}) vs "
                 f"({first.input_dim}, {first.latent_dim})")
+        if trainer.dtype != first.dtype:
+            # np.stack would promote the stack, and the write-back would
+            # hand the narrower clusters wider parameters.
+            raise FleetIncompatibilityError(
+                f"parameter dtypes differ across trainers: "
+                f"{trainer.dtype} vs {first.dtype}")
         if type(trainer.loss) is not type(first.loss) or \
                 vars(trainer.loss) != vars(first.loss):
             raise FleetIncompatibilityError(
@@ -103,9 +109,9 @@ def stacking_key(trainer: OrchestratedTrainer) -> Optional[tuple]:
     """Hashable architecture signature for homogeneous-group stacking.
 
     Trainers with equal keys are candidates for the same stacked
-    program (same dimensions, layer stack, loss and Adam settings);
-    mixed-architecture fleets partition into groups by this key, each
-    group batching on its own.  ``None`` marks a trainer with no
+    program (same dimensions, parameter dtype, layer stack, loss and
+    Adam settings); mixed-architecture fleets partition into groups by
+    this key, each group batching on its own.  ``None`` marks a trainer with no
     stacked form at all (non-``Sequential`` models).  The key is a
     cheap *pre-filter*: candidate groups are still validated with
     :func:`fleet_compatible` before a fleet is built, so a key
@@ -132,7 +138,7 @@ def stacking_key(trainer: OrchestratedTrainer) -> Optional[tuple]:
     # The Adam settings are the ones check_fleet_optimizers compares: a
     # mismatch must land in a *different* group, not shatter a candidate
     # group at validation time.
-    return (trainer.input_dim, trainer.latent_dim,
+    return (trainer.input_dim, trainer.latent_dim, trainer.dtype,
             type(loss).__name__,
             tuple(sorted((k, repr(v)) for k, v in vars(loss).items())),
             model_signature(encoder), model_signature(decoder),
@@ -155,7 +161,8 @@ class FleetTrainer:
     -----
     Noise sigmas *may* differ per cluster (each cluster keeps its own
     :class:`~repro.core.noise.GaussianNoiseInjector` and RNG); model
-    dimensions, loss and optimiser settings may not.
+    dimensions, parameter dtype, loss and optimiser settings may not.
+    Batches are cast to the stack's :attr:`dtype`.
     """
 
     def __init__(self, trainers: Sequence[OrchestratedTrainer]):
@@ -166,6 +173,7 @@ class FleetTrainer:
         first = trainers[0]
         self.input_dim = first.input_dim
         self.latent_dim = first.latent_dim
+        self.dtype = first.dtype
         self.loss = first.loss
         self.encoder_layers: List[Module] = stack_sequential(
             [t.encoder for t in trainers])
@@ -199,7 +207,7 @@ class FleetTrainer:
         """
         buffer = self._noise_buffer
         if buffer is None or buffer.shape != latent.shape:
-            buffer = self._noise_buffer = np.empty(latent.shape)
+            buffer = self._noise_buffer = np.empty(latent.shape, latent.dtype)
         any_noise = False
         slice_shape = latent.shape[1:]
         for row, trainer in enumerate(trainers):
@@ -247,7 +255,7 @@ class FleetTrainer:
         One :class:`RoundRecord` per active cluster (same order), after
         charging each cluster's own modeled clock and ledger.
         """
-        batches = np.asarray(batches, dtype=float)
+        batches = np.asarray(batches, dtype=self.dtype)
         index = _as_index(active, self.num_clusters)
         trainers = self._active_trainers(index)
         if batches.ndim != 3 or batches.shape[0] != len(trainers):
@@ -293,7 +301,7 @@ class FleetTrainer:
     def evaluate(self, rows: np.ndarray) -> np.ndarray:
         """Per-cluster reconstruction loss on a shared ``(B, N)`` row set
         (or a per-cluster ``(K, B, N)`` stack) — no noise, no updates."""
-        rows = np.asarray(rows, dtype=float)
+        rows = np.asarray(rows, dtype=self.dtype)
         if rows.ndim == 2:
             rows = np.broadcast_to(rows, (self.num_clusters,) + rows.shape)
         reconstruction = self.forward(rows, training=False)
@@ -374,7 +382,7 @@ class FleetSubset:
 
     def evaluate(self, rows: np.ndarray) -> np.ndarray:
         """Per-member reconstruction loss (no noise, no updates)."""
-        rows = np.asarray(rows, dtype=float)
+        rows = np.asarray(rows, dtype=self.fleet.dtype)
         if rows.ndim == 2:
             rows = np.broadcast_to(rows, (self.num_clusters,) + rows.shape)
         reconstruction = self.forward(rows, training=False)

@@ -50,11 +50,15 @@ class GaussianNoiseInjector:
         return self.sigma ** 2
 
     def __call__(self, latent: Tensor, training: bool = True) -> Tensor:
-        """Return ``latent + noise`` (or ``latent`` unchanged at inference)."""
+        """Return ``latent + noise`` (or ``latent`` unchanged at inference).
+
+        The noise is drawn in float64 whatever the latent's dtype (so
+        float32 and float64 models see one stream), then cast to it.
+        """
         if not training or self.sigma == 0.0:
             return latent
         noise = self.rng.normal(0.0, self.sigma, latent.shape)
-        return latent + Tensor(noise)
+        return latent + Tensor(noise.astype(latent.dtype, copy=False))
 
     def on_epoch_end(self) -> None:
         """Apply the per-epoch decay schedule."""

@@ -165,6 +165,9 @@ class OrchestratedTrainer:
         Adam learning rate.  Each side gets its own :class:`Adam` — the
         aggregator and the edge each keep their own optimiser state, as
         in the real deployment.
+
+    The trainer's :attr:`dtype` is its parameters' dtype, which both
+    sides must share; every data entry point casts its rows to it once.
     """
 
     def __init__(self, encoder: Module, decoder: Module, *,
@@ -190,6 +193,12 @@ class OrchestratedTrainer:
         self.name = name
         self.encoder_optimizer = Adam(encoder.parameters(), lr=learning_rate)
         self.decoder_optimizer = Adam(decoder.parameters(), lr=learning_rate)
+        dtypes = {p.dtype for p in self.encoder_optimizer.params
+                  + self.decoder_optimizer.params}
+        if len(dtypes) != 1:
+            raise ValueError(f"encoder and decoder parameters must share "
+                             f"one dtype, got {sorted(map(str, dtypes))}")
+        (self.dtype,) = dtypes
         self.ledger = TransmissionLedger()
         self.clock_s = 0.0
         self._round_index = 0
@@ -267,7 +276,7 @@ class OrchestratedTrainer:
 
     def step(self, batch: np.ndarray, epoch: int = 0) -> RoundRecord:
         """Run one orchestrated minibatch round and account for it."""
-        batch = np.atleast_2d(np.asarray(batch, dtype=float))
+        batch = np.atleast_2d(np.asarray(batch, dtype=self.dtype))
         if batch.shape[1] != self.input_dim:
             raise ValueError(f"batch dim {batch.shape[1]} != input_dim {self.input_dim}")
         reconstruction = self._forward(batch, training=True)
@@ -281,13 +290,13 @@ class OrchestratedTrainer:
 
     def evaluate(self, rows: np.ndarray) -> float:
         """Reconstruction loss without noise or parameter updates."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        rows = np.atleast_2d(np.asarray(rows, dtype=self.dtype))
         reconstruction = self._forward(rows, training=False)
         return float(self.loss(reconstruction, rows).item())
 
     def reconstruct(self, rows: np.ndarray) -> np.ndarray:
         """Reconstruct rows (inference path, no noise)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        rows = np.atleast_2d(np.asarray(rows, dtype=self.dtype))
         return self._forward(rows, training=False).data
 
     # ------------------------------------------------------------------
@@ -304,7 +313,7 @@ class OrchestratedTrainer:
         after ``max_rounds`` minibatch rounds.  Passing an existing
         ``history`` continues it (used by fine-tuning relaunches).
         """
-        train_rows = np.atleast_2d(np.asarray(train_rows, dtype=float))
+        train_rows = np.atleast_2d(np.asarray(train_rows, dtype=self.dtype))
         if epochs <= 0 or batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
         history = history or TrainingHistory(self.name)
@@ -393,7 +402,7 @@ class OrcoDCSFramework(OrchestratedTrainer):
         """
         if copies < 1:
             raise ValueError("copies must be >= 1")
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        rows = np.atleast_2d(np.asarray(rows, dtype=self.dtype))
         outputs = [self.reconstruct(rows)]
         for _ in range(copies - 1):
             latent = self.encoder(Tensor(rows))

@@ -128,6 +128,13 @@ def _json_default(value):
 # ----------------------------------------------------------------------
 # Workload preparation
 # ----------------------------------------------------------------------
+#: The dtype OrcoDCS trains in on the six image figures (fig2, fig4-fig8),
+#: matching DCSNet and the follow-up classifier, which always train in
+#: float32.  Everything else (fleets, deployment, fine-tuning) keeps the
+#: float64 default, because its equivalence bounds are stated in it.
+IMAGE_DTYPE = np.float32
+
+
 @dataclass
 class ImageWorkload:
     """A dataset split packaged for the harness."""

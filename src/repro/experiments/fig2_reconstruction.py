@@ -21,6 +21,7 @@ from ..baselines import DCSNetOnline
 from ..core import OrcoDCSConfig, OrcoDCSFramework
 from ..metrics import psnr, ssim
 from .common import (
+    IMAGE_DTYPE,
     ExperimentResult,
     ImageWorkload,
     digits_workload,
@@ -41,7 +42,8 @@ def _train_pair(workload: ImageWorkload, epochs: int, seed: int
     """
     config = OrcoDCSConfig(input_dim=workload.input_dim,
                            latent_dim=workload.default_latent,
-                           noise_sigma=0.1, seed=seed)
+                           noise_sigma=0.1, seed=seed,
+                           dtype=IMAGE_DTYPE)
     orco = OrcoDCSFramework(config)
     orco_history = orco.fit_config(workload.train_rows, epochs=epochs)
     dcsnet = DCSNetOnline(image_shape=workload.image_shape, seed=seed,

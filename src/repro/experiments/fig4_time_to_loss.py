@@ -30,6 +30,7 @@ from typing import Optional
 from ..baselines import DCSNetOnline
 from ..core import OrcoDCSConfig, OrcoDCSFramework
 from .common import (
+    IMAGE_DTYPE,
     ExperimentResult,
     ImageWorkload,
     digits_workload,
@@ -46,7 +47,8 @@ def run_task(workload: ImageWorkload, epochs: int, seed: int,
 
     config = OrcoDCSConfig(input_dim=workload.input_dim,
                            latent_dim=workload.default_latent,
-                           noise_sigma=0.1, seed=seed)
+                           noise_sigma=0.1, seed=seed,
+                           dtype=IMAGE_DTYPE)
     orco = OrcoDCSFramework(config)
     orco_times, orco_mses, _ = train_with_mse_curve(
         orco, workload.train_rows, val_rows, epochs,

@@ -19,6 +19,7 @@ from ..apps import ImageClassifier
 from ..baselines import DCSNetOnline
 from ..core import OrcoDCSConfig, OrcoDCSFramework
 from .common import (
+    IMAGE_DTYPE,
     ExperimentResult,
     ImageWorkload,
     digits_workload,
@@ -43,7 +44,8 @@ def _reconstruction_sets(workload: ImageWorkload, epochs: int, seed: int
 
     config = OrcoDCSConfig(input_dim=workload.input_dim,
                            latent_dim=workload.default_latent,
-                           noise_sigma=0.1, seed=seed)
+                           noise_sigma=0.1, seed=seed,
+                           dtype=IMAGE_DTYPE)
     orco = OrcoDCSFramework(config)
     orco_history = orco.fit_config(workload.train_rows, epochs=epochs)
     # The classifier's training set also benefits from the noise-diverse

@@ -16,6 +16,7 @@ from typing import List
 
 from ..core import OrcoDCSConfig
 from .common import (
+    IMAGE_DTYPE,
     ExperimentResult,
     ImageWorkload,
     digits_workload,
@@ -33,7 +34,8 @@ def run_task(workload: ImageWorkload, epochs: int, seed: int,
     configs = {
         f"OrcoDCS-{latent}": OrcoDCSConfig(input_dim=workload.input_dim,
                                            latent_dim=latent,
-                                           noise_sigma=0.1, seed=seed)
+                                           noise_sigma=0.1, seed=seed,
+                                           dtype=IMAGE_DTYPE)
         for latent in latent_dims
     }
     finals, dcs_at_time = sweep_with_dcsnet_reference(workload, configs,

@@ -17,6 +17,7 @@ from typing import List
 
 from ..core import OrcoDCSConfig
 from .common import (
+    IMAGE_DTYPE,
     ExperimentResult,
     ImageWorkload,
     digits_workload,
@@ -35,7 +36,7 @@ def run_task(workload: ImageWorkload, variances: List[float], epochs: int,
         f"OrcoDCS(s2={variance:g})": OrcoDCSConfig(
             input_dim=workload.input_dim,
             latent_dim=workload.default_latent,
-            noise_sigma=math.sqrt(variance), seed=seed)
+            noise_sigma=math.sqrt(variance), seed=seed, dtype=IMAGE_DTYPE)
         for variance in variances
     }
     finals, dcs_at_time = sweep_with_dcsnet_reference(workload, configs,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from ..core import OrcoDCSConfig
 from .common import (
+    IMAGE_DTYPE,
     ExperimentResult,
     ImageWorkload,
     digits_workload,
@@ -29,7 +30,8 @@ def run_task(workload: ImageWorkload, epochs: int, seed: int,
         f"OrcoDCS-{depth}L": OrcoDCSConfig(input_dim=workload.input_dim,
                                            latent_dim=workload.default_latent,
                                            decoder_layers=depth,
-                                           noise_sigma=0.1, seed=seed)
+                                           noise_sigma=0.1, seed=seed,
+                                           dtype=IMAGE_DTYPE)
         for depth in DECODER_DEPTHS
     }
     finals, dcs_at_time = sweep_with_dcsnet_reference(workload, configs,

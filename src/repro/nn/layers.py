@@ -2,9 +2,11 @@
 
 The :class:`Module` base class gives automatic parameter registration
 (assigning a :class:`Parameter` or a sub-:class:`Module` to an attribute
-registers it), recursive ``parameters()`` / ``state_dict()`` traversal and
-train/eval mode switching — a deliberately small subset of the familiar
-PyTorch API, enough for every model in the OrcoDCS paper.
+registers it), recursive ``parameters()`` / ``state_dict()`` traversal,
+train/eval mode switching and a one-time parameter cast (``astype``) — a
+deliberately small subset of the familiar PyTorch API, enough for every
+model in the OrcoDCS paper.  Layers draw their initial weights in
+float64; a float32 model is that model rounded.
 """
 
 from __future__ import annotations
@@ -85,6 +87,17 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
+
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype``; returns ``self``.
+
+        A model's dtype is that of its parameters.  Cast before building
+        an optimiser: :class:`~repro.nn.optim.Adam` keeps its moments in
+        the parameters' dtype.
+        """
+        for param in self.parameters():
+            param.data = param.data.astype(dtype, copy=False)
+        return self
 
     # ------------------------------------------------------------------
     # Snapshots

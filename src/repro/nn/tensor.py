@@ -33,27 +33,29 @@ import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used when wrapping python scalars / lists in Tensors."""
-    global _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = np.dtype(dtype)
-
-
-def get_default_dtype():
-    """Return the dtype used when wrapping python scalars / lists."""
-    return _DEFAULT_DTYPE
-
 
 def _as_array(value: ArrayLike) -> np.ndarray:
     arr = value if isinstance(value, np.ndarray) else np.asarray(value)
     if arr.dtype.kind in "fc":
         return arr
     if arr.dtype.kind in "iub":
-        return arr.astype(_DEFAULT_DTYPE)
+        return arr.astype(np.float64)
     raise TypeError(f"cannot build a Tensor from dtype {arr.dtype!r}")
+
+
+def _operand(value: ArrayLike, like: np.ndarray) -> "Tensor":
+    """``value`` as the other operand of an arithmetic op on ``like``.
+
+    A scalar takes ``like``'s dtype.  NumPy promotes a float32 array
+    met by a float64 0-d array to float64, so wrapping ``0.5`` as it
+    stands would widen every float32 graph that scales by a constant.
+    """
+    if isinstance(value, Tensor):
+        return value
+    arr = np.asarray(value)
+    if arr.ndim == 0:
+        arr = arr.astype(like.dtype, copy=False)
+    return Tensor(arr)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -83,7 +85,7 @@ class Tensor:
     ----------
     data:
         Array-like payload.  Floats are kept as-is, integer input is
-        promoted to the default float dtype.
+        promoted to float64.
     requires_grad:
         If True, gradients are accumulated into :attr:`grad` during
         :meth:`backward`.
@@ -104,11 +106,11 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def zeros(shape, requires_grad: bool = False, dtype=None) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE), requires_grad)
+        return Tensor(np.zeros(shape, dtype=dtype or np.float64), requires_grad)
 
     @staticmethod
     def ones(shape, requires_grad: bool = False, dtype=None) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=dtype or _DEFAULT_DTYPE), requires_grad)
+        return Tensor(np.ones(shape, dtype=dtype or np.float64), requires_grad)
 
     @staticmethod
     def randn(*shape, rng: Optional[np.random.Generator] = None,
@@ -234,7 +236,7 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _operand(other, self.data)
         out = self._make_child(self.data + other.data, (self, other), "add")
         if out.requires_grad:
             a, b = self, other
@@ -257,7 +259,7 @@ class Tensor:
         return out
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _operand(other, self.data)
         out = self._make_child(self.data - other.data, (self, other), "sub")
         if out.requires_grad:
             a, b = self, other
@@ -270,10 +272,10 @@ class Tensor:
         return out
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__sub__(self)
+        return _operand(other, self.data).__sub__(self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _operand(other, self.data)
         out = self._make_child(self.data * other.data, (self, other), "mul")
         if out.requires_grad:
             a, b = self, other
@@ -289,7 +291,7 @@ class Tensor:
         return self.__mul__(other)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
+        other = _operand(other, self.data)
         out = self._make_child(self.data / other.data, (self, other), "div")
         if out.requires_grad:
             a, b = self, other
@@ -302,7 +304,7 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other).__truediv__(self)
+        return _operand(other, self.data).__truediv__(self)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -379,7 +381,8 @@ class Tensor:
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope)
+        scale = np.where(mask, 1.0, negative_slope).astype(self.data.dtype,
+                                                           copy=False)
         out = self._make_child(self.data * scale, (self,), "leaky_relu")
         if out.requires_grad:
             a = self
@@ -439,7 +442,7 @@ class Tensor:
             mask = (a.data == value)
             # Split gradient equally among ties so the op stays a valid
             # subgradient even for plateaued inputs.
-            counts = mask.sum(axis=axis, keepdims=True)
+            counts = mask.sum(axis=axis, keepdims=True).astype(a.data.dtype)
 
             def backward(grad: np.ndarray) -> None:
                 g = grad

@@ -1,5 +1,6 @@
 """Unit tests for OrcoDCSConfig."""
 
+import numpy as np
 import pytest
 
 from repro.core import OrcoDCSConfig, gtsrb_task_config, mnist_task_config
@@ -23,6 +24,31 @@ class TestValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OrcoDCSConfig(**kwargs)
+
+    def test_dtype_defaults_to_float64(self):
+        assert OrcoDCSConfig(input_dim=8).dtype == np.dtype(np.float64)
+
+    @pytest.mark.parametrize("dtype,expected", [
+        (np.float32, np.float32), ("float32", np.float32),
+        (np.dtype("float32"), np.float32), (np.float64, np.float64),
+        (float, np.float64),
+    ])
+    def test_dtype_is_stored_as_numpy_dtype(self, dtype, expected):
+        config = OrcoDCSConfig(input_dim=8, dtype=dtype)
+        assert config.dtype == np.dtype(expected)
+        assert isinstance(config.dtype, np.dtype)
+        assert OrcoDCSConfig(input_dim=8).with_overrides(
+            dtype=dtype).dtype == np.dtype(expected)
+
+    @pytest.mark.parametrize("dtype", [
+        np.float16, "float16", np.int32, "int32", np.longdouble,
+        np.complex64, None, "nonsense", 32,
+    ])
+    def test_dtype_must_be_float32_or_float64(self, dtype):
+        with pytest.raises(ValueError):
+            OrcoDCSConfig(input_dim=8, dtype=dtype)
+        with pytest.raises(ValueError):
+            OrcoDCSConfig(input_dim=8).with_overrides(dtype=dtype)
 
     def test_latent_may_exceed_input(self):
         # The paper's Fig. 6 sweeps M=1024 on the 784-dim digits task.

@@ -11,14 +11,15 @@ from repro.core import (
 from repro.wsn import WSNetwork, build_aggregation_tree, select_aggregator
 
 
-def deployed_cluster(n=16, latent=4, seed=0, activation="sigmoid"):
+def deployed_cluster(n=16, latent=4, seed=0, activation="sigmoid",
+                     dtype=np.float64):
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0, 60, (n, 2))
     network = WSNetwork(positions, comm_range_m=25.0, battery_capacity_j=100.0)
     network.set_aggregator(select_aggregator(positions))
     tree = build_aggregation_tree(network)
     config = OrcoDCSConfig(input_dim=n, latent_dim=latent, seed=seed,
-                           activation=activation)
+                           activation=activation, dtype=dtype)
     model = AsymmetricAutoencoder(config)
     return EncoderDeployment(model, network, tree), network, tree, model
 
@@ -79,6 +80,37 @@ class TestEquivalence:
         collected = deployment.compressed_round(readings, charge_network=False)
         assert np.allclose(collected.latent,
                            deployment.centralized_latent(readings), atol=1e-10)
+
+    def test_float32_model_keeps_eq1_exact(self):
+        """A float32 model is deployed as float64 columns (its weights,
+        exactly), so partial sums still reproduce eq. (1) to 1e-9 — on a
+        healthy round and on one with a dead device."""
+        deployment, network, _, model = deployed_cluster(n=40, latent=6,
+                                                         dtype=np.float32)
+        assert model.encoder[0].weight.dtype == np.float32
+        assert deployment.weight_e.dtype == np.float64
+        np.testing.assert_array_equal(deployment.weight_e,
+                                      model.encoder_weights()[0])
+        deployment.distribute()
+        readings = readings_for(network)
+        healthy = deployment.compressed_round(readings)
+        assert len(healthy.contributors) == network.num_devices
+        np.testing.assert_allclose(
+            healthy.latent, deployment.centralized_latent(readings),
+            rtol=0, atol=1e-9)
+        victim = next(nid for nid in network.device_ids
+                      if nid != network.aggregator_id)
+        network.kill_node(victim)
+        masked = deployment.compressed_round(readings)
+        kept = set(masked.contributors)
+        assert victim not in kept
+        expected = deployment.centralized_latent(
+            {nid: value if nid in kept else 0.0
+             for nid, value in readings.items()})
+        np.testing.assert_allclose(masked.latent, expected, rtol=0, atol=1e-9)
+        reconstruction = deployment.reconstruct_at_edge(masked.latent)
+        assert reconstruction.dtype == np.float32
+        assert reconstruction.shape == (40,)
 
     def test_unsupported_activation_rejected(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,13 @@ class TestConstruction:
         assert fleet_compatible(make_trainers(3))
         assert fleet_compatible(make_trainers(2, decoder_layers=3))
 
+    def test_dtype_mismatch_rejected(self):
+        trainers = make_trainers(2) + make_trainers(1, dtype=np.float32)
+        with pytest.raises(FleetIncompatibilityError):
+            FleetTrainer(trainers)
+        assert not fleet_compatible(trainers)
+        assert fleet_compatible(make_trainers(2, dtype=np.float32))
+
     def test_heterogeneous_noise_allowed(self):
         trainers = make_trainers(2, noise=0.1) + make_trainers(1, noise=0.0)
         assert fleet_compatible(trainers)
@@ -81,6 +88,30 @@ class TestStepEquivalence:
         for k, trainer in enumerate(seq):
             expected = trainer.step(batches[k])
             assert abs(records[k].train_loss - expected.train_loss) <= 1e-9
+
+    def test_float32_fleet_tracks_sequential(self):
+        """A float32 stack keeps float32 and stays within the repo-wide
+        1e-6 trajectory budget of its per-cluster twins (the stacked
+        and per-cluster reductions differ by an ulp, not bit for bit)."""
+        seq = make_trainers(3, dtype=np.float32)
+        fleet = FleetTrainer(make_trainers(3, dtype=np.float32))
+        assert fleet.dtype == np.float32
+        for round_index in range(5):
+            batches = batch_stack(seed=round_index)
+            records = fleet.step(batches)
+            for k, trainer in enumerate(seq):
+                expected = trainer.step(batches[k])
+                assert abs(records[k].train_loss
+                           - expected.train_loss) <= 1e-6
+        # The float64 batches were cast at the fleet's data boundary.
+        for opt in (fleet.encoder_optimizer, fleet.decoder_optimizer):
+            assert {p.grad.dtype for p in opt.params} == {np.dtype(np.float32)}
+        fleet.sync_to_trainers()
+        for trainer in fleet.trainers:
+            for opt in (trainer.encoder_optimizer, trainer.decoder_optimizer):
+                for array in [p.data for p in opt.params] + opt._m + opt._v:
+                    assert array.dtype == np.float32
+        assert fleet.evaluate(batch_stack()).dtype == np.float32
 
     def test_sync_back_continues_identically(self):
         seq = make_trainers(2)

@@ -395,6 +395,29 @@ class TestGroupBatching:
                                   cluster_data(seed=index))
         assert scheduler.execution_plan().groups == ((0, 2), (1, 3))
 
+    def test_dtypes_split_groups(self):
+        """float32 and float64 clusters never share a stack: np.stack
+        would promote it, and the write-back would widen the float32
+        clusters' parameters."""
+        scheduler = EdgeTrainingScheduler("round_robin",
+                                          rng=np.random.default_rng(0))
+        dtypes = [np.float32, np.float64, np.float32, np.float64]
+        for index, dtype in enumerate(dtypes):
+            config = OrcoDCSConfig(input_dim=24, latent_dim=4, seed=index,
+                                   noise_sigma=0.1, dtype=dtype)
+            scheduler.add_cluster(f"c{index}", OrcoDCSFramework(config),
+                                  cluster_data(seed=index))
+        plan = scheduler.execution_plan()
+        assert plan.groups == ((0, 2), (1, 3))
+        assert plan.engine == "batched"
+        scheduler.run(rounds_per_cluster=3)
+        for cluster, dtype in zip(scheduler.clusters, dtypes):
+            trainer = cluster.trainer
+            assert len(cluster.history.losses) == 3
+            for opt in (trainer.encoder_optimizer, trainer.decoder_optimizer):
+                arrays = [p.data for p in opt.params] + opt._m + opt._v
+                assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+
     def test_two_odd_singletons_fall_back_to_sequential(self):
         scheduler = EdgeTrainingScheduler("round_robin",
                                           rng=np.random.default_rng(0))

@@ -5,7 +5,6 @@ import pytest
 
 from repro import nn
 from repro.nn.optim import CHUNK
-from repro.nn.tensor import get_default_dtype, set_default_dtype
 
 
 def quadratic_param(start=5.0):
@@ -143,12 +142,8 @@ class TestAdamKernelOracle:
         assert not np.array_equal(fast_opt.params[0].data, fortran)
 
     def test_float32_param(self):
-        previous = get_default_dtype()
-        set_default_dtype(np.float32)
-        try:
-            param = nn.Parameter(np.arange(3 * CHUNK + 7) % 11 - 5)
-        finally:
-            set_default_dtype(previous)
+        param = nn.Parameter(
+            (np.arange(3 * CHUNK + 7) % 11 - 5).astype(np.float32))
         assert param.data.dtype == np.float32
         fast_opt, slow_opt = run_against_reference([param.data, np.ones(5)])
         assert_bit_identical(fast_opt, slow_opt)

@@ -336,3 +336,36 @@ class TestCombinators:
         out.sum().backward()
         assert np.allclose(a.grad, [1, 0])
         assert np.allclose(b.grad, [0, 1])
+
+
+class TestDtypes:
+    """A tensor's dtype survives scalar operands and every unary op."""
+
+    SCALAR_OPS = [
+        lambda t: t + 2, lambda t: 2 + t, lambda t: t - 0.5,
+        lambda t: 0.5 - t, lambda t: t * np.float64(0.5), lambda t: 3 * t,
+        lambda t: t / 3, lambda t: 3 / t, lambda t: t * np.asarray(0.25),
+        lambda t: t.mean(), lambda t: t.mean(axis=0), lambda t: t ** 2,
+        lambda t: t.leaky_relu(0.1), lambda t: t.relu(), lambda t: t.sigmoid(),
+        lambda t: t.tanh(), lambda t: t.max(axis=1), lambda t: t.min(),
+        lambda t: t.abs().sqrt(), lambda t: t.clip(0.2, 0.8),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", range(len(SCALAR_OPS)))
+    def test_value_and_gradient_keep_dtype(self, dtype, op):
+        data = np.random.default_rng(op).random((3, 4)) + 0.1
+        x = Tensor(data.astype(dtype), requires_grad=True)
+        out = self.SCALAR_OPS[op](x)
+        assert out.dtype == dtype
+        out.sum().backward()
+        assert x.grad.dtype == dtype
+
+    def test_scalar_operand_rounds_to_the_tensor_dtype(self):
+        x = Tensor(np.ones(2, np.float32))
+        np.testing.assert_array_equal((x * 0.1).data,
+                                      np.ones(2, np.float32) * np.float32(0.1))
+
+    def test_integer_input_becomes_float64(self):
+        assert Tensor([1, 2]).dtype == np.float64
+        assert Tensor.zeros(3).dtype == np.float64
