@@ -74,7 +74,7 @@ def _check_homogeneous(trainers: Sequence[OrchestratedTrainer]) -> None:
             # np.stack would promote the stack, and the write-back would
             # hand the narrower clusters wider parameters.
             raise FleetIncompatibilityError(
-                f"parameter dtypes differ across trainers: "
+                "parameter dtypes differ across trainers: "
                 f"{trainer.dtype} vs {first.dtype}")
         if type(trainer.loss) is not type(first.loss) or \
                 vars(trainer.loss) != vars(first.loss):

@@ -196,7 +196,7 @@ class OrchestratedTrainer:
         dtypes = {p.dtype for p in self.encoder_optimizer.params
                   + self.decoder_optimizer.params}
         if len(dtypes) != 1:
-            raise ValueError(f"encoder and decoder parameters must share "
+            raise ValueError("encoder and decoder parameters must share "
                              f"one dtype, got {sorted(map(str, dtypes))}")
         (self.dtype,) = dtypes
         self.ledger = TransmissionLedger()

@@ -28,6 +28,21 @@ def toy_trainer(dim=20, latent=4, seed=0, **kwargs):
     return OrchestratedTrainer(encoder, decoder, **defaults)
 
 
+class TestDtype:
+    def test_dtype_is_the_parameters_dtype(self):
+        assert toy_trainer().dtype == np.float64
+
+    def test_sides_must_share_one_dtype(self):
+        rng = np.random.default_rng(0)
+        encoder = Sequential(Dense(20, 4, rng=rng), Sigmoid()).astype(np.float32)
+        decoder = Sequential(Dense(4, 20, rng=rng), Sigmoid())
+        with pytest.raises(ValueError, match="one dtype"):
+            OrchestratedTrainer(encoder, decoder, input_dim=20, latent_dim=4,
+                                loss=HuberLoss(1.0), noise=None,
+                                encoder_forward_flops=160.0,
+                                decoder_forward_flops=160.0)
+
+
 class TestTrainRound:
     def test_returns_record_with_accounting(self):
         trainer = toy_trainer()
