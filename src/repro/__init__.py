@@ -14,7 +14,7 @@ Subpackages
 ``repro.wsn``
     Wireless sensor network simulator (energy, links, aggregation trees).
 ``repro.sim``
-    Discrete-event runtime: unreliable channels (loss/ARQ/jitter),
+    Discrete-event runtime: unreliable channels (loss/ARQ/FEC),
     fault injection and the simulation kernel behind ``engine="event"``.
 ``repro.datasets``
     Synthetic digit / traffic-sign / sensor-field generators.

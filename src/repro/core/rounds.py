@@ -64,7 +64,11 @@ reads delivered verdicts, attempts, retransmission wire bytes and
 elapsed stretches straight from the traces.  Erasure-coded channels
 (:mod:`repro.sim.coding` — FEC parity frames, hybrid ARQ repair) need
 no special handling: a coded transmission is deterministic given its
-trace entry, so coded lossy runs fuse under exactly the same contract.  A lossy round is therefore
+trace entry, so coded lossy runs fuse under exactly the same contract.
+When a fault re-derives a channel's ARQ or parity budget, its trace
+re-records the unconsumed horizon by rewinding the block sampler's
+verdict stream; a channel on the scalar per-frame path cannot rewind,
+so that one combination runs unfused.  A lossy round is therefore
 plan-time computable: failed rounds are walked through exactly as the
 kernel will process them inline (budget burned, battery charged,
 failure streaks advanced, no training update), and successful rounds
@@ -470,7 +474,8 @@ class InlineRoundExecutor:
     The fallback whenever nothing may run early: segment batching
     disabled, no stackable cluster group, or channels whose draw stream
     cannot be re-recorded at a fault's budget re-derivation boundary
-    (jittered or scalar-fallback loss models — see
+    (scalar-path channels: ``vectorize=False`` or a loss model without
+    a block sampler — see
     :attr:`~repro.sim.channel.ChannelSpec.rerecordable`).
     """
 

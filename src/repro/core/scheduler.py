@@ -76,7 +76,7 @@ exotic losses, data shorter than one batch).
   (:class:`~repro.core.rounds.SegmentedFleetExecutor`); rounds
   straddling a fault boundary fall back to per-cluster execution at
   their true kernel times.  Unreliable channels are no barrier: their
-  whole horizon of loss/jitter draws is pre-sampled into replayable
+  whole horizon of loss draws is pre-sampled into replayable
   :class:`~repro.sim.channel.ChannelTrace`\\ s, making lossy rounds
   plan-time computable.  ``loss_priority`` — whose picks the planner
   cannot foresee — fuses **wave-by-wave** (pre-execute only what is
@@ -109,6 +109,8 @@ comparisons measure *scheduling*, not data-order luck.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -124,7 +126,8 @@ from ..obs.telemetry import (
     RoundCompleted,
     TelemetryBus,
 )
-from ..sim.channel import ARQConfig, ChannelSpec, as_loss_model
+from ..sim.channel import (ARQConfig, ChannelSpec, as_loss_model,
+                           ideal_transmit_result)
 from ..sim.coding import (
     CodingSpec,
     delivery_probability,
@@ -333,8 +336,11 @@ class ResilientOrchestrationPolicy:
     def __post_init__(self):
         if self.recovery not in ("arq", "fec", "hybrid"):
             raise ValueError("recovery must be 'arq', 'fec' or 'hybrid'")
-        if self.fec_max_parity < 0:
-            raise ValueError("fec_max_parity must be >= 0")
+        for name in ("fec_max_parity", "arq_min_retries", "arq_max_retries"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, "
+                                 f"got {value!r}")
         if not 0.0 < self.fec_target_residual <= 1.0:
             raise ValueError("fec_target_residual must be in (0, 1]")
         if self.on_aggregator_death not in ("replace", "skip"):
@@ -347,12 +353,16 @@ class ResilientOrchestrationPolicy:
             raise ValueError("quorum must be in [0, 1]")
         if self.max_consecutive_failures < 1:
             raise ValueError("max_consecutive_failures must be >= 1")
-        if self.failover_downtime_s < 0 or self.straggler_cutoff < 1.0:
-            raise ValueError("failover_downtime_s must be >= 0 and "
-                             "straggler_cutoff >= 1")
-        if not 0 <= self.arq_min_retries <= self.arq_max_retries:
+        # Written as negated comparisons so that NaN fails them too.
+        if not 0.0 <= self.failover_downtime_s < math.inf:
+            raise ValueError(f"failover_downtime_s must be finite and >= 0, "
+                             f"got {self.failover_downtime_s!r}")
+        if not self.straggler_cutoff >= 1.0:
+            raise ValueError(f"straggler_cutoff must be >= 1, "
+                             f"got {self.straggler_cutoff!r}")
+        if not self.arq_min_retries <= self.arq_max_retries:
             raise ValueError("need 0 <= arq_min_retries <= arq_max_retries")
-        if self.arq_slack_rich < 1.0 or self.arq_battery_margin < 0.0:
+        if not (self.arq_slack_rich >= 1.0 and self.arq_battery_margin >= 0.0):
             raise ValueError("arq_slack_rich must be >= 1 and "
                              "arq_battery_margin >= 0")
 
@@ -487,11 +497,7 @@ class _EventClusterState:
     def _transmit(channel, link, payload_bytes: int):
         if channel is not None:
             return channel.transmit(payload_bytes)
-        from ..sim.channel import TransmitResult
-        wire = link.wire_bytes(payload_bytes)
-        return TransmitResult(payload_bytes, link.frames_for(payload_bytes),
-                              link.frames_for(payload_bytes), 0, True, wire,
-                              link.transfer_time(payload_bytes), wire)
+        return ideal_transmit_result(link, payload_bytes)
 
     # -- energy --------------------------------------------------------
     def charge_backhaul(self, tx_wire_bytes: int, rx_wire_bytes: int) -> None:
@@ -834,10 +840,11 @@ class EdgeTrainingScheduler:
                                and self.resilience.recovery != "arq")
             # Adaptive budgets re-derive at fault boundaries; a traced
             # channel then re-records its remaining horizon, which
-            # requires a rewindable draw stream (zero jitter plus a
-            # block-samplable loss model).  Channels that cannot rewind
-            # keep the unfused loop — the only remaining fault/loss
-            # coupling gate.
+            # requires a rewindable draw stream: a block-samplable loss
+            # model on the vectorized path.  Channels that cannot rewind
+            # (``vectorize=False``, or a loss model make_loss_sampler
+            # refuses) keep the unfused loop — the only remaining
+            # fault/loss coupling gate.
             rederives = bool(self.fault_schedule) \
                 and self.channels is not None \
                 and (self.resilience.adaptive_arq
@@ -847,8 +854,8 @@ class EdgeTrainingScheduler:
                 blockers.append((
                     "non-rerecordable-channel",
                     "budget re-derivation at fault boundaries needs a "
-                    "re-recordable draw stream (jittered or "
-                    "scalar-fallback loss models cannot rewind)"))
+                    "re-recordable draw stream (scalar-path channels "
+                    "cannot rewind)"))
             if blockers:
                 return ExecutionPlan(
                     "event", groups,
@@ -999,13 +1006,9 @@ class EdgeTrainingScheduler:
         A channel is consulted at most once per round (failed uplinks
         skip the downlink), so surplus entries simply go unused.
 
-        Recording runs on the channels' vectorized batch kernel; each
-        channel's :class:`~repro.sim.channel.TracePolicy` (from
-        ``ChannelSpec.trace``) decides whether a long horizon
-        records **chunked** — one chunk ahead, refilled lazily from the
-        same RNG stream — so trace memory stays bounded for 1e5+-round
-        runs; the entry sequence, and therefore the run, is identical
-        either way.
+        Recording runs on the channels' vectorized batch kernel and
+        keeps the whole horizon in one
+        :class:`~repro.sim.channel.ChannelTrace` per channel.
         """
         with self._bus.span("trace_record"):
             for cluster in self.clusters:

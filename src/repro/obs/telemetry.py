@@ -157,8 +157,8 @@ class ParityChosen(TelemetryEvent):
 class TransmitBatch(TelemetryEvent):
     """The vectorized channel kernel priced a batch of transmissions.
 
-    Covers live batched sends, trace recording, and chunked-trace
-    refills — they all route through ``UnreliableChannel.transmit_batch``.
+    Covers live batched sends, trace recording and trace re-recording
+    — they all route through ``UnreliableChannel.transmit_batch``.
     """
 
     kind = "transmit_batch"

@@ -29,8 +29,7 @@ section):
   counts ignore burst correlation, so expect looser agreement on
   delivered-round counts.
 * **Means, not samples** — per-cluster loss *trajectories* require
-  training math; ``final_loss_per_cluster`` is NaN.  Jitter enters as
-  its per-attempt mean (and variance in the deadline fold).
+  training math; ``final_loss_per_cluster`` is NaN.
 * **No fault schedules, no quorum** — the scheduler refuses
   ``engine="analytic"`` with a fault schedule; quorum halts depend on
   the joint order of retirements, which a per-cluster product model
@@ -91,34 +90,29 @@ class DirectionForecast:
 
 
 def _slot_moments(loss_rate: float, cap: int, frame_time: float,
-                  timeout: float, jitter_s: float
-                  ) -> Tuple[float, float, float]:
+                  timeout: float) -> Tuple[float, float, float]:
     """(delivery prob, mean, variance) of one frame slot's elapsed time.
 
     The slot succeeds at attempt ``j <= cap`` with probability
     ``p^(j-1)(1-p)`` — elapsed ``j`` frame airtimes plus ``j - 1`` ACK
     timeouts — or burns all ``cap`` attempts (each with a timeout) with
-    probability ``p^cap``.  Exponential jitter adds its mean per
-    attempt (and its variance, for the deadline fold).
+    probability ``p^cap``.
     """
     if loss_rate == 0.0:
-        mean = frame_time + jitter_s
-        return 1.0, mean, jitter_s ** 2
+        return 1.0, frame_time, 0.0
     j = np.arange(1, cap + 1, dtype=float)
     pmf_success = loss_rate ** (j - 1) * (1.0 - loss_rate)
     p_fail = loss_rate ** cap
-    t_success = j * frame_time + (j - 1) * timeout + j * jitter_s
-    t_fail = cap * (frame_time + timeout + jitter_s)
+    t_success = j * frame_time + (j - 1) * timeout
+    t_fail = cap * (frame_time + timeout)
     mean = float(pmf_success @ t_success + p_fail * t_fail)
     second = float(pmf_success @ (t_success ** 2) + p_fail * t_fail ** 2)
-    attempts = (1.0 - p_fail) / (1.0 - loss_rate)
-    variance = max(0.0, second - mean ** 2) + attempts * jitter_s ** 2
+    variance = max(0.0, second - mean ** 2)
     return 1.0 - p_fail, mean, variance
 
 
 def _price_arq(link: LinkModel, payload_bytes: int, frames: List[int],
-               loss_rate: float, arq: ARQConfig,
-               jitter_s: float) -> DirectionForecast:
+               loss_rate: float, arq: ARQConfig) -> DirectionForecast:
     """Uncoded stop-and-wait pricing, abort-on-exhausted-slot.
 
     Slot ``i`` is attempted only when slots ``0..i-1`` all delivered
@@ -137,7 +131,7 @@ def _price_arq(link: LinkModel, payload_bytes: int, frames: List[int],
     attempt_prob = 1.0    # q^i: slots before i all delivered
     for payload in frames:
         _, slot_mean, slot_var = _slot_moments(
-            loss_rate, cap, link.frame_time(payload), timeout, jitter_s)
+            loss_rate, cap, link.frame_time(payload), timeout)
         wire += attempt_prob * attempts_per_slot * (payload + header)
         received += attempt_prob * q * (payload + header)
         elapsed += attempt_prob * slot_mean
@@ -153,8 +147,8 @@ def _price_arq(link: LinkModel, payload_bytes: int, frames: List[int],
 
 
 def _price_coded(link: LinkModel, payload_bytes: int, frames: List[int],
-                 loss_rate: float, arq: ARQConfig, coding: CodingSpec,
-                 jitter_s: float) -> DirectionForecast:
+                 loss_rate: float, arq: ARQConfig,
+                 coding: CodingSpec) -> DirectionForecast:
     """Open-loop FEC burst pricing, plus hybrid shortfall repair.
 
     The burst always radiates ``F + k`` frames (parity frames carry
@@ -174,12 +168,11 @@ def _price_coded(link: LinkModel, payload_bytes: int, frames: List[int],
     burst_wire = float(sum(payload + header for payload in frames)
                        + parity * (stripe + header))
     burst_time = float(sum(link.frame_time(payload) for payload in frames)
-                       + parity * link.frame_time(stripe)
-                       + total * jitter_s)
+                       + parity * link.frame_time(stripe))
     wire = burst_wire
     received = (1.0 - loss_rate) * burst_wire
     elapsed = burst_time
-    variance = total * jitter_s ** 2
+    variance = 0.0
     attempts = float(total)
     p_deliver = float(delivery_probability(data_frames, parity, loss_rate))
 
@@ -189,8 +182,7 @@ def _price_coded(link: LinkModel, payload_bytes: int, frames: List[int],
         attempts_per_slot = expected_slot_attempts(loss_rate,
                                                    arq.max_retries)
         _, slot_mean, slot_var = _slot_moments(
-            loss_rate, cap, link.frame_time(stripe), arq.ack_timeout_s,
-            jitter_s)
+            loss_rate, cap, link.frame_time(stripe), arq.ack_timeout_s)
         stripe_wire = stripe + header
         keep = 1.0 - loss_rate
         p_deliver = 0.0
@@ -222,8 +214,7 @@ def _price_coded(link: LinkModel, payload_bytes: int, frames: List[int],
 
 def price_transmit(link: LinkModel, payload_bytes: int, loss_rate: float,
                    arq: Optional[ARQConfig] = None,
-                   coding: Optional[CodingSpec] = None,
-                   jitter_s: float = 0.0) -> DirectionForecast:
+                   coding: Optional[CodingSpec] = None) -> DirectionForecast:
     """Expected-cost mirror of ``UnreliableChannel.transmit``.
 
     One closed-form evaluation per link direction; validated against
@@ -240,15 +231,15 @@ def price_transmit(link: LinkModel, payload_bytes: int, loss_rate: float,
         return DirectionForecast(0, 0, 0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if coding is not None and coding.parity_frames > 0:
         return _price_coded(link, payload_bytes, frames, loss_rate, arq,
-                            coding, jitter_s)
-    if loss_rate == 0.0 and jitter_s == 0.0:
+                            coding)
+    if loss_rate == 0.0:
         # Bit-exact agreement with the ideal link's closed forms,
         # mirroring the channel's clean-path shortcut.
         wire = float(link.wire_bytes(payload_bytes))
         return DirectionForecast(
             payload_bytes, len(frames), 0, 1.0, float(len(frames)),
             wire, wire, link.transfer_time(payload_bytes), 0.0)
-    return _price_arq(link, payload_bytes, frames, loss_rate, arq, jitter_s)
+    return _price_arq(link, payload_bytes, frames, loss_rate, arq)
 
 
 # ----------------------------------------------------------------------
@@ -324,19 +315,18 @@ def _normal_tail(mean: float, variance: float, threshold: float) -> float:
 
 
 def _direction_spec(spec: Optional[ChannelSpec]
-                    ) -> Tuple[float, ARQConfig, Optional[CodingSpec], float]:
-    """(mean loss rate, arq, coding, jitter) of one direction's spec."""
+                    ) -> Tuple[float, ARQConfig, Optional[CodingSpec]]:
+    """(mean loss rate, arq, coding) of one direction's spec."""
     if spec is None:
-        return 0.0, ARQConfig(), None, 0.0
+        return 0.0, ARQConfig(), None
     model = as_loss_model(spec.loss() if callable(spec.loss) else spec.loss)
     rate = float(model.mean_loss_rate) if model is not None else 0.0
-    return rate, spec.arq, spec.coding, spec.jitter_s
+    return rate, spec.arq, spec.coding
 
 
 def _cached_price(cache: Optional[dict], link: LinkModel,
                   payload_bytes: int, loss_rate: float, arq: ARQConfig,
-                  coding: Optional[CodingSpec],
-                  jitter_s: float) -> DirectionForecast:
+                  coding: Optional[CodingSpec]) -> DirectionForecast:
     """Memoized :func:`price_transmit` for ensemble forecasting.
 
     Every input is a frozen dataclass or scalar, so identical pricing
@@ -345,13 +335,12 @@ def _cached_price(cache: Optional[dict], link: LinkModel,
     the 1000-cluster sweep sub-second.
     """
     if cache is None:
-        return price_transmit(link, payload_bytes, loss_rate, arq, coding,
-                              jitter_s)
-    key = (link, payload_bytes, loss_rate, arq, coding, jitter_s)
+        return price_transmit(link, payload_bytes, loss_rate, arq, coding)
+    key = (link, payload_bytes, loss_rate, arq, coding)
     forecast = cache.get(key)
     if forecast is None:
         forecast = cache[key] = price_transmit(
-            link, payload_bytes, loss_rate, arq, coding, jitter_s)
+            link, payload_bytes, loss_rate, arq, coding)
     return forecast
 
 
@@ -372,12 +361,10 @@ def forecast_cluster(cluster, up_spec: Optional[ChannelSpec],
     trainer = cluster.trainer
     costs = trainer.round_costs(cluster.batch_size)
     timing = costs.timing
-    up_rate, up_arq, up_coding, up_jitter = _direction_spec(up_spec)
-    down_rate, down_arq, down_coding, down_jitter = _direction_spec(down_spec)
-    up = _cached_price(_cache, trainer.timing.up, costs.up_bytes, up_rate,
-                       up_arq, up_coding, up_jitter)
+    up = _cached_price(_cache, trainer.timing.up, costs.up_bytes,
+                       *_direction_spec(up_spec))
     down = _cached_price(_cache, trainer.timing.down, costs.down_bytes,
-                         down_rate, down_arq, down_coding, down_jitter)
+                         *_direction_spec(down_spec))
 
     p_round = up.p_deliver * down.p_deliver
     agg_s = timing.aggregator_compute_s

@@ -5,8 +5,10 @@ Three layers, each usable on its own:
 * :mod:`repro.sim.events` — the simulation kernel (monotonic event
   queue, simulated clock, generator-based processes);
 * :mod:`repro.sim.channel` — unreliable links (Bernoulli /
-  Gilbert-Elliott frame loss, ARQ retransmission budgets, latency
-  jitter) wrapped around the ideal :class:`~repro.wsn.link.LinkModel`;
+  Gilbert-Elliott frame loss, ARQ retransmission budgets, erasure-coded
+  FEC priced by :mod:`repro.sim.coding`) wrapped around the ideal
+  :class:`~repro.wsn.link.LinkModel`, with :mod:`repro.sim.sampler` as
+  their vectorized block-sampling kernel;
 * :mod:`repro.sim.faults` — declarative fault schedules (node death,
   battery brownout, aggregator failover, stragglers, churn) injected at
   simulated times.
@@ -23,12 +25,10 @@ from .channel import (
     ChannelTrace,
     ChannelTraceDigest,
     ChannelTraceExhausted,
-    ChunkedChannelTrace,
     GILBERT_ELLIOTT_PRESETS,
     GILBERT_ELLIOTT_TRACE_DIGESTS,
     GilbertElliottLoss,
     RecoveryStrategy,
-    TracePolicy,
     TransmitResult,
     UnreliableChannel,
     as_loss_model,
@@ -38,11 +38,7 @@ from .channel import (
 )
 from .coding import (
     CodingSpec,
-    ErasureCodec,
-    ErasureDecodeError,
-    decode_floats,
     delivery_probability,
-    encode_floats,
     expected_frames_per_delivery,
 )
 from .events import Event, EventScheduler, SimulationError
@@ -65,13 +61,11 @@ from .faults import (
 
 __all__ = [
     "ARQConfig", "BernoulliLoss", "ChannelSpec", "ChannelTrace",
-    "ChannelTraceDigest", "ChannelTraceExhausted", "ChunkedChannelTrace",
-    "CodingSpec", "ErasureCodec", "ErasureDecodeError",
+    "ChannelTraceDigest", "ChannelTraceExhausted", "CodingSpec",
     "GILBERT_ELLIOTT_PRESETS", "GILBERT_ELLIOTT_TRACE_DIGESTS",
-    "GilbertElliottLoss", "RecoveryStrategy", "TracePolicy",
-    "TransmitResult", "UnreliableChannel", "as_loss_model",
-    "decode_floats", "delivery_probability", "digest_gilbert_elliott",
-    "encode_floats", "expected_frames_per_delivery",
+    "GilbertElliottLoss", "RecoveryStrategy", "TransmitResult",
+    "UnreliableChannel", "as_loss_model", "delivery_probability",
+    "digest_gilbert_elliott", "expected_frames_per_delivery",
     "fit_gilbert_elliott", "ideal_transmit_result",
     "BernoulliSampler", "GilbertElliottSampler", "LossSampler",
     "make_loss_sampler", "parse_arq_stream",

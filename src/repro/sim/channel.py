@@ -1,4 +1,4 @@
-"""Unreliable links: frame loss, ARQ retransmission and latency jitter.
+"""Unreliable links: frame loss, ARQ retransmission and erasure coding.
 
 The seed's :class:`~repro.wsn.link.LinkModel` moves every byte
 perfectly.  Real 802.15.4 sensor links and congested backhauls do not,
@@ -16,10 +16,9 @@ per-frame:
   (:class:`~repro.sim.coding.CodingSpec`): ``k`` parity frames per
   message, decodable from any ``F`` of ``F+k`` coded frames —
   retransmission-free open-loop recovery, optionally with ARQ repair of
-  a shortfall (hybrid);
-* **jitter** — optional exponential per-frame latency jitter.
+  a shortfall (hybrid).
 
-Contract with the ideal layer: with no loss events and zero jitter a
+Contract with the ideal layer: with no loss events an uncoded
 :meth:`UnreliableChannel.transmit` reports *exactly*
 ``link.transfer_time(n)`` seconds and ``link.wire_bytes(n)`` bytes —
 the property the event engine's zero-fault equivalence anchor rests on.
@@ -28,7 +27,7 @@ Channel traces
 --------------
 Channel randomness is also available as a *replayable input* instead of
 an execution side effect: :meth:`UnreliableChannel.record_trace` draws
-the loss/jitter outcomes of a whole horizon of fixed-payload transmits
+the loss outcomes of a whole horizon of fixed-payload transmits
 up front (consuming the channel's RNG and burst state exactly as live
 transmits would) and :meth:`UnreliableChannel.replay` switches the
 channel to serving those pre-sampled :class:`TransmitResult`\\ s in
@@ -42,9 +41,10 @@ stretch) and still match the unfused live run exactly.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -155,10 +155,13 @@ class ARQConfig:
     ack_timeout_s: float = 0.01
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.ack_timeout_s < 0:
-            raise ValueError("ack_timeout_s must be >= 0")
+        if not (isinstance(self.max_retries, numbers.Integral)
+                and self.max_retries >= 0):
+            raise ValueError(f"max_retries must be an integer >= 0, "
+                             f"got {self.max_retries!r}")
+        if not 0.0 <= self.ack_timeout_s < math.inf:
+            raise ValueError(f"ack_timeout_s must be finite and >= 0, "
+                             f"got {self.ack_timeout_s!r}")
 
 
 @dataclass(frozen=True)
@@ -197,35 +200,6 @@ class RecoveryStrategy:
 
 
 @dataclass(frozen=True)
-class TracePolicy:
-    """Declarative trace-recording policy for one channel.
-
-    ``chunk`` forces chunked recording at that size; with
-    ``chunk=None`` horizons longer than ``auto_threshold`` transmits
-    record chunked at ``auto_chunk`` (bounded memory), shorter horizons
-    record in full.
-    """
-
-    chunk: Optional[int] = None
-    auto_threshold: int = 4096
-    auto_chunk: int = 1024
-
-    def __post_init__(self):
-        if self.chunk is not None and self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        if self.auto_threshold < 0:
-            raise ValueError("auto_threshold must be >= 0")
-        if self.auto_chunk < 1:
-            raise ValueError("auto_chunk must be >= 1")
-
-    def chunk_for(self, transmits: int) -> Optional[int]:
-        """Chunk size for a ``transmits``-long horizon (None = full)."""
-        if self.chunk is not None:
-            return self.chunk
-        return self.auto_chunk if transmits > self.auto_threshold else None
-
-
-@dataclass(frozen=True)
 class TransmitResult:
     """Outcome of one message transmission over an unreliable channel.
 
@@ -242,21 +216,21 @@ class TransmitResult:
     lost_frames: int     # attempts that were lost in flight
     delivered: bool      # decodable / every frame within its ARQ budget?
     wire_bytes: int      # bytes radiated across all attempts
-    elapsed_s: float     # sender-side elapsed time incl. timeouts/jitter
+    elapsed_s: float     # sender-side elapsed time incl. ACK timeouts
     received_wire_bytes: int = 0   # bytes that actually reached the receiver
     retransmissions: int = 0       # attempts beyond the first, per frame
     parity_frames: int = 0         # erasure-code parity frames radiated
     fec_wire_bytes: int = 0        # bytes radiated as parity overhead
-    fec_time_s: float = 0.0        # parity airtime (jitter excluded)
+    fec_time_s: float = 0.0        # parity airtime
 
 
 def ideal_transmit_result(link: LinkModel, n_bytes: int) -> TransmitResult:
     """The closed-form outcome of a clean transmit on an ideal link.
 
     Exactly what :meth:`UnreliableChannel.transmit` reports for a
-    lossless, jitterless, uncoded message — the one pricing formula the
-    live channel, the batched kernel and the segment planner's
-    no-trace stand-ins all share.
+    lossless, uncoded message — the one pricing formula the batched
+    kernel, the segment planner's no-trace stand-ins and the event
+    engine's ideal links all share.
     """
     frames = link.frame_sizes(n_bytes)
     if not frames:
@@ -341,119 +315,8 @@ class ChannelTrace:
                 channel.transmit_batch(self.payload_bytes, remaining))
 
 
-class ChunkedChannelTrace:
-    """Bounded-memory channel trace: record ahead in chunks, refill on
-    exhaustion from the channel's own RNG stream, discard consumed
-    entries.
-
-    Replay semantics are identical to a full :class:`ChannelTrace` from
-    the same seed: a channel's draw sequence depends only on its RNG,
-    and chunked recording consumes that stream in exactly the order a
-    full up-front recording would — just lazily.  Sequential replay
-    keeps at most ``chunk + 1`` entries buffered (the planner's
-    ``seed_current`` reads one entry behind the cursor, so exactly one
-    consumed entry is retained); planner lookahead past the recorded
-    frontier transparently records further chunks, so a fused run's
-    worst case degrades to the full trace's memory while unfused or
-    short-lookahead runs stay O(chunk) for 1e5+-round horizons.
-    """
-
-    def __init__(self, channel: "UnreliableChannel", payload_bytes: int,
-                 transmits: int, chunk: int):
-        if transmits < 0:
-            raise ValueError("transmits must be non-negative")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        self.channel = channel
-        self.payload_bytes = payload_bytes
-        self.total = transmits
-        self.chunk = chunk
-        self.cursor = 0
-        self._entries: Deque[TransmitResult] = deque()
-        self._base = 0   # absolute index of _entries[0]
-        # Absolute sampler verdict offset of _entries[0]; advances by the
-        # popped entry's attempts on every discard so a mid-chunk
-        # re-record can compute the exact resume offset.  The pin keeps
-        # the sampler's buffer replayable from there.
-        sampler = channel._sampler
-        self._offset0 = sampler.position if sampler is not None else 0
-        if sampler is not None:
-            sampler.pin(self._offset0)
-
-    def __len__(self) -> int:
-        return self.total
-
-    @property
-    def remaining(self) -> int:
-        return self.total - self.cursor
-
-    @property
-    def buffered(self) -> int:
-        """Entries currently held in memory (the bound under test)."""
-        return len(self._entries)
-
-    def entry(self, index: int) -> TransmitResult:
-        """Entry at absolute ``index``, recording forward as needed."""
-        if not 0 <= index < self.total:
-            raise ChannelTraceExhausted(
-                f"entry {index} outside the {self.total}-transmit horizon")
-        if index < self._base:
-            raise ValueError(
-                f"entry {index} was discarded (chunked trace retains "
-                f">= {self._base}); chunked replay is forward-only")
-        while self._base + len(self._entries) <= index:
-            burst = min(self.chunk,
-                        self.total - self._base - len(self._entries))
-            # One batched kernel call (one RNG block draw) per chunk.
-            self._entries.extend(
-                self.channel.transmit_batch(self.payload_bytes, burst))
-        return self._entries[index - self._base]
-
-    def next(self) -> TransmitResult:
-        """Consume and return the next recorded outcome."""
-        if self.cursor >= self.total:
-            raise ChannelTraceExhausted(
-                f"trace of {self.total} transmits exhausted")
-        result = self.entry(self.cursor)
-        self.cursor += 1
-        moved = False
-        while self._base < self.cursor - 1:
-            popped = self._entries.popleft()
-            self._base += 1
-            self._offset0 += popped.attempts
-            moved = True
-        if moved and self.channel._sampler is not None:
-            self.channel._sampler.pin(self._offset0)
-        return result
-
-    def rerecord(self) -> None:
-        """Drop the recorded-ahead frontier; refill under new budgets.
-
-        Keeps every entry up to and including the one ``cursor`` last
-        consumed (``entry(cursor - 1)`` stays readable for the
-        planner's ``seed_current``) and rewinds the sampler to the
-        verdict offset *after* those retained entries — including the
-        already-consumed retained entry's attempts, which is the
-        off-by-one that would otherwise replay consumed draws.
-        Discarded frontier entries re-record lazily on the next
-        :meth:`entry` from the rewound stream.
-        """
-        keep = self.cursor - self._base
-        sampler = self.channel._sampler
-        if sampler is not None:
-            resume = self._offset0 + sum(
-                self._entries[i].attempts for i in range(keep))
-            sampler.rewind(resume)
-        while len(self._entries) > keep:
-            self._entries.pop()
-
-
-#: Either trace flavour serves :meth:`UnreliableChannel.transmit`.
-ChannelTraceLike = Union[ChannelTrace, ChunkedChannelTrace]
-
-
 class UnreliableChannel:
-    """A :class:`LinkModel` wrapped with loss, ARQ and jitter.
+    """A :class:`LinkModel` wrapped with loss, ARQ and erasure coding.
 
     Parameters
     ----------
@@ -464,8 +327,6 @@ class UnreliableChannel:
         object with ``frame_lost(rng) -> bool``.
     arq:
         Retransmission policy; ``None`` uses the default budget.
-    jitter_s:
-        Mean of an exponential extra per-frame delay (0 disables).
     coding:
         Optional :class:`~repro.sim.coding.CodingSpec`: the message's
         frames become shards of a systematic erasure code (``k`` extra
@@ -474,10 +335,7 @@ class UnreliableChannel:
         ``arq_fallback`` a shortfall is ARQ-repaired (hybrid).  A
         zero-parity spec degenerates to the uncoded path bit-for-bit.
     rng:
-        Generator driving loss and jitter draws (deterministic per seed).
-    trace_policy:
-        :class:`TracePolicy` governing how :meth:`record_trace` chunks
-        long horizons; ``None`` uses the defaults.
+        Generator driving loss draws (deterministic per seed).
     vectorize:
         Route draws and trace recording through the block-sampling
         kernel of :mod:`repro.sim.sampler` when the loss model supports
@@ -487,33 +345,26 @@ class UnreliableChannel:
     """
 
     def __init__(self, link: LinkModel, loss: LossModelLike = None,
-                 arq: Optional[ARQConfig] = None, jitter_s: float = 0.0,
+                 arq: Optional[ARQConfig] = None,
                  coding: Optional[CodingSpec] = None,
                  rng: Optional[np.random.Generator] = None,
-                 trace_policy: Optional[TracePolicy] = None,
                  vectorize: bool = True):
-        if jitter_s < 0:
-            raise ValueError("jitter_s must be >= 0")
         self.link = link
         self.loss = as_loss_model(loss)
         self.arq = arq or ARQConfig()
-        self.jitter_s = jitter_s
         self.coding = coding
         self.rng = rng or np.random.default_rng()
         self.bus = NULL_BUS
-        self.trace: Optional[ChannelTraceLike] = None
-        self.trace_policy = trace_policy or TracePolicy()
+        self.trace: Optional[ChannelTrace] = None
         self.strategy = RecoveryStrategy.resolve(self.arq, self.coding)
         self._sampler: Optional[LossSampler] = (
-            make_loss_sampler(self.loss, self.rng, self.jitter_s)
-            if vectorize else None)
+            make_loss_sampler(self.loss, self.rng) if vectorize else None)
         # Exact-elapsed memo tables, keyed by payload (see _batch_arq).
         self._elapsed_memo: Dict[int, dict] = {}
 
     # ------------------------------------------------------------------
-    def record_trace(self, payload_bytes: int, transmits: int, *,
-                     policy: Optional[TracePolicy] = None
-                     ) -> ChannelTraceLike:
+    def record_trace(self, payload_bytes: int,
+                     transmits: int) -> ChannelTrace:
         """Pre-sample ``transmits`` fixed-payload transmit outcomes.
 
         Consumes this channel's RNG stream and burst state exactly as
@@ -522,20 +373,9 @@ class UnreliableChannel:
         the same seed.  Recording more transmits than a run consumes is
         harmless: each channel owns its RNG, so surplus draws leak into
         nothing.
-
-        Chunking is governed by ``policy`` (default: the channel's
-        :class:`TracePolicy`): a chunked horizon records as a
-        :class:`ChunkedChannelTrace` that keeps only one chunk ahead
-        and refills lazily from the same RNG stream — identical entry
-        sequence, bounded memory.
         """
         if transmits < 0:
             raise ValueError("transmits must be non-negative")
-        policy = policy or self.trace_policy
-        chunk_size = policy.chunk_for(transmits)
-        if chunk_size is not None:
-            return ChunkedChannelTrace(self, payload_bytes, transmits,
-                                       chunk_size)
         origin = self._sampler.position if self._sampler is not None else 0
         if self._sampler is not None:
             self._sampler.pin(origin)
@@ -544,7 +384,7 @@ class UnreliableChannel:
                             channel=self, payload_bytes=payload_bytes,
                             origin=origin)
 
-    def replay(self, trace: ChannelTraceLike) -> None:
+    def replay(self, trace: ChannelTrace) -> None:
         """Serve future :meth:`transmit` calls from ``trace`` in order."""
         self.trace = trace
 
@@ -554,11 +394,11 @@ class UnreliableChannel:
 
         Requires the draw stream to be rewindable: lossless channels
         draw nothing, block-sampled lossy channels retain their pinned
-        verdict buffer.  Jittered or scalar-fallback channels consume
-        the raw generator irreversibly.
+        verdict buffer.  Lossy channels on the scalar per-frame path
+        (``vectorize=False``, or a loss model without a block sampler)
+        consume the raw generator irreversibly.
         """
-        return self.jitter_s == 0.0 and (self.loss is None
-                                         or self._sampler is not None)
+        return self.loss is None or self._sampler is not None
 
     def set_arq(self, arq: ARQConfig) -> None:
         """Swap the retransmission budget mid-run (fault re-derivation).
@@ -583,8 +423,8 @@ class UnreliableChannel:
             return
         if not self.rerecordable:
             raise RuntimeError(
-                "channel draws cannot be rewound (jittered or scalar "
-                "fallback); the execution plan should not have fused")
+                "channel draws cannot be rewound (scalar per-frame "
+                "path); the execution plan should not have fused")
         self.trace.rerecord()
 
     # ------------------------------------------------------------------
@@ -593,7 +433,7 @@ class UnreliableChannel:
 
         A message is delivered iff *every* frame is delivered within the
         retry budget; on a frame giving up, remaining frames are not
-        sent (the sender aborts the message).  Lossless + jitterless
+        sent (the sender aborts the message).  Lossless uncoded
         transmits reproduce the ideal link's closed-form time and bytes
         exactly.  Trace-driven channels pop the next pre-sampled
         outcome instead of drawing live.
@@ -623,7 +463,7 @@ class UnreliableChannel:
                                           float]:
         """Stop-and-wait one frame under the ARQ budget.
 
-        The one copy of the per-frame attempt/timeout/jitter accounting,
+        The one copy of the per-frame attempt/timeout accounting,
         shared by the uncoded message loop and the hybrid repair phase
         (which must never diverge).  The message's running ``elapsed``
         is threaded through so float accumulation order is identical to
@@ -641,8 +481,6 @@ class UnreliableChannel:
             retransmissions += repair or attempt > 0
             wire += frame_wire
             elapsed += frame_time
-            if self.jitter_s > 0.0:
-                elapsed += float(self.rng.exponential(self.jitter_s))
             if self._frame_lost():
                 lost += 1
                 elapsed += self.arq.ack_timeout_s
@@ -691,7 +529,7 @@ class UnreliableChannel:
                 delivered = False
                 break
 
-        if delivered and lost == 0 and self.jitter_s == 0.0:
+        if delivered and lost == 0:
             # Bit-exact agreement with the ideal link (no per-frame
             # floating-point summation drift on the clean path).
             elapsed = link.transfer_time(n_bytes)
@@ -735,8 +573,6 @@ class UnreliableChannel:
             attempts += 1
             wire += frame_wire
             elapsed += link.frame_time(payload)
-            if self.jitter_s > 0.0:
-                elapsed += float(self.rng.exponential(self.jitter_s))
             if self._frame_lost():
                 lost += 1
                 erased.append(payload)
@@ -776,10 +612,10 @@ class UnreliableChannel:
         RNG stream, same burst-state evolution, same float accumulation
         — but the loss horizon is pre-sampled in blocks and ARQ/FEC
         outcomes are priced in O(count) array ops instead of per-frame
-        generator steps.  Trace recording and chunk refills run on this
-        path; channels whose draws cannot be block-sampled (jitter,
-        exotic loss models, ``vectorize=False``) fall back to the
-        scalar per-frame reference.
+        generator steps.  Trace recording runs on this path; channels
+        whose draws cannot be block-sampled (loss models without a
+        sampler, ``vectorize=False``) fall back to the scalar per-frame
+        reference.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
@@ -804,7 +640,7 @@ class UnreliableChannel:
         frames = self.link.frame_sizes(n_bytes)
         if not frames:
             return [TransmitResult(0, 0, 0, 0, True, 0, 0.0, 0, 0)] * count
-        if self.loss is None and self.jitter_s == 0.0:
+        if self.loss is None:
             # Draw-free channel: one outcome, shared (results are
             # frozen).  Coded channels still radiate parity every time.
             if self.strategy.coded:
@@ -1060,30 +896,26 @@ class ChannelSpec:
     """Declarative recipe for building per-link unreliable channels.
 
     Experiments and the scheduler's event engine describe degradation
-    once (`loss rate`, ARQ budget, jitter) and stamp out one channel per
+    once (loss rate, ARQ budget, coding) and stamp out one channel per
     cluster/link with independent RNG streams via :meth:`build`.
 
     ``loss`` may be a float (Bernoulli rate) or a zero-argument factory
     returning a fresh loss-model instance (needed for stateful
     Gilbert-Elliott channels, which must not share burst state).
-    ``trace`` is the declarative :class:`TracePolicy` every built
-    channel records under; ``vectorize=False`` pins built channels to
-    the scalar per-frame reference path (testing/benchmarking only).
+    ``vectorize=False`` pins built channels to the scalar per-frame
+    reference path (testing/benchmarking only).
     """
 
     loss: Union[float, Callable[[], object], None] = None
     arq: ARQConfig = field(default_factory=ARQConfig)
-    jitter_s: float = 0.0
     coding: Optional[CodingSpec] = None
-    trace: TracePolicy = field(default_factory=TracePolicy)
     vectorize: bool = True
 
     def build(self, link: LinkModel,
               rng: np.random.Generator) -> UnreliableChannel:
         loss = self.loss() if callable(self.loss) else self.loss
         return UnreliableChannel(link, loss=loss, arq=self.arq,
-                                 jitter_s=self.jitter_s, coding=self.coding,
-                                 rng=rng, trace_policy=self.trace,
+                                 coding=self.coding, rng=rng,
                                  vectorize=self.vectorize)
 
     def with_arq(self, arq: ARQConfig) -> "ChannelSpec":
@@ -1092,7 +924,7 @@ class ChannelSpec:
         The hook per-cluster ARQ adaptation uses: the scheduler's
         resilience policy derives one budget per cluster (deadline
         slack, battery state) and stamps per-cluster channels from the
-        shared loss/jitter recipe.
+        shared loss recipe.
         """
         return replace(self, arq=arq)
 
@@ -1111,10 +943,6 @@ class ChannelSpec:
             coding = CodingSpec(parity_frames=coding,
                                 arq_fallback=arq_fallback)
         return replace(self, coding=coding)
-
-    def with_trace(self, trace: TracePolicy) -> "ChannelSpec":
-        """This spec with a different trace-recording policy."""
-        return replace(self, trace=trace)
 
     @property
     def recovery_strategy(self) -> RecoveryStrategy:
@@ -1138,13 +966,11 @@ class ChannelSpec:
         """True when channels built from this spec can re-record traces.
 
         Re-recording rewinds the sampler's verdict stream, so it needs
-        a block-samplable loss model (or no loss at all) and no jitter
-        — the same conditions :func:`~repro.sim.sampler.make_loss_sampler`
-        checks, probed here on a throwaway model instance (factories
-        draw nothing at construction).
+        a block-samplable loss model (or no loss at all) — the
+        condition :func:`~repro.sim.sampler.make_loss_sampler` checks,
+        probed here on a throwaway model instance (factories draw
+        nothing at construction).
         """
-        if self.jitter_s != 0.0:
-            return False
         model = as_loss_model(self.loss() if callable(self.loss)
                               else self.loss)
         if model is None:
@@ -1155,18 +981,17 @@ class ChannelSpec:
 
     @property
     def ideal(self) -> bool:
-        """True when this spec degrades nothing (lossless, no jitter,
-        no coding overhead — parity frames radiate extra bytes and
-        airtime even on a lossless link)."""
+        """True when this spec degrades nothing (lossless, no coding
+        overhead — parity frames radiate extra bytes and airtime even on
+        a lossless link)."""
         if callable(self.loss):
             return False
         if self.coding is not None and self.coding.parity_frames > 0:
             return False
-        return (self.loss is None or self.loss == 0.0) and self.jitter_s == 0.0
+        return self.loss is None or self.loss == 0.0
 
     @classmethod
     def preset(cls, name: str, arq: Optional[ARQConfig] = None,
-               jitter_s: float = 0.0,
                coding: Optional[CodingSpec] = None) -> "ChannelSpec":
         """Named Gilbert-Elliott channel calibrated to 802.15.4 traces.
 
@@ -1180,7 +1005,7 @@ class ChannelSpec:
                              f"{sorted(GILBERT_ELLIOTT_PRESETS)}")
         params = GILBERT_ELLIOTT_PRESETS[name]
         return cls(loss=lambda: GilbertElliottLoss(**params),
-                   arq=arq or ARQConfig(), jitter_s=jitter_s, coding=coding)
+                   arq=arq or ARQConfig(), coding=coding)
 
 
 #: Gilbert-Elliott parameter sets distilled from published IEEE 802.15.4

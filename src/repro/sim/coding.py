@@ -9,16 +9,8 @@ so retransmission-free recovery is the natural other axis: send ``M+k``
 coded symbols up front and decode **exactly** from *any* ``M``
 arrivals, no feedback channel required.
 
-Three pieces:
+Two pieces:
 
-* :class:`ErasureCodec` — a systematic Cauchy-Reed-Solomon code over
-  GF(256) (the construction practical erasure coders use: every square
-  submatrix of a Cauchy matrix is nonsingular, so the code is MDS and
-  *any* ``M`` of the ``M+k`` coded shards reconstruct the originals,
-  byte-for-byte exactly).  Payload bytes — including float scalars,
-  whose bit patterns round-trip untouched — are striped across shards;
-  :func:`encode_floats`/:func:`decode_floats` are the scalar-level view
-  ("send M+k coded scalars") used by the WSN partial-sum path.
 * :class:`CodingSpec` — the declarative per-link recipe (how many
   parity frames per message, whether ARQ repairs a shortfall), the FEC
   counterpart of :class:`~repro.sim.channel.ARQConfig`.  A message of
@@ -32,209 +24,27 @@ Three pieces:
   coding_parity_for`).
 
 The cost model in :class:`~repro.sim.channel.UnreliableChannel` moves
-no real payload bytes, so the channel integration only needs the
-*counting* semantics (``k`` extra stripe-sized frames, decodable from
-any ``F``); the codec itself backs the exactness property tests and the
-coded partial-sum path through
-:func:`~repro.wsn.aggregation.hybrid_encode_partial`.
+no real payload bytes, so it models the code by counting alone: ``k``
+extra stripe-sized frames per message, decodable iff at least ``F`` of
+the ``F + k`` arrive.  That is the guarantee of a systematic
+Cauchy-Reed-Solomon code over GF(256) — every square submatrix of a
+Cauchy matrix is nonsingular, so the code is MDS — which also caps a
+message at 256 shards.  The codec itself lives with the tests
+(``tests/test_sim_coding.py``) as the oracle that any ``F`` of ``F + k``
+shards decode exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "CodingSpec", "ErasureCodec", "ErasureDecodeError",
-    "decode_floats", "delivery_probability", "encode_floats",
-    "expected_frames_per_delivery", "hybrid_delivery_probability",
+    "CodingSpec", "delivery_probability", "expected_frames_per_delivery",
+    "hybrid_delivery_probability",
 ]
-
-
-# ----------------------------------------------------------------------
-# GF(256) arithmetic (AES-standard reduction polynomial 0x11d)
-# ----------------------------------------------------------------------
-def _build_tables() -> Tuple[np.ndarray, np.ndarray]:
-    exp = np.zeros(512, dtype=np.uint8)
-    log = np.zeros(256, dtype=np.int64)
-    value = 1
-    for power in range(255):
-        exp[power] = value
-        log[value] = power
-        value <<= 1
-        if value & 0x100:
-            value ^= 0x11D
-    exp[255:510] = exp[:255]  # wraparound so log sums need no modulo
-    return exp, log
-
-
-_GF_EXP, _GF_LOG = _build_tables()
-
-
-def gf_mul(a, b) -> np.ndarray:
-    """Element-wise GF(256) product of two uint8 arrays (broadcasting)."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    product = _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
-    return np.where((a == 0) | (b == 0), 0, product).astype(np.uint8)
-
-
-def gf_inverse(a: int) -> int:
-    """Multiplicative inverse in GF(256); 0 has none."""
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return int(_GF_EXP[255 - _GF_LOG[a]])
-
-
-def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(256): XOR-accumulated gf_mul products."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    # (n, K, 1) x (1, K, m) -> (n, K, m), XOR-reduced over K.  Shard
-    # counts are small (<= 256), so the broadcast stays tiny.
-    products = gf_mul(a[:, :, None], b[None, :, :])
-    return np.bitwise_xor.reduce(products, axis=1)
-
-
-def gf_inv_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Invert a square matrix over GF(256) by Gauss-Jordan elimination."""
-    matrix = np.asarray(matrix, dtype=np.uint8)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError("matrix must be square")
-    aug = np.concatenate([matrix.copy(),
-                          np.eye(n, dtype=np.uint8)], axis=1)
-    for col in range(n):
-        pivot_rows = np.nonzero(aug[col:, col])[0]
-        if pivot_rows.size == 0:
-            raise np.linalg.LinAlgError("matrix is singular over GF(256)")
-        pivot = col + int(pivot_rows[0])
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = gf_mul(gf_inverse(int(aug[col, col])), aug[col])
-        for row in range(n):
-            if row != col and aug[row, col]:
-                aug[row] ^= gf_mul(aug[row, col], aug[col])
-    return aug[:, n:]
-
-
-# ----------------------------------------------------------------------
-# Systematic Cauchy-Reed-Solomon codec
-# ----------------------------------------------------------------------
-class ErasureDecodeError(ValueError):
-    """Decoding was asked of fewer/invalid shards than the code needs."""
-
-
-class ErasureCodec:
-    """Systematic ``(M, M+k)`` Cauchy-Reed-Solomon code over GF(256).
-
-    ``encode`` maps ``M`` data shards (equal-length byte rows) to
-    ``M + k`` coded shards whose first ``M`` are the data untouched
-    (systematic).  The parity rows come from a Cauchy matrix
-    ``C[i, j] = 1 / (x_i ^ y_j)`` with ``x_i = M + i``, ``y_j = j`` —
-    every square submatrix of a Cauchy matrix is nonsingular, so any
-    ``M`` rows of the generator ``[I; C]`` are invertible: the code is
-    MDS and ``decode`` recovers the data **exactly** (byte-for-byte)
-    from any ``M`` of the ``M + k`` shards.
-    """
-
-    def __init__(self, data_shards: int, parity_shards: int):
-        if data_shards < 1:
-            raise ValueError("data_shards must be >= 1")
-        if parity_shards < 0:
-            raise ValueError("parity_shards must be >= 0")
-        if data_shards + parity_shards > 256:
-            raise ValueError("GF(256) supports at most 256 total shards, "
-                             f"got {data_shards + parity_shards}")
-        self.data_shards = data_shards
-        self.parity_shards = parity_shards
-        x = np.arange(data_shards,
-                      data_shards + parity_shards, dtype=np.uint8)
-        y = np.arange(data_shards, dtype=np.uint8)
-        denom = x[:, None] ^ y[None, :]
-        cauchy = _GF_EXP[255 - _GF_LOG[denom]].astype(np.uint8) \
-            if parity_shards else np.zeros((0, data_shards), dtype=np.uint8)
-        self.matrix = np.concatenate(
-            [np.eye(data_shards, dtype=np.uint8), cauchy], axis=0)
-
-    @property
-    def total_shards(self) -> int:
-        return self.data_shards + self.parity_shards
-
-    def encode(self, shards: np.ndarray) -> np.ndarray:
-        """``(M, L)`` data bytes -> ``(M+k, L)`` coded bytes."""
-        shards = np.atleast_2d(np.asarray(shards, dtype=np.uint8))
-        if shards.shape[0] != self.data_shards:
-            raise ValueError(f"expected {self.data_shards} data shards, "
-                             f"got {shards.shape[0]}")
-        if self.parity_shards == 0:
-            return shards.copy()
-        parity = gf_matmul(self.matrix[self.data_shards:], shards)
-        return np.concatenate([shards, parity], axis=0)
-
-    def decode(self, indices: Sequence[int],
-               shards: np.ndarray) -> np.ndarray:
-        """Recover the ``(M, L)`` data from any ``M`` coded shards.
-
-        ``indices`` names which coded rows ``shards`` holds (0-based
-        positions in the ``M+k`` output of :meth:`encode`).  Exact by
-        construction: GF(256) arithmetic has no rounding, so data bytes
-        — float bit patterns included — round-trip untouched.
-        """
-        indices = [int(i) for i in indices]
-        shards = np.atleast_2d(np.asarray(shards, dtype=np.uint8))
-        if len(indices) != self.data_shards:
-            raise ErasureDecodeError(
-                f"need exactly {self.data_shards} shards to decode, "
-                f"got {len(indices)}")
-        if len(set(indices)) != len(indices):
-            raise ErasureDecodeError(f"duplicate shard indices {indices}")
-        if not all(0 <= i < self.total_shards for i in indices):
-            raise ErasureDecodeError(
-                f"shard indices {indices} out of range 0.."
-                f"{self.total_shards - 1}")
-        if shards.shape[0] != len(indices):
-            raise ErasureDecodeError("one shard row per index required")
-        if indices == list(range(self.data_shards)):
-            return shards.copy()   # all systematic rows arrived
-        return gf_matmul(gf_inv_matrix(self.matrix[indices]), shards)
-
-
-def encode_floats(values: np.ndarray, parity: int) -> np.ndarray:
-    """``M`` float64 scalars -> ``M + parity`` coded float64 scalars.
-
-    Each scalar is one 8-byte shard; parity scalars are GF(256) parity
-    bytes reinterpreted as float64 bit patterns (meaningless as numbers,
-    wire-compatible with the simulator's scalar accounting).
-    """
-    values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-    if values.ndim != 1:
-        raise ValueError("values must be a 1-D scalar vector")
-    shards = values.view(np.uint8).reshape(values.size, 8)
-    coded = ErasureCodec(values.size, parity).encode(shards)
-    return np.ascontiguousarray(coded).view(np.float64).ravel()
-
-
-def decode_floats(indices: Sequence[int], coded: np.ndarray,
-                  data_scalars: int) -> np.ndarray:
-    """Recover the original scalars from any ``data_scalars`` coded ones.
-
-    ``indices`` names each received scalar's position in the
-    :func:`encode_floats` output; recovery is bit-exact (NaN payloads
-    and signed zeros included).
-    """
-    coded = np.ascontiguousarray(np.asarray(coded, dtype=np.float64))
-    if coded.ndim != 1:
-        raise ValueError("coded must be a 1-D scalar vector")
-    parity = 0 if not len(indices) else max(
-        0, max(int(i) for i in indices) - data_scalars + 1)
-    codec = ErasureCodec(data_scalars, max(parity, 0))
-    shards = coded.view(np.uint8).reshape(coded.size, 8)
-    decoded = codec.decode(indices, shards)
-    return np.ascontiguousarray(decoded).view(np.float64).ravel()
 
 
 # ----------------------------------------------------------------------

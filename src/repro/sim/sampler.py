@@ -255,21 +255,21 @@ class GilbertElliottSampler(LossSampler):
         self._origin_bad = bool(self.model.bad)
 
 
-def make_loss_sampler(loss, rng: np.random.Generator,
-                      jitter_s: float = 0.0) -> Optional[LossSampler]:
+def make_loss_sampler(loss,
+                      rng: np.random.Generator) -> Optional[LossSampler]:
     """A block sampler for ``loss`` when one can match scalar draws.
 
     Returns ``None`` when block sampling cannot reproduce the scalar
-    RNG stream: jittered channels interleave exponential draws with loss
-    uniforms; a Gilbert-Elliott model with a zero per-state loss rate
-    draws a state-dependent number of uniforms per frame; unknown or
-    lossless models have nothing to sample.  Callers fall back to the
-    per-frame path in those cases.
+    RNG stream: a Gilbert-Elliott model with a zero per-state loss rate
+    (the default ``GilbertElliottLoss()`` among them) draws a
+    state-dependent number of uniforms per frame; unknown or lossless
+    models have nothing to sample.  Callers fall back to the per-frame
+    path in those cases.
     """
     # Imported here: channel.py imports this module at load time.
     from .channel import BernoulliLoss, GilbertElliottLoss
 
-    if jitter_s > 0.0 or loss is None:
+    if loss is None:
         return None
     if isinstance(loss, BernoulliLoss):
         return BernoulliSampler(loss, rng) if loss.rate > 0.0 else None

@@ -37,12 +37,16 @@ class LinkModel:
     header_bytes: int = 17
 
     def __post_init__(self):
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not self.bandwidth_bps > 0:
+            raise ValueError(f"bandwidth must be positive, "
+                             f"got {self.bandwidth_bps!r}")
         if self.max_payload_bytes <= 0:
             raise ValueError("max_payload_bytes must be positive")
-        if self.header_bytes < 0 or self.latency_s < 0:
-            raise ValueError("header_bytes and latency_s must be non-negative")
+        if self.header_bytes < 0:
+            raise ValueError("header_bytes must be non-negative")
+        if not 0.0 <= self.latency_s < math.inf:
+            raise ValueError(f"latency_s must be finite and non-negative, "
+                             f"got {self.latency_s!r}")
 
     def frames_for(self, n_bytes: int) -> int:
         """Number of frames needed to carry ``n_bytes`` of payload."""

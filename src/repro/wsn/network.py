@@ -7,7 +7,7 @@ against node batteries using the first-order radio model.
 
 Unreliable operation: :meth:`WSNetwork.attach_unreliable` wraps any of
 the three link classes in a :class:`repro.sim.channel.UnreliableChannel`
-(frame loss + ARQ + jitter).  The transmit primitives then charge every
+(frame loss + ARQ, optionally erasure-coded).  The transmit primitives then charge every
 *retransmitted* byte to the sender's battery and the ledger too, and
 records carry ``attempts``/``delivered`` so experiments can separate
 goodput from radiated traffic.  Nodes can die (:meth:`WSNetwork.kill_node`
@@ -265,7 +265,7 @@ class WSNetwork:
                           rng: Optional[np.random.Generator] = None) -> None:
         """Wrap link classes in unreliable channels built from specs.
 
-        Each attached channel draws loss/jitter from its own stream of
+        Each attached channel draws loss from its own stream of
         ``rng`` (deterministic per seed).  Passing ``None`` for a link
         class leaves it ideal.
         """

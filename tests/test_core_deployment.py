@@ -224,8 +224,8 @@ class TestUnreliableSensorHops:
         """Coded partial sums through hybrid_encode_partial: the M-vector
         a relay forwards survives any k erasures of its M+k coded
         scalars, bit for bit."""
-        from repro.sim import decode_floats, encode_floats
         from repro.wsn.aggregation import hybrid_encode_partial
+        from test_sim_coding import decode_floats, encode_floats
 
         deployment, network, tree = self._deployed_lossy(loss=0.0)
         readings = readings_for(network)

@@ -27,13 +27,24 @@ from repro.core.rounds import (
     loss_rank,
 )
 from repro.obs import RoundCompleted, TelemetryBus
-from repro.sim import ARQConfig, ChannelSpec, FaultEvent, FaultSchedule
+from repro.sim import (ARQConfig, ChannelSpec, FaultEvent, FaultSchedule,
+                       GilbertElliottLoss)
 
 DIM = 24
 LATENT = 4
 BATCH = 8
 ROWS = 48
 ROUNDS = 10
+
+
+#: The two kinds of lossy channel on the scalar per-frame path, whose
+#: draw stream cannot rewind: ``vectorize=False``, and a loss model
+#: without a block sampler (the default Gilbert-Elliott model has
+#: ``loss_good=0``).
+SCALAR_PATH = {
+    "vectorize-off": ChannelSpec(loss=0.1, vectorize=False),
+    "no-sampler": ChannelSpec(loss=GilbertElliottLoss),
+}
 
 
 def build_scheduler(fused=True, clusters=4, policy="round_robin", seed=0,
@@ -280,10 +291,11 @@ class TestSegmentEdgeCases:
         assert report.failed_rounds == pair[3].failed_rounds
         assert sum(report.failed_rounds.values()) > 0  # the sweep regime
 
-    def test_jittery_channels_fuse_bit_identically(self):
-        spec = ChannelSpec(loss=0.05, arq=ARQConfig(max_retries=2),
-                           jitter_s=0.0005)
-        pair = run_pair(channels=spec)
+    @pytest.mark.parametrize("kind", sorted(SCALAR_PATH))
+    def test_scalar_path_fuses_bit_identically(self, kind):
+        """Channels that cannot rewind still record and replay traces,
+        so they fuse whenever no budget re-derives."""
+        pair = run_pair(channels=SCALAR_PATH[kind])
         assert_fused_matches_unfused(*pair)
         assert pair[1].fused_rounds > 0
 
@@ -434,21 +446,22 @@ class TestExecutionPlan:
                 adaptive_arq=True)).execution_plan()
         assert plan.fused
 
-    def test_jittered_rederiving_channel_stays_unfused(self):
-        """Jittered draws cannot rewind, so re-derivation under faults
-        keeps the one remaining loss/fault coupling gate closed."""
+    @pytest.mark.parametrize("kind", sorted(SCALAR_PATH))
+    def test_rederiving_scalar_path_stays_unfused(self, kind):
+        """Scalar-path draws cannot rewind, so re-derivation under
+        faults keeps the one remaining loss/fault coupling gate closed."""
         faults = FaultSchedule([FaultEvent(1.0, "brownout", "c0",
                                            magnitude=0.5)])
         plan = build_scheduler(
-            channels=ChannelSpec(loss=0.1, jitter_s=0.0005), faults=faults,
+            channels=SCALAR_PATH[kind], faults=faults,
             resilience=ResilientOrchestrationPolicy(
                 adaptive_arq=True)).execution_plan()
         assert not plan.fused
         assert plan.reasons == ("non-rerecordable-channel",)
         assert "re-record" in plan.reason
-        # Without faults nothing re-derives: jittered traces replay fine.
+        # Without faults nothing re-derives: their traces replay fine.
         plan = build_scheduler(
-            channels=ChannelSpec(loss=0.1, jitter_s=0.0005),
+            channels=SCALAR_PATH[kind],
             resilience=ResilientOrchestrationPolicy(
                 adaptive_arq=True)).execution_plan()
         assert plan.fused
@@ -471,7 +484,6 @@ class TestExecutionPlan:
         faults = FaultSchedule([FaultEvent(1.0, "brownout", "c0",
                                            magnitude=0.5)])
         lossy = ChannelSpec(loss=0.1)
-        jittery = ChannelSpec(loss=0.1, jitter_s=0.0005)
         for recovery in ("arq", "fec", "hybrid"):
             for with_faults in (False, True):
                 for adaptive in (False, True):
@@ -491,18 +503,20 @@ class TestExecutionPlan:
                             expected = ("wave" if policy == "loss_priority"
                                         else "segment")
                             assert plan.mode == expected, combo
-                            # Jittered channels flip exactly the combos
-                            # that re-derive budgets at fault boundaries.
-                            plan = build_scheduler(
-                                policy=policy, channels=jittery,
-                                faults=faults if with_faults else None,
-                                resilience=resilience).execution_plan()
+                            # Scalar-path channels flip exactly the
+                            # combos that re-derive budgets at fault
+                            # boundaries.
                             rederives = with_faults and (
                                 adaptive or recovery != "arq")
-                            assert plan.fused == (not rederives), combo
-                            assert plan.reasons == (
-                                ("non-rerecordable-channel",)
-                                if rederives else ()), combo
+                            for spec in SCALAR_PATH.values():
+                                plan = build_scheduler(
+                                    policy=policy, channels=spec,
+                                    faults=faults if with_faults else None,
+                                    resilience=resilience).execution_plan()
+                                assert plan.fused == (not rederives), combo
+                                assert plan.reasons == (
+                                    ("non-rerecordable-channel",)
+                                    if rederives else ()), combo
         # The non-event engines and the flag keep their own slugs.
         plan = build_scheduler(fused=False).execution_plan()
         assert plan.reasons == ("segment-batching-disabled",)
@@ -612,15 +626,15 @@ class TestRerecordFusion:
         assert pair[1].halted
         assert pair[1].fused_rounds > 0
 
-    def test_jittered_channel_runs_unfused_under_rederivation(self):
+    @pytest.mark.parametrize("kind", sorted(SCALAR_PATH))
+    def test_scalar_path_runs_unfused_on_rederive(self, kind):
         """The fallback still works end to end for the one run class
-        that cannot re-record (jittered draws)."""
-        spec = ChannelSpec(loss=0.1, arq=ARQConfig(max_retries=2),
-                           jitter_s=0.0005)
+        that cannot re-record (scalar-path draws)."""
         resilience = ResilientOrchestrationPolicy(adaptive_arq=True)
         faults = FaultSchedule([FaultEvent(0.01, "brownout", "c0",
                                            magnitude=1e-12)])
-        report = build_scheduler(channels=spec, resilience=resilience,
+        report = build_scheduler(channels=SCALAR_PATH[kind],
+                                 resilience=resilience,
                                  faults=faults).run(rounds_per_cluster=5)
         assert report.fused_rounds == 0
         assert report.arq_budgets["c0"] == 0

@@ -1,4 +1,4 @@
-"""Unit tests for unreliable channels: loss models, ARQ, jitter."""
+"""Unit tests for unreliable channels: loss models, ARQ, traces."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from repro.sim import (
     ARQConfig,
     BernoulliLoss,
     ChannelSpec,
+    ChannelTrace,
     GILBERT_ELLIOTT_PRESETS,
     GilbertElliottLoss,
     UnreliableChannel,
@@ -148,25 +149,20 @@ class TestARQ:
         with pytest.raises(ValueError):
             ARQConfig(ack_timeout_s=-0.1)
         with pytest.raises(ValueError):
-            UnreliableChannel(sensor_link(), jitter_s=-1.0)
-        with pytest.raises(ValueError):
             UnreliableChannel(sensor_link()).transmit(-1)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_ack_timeout_rejected(self, timeout):
+        """A NaN or infinite timeout would turn every lost attempt's
+        elapsed time into NaN or inf."""
+        with pytest.raises(ValueError, match="ack_timeout_s"):
+            ARQConfig(ack_timeout_s=timeout)
 
-class TestJitter:
-    def test_jitter_extends_elapsed_only(self):
-        link = sensor_link()
-        channel = UnreliableChannel(link, jitter_s=0.01, rng=rng(0))
-        result = channel.transmit(960)
-        assert result.delivered
-        assert result.wire_bytes == link.wire_bytes(960)
-        assert result.elapsed_s > link.transfer_time(960)
-
-    def test_jitter_is_deterministic_per_seed(self):
-        results = [UnreliableChannel(sensor_link(), jitter_s=0.01,
-                                     rng=rng(7)).transmit(960).elapsed_s
-                   for _ in range(2)]
-        assert results[0] == results[1]
+    def test_fractional_retry_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_retries"):
+            ARQConfig(max_retries=2.5)
+        # numpy integers are integers.
+        assert ARQConfig(max_retries=np.int64(2)).max_retries == 2
 
 
 class TestChannelSpec:
@@ -190,7 +186,6 @@ class TestChannelSpec:
         assert ChannelSpec().ideal
         assert ChannelSpec(loss=0.0).ideal
         assert not ChannelSpec(loss=0.1).ideal
-        assert not ChannelSpec(jitter_s=0.01).ideal
 
     def test_reset_clears_burst_state(self):
         channel = UnreliableChannel(
@@ -271,8 +266,7 @@ class TestChannelTrace:
     """Record/replay: channel randomness as a replayable input."""
 
     def _channel(self, seed=7, **kwargs):
-        defaults = dict(loss=0.2, arq=ARQConfig(max_retries=2),
-                        jitter_s=0.001)
+        defaults = dict(loss=0.2, arq=ARQConfig(max_retries=2))
         defaults.update(kwargs)
         return UnreliableChannel(uplink(), rng=rng(seed), **defaults)
 
@@ -282,6 +276,25 @@ class TestChannelTrace:
         traced.replay(traced.record_trace(3000, 40))
         for _ in range(40):
             assert traced.transmit(3000) == live.transmit(3000)
+
+    def test_scalar_path_replay_bit_identical_to_live(self):
+        """The per-frame reference path records and replays too."""
+        live = self._channel(vectorize=False)
+        traced = self._channel(vectorize=False)
+        traced.replay(traced.record_trace(3000, 40))
+        for _ in range(40):
+            assert traced.transmit(3000) == live.transmit(3000)
+
+    def test_long_horizon_records_one_full_trace(self):
+        """Any horizon records as one ChannelTrace, equal entry for entry
+        to the same number of live transmits."""
+        live = self._channel(seed=4)
+        traced = self._channel(seed=4)
+        trace = traced.record_trace(300, 5000)
+        assert type(trace) is ChannelTrace
+        assert len(trace) == 5000
+        assert list(trace.entries) == [live.transmit(300)
+                                       for _ in range(5000)]
 
     def test_gilbert_elliott_replay_bit_identical(self):
         def build(seed):
@@ -343,9 +356,9 @@ class TestTraceRerecord:
         return build(), build()
 
     def _swap_and_compare(self, live, traced, payload=2000, total=40,
-                          consumed=13, policy=None):
+                          consumed=13):
         from repro.sim import ARQConfig as ARQ
-        traced.replay(traced.record_trace(payload, total, policy=policy))
+        traced.replay(traced.record_trace(payload, total))
         for _ in range(consumed):
             assert traced.transmit(payload) == live.transmit(payload)
         for channel in (live, traced):
@@ -354,27 +367,27 @@ class TestTraceRerecord:
         traced.rerecord_trace()
         for _ in range(total - consumed):
             assert traced.transmit(payload) == live.transmit(payload)
+        # The resume offset counted every consumed attempt: both
+        # channels stand at the same place in their verdict streams.
+        assert traced._sampler.position == live._sampler.position
 
-    def test_full_trace_rerecord_matches_live_swap(self):
-        self._swap_and_compare(*self._pair())
-
-    def test_chunked_mid_chunk_rerecord_never_replays_consumed_draws(self):
-        """The off-by-one regression: ``ChunkedChannelTrace.next``
-        retains the just-consumed entry for ``seed_current``, so the
-        resume offset must count that entry's attempts too.  Resuming
-        one verdict early would re-parse an already-consumed draw and
-        diverge from the live channel immediately."""
-        from repro.sim import TracePolicy
-        live, traced = self._pair(seed=11)
-        # consumed=13 with chunk=8 lands mid-way through chunk two.
-        self._swap_and_compare(live, traced, consumed=13,
-                               policy=TracePolicy(chunk=8))
-
-    def test_chunked_rerecord_at_chunk_boundary(self):
-        from repro.sim import TracePolicy
-        live, traced = self._pair(seed=5)
-        self._swap_and_compare(live, traced, consumed=16,
-                               policy=TracePolicy(chunk=8))
+    # 39 and 40 are the horizon's total - 1 and total.
+    @pytest.mark.parametrize("consumed", [0, 1, 13, 39, 40])
+    @pytest.mark.parametrize("preset", [False, True],
+                             ids=["bernoulli", "preset"])
+    def test_full_trace_rerecord_matches_live_swap(self, preset, consumed):
+        """Re-recording at any consume point, the horizon's first and
+        last included, continues exactly where a live channel swapping
+        budgets at the same point stands — on i.i.d. loss and on the
+        bursty ``noisy_office`` preset."""
+        if preset:
+            params = GILBERT_ELLIOTT_PRESETS["noisy_office"]
+            live, traced = self._pair(
+                loss=lambda: GilbertElliottLoss(**params),
+                arq=ARQConfig(max_retries=1))
+        else:
+            live, traced = self._pair()
+        self._swap_and_compare(live, traced, total=40, consumed=consumed)
 
     def test_gilbert_elliott_rerecord_restores_burst_state(self):
         """Rewinding a bursty sampler must re-sync the Markov state at
@@ -413,16 +426,27 @@ class TestTraceRerecord:
     def test_rerecordable_property(self):
         assert UnreliableChannel(uplink(), loss=0.2, rng=rng(0)).rerecordable
         assert UnreliableChannel(uplink(), rng=rng(0)).rerecordable
-        assert not UnreliableChannel(uplink(), loss=0.2, jitter_s=0.001,
+        assert UnreliableChannel(uplink(), rng=rng(0),
+                                 vectorize=False).rerecordable
+        # The two channels that cannot rewind: the scalar path, and a
+        # loss model without a block sampler (loss_good=0 by default).
+        assert not UnreliableChannel(uplink(), loss=0.2, rng=rng(0),
+                                     vectorize=False).rerecordable
+        assert not UnreliableChannel(uplink(), loss=GilbertElliottLoss(),
                                      rng=rng(0)).rerecordable
         assert ChannelSpec(loss=0.1).rerecordable
         assert ChannelSpec().rerecordable
-        assert not ChannelSpec(loss=0.1, jitter_s=0.001).rerecordable
+        assert ChannelSpec(vectorize=False).rerecordable
+        assert not ChannelSpec(loss=0.1, vectorize=False).rerecordable
+        assert not ChannelSpec(loss=GilbertElliottLoss).rerecordable
         assert ChannelSpec.preset("noisy_office").rerecordable
 
-    def test_rerecord_refuses_jittered_channel(self):
-        channel = UnreliableChannel(uplink(), loss=0.2, jitter_s=0.001,
-                                    rng=rng(0))
+    @pytest.mark.parametrize("scalar_path", [
+        dict(loss=0.2, vectorize=False),
+        dict(loss=GilbertElliottLoss()),
+    ], ids=["vectorize-off", "no-sampler"])
+    def test_rerecord_refuses_scalar_path_channel(self, scalar_path):
+        channel = UnreliableChannel(uplink(), rng=rng(0), **scalar_path)
         channel.replay(channel.record_trace(500, 5))
         channel.transmit(500)
         with pytest.raises(RuntimeError, match="cannot be rewound"):

@@ -18,17 +18,14 @@ from repro.sim import (
     BernoulliLoss,
     BernoulliSampler,
     ChannelSpec,
-    ChannelTrace,
-    ChunkedChannelTrace,
     CodingSpec,
     GILBERT_ELLIOTT_PRESETS,
     GilbertElliottLoss,
     GilbertElliottSampler,
-    TracePolicy,
     UnreliableChannel,
     make_loss_sampler,
 )
-from repro.wsn.link import sensor_link, uplink
+from repro.wsn.link import sensor_link
 
 
 def _result_fields(result):
@@ -126,8 +123,11 @@ class TestSamplerBitIdentity:
         assert make_loss_sampler(None, rng) is None
         assert make_loss_sampler(BernoulliLoss(0.0), rng) is None
         assert make_loss_sampler(BernoulliLoss(0.3), rng) is not None
-        assert make_loss_sampler(BernoulliLoss(0.3), rng,
-                                 jitter_s=0.001) is None
+        # A zero per-state loss rate (the default loss_good=0) draws a
+        # state-dependent number of uniforms per frame: no sampler.
+        assert make_loss_sampler(GilbertElliottLoss(), rng) is None
+        assert make_loss_sampler(GilbertElliottLoss(loss_good=0.01),
+                                 rng) is not None
         assert make_loss_sampler(object(), rng) is None
 
 
@@ -259,29 +259,18 @@ class TestBatchedPricingBitIdentity:
 
     @given(rate=st.floats(0.05, 0.6), seed=st.integers(0, 2 ** 16),
            transmits=st.integers(0, 200),
-           chunk=st.sampled_from([None, 1, 7, 64]))
+           coding_idx=st.integers(0, len(CODINGS) - 1))
     @settings(max_examples=30, deadline=None)
     def test_recorded_traces_match_reference(self, rate, seed, transmits,
-                                             chunk):
-        policy = TracePolicy(chunk=chunk) if chunk else TracePolicy()
-        vec, ref = _pair(seed, rate, arq=ARQConfig(max_retries=1))
-        trace_v = vec.record_trace(300, transmits, policy=policy)
-        trace_r = ref.record_trace(300, transmits, policy=policy)
+                                             coding_idx):
+        vec, ref = _pair(seed, rate, arq=ARQConfig(max_retries=1),
+                         coding=CODINGS[coding_idx])
+        trace_v = vec.record_trace(300, transmits)
+        trace_r = ref.record_trace(300, transmits)
         entries_v = [trace_v.next() for _ in range(transmits)]
         entries_r = [trace_r.next() for _ in range(transmits)]
         assert [_result_fields(e) for e in entries_v] \
             == [_result_fields(e) for e in entries_r]
-
-    def test_coded_chunked_trace_matches_reference_on_uplink(self):
-        for coding in CODINGS[1:]:
-            vec, ref = _pair(11, 0.2, arq=ARQConfig(max_retries=1),
-                             coding=coding, link=uplink())
-            trace_v = vec.record_trace(5000, 150,
-                                       policy=TracePolicy(chunk=16))
-            trace_r = ref.record_trace(5000, 150)
-            fields_v = [_result_fields(trace_v.next()) for _ in range(150)]
-            fields_r = [_result_fields(trace_r.next()) for _ in range(150)]
-            assert fields_v == fields_r
 
     def test_live_then_record_then_live_shares_one_stream(self):
         """Mixing live transmits, batch recording and resets must keep
@@ -300,35 +289,6 @@ class TestBatchedPricingBitIdentity:
         vec.reset()
         ref.reset()
         _assert_transmits_identical(vec, ref, [300, 120, 4, 1200])
-
-
-# ----------------------------------------------------------------------
-# TracePolicy semantics
-# ----------------------------------------------------------------------
-class TestTracePolicy:
-    def test_defaults_auto_chunk_past_threshold(self):
-        policy = TracePolicy()
-        assert policy.chunk_for(4096) is None
-        assert policy.chunk_for(4097) == 1024
-
-    def test_explicit_chunk_wins(self):
-        assert TracePolicy(chunk=7).chunk_for(10) == 7
-        assert TracePolicy(chunk=7).chunk_for(100000) == 7
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TracePolicy(chunk=0)
-        with pytest.raises(ValueError):
-            TracePolicy(auto_threshold=-1)
-
-    def test_spec_carries_policy_into_channel(self):
-        spec = ChannelSpec(loss=0.1, trace=TracePolicy(chunk=5))
-        channel = spec.build(sensor_link(), np.random.default_rng(0))
-        assert isinstance(channel.record_trace(100, 20),
-                          ChunkedChannelTrace)
-        plain = ChannelSpec(loss=0.1).build(sensor_link(),
-                                            np.random.default_rng(0))
-        assert isinstance(plain.record_trace(100, 20), ChannelTrace)
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,17 @@ class TestLinkModel:
         with pytest.raises(ValueError):
             sensor_link().frames_for(-1)
 
+    def test_nan_bandwidth_rejected(self):
+        """NaN fails ``<= 0`` as well as ``> 0``: it must not slip
+        through into NaN frame and transfer times."""
+        with pytest.raises(ValueError, match="bandwidth"):
+            LinkModel(bandwidth_bps=float("nan"))
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected(self, latency):
+        with pytest.raises(ValueError, match="latency_s"):
+            LinkModel(latency_s=latency)
+
 
 class TestFactories:
     def test_downlink_faster_than_uplink(self):
