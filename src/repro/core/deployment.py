@@ -81,7 +81,9 @@ class EncoderDeployment:
         self.weight_e = weight_e.astype(np.float64, copy=False)
         self.bias_e = bias_e.astype(np.float64, copy=False)
         # Device -> encoder column assignment: sorted node ids map to
-        # columns 0..N-1 so the stacked vector X is well defined.
+        # columns 0..N-1 so the stacked vector X is well defined.  A
+        # cluster's devices never change, so rounds iterate this dict
+        # for the sorted ids.
         self.device_index = {nid: idx for idx, nid in enumerate(network.device_ids)}
         self._activation = _ACTIVATIONS[model.config.activation]
         self.distributed = False
@@ -122,9 +124,8 @@ class EncoderDeployment:
         """
         if not self.distributed:
             raise RuntimeError("call distribute() before compressed rounds")
-        failed = {nid for nid in self.network.device_ids
-                  if not self.network.is_alive(nid)}
-        missing = [nid for nid in self.network.device_ids
+        failed = self.network.dead_device_ids()
+        missing = [nid for nid in self.device_index
                    if nid not in readings and nid not in failed]
         if missing:
             raise ValueError(f"missing readings for devices {missing[:5]}")
@@ -151,13 +152,13 @@ class EncoderDeployment:
         else:
             partial, _ = hybrid_encode(self.tree, readings, self.weight_e,
                                        self.device_index)
-            contributors = frozenset(self.network.device_ids)
+            contributors = frozenset(self.device_index)
         latent = self._activation(partial + self.bias_e)
         return CompressedRound(latent, report, tuple(sorted(contributors)))
 
     def centralized_latent(self, readings: Dict[int, float]) -> np.ndarray:
         """Reference eq. (1) computation for equivalence checks."""
-        stacked = np.array([readings[nid] for nid in self.network.device_ids])
+        stacked = np.array([readings[nid] for nid in self.device_index])
         return self._activation(self.weight_e @ stacked + self.bias_e)
 
     def uplink_latent(self, latent: np.ndarray) -> float:

@@ -36,6 +36,7 @@ shards decode exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -76,8 +77,10 @@ class CodingSpec:
     arq_fallback: bool = False
 
     def __post_init__(self):
-        if self.parity_frames < 0:
-            raise ValueError("parity_frames must be >= 0")
+        if not (isinstance(self.parity_frames, numbers.Integral)
+                and self.parity_frames >= 0):
+            raise ValueError("parity_frames must be an integer >= 0, "
+                             f"got {self.parity_frames!r}")
         if self.parity_frames > 255:
             raise ValueError("GF(256) striping supports at most 255 "
                              "parity frames")

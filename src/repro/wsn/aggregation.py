@@ -57,6 +57,7 @@ class AggregationTree:
         self._depths: Optional[Dict[int, int]] = None
         self._subtree: Optional[Dict[int, int]] = None
         self._post_order: Optional[Tuple[int, ...]] = None
+        self._levels: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
         self._slots: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._validate_acyclic()
 
@@ -118,25 +119,34 @@ class AggregationTree:
             self._post_order = tuple(order)
         return self._post_order
 
+    def tdma_levels(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """The upward TDMA slots grouped by tree level, deepest level
+        first: a level's slots are consecutive in :meth:`tdma_slots`,
+        and every payload sent in a level depends only on deeper ones."""
+        if self._levels is None:
+            by_level: Dict[int, List[int]] = {}
+            for node in self.parent:
+                if node != self.root:
+                    by_level.setdefault(self.depth(node), []).append(node)
+            levels: List[Tuple[Tuple[int, ...], ...]] = []
+            for level in sorted(by_level, reverse=True):
+                pending: Dict[int, List[int]] = {}
+                for node in by_level[level]:
+                    pending.setdefault(self.parent[node], []).append(node)
+                levels.append(tuple(
+                    tuple(children[turn] for children in pending.values()
+                          if turn < len(children))
+                    for turn in range(max(len(v) for v in pending.values()))))
+            self._levels = tuple(levels)
+        return self._levels
+
     def tdma_slots(self) -> Tuple[Tuple[int, ...], ...]:
         """Upward TDMA slots: transmissions to a common parent serialise,
         transmissions to distinct parents at one level share a slot, and
         the deepest level goes first so parents hold complete subtrees."""
         if self._slots is None:
-            by_level: Dict[int, List[int]] = {}
-            for node in self.parent:
-                if node != self.root:
-                    by_level.setdefault(self.depth(node), []).append(node)
-            slots: List[Tuple[int, ...]] = []
-            for level in sorted(by_level, reverse=True):
-                pending: Dict[int, List[int]] = {}
-                for node in by_level[level]:
-                    pending.setdefault(self.parent[node], []).append(node)
-                for turn in range(max(len(v) for v in pending.values())):
-                    slots.append(tuple(children[turn]
-                                       for children in pending.values()
-                                       if turn < len(children)))
-            self._slots = tuple(slots)
+            self._slots = tuple(slot for level in self.tdma_levels()
+                                for slot in level)
         return self._slots
 
     def path_to_root(self, node: int) -> List[int]:
@@ -272,34 +282,55 @@ def _simulate_upward(network: WSNetwork, tree: AggregationTree,
     ``transmitters`` restricts the pass to a surviving subset (masked
     aggregation under faults); other nodes keep their TDMA slots but
     stay silent.
+
+    The pass walks the tree level by level, deepest first
+    (:meth:`AggregationTree.tdma_levels`).  A level's payloads depend
+    only on deeper levels, so they are all computed first and priced
+    together from one block of the sensor channel's sampler
+    (:meth:`WSNetwork.sensor_outcomes`); the hops are then checked and
+    charged one by one in slot order (:meth:`WSNetwork.send_hop`), each
+    taking its outcome only after its liveness check.  Ledger,
+    batteries and the channel's loss stream therefore evolve exactly as
+    under one live transmit per hop, up to and including a dead node or
+    an empty battery that stops the pass mid-level.
     """
     report = AggregationReport()
-    slots = tree.tdma_slots()
-    report.slots = len(slots)
+    report.slots = len(tree.tdma_slots())
+    children, parent = tree.children, tree.parent
+    wire_bytes = network.sensor_link.wire_bytes
     delivered_pool: Dict[int, int] = {}
-    for slot in slots:
-        slot_time = 0.0
-        for node in slot:
-            if transmitters is not None and node not in transmitters:
-                continue
-            pool = own_values.get(node, 0) + sum(
-                delivered_pool.get(child, 0)
-                for child in tree.children[node])
-            count = pool if latent_cap is None else min(pool, latent_cap)
-            payload = count * value_bytes
-            elapsed, delivered = network.unicast_delivered(
-                node, tree.parent[node], payload, kind=kind, force=True)
-            if payload > 0 and not delivered:
-                report.failed_hops.add(node)
-            else:
-                delivered_pool[node] = pool
-            report.values_transmitted += count
-            report.payload_bytes += payload
-            report.wire_bytes += network.sensor_link.wire_bytes(payload)
-            report.airtime_s += elapsed
-            report.per_node_values[node] = count
-            slot_time = max(slot_time, elapsed)
-        report.makespan_s += slot_time
+    for level in tree.tdma_levels():
+        sends: List[List[Tuple[int, int, int, int]]] = []
+        payloads: List[int] = []
+        for slot in level:
+            slot_sends = []
+            for node in slot:
+                if transmitters is not None and node not in transmitters:
+                    continue
+                pool = own_values.get(node, 0) + sum(
+                    delivered_pool.get(child, 0) for child in children[node])
+                count = pool if latent_cap is None else min(pool, latent_cap)
+                payload = count * value_bytes
+                slot_sends.append((node, pool, count, payload))
+                payloads.append(payload)
+            sends.append(slot_sends)
+        take = network.sensor_outcomes(payloads).__next__
+        for slot_sends in sends:
+            slot_time = 0.0
+            for node, pool, count, payload in slot_sends:
+                elapsed, delivered = network.send_hop(
+                    node, parent[node], payload, take, kind=kind, force=True)
+                if payload > 0 and not delivered:
+                    report.failed_hops.add(node)
+                else:
+                    delivered_pool[node] = pool
+                report.values_transmitted += count
+                report.payload_bytes += payload
+                report.wire_bytes += wire_bytes(payload)
+                report.airtime_s += elapsed
+                report.per_node_values[node] = count
+                slot_time = max(slot_time, elapsed)
+            report.makespan_s += slot_time
     return report
 
 

@@ -11,6 +11,7 @@ Two link classes appear in the paper's architecture (Fig. 1):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List
 
@@ -40,10 +41,16 @@ class LinkModel:
         if not self.bandwidth_bps > 0:
             raise ValueError(f"bandwidth must be positive, "
                              f"got {self.bandwidth_bps!r}")
-        if self.max_payload_bytes <= 0:
-            raise ValueError("max_payload_bytes must be positive")
-        if self.header_bytes < 0:
-            raise ValueError("header_bytes must be non-negative")
+        # Whole bytes: frame sizes, wire bytes and the single-frame test
+        # of the sequence pricer all assume integer framing.
+        if not (isinstance(self.max_payload_bytes, numbers.Integral)
+                and self.max_payload_bytes > 0):
+            raise ValueError("max_payload_bytes must be a positive integer, "
+                             f"got {self.max_payload_bytes!r}")
+        if not (isinstance(self.header_bytes, numbers.Integral)
+                and self.header_bytes >= 0):
+            raise ValueError("header_bytes must be an integer >= 0, "
+                             f"got {self.header_bytes!r}")
         if not 0.0 <= self.latency_s < math.inf:
             raise ValueError(f"latency_s must be finite and non-negative, "
                              f"got {self.latency_s!r}")

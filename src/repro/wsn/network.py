@@ -13,6 +13,14 @@ records carry ``attempts``/``delivered`` so experiments can separate
 goodput from radiated traffic.  Nodes can die (:meth:`WSNetwork.kill_node`
 — battery depletion or an injected fault); transmissions involving dead
 nodes raise :class:`DeadNodeError`.
+
+Every sensor-radio hop goes through one check-and-charge step
+(:meth:`WSNetwork.send_hop`): both ends must be alive, then the hop's
+transmit outcome is taken and charged to both batteries and the ledger.
+:meth:`WSNetwork.unicast` feeds it one live transmit; tree aggregation
+feeds it a whole tree level priced at once
+(:meth:`WSNetwork.sensor_outcomes`), taking each hop's outcome only
+after that hop's liveness check.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -160,6 +169,10 @@ class TransmissionLedger:
 
 EDGE_SERVER_ID = -1
 
+#: One message's transmit outcome: ``(radiated_wire_bytes,
+#: received_wire_bytes, elapsed_s, attempts, delivered)``.
+Outcome = Tuple[int, int, float, int, bool]
+
 
 class WSNetwork:
     """A single-cluster wireless sensor network plus its edge server.
@@ -197,6 +210,8 @@ class WSNetwork:
         for node_id, pos in enumerate(positions):
             self.nodes[node_id] = Node(node_id, pos, NodeRole.DEVICE,
                                        Battery(battery_capacity_j), radio)
+        # Nodes never change after construction, so neither does their order.
+        self._device_ids: Tuple[int, ...] = tuple(sorted(self.nodes))
         self.edge = Node(EDGE_SERVER_ID, np.asarray(edge_position, float),
                          NodeRole.EDGE, Battery(1e9), radio)
         self.comm_range_m = comm_range_m
@@ -217,7 +232,8 @@ class WSNetwork:
     # ------------------------------------------------------------------
     @property
     def device_ids(self) -> List[int]:
-        return sorted(self.nodes)
+        """Device ids in ascending order (a fresh list on every access)."""
+        return list(self._device_ids)
 
     @property
     def num_devices(self) -> int:
@@ -246,6 +262,14 @@ class WSNetwork:
     def is_alive(self, node_id: int) -> bool:
         node = self.nodes[node_id]
         return node_id not in self.failed_nodes and node.battery.remaining_j > 0
+
+    def dead_device_ids(self) -> Set[int]:
+        """Devices that cannot transmit — failed, or out of energy — in
+        one pass over the nodes (the complement of
+        :attr:`alive_device_ids`)."""
+        failed = self.failed_nodes
+        return {nid for nid, node in self.nodes.items()
+                if nid in failed or not node.battery.remaining_j > 0}
 
     def kill_node(self, node_id: int) -> None:
         """Mark a device dead (fault injection or battery depletion)."""
@@ -284,9 +308,14 @@ class WSNetwork:
         return self.edge if node_id == EDGE_SERVER_ID else self.nodes[node_id]
 
     def _require_alive(self, node_id: int) -> Node:
-        if node_id != EDGE_SERVER_ID and not self.is_alive(node_id):
+        """The node, if it can take part in a transmission (the edge
+        server always can; a device while :meth:`is_alive`)."""
+        if node_id == EDGE_SERVER_ID:
+            return self.edge
+        node = self.nodes[node_id]
+        if node_id in self.failed_nodes or not node.battery.remaining_j > 0:
             raise DeadNodeError(f"node {node_id} is dead")
-        return self._node(node_id)
+        return node
 
     def connectivity(self) -> "np.ndarray":
         """Boolean adjacency matrix: nodes within radio range."""
@@ -329,9 +358,56 @@ class WSNetwork:
             wire = link.wire_bytes(payload_bytes)
             attempts = max(1, link.frames_for(payload_bytes))
             return wire, wire, link.transfer_time(payload_bytes), attempts, True
-        result = channel.transmit(payload_bytes)
+        return self._outcome(channel.transmit(payload_bytes))
+
+    @staticmethod
+    def _outcome(result) -> Outcome:
+        """A channel's :class:`~repro.sim.channel.TransmitResult` as an
+        :data:`Outcome`; every message counts at least one attempt."""
         return (result.wire_bytes, result.received_wire_bytes,
                 result.elapsed_s, max(1, result.attempts), result.delivered)
+
+    def sensor_outcomes(self, payloads: Sequence[int]) -> Iterator[Outcome]:
+        """Sensor-radio outcomes of ``payloads``, one message at a time.
+
+        Lazy: an unreliable sensor channel prices the whole sequence
+        from one block of its sampler
+        (:meth:`~repro.sim.channel.UnreliableChannel.transmit_each`) but
+        consumes each message's loss verdicts only when that outcome is
+        taken, so a caller that stops early leaves the channel as that
+        many :meth:`unicast` calls would.  The caller must take them in
+        order and run no other sensor transmit in between.
+        """
+        if self.sensor_channel is None:
+            return (self._transmit(self.sensor_link, None, payload_bytes)
+                    for payload_bytes in payloads)
+        return map(self._outcome, self.sensor_channel.transmit_each(payloads))
+
+    def send_hop(self, src: int, dst: int, payload_bytes: int,
+                 take: Callable[[], Outcome], kind: str = "data",
+                 force: bool = False) -> Tuple[float, bool]:
+        """Check, transmit and charge one sensor-radio hop.
+
+        Both ends must be alive and, unless ``force``, within radio
+        range; only then is ``take()`` called for the hop's transmit
+        outcome, so a refused hop consumes no loss verdicts.  The sender
+        pays for every radiated byte, the receiver for every received
+        one, and the ledger records the message.  Returns ``(elapsed_s,
+        delivered)``.
+        """
+        if src == dst:
+            raise ValueError("unicast to self")
+        src_node, dst_node = self._require_alive(src), self._require_alive(dst)
+        hop = self.link_distance(src, dst)
+        if hop > self.comm_range_m + 1e-9 and not force:
+            raise ValueError(f"nodes {src} and {dst} are out of radio range "
+                             f"({hop:.1f} m > {self.comm_range_m} m)")
+        wire, received, elapsed, attempts, delivered = take()
+        self._charge(src_node, src_node.radio.tx_energy(wire * 8, hop))
+        self._charge(dst_node, dst_node.radio.rx_energy(received * 8))
+        self.ledger.record(src, dst, payload_bytes, wire, kind, elapsed,
+                           attempts, delivered)
+        return elapsed, delivered
 
     def unicast(self, src: int, dst: int, payload_bytes: int,
                 kind: str = "data", force: bool = False) -> float:
@@ -354,20 +430,11 @@ class WSNetwork:
         """:meth:`unicast`, also returning whether the message survived
         its recovery budget — the verdict masked aggregation severs
         subtrees on (always ``True`` on ideal links)."""
-        if src == dst:
-            raise ValueError("unicast to self")
-        src_node, dst_node = self._require_alive(src), self._require_alive(dst)
-        hop = self.link_distance(src, dst)
-        if hop > self.comm_range_m + 1e-9 and not force:
-            raise ValueError(f"nodes {src} and {dst} are out of radio range "
-                             f"({hop:.1f} m > {self.comm_range_m} m)")
-        wire, received, elapsed, attempts, delivered = self._transmit(
-            self.sensor_link, self.sensor_channel, payload_bytes)
-        self._charge(src_node, src_node.radio.tx_energy(wire * 8, hop))
-        self._charge(dst_node, dst_node.radio.rx_energy(received * 8))
-        self.ledger.record(src, dst, payload_bytes, wire, kind, elapsed,
-                           attempts, delivered)
-        return elapsed, delivered
+        return self.send_hop(
+            src, dst, payload_bytes,
+            lambda: self._transmit(self.sensor_link, self.sensor_channel,
+                                   payload_bytes),
+            kind=kind, force=force)
 
     def broadcast(self, src: int, payload_bytes: int,
                   kind: str = "broadcast") -> float:

@@ -126,6 +126,28 @@ class TestRounds:
         with pytest.raises(ValueError):
             deployment.compressed_round(readings)
 
+    def test_empty_battery_masks_like_a_fault(self):
+        """A device whose battery ran dry drops out of the round exactly
+        as a killed one does, and needs no reading."""
+        rounds = []
+        for drain in (True, False):
+            deployment, network, tree, _ = deployed_cluster(seed=3)
+            deployment.distribute()
+            leaf = next(n for n in tree.nodes
+                        if not tree.children[n] and n != tree.root)
+            if drain:
+                network.nodes[leaf].battery.remaining_j = 0.0
+            else:
+                network.kill_node(leaf)
+            readings = readings_for(network)
+            readings.pop(leaf)
+            assert network.dead_device_ids() == {leaf}
+            rounds.append(deployment.compressed_round(readings))
+        drained, killed = rounds
+        assert leaf not in drained.contributors
+        assert drained.contributors == killed.contributors
+        np.testing.assert_array_equal(drained.latent, killed.latent)
+
     def test_charged_round_bills_network(self):
         deployment, network, _, _ = deployed_cluster()
         deployment.distribute()

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-
+from repro.obs.telemetry import TelemetryBus
 from repro.sim import (
     ARQConfig,
     BernoulliLoss,
     ChannelSpec,
     ChannelTrace,
+    CodingSpec,
     GILBERT_ELLIOTT_PRESETS,
     GilbertElliottLoss,
     UnreliableChannel,
@@ -503,3 +504,86 @@ class TestTraceDigests:
             "802154_indoor"]["p_bad_to_good"]
         assert digest.mean_bad_sojourn_frames == pytest.approx(expected,
                                                                rel=0.1)
+
+
+#: Channel configurations transmit_each is checked on, covering every
+#: pricing route: lossless, block-sampled Bernoulli and Gilbert-Elliott,
+#: and the sampler-less default Gilbert-Elliott chain (loss_good == 0).
+_EACH_LOSS = {
+    "lossless": lambda: None,
+    "bernoulli": lambda: 0.3,
+    "indoor": lambda: GilbertElliottLoss(**GILBERT_ELLIOTT_PRESETS[
+        "802154_indoor"]),
+    "ge_default": GilbertElliottLoss,
+}
+_EACH_RECOVERY = {
+    "none": dict(arq=ARQConfig(max_retries=0)),
+    "arq": dict(arq=ARQConfig(max_retries=2)),
+    "fec": dict(arq=ARQConfig(max_retries=1),
+                coding=CodingSpec(parity_frames=2)),
+    "hybrid": dict(arq=ARQConfig(max_retries=1),
+                   coding=CodingSpec(parity_frames=1, arq_fallback=True)),
+}
+
+
+class TestTransmitEach:
+    """The lazy sequence pricer equals one live transmit per message,
+    however many messages the caller takes."""
+
+    @staticmethod
+    def _channel(loss, recovery, vectorize, seed):
+        return UnreliableChannel(sensor_link(), loss=_EACH_LOSS[loss](),
+                                 rng=rng(seed), vectorize=vectorize,
+                                 **_EACH_RECOVERY[recovery])
+
+    @staticmethod
+    def _state(channel):
+        sampler = channel._sampler
+        return (sampler.position if sampler is not None else None,
+                getattr(channel.loss, "bad", None))
+
+    @pytest.mark.parametrize("vectorize", [True, False])
+    @pytest.mark.parametrize("recovery", sorted(_EACH_RECOVERY))
+    @pytest.mark.parametrize("loss", sorted(_EACH_LOSS))
+    def test_any_prefix_leaves_the_channel_as_live_transmits(
+            self, loss, recovery, vectorize):
+        # Zero-byte, single-frame and fragmenting messages, mixed.
+        payloads = [40, 64, 0, 8, 96, 64, 97, 40, 250, 64, 1, 64] * 2
+        for seed in range(3):
+            live = self._channel(loss, recovery, vectorize, seed)
+            expected = [live.transmit(n_bytes) for n_bytes in payloads]
+            for taken in range(len(payloads) + 1):
+                each = self._channel(loss, recovery, vectorize, seed)
+                replay = self._channel(loss, recovery, vectorize, seed)
+                priced = each.transmit_each(payloads)
+                assert [next(priced) for _ in range(taken)] \
+                    == expected[:taken]
+                for n_bytes in payloads[:taken]:
+                    replay.transmit(n_bytes)
+                assert self._state(each) == self._state(replay)
+                assert each.transmit(64) == replay.transmit(64)
+
+    def test_emits_no_batch_telemetry(self):
+        seen = []
+        bus = TelemetryBus()
+        bus.subscribe(seen.append)
+        channel = self._channel("bernoulli", "arq", True, 2)
+        channel.bus = bus
+        list(channel.transmit_each([40, 64, 8]))
+        assert seen == []
+
+    def test_replayed_trace_serves_its_entries(self):
+        channel = self._channel("bernoulli", "arq", True, 3)
+        trace = channel.record_trace(64, 4)
+        channel.replay(trace)
+        assert list(channel.transmit_each([64] * 4)) == list(trace.entries)
+        trace.cursor = 0
+        with pytest.raises(ValueError, match="64-byte"):
+            next(channel.transmit_each([40]))
+
+    def test_negative_payload_raises_when_taken(self):
+        channel = self._channel("bernoulli", "arq", True, 4)
+        priced = channel.transmit_each([40, -1])
+        assert next(priced).payload_bytes == 40
+        with pytest.raises(ValueError, match="non-negative"):
+            next(priced)

@@ -330,6 +330,19 @@ class TestCodingSpecPlumbing:
         with pytest.raises(ValueError):
             CodingSpec(parity_frames=300)
 
+    @pytest.mark.parametrize("parity", [2.5, 1.0, float("nan")])
+    def test_fractional_parity_rejected(self, parity):
+        # Caught at construction, not by the first coded transmit.
+        with pytest.raises(ValueError, match="parity_frames must be an "
+                                             "integer"):
+            CodingSpec(parity_frames=parity)
+
+    def test_numpy_integer_parity_accepted(self):
+        coding = CodingSpec(parity_frames=np.int64(2))
+        channel = UnreliableChannel(sensor_link(), loss=0.2, coding=coding,
+                                    rng=np.random.default_rng(0))
+        assert channel.transmit(200).parity_frames == 2
+
     def test_with_coding_and_recovery(self):
         base = ChannelSpec(loss=0.1, arq=ARQConfig(max_retries=2))
         assert base.recovery == "arq"

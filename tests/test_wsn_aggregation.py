@@ -1,11 +1,19 @@
 """Unit tests for aggregation trees and the three aggregation modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim import ARQConfig, ChannelSpec, CodingSpec, UnreliableChannel
+from repro.sim import (ARQConfig, ChannelSpec, CodingSpec, GilbertElliottLoss,
+                       UnreliableChannel)
 from repro.wsn import (
+    AggregationReport,
     AggregationTree,
+    BatteryDepletedError,
+    DeadNodeError,
     TDMASchedule,
     WSNetwork,
     build_aggregation_tree,
@@ -17,6 +25,7 @@ from repro.wsn import (
     simulate_masked_hybrid_aggregation,
     simulate_raw_aggregation,
 )
+from repro.wsn.aggregation import _simulate_upward
 
 
 def line_network(n=7, spacing=10.0, range_m=15.0):
@@ -640,3 +649,222 @@ class TestReusedTreeRounds:
                 failed=failed)
             assert reused == fresh
             assert reused_net.reset_ledger().records == fresh_net.ledger.records
+
+
+# ----------------------------------------------------------------------
+# The level walk against the per-hop loop it replaced
+# ----------------------------------------------------------------------
+def _per_hop_upward(network, tree, own_values, value_bytes, kind,
+                    transmitters=None, latent_cap=None):
+    """The upward pass as one live ``unicast_delivered`` per hop, slot
+    by slot: the oracle the level walk must reproduce exactly."""
+    report = AggregationReport()
+    slots = tree.tdma_slots()
+    report.slots = len(slots)
+    delivered_pool = {}
+    for slot in slots:
+        slot_time = 0.0
+        for node in slot:
+            if transmitters is not None and node not in transmitters:
+                continue
+            pool = own_values.get(node, 0) + sum(
+                delivered_pool.get(child, 0)
+                for child in tree.children[node])
+            count = pool if latent_cap is None else min(pool, latent_cap)
+            payload = count * value_bytes
+            elapsed, delivered = network.unicast_delivered(
+                node, tree.parent[node], payload, kind=kind, force=True)
+            if payload > 0 and not delivered:
+                report.failed_hops.add(node)
+            else:
+                delivered_pool[node] = pool
+            report.values_transmitted += count
+            report.payload_bytes += payload
+            report.wire_bytes += network.sensor_link.wire_bytes(payload)
+            report.airtime_s += elapsed
+            report.per_node_values[node] = count
+            slot_time = max(slot_time, elapsed)
+        report.makespan_s += slot_time
+    return report
+
+
+#: Sensor channels the walk is checked on: None keeps the links ideal.
+_CHANNELS = {
+    "ideal": None,
+    "lossless": lambda recovery: ChannelSpec(loss=0.0, **recovery),
+    "bernoulli": lambda recovery: ChannelSpec(loss=0.25, **recovery),
+    "indoor": lambda recovery: ChannelSpec.preset("802154_indoor", **recovery),
+    "noisy": lambda recovery: ChannelSpec.preset("noisy_office", **recovery),
+    # loss_good == 0: no block sampler, every verdict drawn live.
+    "ge_default": lambda recovery: ChannelSpec(loss=GilbertElliottLoss,
+                                               **recovery),
+}
+
+_RECOVERY = {
+    "none": dict(arq=ARQConfig(max_retries=0)),
+    "arq": dict(arq=ARQConfig(max_retries=2)),
+    "fec": dict(arq=ARQConfig(max_retries=1),
+                coding=CodingSpec(parity_frames=1)),
+    "hybrid": dict(arq=ARQConfig(max_retries=1),
+                   coding=CodingSpec(parity_frames=1, arq_fallback=True)),
+}
+
+_WALK_TREE = build_aggregation_tree(grid_network(36, range_m=15.0))
+
+
+def _twin_network(channel, recovery, vectorize, seed):
+    """A grid network under ``_WALK_TREE`` whose sensor channel is the
+    named one; equal arguments give twins with equal loss streams."""
+    net = grid_network(36, range_m=15.0)
+    if channel == "first_frame":
+        net.sensor_channel = UnreliableChannel(
+            net.sensor_link, loss=0.0, rng=np.random.default_rng(seed),
+            **_RECOVERY[recovery])
+        net.sensor_channel.loss = _FirstFrameLoss()
+    elif _CHANNELS[channel] is not None:
+        spec = _CHANNELS[channel](_RECOVERY[recovery])
+        net.attach_unreliable(sensor=replace(spec, vectorize=vectorize),
+                              rng=np.random.default_rng(seed))
+    return net
+
+
+def _channel_state(net):
+    """Everything of the sensor channel a later transmit depends on."""
+    channel = net.sensor_channel
+    if channel is None:
+        return None
+    sampler = channel._sampler
+    return (sampler.position if sampler is not None else None,
+            getattr(channel.loss, "bad", None),
+            channel.rng.bit_generator.state if sampler is None else None)
+
+
+def _network_state(net):
+    return (net.ledger.records,
+            {nid: node.battery.remaining_j for nid, node in net.nodes.items()},
+            _channel_state(net))
+
+
+def _pass_args(tree, failed, values_per_node, value_bytes, latent_cap):
+    """Arguments of one upward pass; with ``failed`` devices only the
+    reachable ones transmit, as in masked aggregation."""
+    alive = reachable_nodes(tree, failed) if failed else None
+    own = {node: values_per_node for node in (alive or tree.nodes)
+           if node != tree.root}
+    return (own, value_bytes, "walk"), dict(transmitters=alive,
+                                            latent_cap=latent_cap)
+
+
+class TestLevelWalkOracle:
+    """The level walk leaves every report, ledger record, battery and
+    loss-stream position exactly where one live transmit per hop does."""
+
+    @given(channel=st.sampled_from([*_CHANNELS, "first_frame"]),
+           recovery=st.sampled_from(sorted(_RECOVERY)),
+           vectorize=st.booleans(),
+           masked=st.booleans(),
+           latent_cap=st.sampled_from([None, 16]),
+           value_bytes=st.sampled_from([4, 40]),
+           values_per_node=st.sampled_from([1, 3]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_hop_loop(self, channel, recovery, vectorize, masked,
+                                  latent_cap, value_bytes, values_per_node,
+                                  seed):
+        tree = _WALK_TREE
+        walk = _twin_network(channel, recovery, vectorize, seed)
+        oracle = _twin_network(channel, recovery, vectorize, seed)
+        failed = set()
+        if masked:
+            relays = sorted(n for n in tree.nodes
+                            if n != tree.root and tree.children[n])
+            failed = {relays[seed % len(relays)], max(tree.nodes)}
+            for net in (walk, oracle):
+                for node in failed:
+                    net.kill_node(node)
+        args, kwargs = _pass_args(tree, failed, values_per_node, value_bytes,
+                                  latent_cap)
+        for _ in range(2):   # the second pass starts from carried state
+            report = _simulate_upward(walk, tree, *args, **kwargs)
+            expected = _per_hop_upward(oracle, tree, *args, **kwargs)
+            assert report == expected
+            assert _network_state(walk) == _network_state(oracle)
+
+    def test_fec_hops_transmit_nothing_live(self):
+        # collect's sensor channel: pure FEC, one data and one parity
+        # frame per hop; the walk transmits nothing live.
+        net = _twin_network("indoor", "fec", True, 3)
+        calls = []
+        transmit = net.sensor_channel.transmit
+        net.sensor_channel.transmit = lambda n: calls.append(n) or transmit(n)
+        report = simulate_hybrid_aggregation(net, _WALK_TREE, latent_dim=16)
+        assert calls == []
+        hops = len(report.per_node_values)
+        assert net.sensor_channel._sampler.position == 2 * hops
+
+    @staticmethod
+    def _mid_level_hop(tree, pick):
+        """``(hops before it, node)`` of the first hop past its level's
+        first whose ``pick(node, earlier_nodes_of_the_level)`` holds."""
+        before = 0
+        for level in tree.tdma_levels():
+            order = [node for slot in level for node in slot]
+            for position, node in enumerate(order):
+                if position and pick(node, order[:position]):
+                    return before + position, node
+            before += len(order)
+        raise AssertionError("no hop qualifies")
+
+    def _first_child_hop(self, tree):
+        """A hop that is its parent's first receipt, past its level's
+        first hop."""
+        return self._mid_level_hop(
+            tree, lambda node, earlier: tree.parent[node] not in
+            {tree.parent[e] for e in earlier})
+
+    def _assert_same_stop(self, nets, error, hops_before):
+        args, kwargs = _pass_args(_WALK_TREE, set(), 1, 4, 16)
+        with pytest.raises(error):
+            _simulate_upward(nets[0], _WALK_TREE, *args, **kwargs)
+        with pytest.raises(error):
+            _per_hop_upward(nets[1], _WALK_TREE, *args, **kwargs)
+        assert len(nets[0].ledger) == hops_before
+        assert _network_state(nets[0]) == _network_state(nets[1])
+
+    @pytest.mark.parametrize("channel,recovery", [("indoor", "fec"),
+                                                  ("bernoulli", "arq"),
+                                                  ("noisy", "hybrid"),
+                                                  ("ideal", "none")])
+    def test_dead_parent_mid_level(self, channel, recovery):
+        hops_before, node = self._first_child_hop(_WALK_TREE)
+        nets = [_twin_network(channel, recovery, True, 9) for _ in range(2)]
+        for net in nets:
+            net.kill_node(_WALK_TREE.parent[node])
+        self._assert_same_stop(nets, DeadNodeError, hops_before)
+
+    @pytest.mark.parametrize("channel,recovery", [("indoor", "fec"),
+                                                  ("bernoulli", "arq"),
+                                                  ("noisy", "hybrid"),
+                                                  ("ideal", "none")])
+    @pytest.mark.parametrize("side", ["sender", "receiver"])
+    def test_battery_depletes_mid_level(self, channel, recovery, side):
+        tree = _WALK_TREE
+        if side == "sender":
+            # A leaf receives nothing before its own hop.
+            hops_before, drained = self._mid_level_hop(
+                tree, lambda node, earlier: not tree.children[node])
+        else:
+            hops_before, node = self._first_child_hop(tree)
+            drained = tree.parent[node]
+        nets = [_twin_network(channel, recovery, True, 4) for _ in range(2)]
+        for net in nets:
+            net.nodes[drained].battery.remaining_j = 1e-9
+        self._assert_same_stop(nets, BatteryDepletedError, hops_before)
+
+    def test_levels_flatten_to_slots(self):
+        for tree in _generated_trees():
+            assert tuple(slot for level in tree.tdma_levels()
+                         for slot in level) == tree.tdma_slots()
+            for level in tree.tdma_levels():
+                depths = {tree.depth(node) for slot in level for node in slot}
+                assert len(depths) == 1

@@ -1,5 +1,6 @@
 """Unit tests for link models."""
 
+import numpy as np
 import pytest
 
 from repro.wsn import LinkModel, cloud_uplink, downlink, sensor_link, uplink
@@ -49,6 +50,23 @@ class TestLinkModel:
     def test_non_finite_latency_rejected(self, latency):
         with pytest.raises(ValueError, match="latency_s"):
             LinkModel(latency_s=latency)
+
+    @pytest.mark.parametrize("header", [float("nan"), float("inf"), 2.5])
+    def test_non_integer_header_rejected(self, header):
+        # NaN/inf headers gave NaN wire bytes, 2.5 gave 207.5 for 200 B.
+        with pytest.raises(ValueError, match="header_bytes"):
+            LinkModel(header_bytes=header)
+
+    def test_fractional_max_payload_rejected(self):
+        # 96.5 fragmented 200 B into [96.5, 96.5, 7.0].
+        with pytest.raises(ValueError, match="max_payload_bytes"):
+            LinkModel(max_payload_bytes=96.5)
+
+    def test_numpy_integer_framing_accepted(self):
+        link = LinkModel(max_payload_bytes=np.int64(96),
+                         header_bytes=np.int32(17))
+        assert link.frame_sizes(200) == [96, 96, 8]
+        assert link.wire_bytes(200) == 200 + 3 * 17
 
 
 class TestFactories:

@@ -207,6 +207,22 @@ class TestLiveness:
         net.revive_node(2)
         assert net.is_alive(2)
 
+    def test_dead_device_ids_complement_alive(self):
+        net = small_network()
+        net.kill_node(2)
+        net.nodes[4].battery.remaining_j = 0.0
+        net.nodes[5].battery.remaining_j = float("nan")
+        assert net.dead_device_ids() == {2, 4, 5}
+        assert net.alive_device_ids == [0, 1, 3]
+
+    def test_device_ids_is_a_fresh_sorted_list(self):
+        net = WSNetwork(np.array([[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]]))
+        ids = net.device_ids
+        ids.reverse()
+        ids.append(7)
+        assert net.device_ids == [0, 1, 2]
+        assert net.device_ids is not net.device_ids
+
     def test_kill_unknown_node(self):
         with pytest.raises(KeyError):
             small_network().kill_node(99)
@@ -263,6 +279,25 @@ class TestUnreliableTransmit:
         assert lossy.ledger.total_attempts() > ideal.ledger.total_attempts()
         assert lossy.nodes[1].battery.consumed_j \
             > ideal.nodes[1].battery.consumed_j
+
+    @pytest.mark.parametrize("vectorize", [True, False])
+    def test_refused_hop_consumes_no_loss_verdicts(self, vectorize):
+        """A hop refused for a dead end or for range leaves the sensor
+        channel untouched: the next hop sees what it would have seen."""
+        refused = self._lossy_network(seed=5, vectorize=vectorize)
+        clean = self._lossy_network(seed=5, vectorize=vectorize)
+        refused.comm_range_m = clean.comm_range_m = 25.0
+        refused.kill_node(4)
+        with pytest.raises(DeadNodeError):
+            refused.unicast(1, 4, 40)
+        with pytest.raises(DeadNodeError):
+            refused.unicast(4, 1, 40)
+        with pytest.raises(ValueError, match="out of radio range"):
+            refused.unicast(0, 5, 40)
+        assert not refused.ledger.records
+        for _ in range(5):
+            assert refused.unicast(1, 2, 40) == clean.unicast(1, 2, 40)
+        assert refused.ledger.records == clean.ledger.records
 
     def test_records_carry_attempts_and_delivery(self):
         lossy = self._lossy_network(loss=0.6, seed=2)
