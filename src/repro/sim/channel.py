@@ -43,10 +43,10 @@ Sequence pricing
 :meth:`UnreliableChannel.transmit_each` prices a sequence of messages
 of varying size, such as the hops of one aggregation-tree level.  When
 the verdicts each message consumes are fixed by its payload — lossless
-channels, pure FEC, uncoded single-frame messages — the whole sequence
-is read from one sampler block; the verdicts of a message are consumed
-only as the caller takes it, so a caller that stops early (a dead
-relay, an empty battery) leaves the channel where that many live
+channels and pure FEC — the whole sequence is read from one sampler
+block; the verdicts of a message are consumed only as the caller takes
+it, so a caller that stops early (a dead relay, an empty battery)
+leaves the channel where that many live
 :meth:`~UnreliableChannel.transmit` calls would.  Other sequences
 transmit live, message by message.
 """
@@ -696,10 +696,6 @@ class UnreliableChannel:
                 break
             est *= 2
         sampler.advance(parsed["consumed"])
-        if F == 1:
-            return self._arq1_results(n_bytes, frames, cap,
-                                      parsed["m_attempts"].tolist(),
-                                      parsed["m_delivered"].tolist())
         header = link.header_bytes
         first, last = frames[0], frames[-1]
         slot_att = parsed["slot_attempts"]
@@ -721,8 +717,30 @@ class UnreliableChannel:
             + np.where(m_del, last - first, 0)
         clean = m_del & (lost == 0)
         ideal = ideal_transmit_result(link, n_bytes)
-        # Results are frozen, so every clean message shares one object;
-        # lossy elapsed times are memoized per attempt pattern.
+        # Results are frozen, so every clean message shares one object
+        # and lossy outcomes are memoized: a fixed payload only admits
+        # a handful of distinct (attempt pattern, delivered) values.
+        if F == 1:
+            table, failed_elapsed = self._arq_elapsed_tables(
+                n_bytes, frames, cap)
+            cache = self._elapsed_memo.setdefault(("arq1", n_bytes), {})
+            frame_wire = first + header
+            out: List[TransmitResult] = []
+            for attempts, delivered in zip(m_att.tolist(), m_del.tolist()):
+                if delivered and attempts == 1:
+                    out.append(ideal)
+                    continue
+                result = cache.get((attempts, delivered))
+                if result is None:
+                    result = TransmitResult(
+                        n_bytes, 1, attempts,
+                        attempts - 1 if delivered else attempts, delivered,
+                        attempts * frame_wire,
+                        table[attempts] if delivered else failed_elapsed,
+                        frame_wire if delivered else 0, attempts - 1)
+                    cache[(attempts, delivered)] = result
+                out.append(result)
+            return out
         elapsed = np.full(count, ideal.elapsed_s)
         memo = self._elapsed_memo.setdefault(n_bytes, {})
         for i in np.flatnonzero(~clean):
@@ -741,36 +759,6 @@ class UnreliableChannel:
                     clean.tolist(), m_att.tolist(), lost.tolist(),
                     m_del.tolist(), wire.tolist(), elapsed.tolist(),
                     received.tolist(), retx.tolist())]
-
-    def _arq1_results(self, n_bytes: int, frames: List[int], cap: int,
-                      attempts: List[int],
-                      delivered: List[bool]) -> List[TransmitResult]:
-        """Single-frame uncoded outcomes from per-message attempt counts
-        and verdicts.
-
-        Results are frozen, so every clean message shares one object
-        and lossy outcomes are memoized: a fixed payload only admits a
-        handful of distinct (attempts, delivered) values.
-        """
-        table, failed_elapsed = self._arq_elapsed_tables(n_bytes, frames, cap)
-        cache = self._elapsed_memo.setdefault(("arq1", n_bytes), {})
-        ideal = ideal_transmit_result(self.link, n_bytes)
-        frame_wire = frames[0] + self.link.header_bytes
-        out: List[TransmitResult] = []
-        for tries, done in zip(attempts, delivered):
-            if done and tries == 1:
-                out.append(ideal)
-                continue
-            result = cache.get((tries, done))
-            if result is None:
-                result = TransmitResult(
-                    n_bytes, 1, tries, tries - 1 if done else tries, done,
-                    tries * frame_wire,
-                    table[tries] if done else failed_elapsed,
-                    frame_wire if done else 0, tries - 1)
-                cache[(tries, done)] = result
-            out.append(result)
-        return out
 
     def _arq_elapsed_tables(self, n_bytes: int, frames: List[int],
                             cap: int) -> Tuple[np.ndarray, float]:
@@ -924,12 +912,13 @@ class UnreliableChannel:
         the caller takes that message: stopping after ``k`` messages
         leaves the verdict stream and the burst state where ``k`` live
         transmits would.  Where the verdicts a message consumes are
-        fixed by its payload (lossless channels, pure FEC, uncoded
-        single-frame messages) the whole sequence is priced from one
-        sampler block when the first message is taken; otherwise (no
-        sampler, multi-frame ARQ, hybrid repair, trace replay) each
-        message transmits live as it is taken.  Nothing else may
-        transmit on this channel while the iterator is being taken.
+        fixed by its payload (lossless channels, pure FEC) the whole
+        sequence is priced from one sampler block when the first message
+        is taken; otherwise (no sampler, lossy ARQ, hybrid repair, trace
+        replay) each message transmits live as it is taken.  Nothing
+        else may draw from this channel while the iterator is being
+        taken: a block-priced message taken after another draw raises
+        :class:`RuntimeError`.
         """
         priced = self._price_sequence(payloads)
         if priced is None:
@@ -937,88 +926,61 @@ class UnreliableChannel:
                 yield self.transmit(n_bytes)
             return
         sampler = self._sampler
+        cursor = sampler.position if sampler is not None else 0
         for result, verdicts in zip(*priced):
             if verdicts:
+                if sampler.position != cursor:
+                    raise RuntimeError(
+                        "the channel drew loss verdicts while a priced "
+                        "sequence was being taken")
                 sampler.advance(verdicts)
+                cursor += verdicts
             yield result
 
     def _price_sequence(self, payloads: Sequence[int]
                         ) -> Optional[Tuple[List[TransmitResult], List[int]]]:
         """Outcomes of ``payloads`` and the verdicts each one consumes,
         read from one sampler block without consuming it; ``None`` when
-        a message's verdict count depends on its own verdicts (or the
-        channel replays a trace)."""
+        a message's verdict count depends on its own verdicts (ARQ,
+        hybrid repair), no sampler draws them, or the channel replays a
+        trace."""
         if self.trace is not None or not payloads or min(payloads) < 0:
             return None
         link = self.link
+        draws = self.loss is not None
+        if not self.strategy.coded:
+            if draws:
+                return None
+            return ([ideal_transmit_result(link, n_bytes)
+                     for n_bytes in payloads], [0] * len(payloads))
+        coding = self.coding
         sampler = self._sampler
         frames_of = {n_bytes: link.frame_sizes(n_bytes)
                      for n_bytes in set(payloads)}
-        longest = len(frames_of[max(payloads)])
-        coding = self.coding if self.strategy.coded else None
-        if coding is not None:
-            if longest + coding.parity_frames > 256 or (
-                    self.loss is not None
-                    and (sampler is None or coding.arq_fallback)):
-                return None
-            # Open-loop bursts draw F + k verdicts per message; on a
-            # lossless channel none, and every burst decodes outright.
-            draws = self.loss is not None
-            used = [len(frames_of[n_bytes]) + coding.parity_frames
-                    if n_bytes and draws else 0 for n_bytes in payloads]
-            verdicts = sampler.peek(sum(used)).tolist() if draws else []
-            keys = []
-            start = 0
-            for n_bytes, width in zip(payloads, used):
-                row = verdicts[start:start + width]
-                start += width
-                # (payload, erasures, short final data frame lost)
-                keys.append((n_bytes, sum(row), bool(width)
-                             and row[len(frames_of[n_bytes]) - 1]))
-
-            def price(n_bytes, erased, short_lost):
-                return self._fec_results(n_bytes, frames_of[n_bytes],
-                                         [erased], [short_lost])[0]
-        elif self.loss is None:
-            return ([ideal_transmit_result(link, n_bytes)
-                     for n_bytes in payloads], [0] * len(payloads))
-        elif sampler is None or longest > 1:
+        if len(frames_of[max(payloads)]) + coding.parity_frames > 256 or (
+                draws and (sampler is None or coding.arq_fallback)):
             return None
-        else:
-            # Uncoded single-frame messages: one stop-and-wait slot each.
-            sending = [i for i, n_bytes in enumerate(payloads) if n_bytes]
-            cap = self.arq.max_retries + 1
-            used = [0] * len(payloads)
-            delivered = [True] * len(payloads)
-            if sending:
-                count = len(sending)
-                mean = min(self.loss.mean_loss_rate, 0.95)
-                est = min(count * cap, int(count / (1.0 - mean) * 1.25) + 64)
-                while True:
-                    parsed = parse_arq_stream(sampler.peek(est), 1, cap,
-                                              count)
-                    if parsed is not None:
-                        break
-                    est = min(2 * est, count * cap)
-                for i, tries, done in zip(sending,
-                                          parsed["m_attempts"].tolist(),
-                                          parsed["m_delivered"].tolist()):
-                    used[i] = tries
-                    delivered[i] = done
-            # (payload, attempts, delivered)
-            keys = list(zip(payloads, used, delivered))
-
-            def price(n_bytes, tries, done):
-                return self._arq1_results(n_bytes, frames_of[n_bytes], cap,
-                                          [tries], [done])[0]
-        # Messages with equal keys share one frozen outcome; zero-byte
-        # messages radiate nothing.
+        # Open-loop bursts draw F + k verdicts per message; on a lossless
+        # channel none, and every burst decodes outright.
+        used = [len(frames_of[n_bytes]) + coding.parity_frames
+                if n_bytes and draws else 0 for n_bytes in payloads]
+        verdicts = sampler.peek(sum(used)).tolist() if draws else []
+        # Messages with equal (payload, erasures, short final data frame
+        # lost) share one frozen outcome; zero-byte messages radiate
+        # nothing.
         priced: Dict[tuple, TransmitResult] = {}
         results = []
-        for key in keys:
+        start = 0
+        for n_bytes, width in zip(payloads, used):
+            row = verdicts[start:start + width]
+            start += width
+            key = (n_bytes, sum(row),
+                   bool(width) and row[len(frames_of[n_bytes]) - 1])
             result = priced.get(key)
             if result is None:
-                result = priced[key] = price(*key) if key[0] else _NOTHING
+                result = priced[key] = self._fec_results(
+                    n_bytes, frames_of[n_bytes], [key[1]], [key[2]])[0] \
+                    if n_bytes else _NOTHING
             results.append(result)
         return results, used
 

@@ -286,13 +286,14 @@ def _simulate_upward(network: WSNetwork, tree: AggregationTree,
     The pass walks the tree level by level, deepest first
     (:meth:`AggregationTree.tdma_levels`).  A level's payloads depend
     only on deeper levels, so they are all computed first and priced
-    together from one block of the sensor channel's sampler
-    (:meth:`WSNetwork.sensor_outcomes`); the hops are then checked and
-    charged one by one in slot order (:meth:`WSNetwork.send_hop`), each
-    taking its outcome only after its liveness check.  Ledger,
-    batteries and the channel's loss stream therefore evolve exactly as
-    under one live transmit per hop, up to and including a dead node or
-    an empty battery that stops the pass mid-level.
+    together (:meth:`WSNetwork.sensor_outcomes`: from one block of the
+    sampler of a lossless or pure-FEC sensor channel, live hop by hop
+    on others); the hops are then checked and charged one by one in
+    slot order (:meth:`WSNetwork.send_hop`), each taking its outcome
+    only after its liveness check.  Ledger, batteries and the channel's
+    loss stream therefore evolve exactly as under one live transmit per
+    hop, up to and including a dead node or an empty battery that stops
+    the pass mid-level.
     """
     report = AggregationReport()
     report.slots = len(tree.tdma_slots())

@@ -41,8 +41,7 @@ class LinkModel:
         if not self.bandwidth_bps > 0:
             raise ValueError(f"bandwidth must be positive, "
                              f"got {self.bandwidth_bps!r}")
-        # Whole bytes: frame sizes, wire bytes and the single-frame test
-        # of the sequence pricer all assume integer framing.
+        # Whole bytes: frame sizes and wire bytes assume integer framing.
         if not (isinstance(self.max_payload_bytes, numbers.Integral)
                 and self.max_payload_bytes > 0):
             raise ValueError("max_payload_bytes must be a positive integer, "

@@ -267,9 +267,7 @@ class WSNetwork:
         """Devices that cannot transmit — failed, or out of energy — in
         one pass over the nodes (the complement of
         :attr:`alive_device_ids`)."""
-        failed = self.failed_nodes
-        return {nid for nid, node in self.nodes.items()
-                if nid in failed or not node.battery.remaining_j > 0}
+        return {nid for nid in self.nodes if not self.is_alive(nid)}
 
     def kill_node(self, node_id: int) -> None:
         """Mark a device dead (fault injection or battery depletion)."""
@@ -308,14 +306,9 @@ class WSNetwork:
         return self.edge if node_id == EDGE_SERVER_ID else self.nodes[node_id]
 
     def _require_alive(self, node_id: int) -> Node:
-        """The node, if it can take part in a transmission (the edge
-        server always can; a device while :meth:`is_alive`)."""
-        if node_id == EDGE_SERVER_ID:
-            return self.edge
-        node = self.nodes[node_id]
-        if node_id in self.failed_nodes or not node.battery.remaining_j > 0:
+        if node_id != EDGE_SERVER_ID and not self.is_alive(node_id):
             raise DeadNodeError(f"node {node_id} is dead")
-        return node
+        return self._node(node_id)
 
     def connectivity(self) -> "np.ndarray":
         """Boolean adjacency matrix: nodes within radio range."""
@@ -370,13 +363,14 @@ class WSNetwork:
     def sensor_outcomes(self, payloads: Sequence[int]) -> Iterator[Outcome]:
         """Sensor-radio outcomes of ``payloads``, one message at a time.
 
-        Lazy: an unreliable sensor channel prices the whole sequence
-        from one block of its sampler
+        Lazy: a lossless or pure-FEC sensor channel prices the whole
+        sequence from one block of its sampler
         (:meth:`~repro.sim.channel.UnreliableChannel.transmit_each`) but
         consumes each message's loss verdicts only when that outcome is
         taken, so a caller that stops early leaves the channel as that
         many :meth:`unicast` calls would.  The caller must take them in
-        order and run no other sensor transmit in between.
+        order and run no other sensor transmit in between (the channel
+        raises :class:`RuntimeError` if one does).
         """
         if self.sensor_channel is None:
             return (self._transmit(self.sensor_link, None, payload_bytes)

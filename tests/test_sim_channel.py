@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+
 from repro.obs.telemetry import TelemetryBus
 from repro.sim import (
     ARQConfig,
@@ -567,10 +568,18 @@ class TestTransmitEach:
         seen = []
         bus = TelemetryBus()
         bus.subscribe(seen.append)
-        channel = self._channel("bernoulli", "arq", True, 2)
+        channel = self._channel("bernoulli", "fec", True, 2)
         channel.bus = bus
         list(channel.transmit_each([40, 64, 8]))
         assert seen == []
+
+    def test_a_draw_between_taken_messages_raises(self):
+        channel = self._channel("indoor", "fec", True, 5)
+        priced = channel.transmit_each([40, 64, 8])
+        next(priced)
+        channel.transmit(40)
+        with pytest.raises(RuntimeError, match="drew loss verdicts"):
+            next(priced)
 
     def test_replayed_trace_serves_its_entries(self):
         channel = self._channel("bernoulli", "arq", True, 3)
