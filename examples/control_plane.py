@@ -1,23 +1,22 @@
 #!/usr/bin/env python3
-"""Scenario: steering a live fleet run through the control plane.
+"""Scenario: serving and watching a live fleet run through the control plane.
 
-PR 10's :mod:`repro.serve` turns a scheduler run from a batch job into
-a service: submitted over TCP, watched live, and steered mid-run.
-This example (also CI's control-plane smoke) exercises the whole loop
-in one process:
+:mod:`repro.serve` turns a scheduler run from a batch job into a
+service: submitted over TCP with its faults declared up front, watched
+live, and paused, resumed or cancelled while it trains.  This example
+(also CI's control-plane smoke) exercises the whole loop in one
+process:
 
 1. host a :class:`~repro.serve.FleetService` +
    :class:`~repro.serve.ControlPlaneServer` on a background thread
    (:func:`~repro.serve.serve_in_thread`);
-2. submit a 4-cluster lossy event-engine run **paused**, queue an
-   ``inject_fault`` (brownout on c1) and a ``retire_cluster`` (c3)
-   while nothing is moving, then ``resume`` — the commands land
-   deterministically at the first safe round boundary;
-3. subscribe to the run's live event stream over TCP, append every
-   received line to ``--out``, and fold the events into a
-   :class:`~repro.serve.FleetDashboard`;
+2. submit a 4-cluster lossy event-engine run **paused**, whose spec
+   schedules a brownout on c1 and a ``cluster_death`` on c3 at t=0;
+3. subscribe to the run's live event stream over TCP, ``resume``,
+   append every received line to ``--out``, and fold the events into
+   a :class:`~repro.serve.FleetDashboard`;
 4. verify the final :class:`~repro.core.rounds.ScheduleReport`
-   reflects both commands, fetch Prometheus metrics, and shut the
+   reflects both faults, fetch Prometheus metrics, and shut the
    plane down cleanly.
 
 Usage::
@@ -43,7 +42,7 @@ from repro.serve import ControlPlaneClient, FleetDashboard, serve_in_thread
 ROUNDS = scaled(40, 16)
 
 SPEC = {
-    "name": "steered-fleet",
+    "name": "faulted-fleet",
     "clusters": 4,
     "devices": scaled(24, 12),
     "rounds_data": scaled(48, 24),
@@ -53,8 +52,13 @@ SPEC = {
     "recovery": "arq",
     "seed": 7,
     "rounds": ROUNDS,
-    # Submit paused: commands queued before resume are guaranteed to
-    # apply at the very first boundary, making this demo deterministic.
+    "faults": [
+        {"time_s": 0.0, "kind": "brownout", "cluster": "c1",
+         "magnitude": 0.5},
+        {"time_s": 0.0, "kind": "cluster_death", "cluster": "c3"},
+    ],
+    # Submit paused, so the subscription below is attached before the
+    # first event can fire.
     "paused": True,
 }
 
@@ -70,20 +74,9 @@ async def drive(box, out_path: str) -> None:
               f"{reply['rounds']} rounds, engine={reply['engine']}) — "
               f"state={reply['state']}")
 
-        # -- steer while paused ----------------------------------------
-        await client.request(
-            "command", run=run, wait=False,
-            command={"kind": "inject_fault", "fault": "brownout",
-                     "cluster": "c1", "magnitude": 0.5})
-        await client.request(
-            "command", run=run, wait=False,
-            command={"kind": "retire_cluster", "cluster": "c3",
-                     "reason": "operator retired"})
-        print("queued: inject_fault(brownout@c1), retire_cluster(c3)")
-
         # Attach the watcher *before* resuming (open_subscription
         # returns once the server confirms), so the stream observes the
-        # run's very first events — including the commands landing.
+        # run's very first events — including both faults firing.
         lines = await watcher.open_subscription(run, metrics_every=50)
         await client.request("resume", run=run)
 
@@ -106,7 +99,7 @@ async def drive(box, out_path: str) -> None:
         floor = min(100, 3 * ROUNDS)
         assert events >= floor, f"expected >= {floor} events, got {events}"
 
-        # -- the commands are visible in the final report --------------
+        # -- the faults are visible in the final report ----------------
         status = await client.request("status", run=run)
         report = status["report"]
         assert report["faults_applied"] >= 1, report

@@ -167,7 +167,9 @@ class PickQueue:
         self.clusters = clusters
         self.rounds_completed = rounds_completed or (
             lambda index: clusters[index].rounds_completed)
-        self._heap = self._keyed(range(len(clusters)))
+        self._heap = [(self.key(index), index)
+                      for index in range(len(clusters))]
+        heapq.heapify(self._heap)
         self._held: Optional[int] = None
 
     def key(self, index: int):
@@ -179,11 +181,6 @@ class PickQueue:
         if policy == "deadline":
             return deadline_key(self.clusters[index])
         return loss_rank(self.clusters[index].current_loss)
-
-    def _keyed(self, indices) -> List[tuple]:
-        heap = [(self.key(index), index) for index in indices]
-        heapq.heapify(heap)
-        return heap
 
     def pick(self, pending: Callable[[int], bool]) -> Optional[int]:
         """Registration index of the next cluster to serve, or None."""
@@ -201,15 +198,6 @@ class PickQueue:
                 self._held = index
                 return index
         return None
-
-    def set_policy(self, policy: str) -> None:
-        """Switch the pick rule, re-keying every queued cluster."""
-        self.policy = policy
-        indices = [index for _, index in self._heap]
-        if self._held is not None:
-            indices.append(self._held)
-            self._held = None
-        self._heap = self._keyed(indices)
 
 
 # ----------------------------------------------------------------------
@@ -440,9 +428,9 @@ class IdealRoundLoop:
             ) -> None:
         control = self.control
         while True:
-            # Between-round control checkpoint (pause/cancel only on the
-            # ideal engines): one boolean read per round when idle.
-            if control is not None and not control.ideal_checkpoint(self):
+            # Between-round control checkpoint: nothing is ever
+            # pre-executed here, so a cancel stops at the first one.
+            if control is not None and not control.checkpoint(0):
                 break
             cluster = self._next_cluster()
             if cluster is None:
@@ -673,12 +661,13 @@ class SegmentedFleetExecutor:
         if mode not in ("segment", "wave"):
             raise ValueError(f"unknown planning mode {mode!r}")
         self.bus = bus
-        # Control-plane seam: while ``command_gate()`` reports a pending
-        # runtime command, planners clamp to the requesting round only
+        # Control-plane seam: once ``command_gate()`` reports a pending
+        # cancel, planners clamp to the requesting round only
         # ("command-pending" bound) so pre-executed work drains and the
-        # command can apply at an outstanding==0 round boundary.  With
-        # no commands ever submitted the gate never fires and planning
-        # is byte-identical to a gate-less run.
+        # run can stop at an outstanding==0 round boundary instead of
+        # waiting out a whole-run plan.  An uncancelled run never fires
+        # the gate, and its planning is byte-identical to a gate-less
+        # run.
         self.command_gate = command_gate
         self.clusters = list(clusters)
         self._index = {c.name: k for k, c in enumerate(self.clusters)}
@@ -775,9 +764,8 @@ class SegmentedFleetExecutor:
     def outstanding(self) -> int:
         """Pre-executed rounds the kernel has not consumed yet.
 
-        The control plane applies mutating commands only when this is
-        zero: at such a boundary no planned round's math could have
-        baked in pre-command world state.
+        A cancel stops the run only when this is zero, so
+        :meth:`finalize` never finds pre-executed rounds left over.
         """
         return (sum(len(q) for q in self.queues.values())
                 + sum(len(q) for q in self.fail_queues.values()))
@@ -869,11 +857,10 @@ class SegmentedFleetExecutor:
         cursors[self._index[current.name]].seed_current(edge_clock, agg_s)
         plan[current.name].append(("success", extra_s))
 
-        # A pending runtime command clamps the plan to this round only:
-        # segment plans may truncate at any pick boundary (the kernel
-        # consumes planned rounds in exactly plan order), so the fleet
-        # reaches outstanding==0 at the very next boundary and the
-        # command applies there.
+        # A pending cancel clamps the plan to this round only: segment
+        # plans may truncate at any pick boundary (the kernel consumes
+        # planned rounds in exactly plan order), so the fleet reaches
+        # outstanding==0 at the very next boundary and stops there.
         if self.command_gate is not None and self.command_gate():
             return plan, "command-pending"
 
@@ -962,9 +949,9 @@ class SegmentedFleetExecutor:
         plan: Dict[str, List[tuple]] = {c.name: [] for c in self.clusters}
         plan[current.name].append(("success", extra_s))
 
-        # Pending runtime command: plan the requesting round only (see
+        # Pending cancel: plan the requesting round only (see
         # ``_plan_segment``) so earlier waves' leftovers drain and the
-        # command applies at the next outstanding==0 boundary.
+        # run stops at the next outstanding==0 boundary.
         if self.command_gate is not None and self.command_gate():
             if self.bus.wants(WavePlanned.kind):
                 self.bus.emit(WavePlanned(clusters=1, rounds=1,

@@ -156,32 +156,12 @@ from .rounds import (
 
 __all__ = [
     "EdgeTrainingScheduler", "ExecutionPlan",
-    "ResilientOrchestrationPolicy", "RunControlSurface",
-    "ScheduledCluster", "ScheduleReport", "compare_policies",
+    "ResilientOrchestrationPolicy", "ScheduledCluster", "ScheduleReport",
+    "compare_policies",
 ]
 
 _POLICIES = ("fifo", "round_robin", "loss_priority", "deadline")
 _ENGINES = ("auto", "sequential", "batched", "event", "analytic")
-
-
-@dataclass
-class RunControlSurface:
-    """Everything a between-round control checkpoint may act on.
-
-    Handed to the run controller's ``checkpoint`` at every safe round
-    boundary of the event engine.  The controller (see
-    :mod:`repro.serve.commands`) is duck-typed — core never imports
-    the control plane — and must only mutate through this surface at
-    boundaries where ``executor.outstanding() == 0``, so no
-    pre-executed fused round can have baked in pre-command state.
-    """
-
-    scheduler: "EdgeTrainingScheduler"
-    sim: EventScheduler
-    states: Dict[str, "_EventClusterState"]
-    injector: FaultInjector
-    budget: Dict[str, int]
-    executor: object
 
 
 @dataclass
@@ -726,27 +706,14 @@ class EdgeTrainingScheduler:
         self.segment_batching = segment_batching
         self.telemetry = telemetry
         # Optional run controller (duck-typed; see repro.serve.commands)
-        # checked at every between-round boundary: pause points and the
-        # runtime command queue.  None costs one ``is not None`` per
-        # round.
+        # checked at every between-round boundary: pause points and
+        # cancellation.  None costs one ``is not None`` per round.
         self.control = control
         # The session bus every instrumented site reads.  ``run()``
         # swaps in a tapped bus (ScheduleReport's deadline/retirement
         # fields are folded from bus events) and restores this default.
         self._bus: TelemetryBus = (telemetry if telemetry is not None
                                    else NULL_BUS)
-
-    def attach_telemetry(self, bus: Optional[TelemetryBus]) -> None:
-        """Attach (or, with ``None``, detach) a telemetry bus post-init.
-
-        The control plane builds schedulers through user-supplied
-        factories that may not expose the ``telemetry=`` parameter;
-        this is the seam that wires the service bus in afterwards.
-        Safe only between runs — an in-flight session holds its own
-        bus reference.
-        """
-        self.telemetry = bus
-        self._bus = bus if bus is not None else NULL_BUS
 
     def add_cluster(self, name: str, trainer: OrchestratedTrainer,
                     data: np.ndarray, batch_size: int = 32,
@@ -1185,9 +1152,6 @@ class EdgeTrainingScheduler:
                               if control is not None else None))
         else:
             executor = InlineRoundExecutor()
-        surface = (RunControlSurface(self, sim, states, injector,
-                                     budget, executor)
-                   if control is not None else None)
         picks = PickQueue(self.policy, self.clusters)
         by_index = [(c, states[c.name]) for c in self.clusters]
         quorum = self.resilience.quorum
@@ -1200,15 +1164,11 @@ class EdgeTrainingScheduler:
         def edge_process():
             while True:
                 # Between-round control checkpoint: the safe boundary
-                # where pause blocks and runtime commands apply (the
-                # controller defers mutations until the executor has
-                # zero pre-executed rounds outstanding).  One boolean
-                # read per round when no command or pause is pending.
-                if control is not None:
-                    if not control.checkpoint(surface):
-                        break
-                    if picks.policy != self.policy:   # set_policy applied
-                        picks.set_policy(self.policy)
+                # where pause blocks and a cancel stops the run once the
+                # executor has zero pre-executed rounds outstanding.
+                if (control is not None
+                        and not control.checkpoint(executor.outstanding())):
+                    break
                 if quorum > 0.0:
                     alive = sum(not s.dead for s in states.values())
                     halt = alive / total < quorum

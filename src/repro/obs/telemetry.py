@@ -104,8 +104,9 @@ class WavePlanned(TelemetryEvent):
     ``"all-before-horizon"`` (every outstanding round provably finishes
     before the fault horizon), ``"prefix"`` (per-cluster incremental
     bound fused the earliest-consumed rounds only), ``"quorum-risk"``
-    (a death inside the window could trip the quorum mid-wave) or
-    ``"requesting-only"`` (nothing beyond the requesting round fit).
+    (a death inside the window could trip the quorum mid-wave),
+    ``"requesting-only"`` (nothing beyond the requesting round fit) or
+    ``"command-pending"`` (a cancel pends; the requesting round only).
     """
 
     kind = "wave_planned"

@@ -1,18 +1,18 @@
 """`repro.serve` — the orchestration control plane.
 
 Long-running asyncio service hosting many concurrent scheduler runs,
-each observable (live telemetry streams, Prometheus metrics) and
-steerable (fault injection, cluster retirement, policy switches,
-pause/resume/cancel) while executing — without perturbing the
+each declared up front (fleet parameters and a fault schedule),
+observable (live telemetry streams, Prometheus metrics) and
+pausable/cancellable while executing — without perturbing the
 simulation: a run with an attached service is bit-identical to the
-same run offline as long as no mutating command is issued.
+same run offline unless it is cancelled.
 
 Layers:
 
 * :mod:`repro.serve.bridge` — sync TelemetryBus -> bounded asyncio
   event streams (non-blocking producers, counted drops);
-* :mod:`repro.serve.commands` — the runtime command queue applied at
-  safe between-round boundaries;
+* :mod:`repro.serve.commands` — the pause/resume/cancel controller
+  consulted at safe between-round boundaries;
 * :mod:`repro.serve.service` — the run registry + thread-pool
   executor (:class:`FleetService`);
 * :mod:`repro.serve.protocol` — line-delimited JSON over TCP
@@ -23,14 +23,14 @@ Layers:
 """
 
 from .bridge import AsyncTelemetryBridge, EventStream
-from .commands import Command, RunCancelled, RunController
+from .commands import RunController
 from .dashboard import FleetDashboard
 from .protocol import ControlPlaneClient, ControlPlaneServer, serve_in_thread
 from .service import FleetService, RunHandle, build_scheduler_from_spec
 
 __all__ = [
     "AsyncTelemetryBridge", "EventStream",
-    "Command", "RunCancelled", "RunController",
+    "RunController",
     "FleetDashboard",
     "ControlPlaneClient", "ControlPlaneServer", "serve_in_thread",
     "FleetService", "RunHandle", "build_scheduler_from_spec",

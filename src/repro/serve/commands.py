@@ -1,9 +1,9 @@
-"""`repro.serve.commands` — the runtime command queue and run controller.
+"""`repro.serve.commands` — the run controller: pause, resume, cancel.
 
 A :class:`RunController` is the duck-typed object
 :class:`~repro.core.scheduler.EdgeTrainingScheduler` consults at every
-between-round boundary (``control=`` parameter).  It carries three
-concerns:
+between-round boundary (``control=`` parameter) of the event kernel
+and of the ideal round loop (sequential engine, batched replay):
 
 * **pause/resume** — the simulation thread blocks on a
   ``threading.Event`` at the next boundary; only *wall* clock passes,
@@ -12,243 +12,77 @@ concerns:
   zero pre-executed rounds outstanding, so
   :meth:`~repro.core.rounds.SegmentedFleetExecutor.finalize` stays
   safe and a partial :class:`~repro.core.rounds.ScheduleReport` is
-  still produced;
-* **mutating commands** (``inject_fault``, ``retire_cluster``,
-  ``set_policy``) — queued by any thread, each resolved through a
-  ``concurrent.futures.Future``, and **applied only at boundaries
-  where** ``executor.outstanding() == 0``.  While a command pends, the
-  controller's :meth:`has_pending` gate makes the fused planners clamp
-  to requesting-round-only plans, so outstanding work drains within
-  one boundary and the command lands deterministically at the next.
+  still produced.  While a cancel pends, the controller's
+  :meth:`has_pending` gate makes the fused planners clamp to
+  requesting-round-only plans (bound ``"command-pending"``), so
+  outstanding work drains within one boundary instead of waiting out
+  a whole-run plan.
 
-The hot path is a single attribute read: ``checkpoint`` returns
-immediately unless something is pending, which is what keeps the
-telemetry-overhead ceiling intact with a controller attached but idle.
+Faults are declared up front (the run spec's ``faults``); a run is
+never mutated while it trains.  The hot path is two attribute reads:
+``checkpoint`` returns immediately unless a pause or cancel is
+pending, which is what keeps the telemetry-overhead ceiling intact
+with a controller attached but idle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
-from collections import deque
-from concurrent.futures import Future
-from typing import Deque, Dict
 
-from ..sim.faults import FaultEvent
-
-__all__ = ["Command", "RunCancelled", "RunController"]
-
-#: Mutating command kinds the controller can apply at a boundary.
-COMMAND_KINDS = ("inject_fault", "retire_cluster", "set_policy")
-
-
-class RunCancelled(Exception):
-    """Raised into a command future when its run ends before it applies."""
-
-
-class Command:
-    """One queued runtime command with its resolution future."""
-
-    __slots__ = ("kind", "payload", "future")
-
-    def __init__(self, kind: str, payload: object = None) -> None:
-        if kind not in COMMAND_KINDS:
-            raise ValueError(f"unknown command kind {kind!r}; "
-                             f"choose from {COMMAND_KINDS}")
-        self.kind = kind
-        self.payload = payload
-        self.future: Future = Future()
+__all__ = ["RunController"]
 
 
 class RunController:
-    """Between-round control state for one scheduler run.
+    """Between-round pause/cancel state for one scheduler run.
 
-    Thread model: ``submit``/``pause``/``resume``/``cancel`` may be
-    called from any thread; ``checkpoint``/``ideal_checkpoint`` run on
-    the simulation thread; ``finish`` runs on the service worker after
-    ``scheduler.run`` returns.
+    Thread model: ``pause``/``resume``/``cancel`` may be called from
+    any thread; ``checkpoint`` runs on the simulation thread.
     """
 
     def __init__(self, paused: bool = False) -> None:
         self._lock = threading.Lock()
-        self._commands: Deque[Command] = deque()
         self._resume = threading.Event()
         self.paused = paused
         if not paused:
             self._resume.set()
         self.cancelled = False
-        self.finished = False
-        self.applied: list = []
-        # Fast-path flag: True iff a pause, cancel or command pends.
-        # Read without the lock on the hot path (a bool read is atomic
-        # under the GIL); all writers hold the lock.
-        self._dirty = paused
 
     # -- control surface (any thread) -----------------------------------
-
-    def submit(self, kind: str, payload: object = None) -> Future:
-        """Queue a mutating command; the future resolves at application."""
-        command = Command(kind, payload)
-        with self._lock:
-            if self.finished:
-                command.future.set_exception(RunCancelled(
-                    f"run already finished; command {kind!r} not applied"))
-                return command.future
-            self._commands.append(command)
-            self._dirty = True
-        return command.future
-
-    def inject_fault(self, event: FaultEvent) -> Future:
-        return self.submit("inject_fault", event)
-
-    def retire_cluster(self, cluster: str,
-                       reason: str = "retired by control plane") -> Future:
-        return self.submit("retire_cluster", (cluster, reason))
-
-    def set_policy(self, policy: str) -> Future:
-        return self.submit("set_policy", policy)
 
     def pause(self) -> None:
         with self._lock:
             self.paused = True
             self._resume.clear()
-            self._dirty = True
 
     def resume(self) -> None:
         with self._lock:
             self.paused = False
             self._resume.set()
-            self._refresh_dirty_locked()
 
     def cancel(self) -> None:
-        """Request a stop at the next safe boundary (never mid-round)."""
+        """Request a stop at the next safe boundary (never mid-round).
+
+        A paused run wakes up to drain towards that boundary.
+        """
         with self._lock:
             self.cancelled = True
-            self._dirty = True
-            # A paused run must wake up to observe the cancel.
+            self.paused = False
             self._resume.set()
 
     def has_pending(self) -> bool:
-        """Command-gate for the fused planners: clamp while this holds."""
-        return bool(self._commands) or self.cancelled
+        """Command gate for the fused planners: clamp once a cancel pends."""
+        return self.cancelled
 
     # -- simulation-thread side ------------------------------------------
 
-    def checkpoint(self, surface) -> bool:
-        """Event-engine boundary hook; False stops the run.
+    def checkpoint(self, outstanding: int) -> bool:
+        """The one between-round boundary hook; False stops the run.
 
-        ``surface`` is the scheduler's
-        :class:`~repro.core.scheduler.RunControlSurface`.  Mutations
-        (commands, cancel) act only when the executor has nothing
-        pre-executed outstanding; until then the :meth:`has_pending`
-        gate keeps new plans minimal so that state drains fast.
+        ``outstanding`` counts the rounds the executor has pre-executed
+        but the kernel has not consumed (0 on the ideal engines and the
+        unfused event engine).  A pause blocks here; a cancel stops the
+        run only once nothing is outstanding.
         """
-        if not self._dirty:
-            return True
-        self._resume.wait()
-        if surface.executor.outstanding() == 0:
-            if self._commands:
-                self._drain(surface)
-            if self.cancelled:
-                return False
-        with self._lock:
-            self._refresh_dirty_locked()
-        return True
-
-    def ideal_checkpoint(self, loop) -> bool:
-        """Boundary hook for the ideal engines (pause/cancel only)."""
-        if not self._dirty:
-            return True
-        self._resume.wait()
-        while True:
-            with self._lock:
-                command = (self._commands.popleft()
-                           if self._commands else None)
-            if command is None:
-                break
-            command.future.set_exception(ValueError(
-                f"command {command.kind!r} requires the event engine; "
-                "this run executes on an ideal engine "
-                "(pause/resume/cancel only)"))
-        if self.cancelled:
-            return False
-        with self._lock:
-            self._refresh_dirty_locked()
-        return True
-
-    # -- worker side ------------------------------------------------------
-
-    def finish(self) -> None:
-        """Resolve leftovers once the run has returned (or raised)."""
-        with self._lock:
-            self.finished = True
-            pending = list(self._commands)
-            self._commands.clear()
-            self._dirty = False
-            self._resume.set()
-        for command in pending:
-            if not command.future.done():
-                command.future.set_exception(RunCancelled(
-                    f"run ended before command {command.kind!r} "
-                    "reached a safe boundary"))
-
-    # -- internals --------------------------------------------------------
-
-    def _refresh_dirty_locked(self) -> None:
-        self._dirty = (self.paused or self.cancelled
-                       or bool(self._commands))
-
-    def _drain(self, surface) -> None:
-        while True:
-            with self._lock:
-                if not self._commands:
-                    return
-                command = self._commands.popleft()
-            try:
-                result = self._apply(command, surface)
-            except Exception as exc:
-                command.future.set_exception(exc)
-            else:
-                self.applied.append((command.kind, result))
-                command.future.set_result(result)
-
-    def _apply(self, command: Command, surface) -> Dict[str, object]:
-        now = float(surface.sim.now)
-        if command.kind == "inject_fault":
-            event: FaultEvent = dataclasses.replace(command.payload,
-                                                    time_s=now)
-            surface.injector.inject(event)
-            return {"applied": "inject_fault", "cluster": event.cluster,
-                    "fault": event.kind, "time_s": now}
-        if command.kind == "retire_cluster":
-            name, reason = command.payload
-            state = surface.states.get(name)
-            if state is None:
-                raise KeyError(
-                    f"retire_cluster names unknown cluster {name!r}; "
-                    f"known: {sorted(surface.states)}")
-            was_dead = state.dead
-            state.retire(reason)
-            return {"applied": "retire_cluster", "cluster": name,
-                    "reason": reason, "was_dead": was_dead, "time_s": now}
-        if command.kind == "set_policy":
-            from ..core.scheduler import _POLICIES
-            policy = command.payload
-            if policy not in _POLICIES:
-                raise ValueError(f"unknown policy {policy!r}; "
-                                 f"choose from {_POLICIES}")
-            executor = surface.executor
-            if (policy == "loss_priority"
-                    and getattr(executor, "mode", None) == "segment"):
-                raise ValueError(
-                    "cannot switch to loss_priority mid-run under fused "
-                    "segment planning (the planner mirrors picks and has "
-                    "no loss signal); start the run with "
-                    "policy='loss_priority' or segment_batching=False")
-            previous = surface.scheduler.policy
-            surface.scheduler.policy = policy
-            if hasattr(executor, "policy"):
-                executor.policy = policy
-            return {"applied": "set_policy", "policy": policy,
-                    "previous": previous, "time_s": now}
-        raise ValueError(f"unhandled command kind {command.kind!r}")
+        if self.paused:
+            self._resume.wait()
+        return not (self.cancelled and outstanding == 0)

@@ -14,17 +14,16 @@ op          payload
 ========== ============================================================
 ping        —
 submit      ``spec`` — run spec for :func:`build_scheduler_from_spec`
-            (plus service keys ``rounds``, ``paused``, ``name``)
+            (plus service keys ``rounds``, ``paused``, ``name``);
+            faults are declared in its ``faults`` list
 list        —
 status      ``run``
 cancel      ``run``
 pause       ``run``
 resume      ``run``
 metrics     ``run`` — replies with Prometheus text + the flat mapping
-command     ``run``, ``command`` (``{"kind": "inject_fault" | "retire_
-            cluster" | "set_policy", ...}``), ``wait`` (default true),
-            ``timeout`` (seconds, default 30)
-subscribe   ``run``, ``kinds`` (optional list), ``metrics_every``
+subscribe   ``run``, ``kinds`` (optional list of event kinds from
+            :data:`~repro.obs.telemetry.EVENT_TYPES`), ``metrics_every``
             (snapshot every N events, 0 = never), ``max_events``
             (0 = unbounded)
 ========== ============================================================
@@ -40,10 +39,10 @@ import contextlib
 import json
 import threading
 from types import SimpleNamespace
-from typing import Any, AsyncIterator, Callable, Dict, Optional
+from typing import Any, AsyncIterator, Dict, List, Optional
 
 from ..obs.exporters import render_prometheus
-from ..sim.faults import FaultEvent
+from ..obs.telemetry import EVENT_TYPES
 from .service import FleetService, RunHandle
 
 __all__ = ["ControlPlaneClient", "ControlPlaneServer", "serve_in_thread"]
@@ -51,22 +50,19 @@ __all__ = ["ControlPlaneClient", "ControlPlaneServer", "serve_in_thread"]
 _MAX_LINE = 1 << 20
 
 
-def _fault_from_request(command: Dict[str, Any]) -> FaultEvent:
-    """Build the FaultEvent an ``inject_fault`` command describes.
-
-    ``time_s`` is a placeholder — the controller restamps it with the
-    simulated clock at the boundary where the command actually lands.
-    """
-    if "fault" not in command:
-        raise ValueError("inject_fault needs a 'fault' field "
-                         "(the fault kind, e.g. 'node_death')")
-    return FaultEvent(
-        time_s=0.0,
-        kind=str(command["fault"]),
-        cluster=str(command.get("cluster", "")),
-        device=command.get("device"),
-        magnitude=float(command.get("magnitude", 1.0)),
-    )
+def _event_kinds(kinds: Any) -> Optional[List[str]]:
+    """Validate a ``subscribe`` request's ``kinds`` (None = every kind)."""
+    if kinds is None:
+        return None
+    if not (isinstance(kinds, list)
+            and all(isinstance(kind, str) for kind in kinds)):
+        raise ValueError(f"'kinds' must be a list of event kinds, "
+                         f"got {kinds!r}")
+    unknown = sorted(set(kinds) - set(EVENT_TYPES))
+    if unknown:
+        raise ValueError(f"unknown event kinds {unknown}; "
+                         f"known: {sorted(EVENT_TYPES)}")
+    return kinds
 
 
 class ControlPlaneServer:
@@ -170,14 +166,11 @@ class ControlPlaneServer:
         elif op == "pause":
             handle = self._handle_for(request)
             self._controller_for(handle).pause()
-            handle.state = "paused" if not handle.done.is_set() else handle.state
             await self._send(writer, {"ok": True, "run": handle.run_id,
                                       "paused": True})
         elif op == "resume":
             handle = self._handle_for(request)
             self._controller_for(handle).resume()
-            if not handle.done.is_set():
-                handle.state = "running"
             await self._send(writer, {"ok": True, "run": handle.run_id,
                                       "paused": False})
         elif op == "metrics":
@@ -189,8 +182,6 @@ class ControlPlaneServer:
                 "ok": True, "run": handle.run_id,
                 "prometheus": render_prometheus(collector),
                 "flat": collector.flat()})
-        elif op == "command":
-            await self._op_command(request, writer)
         elif op == "subscribe":
             await self._op_subscribe(request, writer)
         else:
@@ -209,42 +200,10 @@ class ControlPlaneServer:
                 "it accepts no control commands")
         return handle.controller
 
-    async def _op_command(self, request: Dict[str, Any],
-                          writer: asyncio.StreamWriter) -> None:
-        handle = self._handle_for(request)
-        controller = self._controller_for(handle)
-        command = request.get("command")
-        if not isinstance(command, dict) or "kind" not in command:
-            raise ValueError("command needs a 'command' object with 'kind'")
-        kind = command["kind"]
-        if kind == "inject_fault":
-            future = controller.inject_fault(_fault_from_request(command))
-        elif kind == "retire_cluster":
-            if "cluster" not in command:
-                raise ValueError("retire_cluster needs a 'cluster' field")
-            future = controller.retire_cluster(
-                str(command["cluster"]),
-                str(command.get("reason", "retired by control plane")))
-        elif kind == "set_policy":
-            if "policy" not in command:
-                raise ValueError("set_policy needs a 'policy' field")
-            future = controller.set_policy(str(command["policy"]))
-        else:
-            raise ValueError(f"unknown command kind {kind!r}")
-        if not request.get("wait", True):
-            await self._send(writer, {"ok": True, "run": handle.run_id,
-                                      "queued": kind})
-            return
-        timeout = float(request.get("timeout", 30.0))
-        result = await asyncio.wait_for(
-            asyncio.wrap_future(future), timeout=timeout)
-        await self._send(writer, {"ok": True, "run": handle.run_id,
-                                  "result": result})
-
     async def _op_subscribe(self, request: Dict[str, Any],
                             writer: asyncio.StreamWriter) -> None:
         handle = self._handle_for(request)
-        kinds = request.get("kinds")
+        kinds = _event_kinds(request.get("kinds"))
         metrics_every = int(request.get("metrics_every", 0))
         max_events = int(request.get("max_events", 0))
         stream = self.service.stream_for(handle, kinds=kinds)
@@ -267,7 +226,7 @@ class ControlPlaneServer:
                 if max_events and seen >= max_events:
                     break
             await self._send(writer, {
-                "done": True, "run": handle.run_id, "state": handle.state,
+                "done": True, "run": handle.run_id, "state": handle.status,
                 "events": seen, "delivered": stream.delivered,
                 "dropped": stream.dropped})
         finally:
@@ -365,16 +324,15 @@ class ControlPlaneClient:
 
 @contextlib.contextmanager
 def serve_in_thread(host: str = "127.0.0.1", port: int = 0,
-                    max_workers: int = 4,
-                    builder: Optional[Callable[..., Any]] = None):
+                    max_workers: int = 4):
     """Host a FleetService + ControlPlaneServer on a background thread.
 
     For synchronous callers (experiments, examples, tests): yields a
     namespace with ``host``, ``port``, ``service``, ``server`` and
     ``loop``; on exit, cancels live runs and tears the server down.
-    Thread-safe service entry points (``submit_threadsafe``,
-    ``register_external``, ``finish_external``) may be called directly
-    on ``box.service`` from the caller's thread.
+    The thread-safe service entry points (``register_external``,
+    ``finish_external``) may be called directly on ``box.service``
+    from the caller's thread.
     """
     box = SimpleNamespace(service=None, server=None, loop=None,
                           host=host, port=None, error=None)
@@ -383,8 +341,7 @@ def serve_in_thread(host: str = "127.0.0.1", port: int = 0,
 
     async def main() -> None:
         try:
-            service = await FleetService(
-                max_workers=max_workers, builder=builder).start()
+            service = await FleetService(max_workers=max_workers).start()
             server = await ControlPlaneServer(service, host, port).start()
         except Exception as exc:
             box.error = exc

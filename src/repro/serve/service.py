@@ -10,21 +10,21 @@ a :class:`~repro.obs.metrics.MetricsCollector`, then executes
 never blocks on simulation work; it only multiplexes event streams
 and control requests.
 
-Runs come from three doors:
+Runs come from two doors:
 
 * :meth:`FleetService.submit_spec` — a plain-dict spec (the TCP
   ``submit`` op), built through
   :func:`build_scheduler_from_spec` /
-  :func:`~repro.scale.sharding.default_fleet_builder`;
-* :meth:`FleetService.submit` — a programmatic, pre-built scheduler
-  (tests; embedding);
+  :func:`~repro.scale.sharding.default_fleet_builder`; its faults are
+  declared up front in the spec;
 * :meth:`FleetService.register_external` — a run executing elsewhere
   (e.g. ``python -m repro.experiments ... --serve``) that only wants
-  its bus observable; no controller, commands are rejected.
+  its bus observable; no controller, so pause/resume/cancel are
+  rejected.
 
-Bit-identity: attaching a service adds a bus subscriber and an idle
+Bit-identity: attaching a service adds a bus subscriber and a
 controller — neither draws randomness nor perturbs accumulation — so
-a command-free service run produces digest-equal clock / ledger /
+an uncancelled service run produces digest-equal clock / ledger /
 report / RNG state vs the same seed offline (asserted in
 ``tests/test_serve_control_plane.py``).
 """
@@ -94,9 +94,10 @@ def build_scheduler_from_spec(spec: Dict[str, Any],
 class RunHandle:
     """One hosted run: identity, wiring, and lifecycle state.
 
-    ``state`` walks pending -> running -> (paused <-> running) ->
-    done | failed | cancelled.  External runs (``external=True``) are
-    observe-only: no controller, no report.
+    ``state`` walks pending -> running -> done | failed | cancelled.
+    :attr:`status` reads ``"paused"`` instead while the controller is
+    paused and the run has not finished.  External runs
+    (``external=True``) are observe-only: no controller, no report.
     """
 
     def __init__(self, run_id: str, name: str, *,
@@ -119,9 +120,17 @@ class RunHandle:
         self.error: Optional[str] = None
         self.done = asyncio.Event()
 
+    @property
+    def status(self) -> str:
+        """``state``, or ``"paused"`` while the unfinished run is paused."""
+        if (self.state in ("pending", "running")
+                and self.controller is not None and self.controller.paused):
+            return "paused"
+        return self.state
+
     def describe(self) -> Dict[str, Any]:
         info: Dict[str, Any] = {
-            "run": self.run_id, "name": self.name, "state": self.state,
+            "run": self.run_id, "name": self.name, "state": self.status,
             "external": self.external,
         }
         if self.scheduler is not None:
@@ -149,18 +158,16 @@ class RunHandle:
 
 
 class FleetService:
-    """Hosts, executes, observes and steers many scheduler runs.
+    """Hosts, executes, observes and pauses/cancels many scheduler runs.
 
     Must be started (``await service.start()``) from the event loop
     that will own it; the thread-safe entry points
-    (:meth:`submit_threadsafe`, :meth:`register_external`, ...) proxy
-    into that loop so sync callers — experiments, tests — can drive a
+    (:meth:`register_external`, :meth:`finish_external`) proxy into
+    that loop so a sync caller — the experiments CLI — can drive a
     service running on a background thread.
     """
 
-    def __init__(self, max_workers: int = 4,
-                 builder: Optional[Callable[..., Any]] = None) -> None:
-        self._builder = builder or build_scheduler_from_spec
+    def __init__(self, max_workers: int = 4) -> None:
         self._max_workers = max_workers
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
@@ -176,15 +183,14 @@ class FleetService:
             max_workers=self._max_workers, thread_name_prefix="fleet-run")
         return self
 
-    async def close(self, cancel_running: bool = True) -> None:
+    async def close(self) -> None:
         """Cancel live runs, wait for workers, end every stream."""
         if self._closed:
             return
         self._closed = True
-        if cancel_running:
-            for handle in self._runs.values():
-                if handle.controller is not None and not handle.done.is_set():
-                    handle.controller.cancel()
+        for handle in self._runs.values():
+            if handle.controller is not None and not handle.done.is_set():
+                handle.controller.cancel()
         for handle in self._runs.values():
             if not handle.external:
                 await handle.done.wait()
@@ -217,41 +223,19 @@ class FleetService:
 
     def submit_spec(self, spec: Dict[str, Any]) -> RunHandle:
         """Build and launch a run from a plain-dict spec."""
-        spec = dict(spec)
-        rounds = int(spec.pop("rounds", 30))
-        paused = bool(spec.pop("paused", False))
-        name = str(spec.get("name", "fleet"))
-        bus = TelemetryBus()
-        controller = RunController(paused=paused)
-        scheduler = self._builder(spec, telemetry=bus, control=controller)
-        return self._launch(scheduler, rounds, name=name, bus=bus,
-                            controller=controller)
-
-    def submit(self, scheduler, rounds: int, *,
-               name: Optional[str] = None,
-               paused: bool = False) -> RunHandle:
-        """Launch a pre-built scheduler under service management.
-
-        The service attaches its own bus and controller via
-        :meth:`~repro.core.scheduler.EdgeTrainingScheduler.
-        attach_telemetry` — any bus the caller had set is replaced for
-        the hosted run.
-        """
-        bus = TelemetryBus()
-        controller = RunController(paused=paused)
-        scheduler.attach_telemetry(bus)
-        scheduler.control = controller
-        return self._launch(scheduler, rounds, name=name or "fleet",
-                            bus=bus, controller=controller)
-
-    def _launch(self, scheduler, rounds: int, *, name: str,
-                bus: TelemetryBus, controller: RunController) -> RunHandle:
         if self._loop is None or self._pool is None:
             raise RuntimeError("FleetService not started — await start()")
         if self._closed:
             raise RuntimeError("FleetService is closed")
+        spec = dict(spec)
+        rounds = int(spec.pop("rounds", 30))
+        controller = RunController(paused=bool(spec.pop("paused", False)))
+        bus = TelemetryBus()
+        scheduler = build_scheduler_from_spec(spec, telemetry=bus,
+                                              control=controller)
         handle = RunHandle(
-            self._allocate_id(), name, scheduler=scheduler, rounds=rounds,
+            self._allocate_id(), str(spec.get("name", "fleet")),
+            scheduler=scheduler, rounds=rounds,
             bus=bus, bridge=AsyncTelemetryBridge(bus, self._loop),
             controller=controller, collector=MetricsCollector(bus))
         self._runs[handle.run_id] = handle
@@ -285,10 +269,7 @@ class FleetService:
             handle.bridge.close()
         self._call_in_loop(finish)
 
-    # -- thread-safe proxies ----------------------------------------------
-
-    def submit_threadsafe(self, spec: Dict[str, Any]) -> RunHandle:
-        return self._call_in_loop(lambda: self.submit_spec(spec))
+    # -- thread-safe proxy ------------------------------------------------
 
     def _call_in_loop(self, fn: Callable[[], Any], timeout: float = 30.0):
         if self._loop is None:
@@ -325,21 +306,20 @@ class FleetService:
     # -- worker thread ----------------------------------------------------
 
     def _execute(self, handle: RunHandle) -> None:
-        controller = handle.controller
-        handle.state = "paused" if (controller is not None
-                                    and controller.paused) else "running"
+        handle.state = "running"
         try:
+            # A run submitted paused starts only once resumed, so a
+            # subscriber attached meanwhile sees even its t=0 faults.
+            # (A cancel lets it start and stop at its first boundary.)
+            handle.controller.checkpoint(0)
             handle.report = handle.scheduler.run(handle.rounds)
         except Exception as exc:
             handle.error = f"{type(exc).__name__}: {exc}"
             handle.state = "failed"
         else:
-            handle.state = ("cancelled"
-                            if controller is not None and controller.cancelled
+            handle.state = ("cancelled" if handle.controller.cancelled
                             else "done")
         finally:
-            if controller is not None:
-                controller.finish()
             if self._loop is not None and not self._loop.is_closed():
                 self._loop.call_soon_threadsafe(self._settle, handle)
 

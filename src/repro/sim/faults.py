@@ -250,22 +250,6 @@ class FaultInjector:
         if self.on_applied is not None:
             self.on_applied(event)
 
-    def inject(self, event: FaultEvent) -> None:
-        """Apply an *unscheduled* fault right now (runtime command path).
-
-        Mirrors :meth:`_fire` exactly — same audit trail, telemetry,
-        and ``on_applied`` re-derivation hook — so a fault injected by
-        the control plane is indistinguishable from a scheduled one,
-        except that it never participates in :meth:`horizon` (the
-        caller applies it at a round boundary, where no pre-executed
-        work is outstanding).
-        """
-        if event.cluster not in self.targets:
-            raise KeyError(
-                f"inject names unknown cluster {event.cluster!r}; "
-                f"known: {sorted(self.targets)}")
-        self._fire(event)
-
 
 # ----------------------------------------------------------------------
 # WSNetwork adapter

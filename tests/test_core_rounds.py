@@ -26,7 +26,6 @@ from repro.core.rounds import (
     deadline_key,
     loss_rank,
 )
-from repro.obs import RoundCompleted, TelemetryBus
 from repro.sim import (ARQConfig, ChannelSpec, FaultEvent, FaultSchedule,
                        GilbertElliottLoss)
 
@@ -710,8 +709,7 @@ def pick_runs(draw):
     Each step kills some clusters before the pick, then the picked
     cluster is skipped (picked, not served), fails (budget spent,
     rounds unchanged), succeeds (budget spent, rounds and loss
-    updated) or dies in its round.  At most one step switches policy
-    first.
+    updated) or dies in its round.
     """
     size = draw(st.integers(1, 6))
     deadlines = draw(st.lists(
@@ -724,16 +722,14 @@ def pick_runs(draw):
         st.sampled_from(["success", "success", "fail", "skip", "die"]),
         st.sampled_from([0.0, -0.0, 0.25, 1.0, 3.0, float("inf")])),
         max_size=30))
-    switch = draw(st.one_of(st.none(), st.tuples(
-        st.integers(0, 30), st.sampled_from(POLICIES))))
-    return deadlines, budgets, steps, switch
+    return deadlines, budgets, steps
 
 
 class TestPickQueue:
     @given(st.sampled_from(POLICIES), pick_runs())
     @settings(max_examples=300, deadline=None)
     def test_picks_match_the_scan(self, policy, run):
-        deadlines, budgets, steps, switch = run
+        deadlines, budgets, steps = run
         clusters = [SimpleNamespace(rounds_completed=0, deadline_s=deadline,
                                     current_loss=float("inf"))
                     for deadline in deadlines]
@@ -747,12 +743,9 @@ class TestPickQueue:
         def kill(k):
             dead[k] = True
 
-        for step, (deaths, outcome, loss) in enumerate(steps):
+        for deaths, outcome, loss in steps:
             for k in deaths:
                 kill(k)
-            if switch is not None and step == switch[0]:
-                policy = switch[1]
-                queue.set_policy(policy)
             scan = [c for k, c in enumerate(clusters) if pending(k)]
             expected = policy_pick(policy, scan,
                                    lambda c: c.rounds_completed,
@@ -787,13 +780,6 @@ class TestPickQueue:
         assert order == [4, 1, 3, 0, 2]
         assert loss_rank(float("nan")) == float("inf")
         assert loss_rank(2.0) == -2.0
-
-    def test_set_policy_before_first_pick(self):
-        clusters = [SimpleNamespace(rounds_completed=r, deadline_s=None)
-                    for r in (3, 1, 2)]
-        queue = PickQueue("round_robin", clusters)
-        queue.set_policy("fifo")
-        assert queue.pick(lambda k: True) == 0
 
     @pytest.mark.parametrize("policy", ["fifo", "round_robin", "deadline"])
     def test_planner_picks_mirror_the_kernel(self, monkeypatch, policy):
@@ -843,27 +829,3 @@ class TestPickQueue:
             assert planned == kernel[before:before + len(planned)]
             mirrored += len(planned)
         assert mirrored > len(kernel) // 2
-
-    def test_runtime_set_policy_rekeys_the_kernel_queue(self):
-        """A policy switch at a round boundary takes effect at the very
-        next pick: round-robin for five picks, then fifo drains."""
-
-        class SwitchAt:
-            calls = 0
-
-            def checkpoint(self, surface):
-                self.calls += 1
-                if self.calls == 6:
-                    surface.scheduler.policy = "fifo"
-                return True
-
-        bus = TelemetryBus()
-        served = []
-        bus.subscribe(lambda event: served.append(event.cluster),
-                      kinds=(RoundCompleted.kind,))
-        scheduler = build_scheduler(fused=False, clusters=3,
-                                    telemetry=bus, control=SwitchAt())
-        report = scheduler.run(rounds_per_cluster=4)
-        assert served == ["c0", "c1", "c2", "c0", "c1",
-                          "c0", "c0", "c1", "c1", "c2", "c2", "c2"]
-        assert report.policy == "fifo"

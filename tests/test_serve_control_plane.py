@@ -1,4 +1,4 @@
-"""Control-plane tests: bridge backpressure, bit-identity, commands, TCP.
+"""Control-plane tests: bridge backpressure, bit-identity, pause/cancel, TCP.
 
 The PR 7 telemetry contract extends to the control plane: hosting a run
 under :class:`repro.serve.FleetService` with live TCP subscribers (even
@@ -17,8 +17,8 @@ import io
 import json
 import re
 import threading
+import time
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,14 +29,14 @@ from repro.obs import (
 )
 from repro.obs.exporters import _flush_on_exit
 from repro.obs.telemetry import (
-    ClusterRetired, FaultApplied, RoundCompleted, SpanClosed,
+    ClusterRetired, FaultApplied, RoundCompleted, SegmentFused, SpanClosed,
+    WavePlanned,
 )
 from repro.serve import (
-    AsyncTelemetryBridge, Command, ControlPlaneClient, EventStream,
+    AsyncTelemetryBridge, ControlPlaneClient, EventStream,
     FleetDashboard, FleetService, RunController,
     build_scheduler_from_spec, serve_in_thread,
 )
-from repro.sim import FaultEvent
 
 # Small but non-trivial: event engine, Bernoulli loss, fused traces.
 LOSSY_SPEC = {
@@ -56,6 +56,19 @@ FAULT_SPEC = {
     ],
 }
 ROUNDS = 10
+IDEAL_SPEC = {
+    "name": "ideal", "clusters": 2, "devices": 12, "rounds_data": 20,
+    "engine": "sequential", "seed": 1,
+}
+# Fused lossy run with one scheduled fault mid-run: the cancel-clamp
+# tests cancel when it fires.
+CLAMP_SPEC = {
+    "name": "clamp", "clusters": 3, "devices": 12, "rounds_data": 20,
+    "engine": "event", "loss": 0.1, "retries": 1, "seed": 3,
+    "faults": [{"time_s": 0.1, "kind": "straggler", "cluster": "c0",
+                "magnitude": 2.0}],
+}
+CLAMP_ROUNDS = 30
 
 
 def _round_event(i: int) -> RoundCompleted:
@@ -255,39 +268,13 @@ def test_spec_faults_require_event_engine():
 
 
 # ----------------------------------------------------------------------
-# Runtime commands
+# Pause and cancel
 # ----------------------------------------------------------------------
-def test_paused_submit_commands_apply_and_land_in_report():
-    async def go():
-        service = await FleetService(max_workers=1).start()
-        try:
-            handle = service.submit_spec(
-                {**LOSSY_SPEC, "rounds": ROUNDS, "paused": True})
-            controller = handle.controller
-            fut_fault = controller.inject_fault(FaultEvent(
-                0.0, "brownout", "c0", magnitude=0.5))
-            fut_retire = controller.retire_cluster("c1", "test retire")
-            stream = service.stream_for(handle)
-            controller.resume()
-            await service.wait(handle)
-            fault_result = fut_fault.result(timeout=5)
-            retire_result = fut_retire.result(timeout=5)
-            assert fault_result["applied"] == "inject_fault"
-            assert retire_result["cluster"] == "c1"
-            report = handle.report
-            assert report.faults_applied >= 1
-            assert report.dead_clusters.get("c1") == "test retire"
-            kinds = set()
-            while True:
-                event = await stream.next()
-                if event is None:
-                    break
-                kinds.add(event.kind)
-            assert FaultApplied.kind in kinds
-            assert ClusterRetired.kind in kinds
-        finally:
-            await service.close()
-    asyncio.run(go())
+def _wait_until(predicate, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.002)
 
 
 def test_cancel_stops_at_boundary_with_partial_report():
@@ -297,6 +284,7 @@ def test_cancel_stops_at_boundary_with_partial_report():
             handle = service.submit_spec(
                 {**LOSSY_SPEC, "rounds": 200, "paused": True})
             handle.controller.cancel()
+            assert handle.describe()["state"] != "paused"   # it drains
             await service.wait(handle)
             assert handle.state == "cancelled"
             assert handle.report is not None
@@ -306,57 +294,148 @@ def test_cancel_stops_at_boundary_with_partial_report():
     asyncio.run(go())
 
 
-def test_ideal_engine_rejects_mutating_commands():
+def test_paused_submit_starts_only_once_resumed():
+    """Nothing runs before resume, not even the trace recording and the
+    t=0 faults that precede the event engine's first round boundary."""
     async def go():
         service = await FleetService(max_workers=1).start()
         try:
             handle = service.submit_spec({
-                "name": "ideal", "clusters": 2, "devices": 12,
-                "rounds_data": 20, "engine": "sequential", "seed": 1,
-                "rounds": ROUNDS, "paused": True})
-            future = handle.controller.retire_cluster("c0")
+                **LOSSY_SPEC, "rounds": ROUNDS, "paused": True,
+                "faults": [{"time_s": 0.0, "kind": "brownout",
+                            "cluster": "c0", "magnitude": 0.5}]})
+            events = []
+            handle.bus.subscribe(events.append)
+            await asyncio.sleep(0.05)
+            assert events == []
             handle.controller.resume()
             await service.wait(handle)
-            assert handle.state == "done"
-            with pytest.raises(ValueError, match="event engine"):
-                future.result(timeout=5)
+            assert handle.state == "done", handle.error
+            assert any(isinstance(e, FaultApplied) for e in events)
         finally:
             await service.close()
     asyncio.run(go())
 
 
-def test_command_validation_against_fake_surface():
-    controller = RunController()
-    surface = SimpleNamespace(
-        sim=SimpleNamespace(now=2.5),
-        scheduler=SimpleNamespace(policy="round_robin"),
-        executor=SimpleNamespace(mode="segment", policy="round_robin"),
-        states={}, injector=None, budget={})
-    with pytest.raises(ValueError, match="loss_priority"):
-        controller._apply(Command("set_policy", "loss_priority"), surface)
-    with pytest.raises(ValueError, match="unknown policy"):
-        controller._apply(Command("set_policy", "nonsense"), surface)
-    with pytest.raises(KeyError, match="unknown cluster"):
-        controller._apply(Command("retire_cluster", ("cX", "why")), surface)
-    result = controller._apply(Command("set_policy", "fifo"), surface)
-    assert result == {"applied": "set_policy", "policy": "fifo",
-                      "previous": "round_robin", "time_s": 2.5}
-    assert surface.scheduler.policy == "fifo"
-    assert surface.executor.policy == "fifo"
-    with pytest.raises(ValueError, match="unknown command kind"):
-        Command("explode")
+def test_describe_reports_pause_from_the_controller():
+    """Pausing and resuming through the Python API shows in describe():
+    ``state`` keeps the lifecycle, the controller says "paused"."""
+    async def go():
+        service = await FleetService(max_workers=1).start()
+        try:
+            handle = service.submit_spec(
+                {**IDEAL_SPEC, "rounds": ROUNDS, "paused": True})
+            assert handle.describe()["state"] == "paused"
+            controller = handle.controller
+            seen = []
+
+            def on_round(event):
+                # Runs on the simulation thread, mid-run.
+                seen.append(handle.describe()["state"])
+                if len(seen) == 3:
+                    controller.pause()
+
+            handle.bus.subscribe(on_round, kinds=[RoundCompleted.kind])
+            controller.resume()
+            deadline = time.monotonic() + 30.0
+            while len(seen) < 3:
+                assert time.monotonic() < deadline, "run never resumed"
+                await asyncio.sleep(0.002)
+            assert handle.describe()["state"] == "paused"
+            await asyncio.sleep(0.05)
+            assert len(seen) == 3            # held at the next boundary
+            controller.resume()
+            await service.wait(handle)
+            assert seen == ["running"] * (2 * ROUNDS)
+            assert handle.describe()["state"] == "done"
+        finally:
+            await service.close()
+    asyncio.run(go())
 
 
-def test_finish_fails_leftover_command_futures():
-    from repro.serve import RunCancelled
+def test_sequential_run_honours_pause_and_cancel():
+    """The ideal loop's checkpoint: a pause holds the run between
+    rounds, and a cancel stops it at the next boundary."""
+    reference = build_scheduler_from_spec(dict(IDEAL_SPEC))
+    reference.run(rounds_per_cluster=ROUNDS)
+    bus = TelemetryBus()
     controller = RunController()
-    future = controller.retire_cluster("c0")
-    controller.finish()
-    with pytest.raises(RunCancelled):
-        future.result(timeout=1)
-    # Submitting after finish fails immediately too.
-    with pytest.raises(RunCancelled):
-        controller.set_policy("fifo").result(timeout=1)
+    scheduler = build_scheduler_from_spec(dict(IDEAL_SPEC), telemetry=bus,
+                                          control=controller)
+    seen = []
+
+    def on_round(event):
+        seen.append(event)
+        if len(seen) == 3:
+            controller.pause()
+        elif len(seen) == 7:
+            controller.cancel()
+
+    bus.subscribe(on_round, kinds=[RoundCompleted.kind])
+    result = {}
+    thread = threading.Thread(target=lambda: result.setdefault(
+        "report", scheduler.run(rounds_per_cluster=ROUNDS)))
+    thread.start()
+    try:
+        _wait_until(lambda: len(seen) == 3)
+        time.sleep(0.05)
+        assert len(seen) == 3 and thread.is_alive()
+    finally:
+        controller.resume()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    report = result["report"]
+    assert sum(report.rounds_per_cluster.values()) == 7
+    for cut, full in zip(scheduler.clusters, reference.clusters):
+        losses = cut.history.losses
+        assert np.array_equal(losses, full.history.losses[:len(losses)])
+
+
+@pytest.mark.parametrize("policy", ["round_robin", "loss_priority"])
+def test_cancel_clamps_the_fused_planner(policy):
+    """A cancel raised mid-run drains fused work through the
+    "command-pending" clamp on both planners (round_robin plans
+    segments, loss_priority plans waves) and leaves a prefix of the
+    uncancelled run."""
+    spec = {**CLAMP_SPEC, "policy": policy}
+    reference = build_scheduler_from_spec(dict(spec))
+    reference.run(rounds_per_cluster=CLAMP_ROUNDS)
+    bus = TelemetryBus()
+    controller = RunController()
+    scheduler = build_scheduler_from_spec(dict(spec), telemetry=bus,
+                                          control=controller)
+    bus.subscribe(lambda event: controller.cancel(),
+                  kinds=[FaultApplied.kind])
+    bounds = []
+    bus.subscribe(lambda event: bounds.append(event.bound),
+                  kinds=[SegmentFused.kind, WavePlanned.kind])
+    report = scheduler.run(rounds_per_cluster=CLAMP_ROUNDS)  # finalizes
+    assert "command-pending" in bounds
+    assert report.fused_rounds > 0
+    total = sum(report.rounds_per_cluster.values())
+    assert 0 < total < len(scheduler.clusters) * CLAMP_ROUNDS
+    for cut, full in zip(scheduler.clusters, reference.clusters):
+        losses = cut.history.losses
+        assert np.array_equal(losses, full.history.losses[:len(losses)])
+
+
+def test_cancel_inside_a_fused_segment_drains_it():
+    """A cancel at the first round of a pre-executed segment stops the
+    run only where the segment ends, so ``finalize`` finds nothing
+    left over."""
+    bus = TelemetryBus()
+    controller = RunController()
+    scheduler = build_scheduler_from_spec(dict(CLAMP_SPEC), telemetry=bus,
+                                          control=controller)
+    bus.subscribe(lambda event: controller.cancel(),
+                  kinds=[RoundCompleted.kind])
+    plans = []
+    bus.subscribe(plans.append, kinds=[SegmentFused.kind])
+    report = scheduler.run(rounds_per_cluster=CLAMP_ROUNDS)  # finalizes
+    assert len(plans) == 1 and plans[0].successes > 1
+    total = sum(report.rounds_per_cluster.values())
+    assert total == plans[0].successes
+    assert total < len(scheduler.clusters) * CLAMP_ROUNDS
 
 
 # ----------------------------------------------------------------------
@@ -370,19 +449,15 @@ def test_tcp_command_roundtrip_reflected_in_stream_and_report():
                 assert (await client.request("ping"))["pong"]
                 reply = await client.request("submit", spec={
                     **LOSSY_SPEC, "clusters": 4, "rounds": ROUNDS,
-                    "paused": True})
+                    "paused": True, "faults": [
+                        {"time_s": 0.0, "kind": "brownout",
+                         "cluster": "c1", "magnitude": 0.5},
+                        {"time_s": 0.0, "kind": "cluster_death",
+                         "cluster": "c3"}]})
                 run = reply["run"]
                 assert reply["state"] == "paused"
-                await client.request(
-                    "command", run=run, wait=False,
-                    command={"kind": "inject_fault", "fault": "brownout",
-                             "cluster": "c1", "magnitude": 0.5})
-                await client.request(
-                    "command", run=run, wait=False,
-                    command={"kind": "retire_cluster", "cluster": "c3",
-                             "reason": "tcp retire"})
                 # Subscribe before resume (eager handshake) so the very
-                # first events — the commands landing — are observed.
+                # first events — the faults at t=0 — are observed.
                 lines = await watcher.open_subscription(
                     run, metrics_every=25)
                 await client.request("resume", run=run)
@@ -400,13 +475,47 @@ def test_tcp_command_roundtrip_reflected_in_stream_and_report():
                 assert ClusterRetired.kind in kinds
                 status = await client.request("status", run=run)
                 report = status["report"]
-                assert report["faults_applied"] >= 1
-                assert report["dead_clusters"].get("c3") == "tcp retire"
+                assert report["faults_applied"] == 2
+                assert report["dead_clusters"] == {
+                    "c3": "cluster killed by fault schedule"}
                 listing = await client.request("list")
                 assert [r["run"] for r in listing["runs"]] == [run]
                 metrics = await client.request("metrics", run=run)
                 assert "# TYPE repro_transmits_total counter" \
                     in metrics["prometheus"]
+        asyncio.run(drive())
+
+
+def test_tcp_subscribe_rejects_malformed_kinds():
+    """A bad ``kinds`` is an error reply, not a silent empty stream."""
+    with serve_in_thread(max_workers=1) as box:
+        async def drive():
+            async with ControlPlaneClient(box.host, box.port) as client, \
+                    ControlPlaneClient(box.host, box.port) as watcher:
+                run = (await client.request("submit", spec={
+                    **LOSSY_SPEC, "rounds": ROUNDS}))["run"]
+                with pytest.raises(RuntimeError, match="list of event kinds"):
+                    await client.request("subscribe", run=run,
+                                         kinds="round_completed")
+                with pytest.raises(RuntimeError, match="list of event kinds"):
+                    await client.request("subscribe", run=run, kinds=[1])
+                with pytest.raises(RuntimeError,
+                                   match=r"\['round_complete'\].*known:.*"
+                                         r"'round_completed'"):
+                    await client.request("subscribe", run=run,
+                                         kinds=["round_complete"])
+                # The connection survives the rejections.
+                assert (await client.request("ping"))["pong"]
+                # The well-formed filter streams every round of a run.
+                paused = (await client.request("submit", spec={
+                    **LOSSY_SPEC, "rounds": ROUNDS, "paused": True}))["run"]
+                lines = await watcher.open_subscription(
+                    paused, kinds=[RoundCompleted.kind])
+                await client.request("resume", run=paused)
+                events = [line async for line in lines if "event" in line]
+                assert len(events) == 2 * ROUNDS
+                assert {e["event"]["kind"] for e in events} \
+                    == {RoundCompleted.kind}
         asyncio.run(drive())
 
 
