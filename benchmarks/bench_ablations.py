@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices the paper calls out.
 
 Each ablation isolates one OrcoDCS design decision and measures its
 effect on a small shared workload:

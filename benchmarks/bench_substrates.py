@@ -2,9 +2,9 @@
 
 These measure the hot paths the figure experiments sit on: autograd
 training rounds, conv forward/backward, the Adam update over the DCSNet
-baseline's dense layers, sparse solvers, WSN aggregation simulation,
-deployed data collection and dataset generation; and two the event
-engine sits on: the edge's pick queue and partial fleet waves.
+baseline's dense layers, WSN aggregation simulation, deployed data
+collection and dataset generation; and two the event engine sits on:
+the edge's pick queue and partial fleet waves.
 """
 
 import time
@@ -17,7 +17,6 @@ from repro.baselines.dcsnet import build_dcsnet_decoder, build_dcsnet_encoder
 from repro.core import (AsymmetricAutoencoder, EncoderDeployment, FleetTrainer,
                         OrcoDCSConfig, OrcoDCSFramework)
 from repro.core.rounds import PickQueue
-from repro.cs import gaussian_matrix, omp
 from repro.datasets import (FieldRegime, SensorField, generate_digits,
                             normalized_rounds, render_sign)
 from repro.nn import functional as F
@@ -144,18 +143,6 @@ class TestSchedulingSubstrate:
         records = benchmark(lambda: fleet.subset(active).step(batches))
         assert len(records) == 28
         assert all(np.isfinite(r.train_loss) for r in records)
-
-
-class TestCSSubstrate:
-    def test_omp_solve(self, benchmark):
-        rng = np.random.default_rng(0)
-        A = gaussian_matrix(64, 256, rng)
-        x = np.zeros(256)
-        x[rng.choice(256, 8, replace=False)] = rng.standard_normal(8)
-        y = A @ x
-
-        result = benchmark(omp, A, y, 8)
-        assert result.residual_norm < 1e-6
 
 
 class TestWSNSubstrate:

@@ -2,15 +2,13 @@
 
 Full reproduction of "OrcoDCS: An IoT-Edge Orchestrated Online Deep
 Compressed Sensing Framework" (ICDCS 2023).  See README.md for the
-architecture overview and DESIGN.md for the system inventory.
+architecture overview and its "Substitutions" section for what stands
+in for the paper's datasets and hardware.
 
 Subpackages
 -----------
 ``repro.nn``
     From-scratch autograd + neural-network framework (numpy).
-``repro.cs``
-    Classical compressed sensing (measurement matrices, sparse solvers,
-    traditional CDA).
 ``repro.wsn``
     Wireless sensor network simulator (energy, links, aggregation trees).
 ``repro.sim``
@@ -33,23 +31,20 @@ Subpackages
     the live console (zero-cost when no subscriber is attached).
 """
 
-from . import apps, baselines, core, cs, datasets, metrics, nn, obs, sim, wsn
+from . import apps, baselines, core, datasets, metrics, nn, obs, sim, wsn
 from .core import (
     AsymmetricAutoencoder,
     EncoderDeployment,
     FineTuningMonitor,
     OrcoDCSConfig,
     OrcoDCSFramework,
-    gtsrb_task_config,
-    mnist_task_config,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "apps", "baselines", "core", "cs", "datasets", "metrics", "nn", "obs",
+    "apps", "baselines", "core", "datasets", "metrics", "nn", "obs",
     "sim", "wsn",
     "AsymmetricAutoencoder", "EncoderDeployment", "FineTuningMonitor",
-    "OrcoDCSConfig", "OrcoDCSFramework", "gtsrb_task_config",
-    "mnist_task_config", "__version__",
+    "OrcoDCSConfig", "OrcoDCSFramework", "__version__",
 ]

@@ -1,13 +1,11 @@
 """`repro.baselines` — comparison systems re-implemented from their
 published descriptions.
 
-DCSNet (the paper's main baseline) and the classical random-projection
-CDA pipeline live in :mod:`repro.cs`.
+DCSNet, the paper's baseline, trained online as the paper evaluates it.
 """
 
 from .dcsnet import (
     DCSNET_LATENT_DIM,
-    DCSNetOffline,
     DCSNetOnline,
     build_dcsnet_decoder,
     build_dcsnet_encoder,
@@ -15,6 +13,6 @@ from .dcsnet import (
 )
 
 __all__ = [
-    "DCSNET_LATENT_DIM", "DCSNetOffline", "DCSNetOnline",
+    "DCSNET_LATENT_DIM", "DCSNetOnline",
     "build_dcsnet_decoder", "build_dcsnet_encoder", "dcsnet_decoder_flops",
 ]

@@ -5,10 +5,9 @@ model structure — a learned dense encoder into a predefined
 1024-dimensional latent space and a decoder of four convolutional
 layers — trained on whatever fraction of historical data the cloud
 happens to hold.  The paper evaluates an online-trained variant with the
-same structure and 30/50/70 % of the training data; this module provides
-both that online variant (sharing the orchestrated trainer, so
-time-to-loss comparisons are apples-to-apples) and a fully offline
-cloud-trained variant.
+same structure and 30/50/70 % of the training data, and that is the
+variant this module provides: it shares the orchestrated trainer, so
+time-to-loss comparisons are apples-to-apples.
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ import numpy as np
 from ..nn import layers as L
 from ..nn import losses as losses_mod
 from ..core.orchestrator import OrchestratedTrainer, TrainingHistory
-from ..core.timing import (
-    OrchestrationTimingModel,
-    cloud_profile,
-    conv2d_flops,
-    dense_flops,
-)
-from ..wsn.link import cloud_uplink
+from ..core.timing import OrchestrationTimingModel, conv2d_flops, dense_flops
 
 DCSNET_LATENT_DIM = 1024
 
@@ -141,38 +134,3 @@ class DCSNetOnline(OrchestratedTrainer):
         """32x32 RGB configuration (the GTSRB-class task)."""
         return cls(image_shape=(3, 32, 32), **kwargs)
 
-
-class DCSNetOffline(DCSNetOnline):
-    """Fully offline DCSNet: raw data ships to the cloud once, training
-    runs entirely there.
-
-    Models the original deployment [3]: the modeled clock charges the
-    one-time raw upload over the WAN plus cloud-side compute for *both*
-    halves; there is no per-round uplink/downlink.
-    """
-
-    def __init__(self, image_shape: Tuple[int, int, int], seed: int = 0,
-                 data_fraction: float = 0.5, learning_rate: float = 3e-3):
-        cloud = cloud_profile()
-        timing = OrchestrationTimingModel(aggregator=cloud, edge=cloud)
-        super().__init__(image_shape, timing=timing,
-                         learning_rate=learning_rate, seed=seed,
-                         data_fraction=data_fraction)
-        self.name = f"DCSNet-offline-{int(data_fraction * 100)}%"
-        self.wan = cloud_uplink()
-
-    def fit_fraction(self, train_rows: np.ndarray, epochs: int = 10,
-                     batch_size: int = 32,
-                     val_rows: Optional[np.ndarray] = None,
-                     **kwargs) -> TrainingHistory:
-        """Charge the raw-data upload, then train cloud-side."""
-        train_rows = np.atleast_2d(np.asarray(train_rows, dtype=self.dtype))
-        count = max(1, int(round(self.data_fraction * len(train_rows))))
-        upload_bytes = count * self.input_dim * self.timing.value_bytes
-        self.clock_s += self.wan.transfer_time(upload_bytes)
-        self.ledger.record(0, -1, upload_bytes,
-                           self.wan.wire_bytes(upload_bytes),
-                           "raw_cloud_upload", self.wan.transfer_time(upload_bytes))
-        return super().fit_fraction(train_rows, epochs=epochs,
-                                    batch_size=batch_size, val_rows=val_rows,
-                                    **kwargs)

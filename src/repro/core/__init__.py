@@ -7,7 +7,7 @@ fine-tuning monitor (Sec. III-D).
 """
 
 from .autoencoder import AsymmetricAutoencoder, build_decoder, build_encoder
-from .config import OrcoDCSConfig, gtsrb_task_config, mnist_task_config
+from .config import OrcoDCSConfig
 from .deployment import CompressedRound, EncoderDeployment
 from .finetune import (
     AdaptationEvent,
@@ -36,7 +36,6 @@ from .scheduler import (
     ResilientOrchestrationPolicy,
     ScheduledCluster,
     ScheduleReport,
-    compare_policies,
 )
 from .orchestrator import (
     EpochRecord,
@@ -50,7 +49,6 @@ from .timing import (
     OrchestrationTimingModel,
     OverheadReport,
     RoundTiming,
-    cloud_profile,
     conv2d_flops,
     dense_flops,
     dense_stack_flops,
@@ -62,7 +60,7 @@ from .timing import (
 
 __all__ = [
     "AsymmetricAutoencoder", "build_decoder", "build_encoder",
-    "OrcoDCSConfig", "gtsrb_task_config", "mnist_task_config",
+    "OrcoDCSConfig",
     "CompressedRound", "EncoderDeployment",
     "AdaptationEvent", "AdaptationLog", "FineTuningMonitor",
     "OnlineAdaptationLoop",
@@ -73,11 +71,11 @@ __all__ = [
     "contributor_batch", "epoch_of",
     "EdgeTrainingScheduler", "ExecutionPlan",
     "ResilientOrchestrationPolicy",
-    "ScheduledCluster", "ScheduleReport", "compare_policies",
+    "ScheduledCluster", "ScheduleReport",
     "EpochRecord", "OrchestratedTrainer", "OrcoDCSFramework", "RoundRecord",
     "TrainingHistory",
     "DeviceProfile", "OrchestrationTimingModel", "OverheadReport",
-    "RoundTiming", "cloud_profile", "conv2d_flops", "dense_flops",
+    "RoundTiming", "conv2d_flops", "dense_flops",
     "dense_stack_flops", "edge_server_profile", "iot_aggregator_profile",
     "overhead_report", "training_flops",
 ]

@@ -126,15 +126,3 @@ def _training_dtype(value) -> np.dtype:
     if dtype is None or dtype not in TRAINING_DTYPES:
         raise ValueError(f"dtype must be float32 or float64, got {value!r}")
     return dtype
-
-
-def mnist_task_config(**overrides) -> OrcoDCSConfig:
-    """The paper's grayscale-digits task: N=784, M=128."""
-    base = OrcoDCSConfig(input_dim=784, latent_dim=128)
-    return base.with_overrides(**overrides) if overrides else base
-
-
-def gtsrb_task_config(**overrides) -> OrcoDCSConfig:
-    """The paper's colour traffic-sign task: N=3072, M=512."""
-    base = OrcoDCSConfig(input_dim=3072, latent_dim=512)
-    return base.with_overrides(**overrides) if overrides else base

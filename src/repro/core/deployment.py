@@ -4,7 +4,7 @@ After orchestrated training finishes, each IoT device needs only *its*
 column of the encoder weight matrix to participate in compressed
 aggregation: device ``i`` computes ``We[:, i] * x_i`` and partial sums
 accumulate up the aggregation tree (the hybrid-CS reading of eq. 6 — see
-DESIGN.md for the dimensional note).  The aggregator finishes with the
+the README's "Substitutions" section).  The aggregator finishes with the
 bias and activation, recovering exactly the centralized eq. (1).
 """
 

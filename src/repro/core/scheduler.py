@@ -112,7 +112,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -120,7 +120,6 @@ from ..obs.telemetry import (
     NULL_BUS,
     ArqRederived,
     ClusterRetired,
-    DeadlineMissed,
     ParityChosen,
     QuorumCheck,
     RoundCompleted,
@@ -157,7 +156,6 @@ from .rounds import (
 __all__ = [
     "EdgeTrainingScheduler", "ExecutionPlan",
     "ResilientOrchestrationPolicy", "ScheduledCluster", "ScheduleReport",
-    "compare_policies",
 ]
 
 _POLICIES = ("fifo", "round_robin", "loss_priority", "deadline")
@@ -722,12 +720,15 @@ class EdgeTrainingScheduler:
                     aggregator_battery_j: float = 1e9) -> ScheduledCluster:
         """Register a cluster's training session.
 
-        ``deadline_s`` may be any number but NaN, which has no place in
-        the earliest-deadline-first order; a zero or negative deadline
-        is already expired.
+        ``batch_size`` is an integer >= 1.  ``deadline_s`` may be any
+        number but NaN, which has no place in the earliest-deadline-first
+        order; a zero or negative deadline is already expired.
         """
         if any(c.name == name for c in self.clusters):
             raise ValueError(f"duplicate cluster name {name!r}")
+        if not (isinstance(batch_size, numbers.Integral) and batch_size >= 1):
+            raise ValueError(f"batch_size must be an integer >= 1, "
+                             f"got {batch_size!r}")
         if deadline_s is not None and deadline_s != deadline_s:
             raise ValueError(f"cluster {name!r} has a NaN deadline")
         stream = np.random.default_rng(self.rng.integers(2 ** 63))
@@ -861,11 +862,14 @@ class EdgeTrainingScheduler:
         aggregator-side compute + transfers overlap with other clusters'
         work.  Both engines produce identical reports (modulo
         floating-point reduction noise in the losses).
+        ``rounds_per_cluster`` is an integer >= 1.
         """
         if not self.clusters:
             raise RuntimeError("no clusters registered")
-        if rounds_per_cluster <= 0:
-            raise ValueError("rounds_per_cluster must be positive")
+        if not (isinstance(rounds_per_cluster, numbers.Integral)
+                and rounds_per_cluster >= 1):
+            raise ValueError(f"rounds_per_cluster must be an integer >= 1, "
+                             f"got {rounds_per_cluster!r}")
         plan = self.execution_plan()
         if plan.engine == "analytic":
             # Lazy import: repro.scale imports core, so the gate must
@@ -1399,26 +1403,3 @@ class EdgeTrainingScheduler:
                               bus=self._bus, control=self.control)
         loop.run(lambda c: records[index_of[c.name]][c.rounds_completed])
         return loop.report(self.policy, engine)
-
-
-def compare_policies(make_clusters, rounds_per_cluster: int = 30,
-                     policies: Sequence[str] = _POLICIES,
-                     seed: int = 0,
-                     engine: str = "auto") -> Dict[str, ScheduleReport]:
-    """Run the same multi-cluster workload under each policy.
-
-    ``make_clusters`` is a zero-argument callable returning a list of
-    ``(name, trainer, data)`` tuples — called fresh per policy so every
-    policy starts from identical initial weights.  With per-cluster data
-    streams the *trajectories* are identical across policies too; what
-    differs is the scheduled completion times (fairness and makespan).
-    """
-    reports: Dict[str, ScheduleReport] = {}
-    for policy in policies:
-        scheduler = EdgeTrainingScheduler(policy,
-                                          rng=np.random.default_rng(seed),
-                                          engine=engine)
-        for name, trainer, data in make_clusters():
-            scheduler.add_cluster(name, trainer, data)
-        reports[policy] = scheduler.run(rounds_per_cluster)
-    return reports

@@ -7,7 +7,7 @@ class (aggregator = IoT-class hardware, edge = server-class) and the
 bytes it moves over each link.  The model preserves the *orderings* the
 paper reports — a shallow encoder on a weak device plus a small latent
 uplink beats a fixed wide model — while keeping runs laptop-scale and
-reproducible (see DESIGN.md substitution table).
+reproducible (see the README's "Substitutions" section).
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ def iot_aggregator_profile() -> DeviceProfile:
 def edge_server_profile() -> DeviceProfile:
     """Small edge server (embedded GPU class): tens of GFLOPS."""
     return DeviceProfile("edge-server", 2.0e10)
-
-
-def cloud_profile() -> DeviceProfile:
-    """Cloud training node, used by fully offline baselines."""
-    return DeviceProfile("cloud", 1.0e11)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 MNIST/GTSRB stand-ins rendered procedurally (no network access in the
 reproduction environment) and a correlated sensor-field generator for the
-paper's native WSN scenario.  See DESIGN.md for the substitution
-rationale.
+paper's native WSN scenario.  See the README's "Substitutions" section
+for the rationale.
 """
 
 from .digits import (

@@ -5,8 +5,8 @@ cannot be downloaded.  This module procedurally renders the ten digit
 glyphs from a 5x7 seed font onto 28x28 grayscale canvases with random
 affine warps, stroke-thickness changes and pixel noise — a 10-class
 grayscale family whose reconstruction difficulty and classifiability
-respond to latent dimension / noise the same way MNIST does (see
-DESIGN.md, substitution table).
+respond to latent dimension / noise the same way MNIST does (see the
+README's "Substitutions" section).
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from .common import (
     ImageWorkload,
     digits_workload,
     signs_workload,
-    workload_by_name,
 )
 
 EXPERIMENTS = {
@@ -45,7 +44,7 @@ EXPERIMENTS = {
 
 __all__ = [
     "EXPERIMENTS", "ExperimentResult", "ImageWorkload",
-    "digits_workload", "signs_workload", "workload_by_name",
+    "digits_workload", "signs_workload",
     "fig2_reconstruction", "fig3_transmission", "fig4_time_to_loss",
     "fig5_classifier", "fig6_latent_dims", "fig7_noise",
     "fig8_decoder_depth", "finetune_drift", "overhead_analysis",

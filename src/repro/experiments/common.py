@@ -190,14 +190,6 @@ def signs_workload(scale: float = 1.0, seed: int = 0,
                          test_images, test_labels, (3, 32, 32), 43, 512)
 
 
-def workload_by_name(name: str, scale: float = 1.0, seed: int = 0) -> ImageWorkload:
-    if name == "digits":
-        return digits_workload(scale, seed)
-    if name == "signs":
-        return signs_workload(scale, seed)
-    raise ValueError(f"unknown workload {name!r}")
-
-
 def epochs_for_scale(full_epochs: int, scale: float, minimum: int = 2) -> int:
     """Shrink epoch counts with the scale factor."""
     return max(minimum, int(round(full_epochs * min(1.0, scale * 2))))

@@ -2,9 +2,10 @@
 
 The paper trains both frameworks online over the WSN and plots loss
 against wall-clock seconds; OrcoDCS "can achieve lower loss faster".
-We run the identical protocol against the modeled clock (see
-DESIGN.md / :mod:`repro.core.timing`): both sides are charged their
-FLOPs on their device class and their bytes on their links.
+We run the identical protocol against the modeled clock (see the
+README's "Substitutions" section and :mod:`repro.core.timing`): both
+sides are charged their FLOPs on their device class and their bytes on
+their links.
 
 Because the two frameworks optimise different objectives (Huber vs L2),
 the curves report a *common* metric — reconstruction MSE on a shared

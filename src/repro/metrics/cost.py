@@ -11,13 +11,6 @@ def bytes_to_kb(n_bytes: float) -> float:
     return n_bytes / 1024.0
 
 
-def scalars_to_bytes(count: int, value_bytes: int = 4) -> int:
-    """Number of scalar values -> payload bytes (float32 on the wire)."""
-    if count < 0 or value_bytes <= 0:
-        raise ValueError("count must be >= 0 and value_bytes positive")
-    return count * value_bytes
-
-
 @dataclass
 class CostBreakdown:
     """Itemised transmission cost of one framework on one workload.

@@ -37,14 +37,6 @@ def psnr(original: np.ndarray, reconstructed: np.ndarray,
     return float(10.0 * np.log10(data_range ** 2 / error))
 
 
-def reconstruction_snr(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Signal-to-noise ratio of the reconstruction in dB."""
-    value = nmse(original, reconstructed)
-    if value == 0:
-        return float("inf")
-    return float(-10.0 * np.log10(value))
-
-
 def ssim(original: np.ndarray, reconstructed: np.ndarray,
          data_range: float = 1.0, sigma: float = 1.5) -> float:
     """Structural similarity index using Gaussian-weighted local stats.

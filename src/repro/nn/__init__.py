@@ -26,7 +26,7 @@ from .batched import (
     stack_sequential,
     unstack_sequential,
 )
-from .data import ArrayDataset, DataLoader, one_hot
+from .data import ArrayDataset, DataLoader
 from .init import get_initializer
 from .layers import (
     Conv2D,
@@ -65,7 +65,7 @@ __all__ = [
     "BatchedDense", "FleetAdam", "FleetIncompatibilityError",
     "fleet_optimizer_from", "fleet_optimizer_to", "run_stack",
     "stack_sequential", "unstack_sequential",
-    "ArrayDataset", "DataLoader", "one_hot",
+    "ArrayDataset", "DataLoader",
     "get_initializer",
     "Conv2D", "ConvTranspose2D", "Dense", "Flatten", "Identity", "LeakyReLU",
     "MaxPool2D", "Module", "Parameter", "ReLU", "Reshape", "Sequential",

@@ -97,13 +97,3 @@ class DataLoader:
             if self.drop_last and len(batch) < self.batch_size:
                 return
             yield self.dataset[batch]
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Encode integer labels as one-hot rows."""
-    labels = np.asarray(labels).reshape(-1).astype(np.int64)
-    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= num_classes):
-        raise ValueError("labels out of range for one_hot")
-    encoded = np.zeros((labels.shape[0], num_classes))
-    encoded[np.arange(labels.shape[0]), labels] = 1.0
-    return encoded

@@ -4,14 +4,14 @@
 stepping the event kernel frame by frame, each cluster's round economy
 is priced from the closed-form channel/coding/battery math the adaptive
 policies already use (:func:`repro.sim.sampler.expected_slot_attempts`,
-:func:`repro.sim.coding.delivery_probability` /
-:func:`~repro.sim.coding.hybrid_delivery_probability`, the Heinzelman
-radio model) — per-round expected wire bytes, airtime, radio energy,
-delivery probability — and folded over the round budget into expected
-delivered rounds, battery lifetime and a deadline-miss probability.
-Cost is O(frames-per-message) per cluster, independent of the round
-budget and of the loss rate, which is what makes 1000-cluster sweeps
-interactive (see ``benchmarks/bench_scale.py``).
+:func:`repro.sim.coding.delivery_probability`, the hybrid shortfall
+repair folded over the erasure count in :func:`price_transmit`, the
+Heinzelman radio model) — per-round expected wire bytes, airtime,
+radio energy, delivery probability — and folded over the round budget
+into expected delivered rounds, battery lifetime and a deadline-miss
+probability.  Cost is O(frames-per-message) per cluster, independent of
+the round budget and of the loss rate, which is what makes 1000-cluster
+sweeps interactive (see ``benchmarks/bench_scale.py``).
 
 Validity envelope (documented tolerances live in
 ``tests/test_scale_analytic.py`` and the README's "Scaling out"

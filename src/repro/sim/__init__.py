@@ -23,17 +23,13 @@ from .channel import (
     BernoulliLoss,
     ChannelSpec,
     ChannelTrace,
-    ChannelTraceDigest,
     ChannelTraceExhausted,
     GILBERT_ELLIOTT_PRESETS,
-    GILBERT_ELLIOTT_TRACE_DIGESTS,
     GilbertElliottLoss,
     RecoveryStrategy,
     TransmitResult,
     UnreliableChannel,
     as_loss_model,
-    digest_gilbert_elliott,
-    fit_gilbert_elliott,
     ideal_transmit_result,
 )
 from .coding import (
@@ -54,22 +50,18 @@ from .faults import (
     FaultEvent,
     FaultInjector,
     FaultSchedule,
-    NetworkFaultTarget,
     apply_fault,
-    apply_fault_to_network,
 )
 
 __all__ = [
     "ARQConfig", "BernoulliLoss", "ChannelSpec", "ChannelTrace",
-    "ChannelTraceDigest", "ChannelTraceExhausted", "CodingSpec",
-    "GILBERT_ELLIOTT_PRESETS", "GILBERT_ELLIOTT_TRACE_DIGESTS",
+    "ChannelTraceExhausted", "CodingSpec", "GILBERT_ELLIOTT_PRESETS",
     "GilbertElliottLoss", "RecoveryStrategy", "TransmitResult",
     "UnreliableChannel", "as_loss_model", "delivery_probability",
-    "digest_gilbert_elliott", "expected_frames_per_delivery",
-    "fit_gilbert_elliott", "ideal_transmit_result",
+    "expected_frames_per_delivery", "ideal_transmit_result",
     "BernoulliSampler", "GilbertElliottSampler", "LossSampler",
     "make_loss_sampler", "parse_arq_stream",
     "Event", "EventScheduler", "SimulationError",
     "FAULT_KINDS", "FaultEvent", "FaultInjector", "FaultSchedule",
-    "NetworkFaultTarget", "apply_fault", "apply_fault_to_network",
+    "apply_fault",
 ]

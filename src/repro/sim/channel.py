@@ -1138,123 +1138,3 @@ GILBERT_ELLIOTT_PRESETS: Dict[str, Dict[str, float]] = {
     "noisy_office": dict(p_good_to_bad=0.06, p_bad_to_good=0.25,
                          loss_good=0.02, loss_bad=0.70),
 }
-
-
-# ----------------------------------------------------------------------
-# Trace digests: the calibration data behind the presets
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ChannelTraceDigest:
-    """Sufficient statistics of one instrumented frame-loss trace.
-
-    A digest summarises a long per-frame trace (channel state, state
-    transitions, loss verdicts) into the counts a Gilbert-Elliott fit
-    needs — the maximum-likelihood estimates of all four chain
-    parameters are plain ratios of these fields.  ``from_good`` counts
-    frames whose *pre-transition* state was GOOD; ``in_bad`` counts
-    frames whose loss draw used the BAD state (post-transition).
-    """
-
-    frames: int
-    from_good: int       # frames entered with the chain in GOOD
-    good_to_bad: int     # GOOD -> BAD transitions observed
-    bad_to_good: int     # BAD -> GOOD transitions observed
-    in_bad: int          # frames whose loss draw used the BAD rate
-    losses_in_good: int
-    losses_in_bad: int
-
-    @property
-    def losses(self) -> int:
-        return self.losses_in_good + self.losses_in_bad
-
-    @property
-    def loss_rate(self) -> float:
-        """Empirical frame-loss rate of the whole trace."""
-        return self.losses / self.frames if self.frames else 0.0
-
-    @property
-    def mean_bad_sojourn_frames(self) -> float:
-        """Mean frames spent in BAD per visit (the burst length)."""
-        if self.bad_to_good == 0:
-            return 0.0
-        return self.in_bad / self.bad_to_good
-
-
-def digest_gilbert_elliott(model: GilbertElliottLoss, frames: int,
-                           rng: np.random.Generator) -> ChannelTraceDigest:
-    """Run an instrumented Gilbert-Elliott trace and digest it.
-
-    Replays the exact chain semantics of
-    :meth:`GilbertElliottLoss.frame_lost` (flip first, then draw the
-    loss from the *post-transition* state) from the GOOD state, without
-    touching ``model``'s live burst state.  This is how the committed
-    :data:`GILBERT_ELLIOTT_TRACE_DIGESTS` were produced.
-    """
-    if frames <= 0:
-        raise ValueError("frames must be positive")
-    bad = False
-    from_good = g2b = b2g = in_bad = lost_good = lost_bad = 0
-    for _ in range(frames):
-        if not bad:
-            from_good += 1
-            if rng.random() < model.p_good_to_bad:
-                bad = True
-                g2b += 1
-        else:
-            if rng.random() < model.p_bad_to_good:
-                bad = False
-                b2g += 1
-        rate = model.loss_bad if bad else model.loss_good
-        if rate > 0.0 and rng.random() < rate:
-            if bad:
-                lost_bad += 1
-            else:
-                lost_good += 1
-        if bad:
-            in_bad += 1
-    return ChannelTraceDigest(frames, from_good, g2b, b2g, in_bad,
-                              lost_good, lost_bad)
-
-
-def fit_gilbert_elliott(digest: ChannelTraceDigest) -> GilbertElliottLoss:
-    """Maximum-likelihood Gilbert-Elliott parameters from a digest.
-
-    Each parameter's MLE is the matching event ratio: transitions over
-    frames entered in that state, losses over frames drawn in that
-    state.  A digest that never visits BAD fits a loss-only channel
-    (``p_good_to_bad = 0``).
-    """
-    from_bad = digest.frames - digest.from_good
-    in_good = digest.frames - digest.in_bad
-    return GilbertElliottLoss(
-        p_good_to_bad=(digest.good_to_bad / digest.from_good
-                       if digest.from_good else 0.0),
-        p_bad_to_good=(digest.bad_to_good / from_bad if from_bad else 1.0),
-        loss_good=digest.losses_in_good / in_good if in_good else 0.0,
-        loss_bad=digest.losses_in_bad / digest.in_bad
-        if digest.in_bad else 0.0)
-
-
-#: Digests of 200k-frame instrumented traces, one per preset, generated
-#: by ``digest_gilbert_elliott(GilbertElliottLoss(**params), 200_000,
-#: np.random.default_rng(0x802154))`` — committed so the test suite can
-#: *fit* the preset parameters from trace data (the way the published
-#: 802.15.4 measurements were distilled) instead of asserting the
-#: hand-derived constants against themselves.
-GILBERT_ELLIOTT_TRACE_DIGESTS: Dict[str, ChannelTraceDigest] = {
-    "802154_indoor": ChannelTraceDigest(
-        frames=200000, from_good=189189,
-        good_to_bad=3818, bad_to_good=3818,
-        in_bad=10811, losses_in_good=1771,
-        losses_in_bad=5392),
-    "802154_outdoor": ChannelTraceDigest(
-        frames=200000, from_good=192289,
-        good_to_bad=1960, bad_to_good=1960,
-        in_bad=7711, losses_in_good=5719,
-        losses_in_bad=4663),
-    "noisy_office": ChannelTraceDigest(
-        frames=200000, from_good=161493,
-        good_to_bad=9736, bad_to_good=9736,
-        in_bad=38507, losses_in_good=3152,
-        losses_in_bad=27021),
-}

@@ -44,7 +44,6 @@ import numpy as np
 
 __all__ = [
     "CodingSpec", "delivery_probability", "expected_frames_per_delivery",
-    "hybrid_delivery_probability",
 ]
 
 
@@ -149,41 +148,3 @@ def expected_frames_per_delivery(data_frames: int, parity_frames: int,
     frames = float(data_frames + parity_frames)
     with np.errstate(divide="ignore"):
         return np.where(p_deliver > 0.0, frames / p_deliver, np.inf)
-
-
-def hybrid_delivery_probability(data_frames: int, parity_frames: int,
-                                loss_rate: float,
-                                max_retries: int) -> float:
-    """P[message decodable] under hybrid FEC + ARQ shortfall repair.
-
-    The burst of ``F + k`` coded frames erases ``e ~ Binomial(F+k, p)``
-    frames; ``e <= k`` decodes outright, otherwise the sender repairs
-    the ``e - k`` missing shards stop-and-wait, each under the ARQ
-    budget, aborting on the first repair that exhausts it — so the
-    shortfall survives with probability ``(1 - p^(R+1))^(e-k)``.  Exact
-    for i.i.d. loss; first-order (mean-rate) for Gilbert-Elliott, like
-    :func:`delivery_probability`.
-    """
-    if data_frames < 1:
-        raise ValueError("data_frames must be >= 1")
-    if parity_frames < 0:
-        raise ValueError("parity_frames must be >= 0")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    loss_rate = float(loss_rate)
-    if not 0.0 <= loss_rate < 1.0:
-        raise ValueError("loss_rate must be in [0, 1)")
-    if loss_rate == 0.0:
-        return 1.0
-    total = data_frames + parity_frames
-    keep = 1.0 - loss_rate
-    q_slot = 1.0 - loss_rate ** (max_retries + 1)
-    prob = 0.0
-    for erased in range(total + 1):
-        pmf = comb(total, erased) * loss_rate ** erased \
-            * keep ** (total - erased)
-        if erased <= parity_frames:
-            prob += pmf
-        else:
-            prob += pmf * q_slot ** (erased - parity_frames)
-    return float(prob)

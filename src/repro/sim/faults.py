@@ -8,11 +8,7 @@ straggles 6x" — that a :class:`FaultInjector` arms on an
 
 A fault target is anything implementing the small mutation protocol
 below (:class:`FaultTarget`): the scheduler's event engine exposes its
-per-cluster state this way, and :func:`apply_fault_to_network` adapts a
-:class:`~repro.wsn.network.WSNetwork` so the same schedules drive
-single-cluster WSN simulations (aggregator failover there re-runs
-:func:`~repro.wsn.clustering.select_aggregator` over the survivors, as
-the paper's proximity rule prescribes).
+per-cluster state this way.
 
 Event kinds
 -----------
@@ -46,7 +42,6 @@ from .events import EventScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.telemetry import TelemetryBus
-    from ..wsn.network import WSNetwork
 
 FAULT_KINDS = ("node_death", "node_revive", "aggregator_death", "brownout",
                "straggler", "recover", "cluster_death")
@@ -249,68 +244,3 @@ class FaultInjector:
                                        time_s=event.time_s))
         if self.on_applied is not None:
             self.on_applied(event)
-
-
-# ----------------------------------------------------------------------
-# WSNetwork adapter
-# ----------------------------------------------------------------------
-class NetworkFaultTarget:
-    """Adapts a :class:`~repro.wsn.network.WSNetwork` to the fault protocol.
-
-    Aggregator death triggers failover: the replacement head is chosen
-    by re-running :func:`~repro.wsn.clustering.select_aggregator` over
-    the surviving devices' positions (proximity rule), mirroring the
-    paper's cluster-head-selection citations.
-    """
-
-    def __init__(self, network: "WSNetwork"):
-        self.network = network
-        self.failovers: List[int] = []
-
-    def kill_device(self, device: int) -> None:
-        self.network.kill_node(device)
-        if device == self.network.aggregator_id:
-            self._failover()
-
-    def revive_device(self, device: int) -> None:
-        self.network.revive_node(device)
-
-    def kill_aggregator(self) -> None:
-        if self.network.aggregator_id is None:
-            raise RuntimeError("network has no aggregator to kill")
-        self.kill_device(self.network.aggregator_id)
-
-    def brownout(self, fraction: float) -> None:
-        for nid in self.network.alive_device_ids:
-            battery = self.network.nodes[nid].battery
-            battery.remaining_j *= fraction
-
-    def set_slow_factor(self, factor: float) -> None:
-        """Networks model no compute; stragglers are a no-op here."""
-
-    def kill_cluster(self) -> None:
-        for nid in list(self.network.alive_device_ids):
-            self.network.kill_node(nid)
-
-    # ------------------------------------------------------------------
-    def _failover(self) -> None:
-        import numpy as np
-
-        from ..wsn.clustering import select_aggregator
-
-        alive = self.network.alive_device_ids
-        if not alive:
-            return
-        positions = np.array([self.network.nodes[n].position for n in alive])
-        replacement = alive[select_aggregator(positions)]
-        self.network.set_aggregator(replacement)
-        self.failovers.append(replacement)
-
-
-def apply_fault_to_network(event: FaultEvent, network: "WSNetwork",
-                           target: Optional[NetworkFaultTarget] = None
-                           ) -> NetworkFaultTarget:
-    """One-shot convenience: apply ``event`` to ``network`` immediately."""
-    target = target or NetworkFaultTarget(network)
-    apply_fault(event, target)
-    return target

@@ -426,17 +426,3 @@ def expected_slot_attempts(loss_rate: float, max_retries: int) -> float:
     if loss_rate == 0.0:
         return 1.0
     return (1.0 - loss_rate ** (max_retries + 1)) / (1.0 - loss_rate)
-
-
-def arq_message_delivery_probability(frames: int, loss_rate: float,
-                                     max_retries: int) -> float:
-    """P[whole uncoded message delivered]: every slot must deliver.
-
-    The sender aborts on the first slot exhausting its budget, but the
-    message survives iff all ``frames`` slots deliver, so the abort
-    rule changes the *cost* of a failure, not its probability:
-    ``(1 - p^(R+1))^F``.
-    """
-    if frames < 0:
-        raise ValueError("frames must be >= 0")
-    return arq_slot_delivery_probability(loss_rate, max_retries) ** frames

@@ -9,7 +9,6 @@ aggregation), with full byte/energy/time accounting.
 from .aggregation import (
     AggregationReport,
     AggregationTree,
-    TDMASchedule,
     build_aggregation_tree,
     hybrid_encode,
     hybrid_encode_partial,
@@ -19,28 +18,16 @@ from .aggregation import (
     simulate_masked_hybrid_aggregation,
     simulate_raw_aggregation,
 )
-from .clustering import (
-    cluster_aggregators,
-    leach_rotation,
-    lloyd_clusters,
-    select_aggregator,
-)
+from .clustering import select_aggregator
 from .energy import Battery, BatteryDepletedError, RadioEnergyModel
-from .geometry import (
-    centroid,
-    distance,
-    pairwise_distances,
-    place_clustered,
-    place_grid,
-    place_uniform,
-)
+from .geometry import distance, pairwise_distances, place_grid, place_uniform
 from .lifetime import (
     LifetimeReport,
     compare_lifetime,
     lifetime_extension_factor,
     simulate_lifetime,
 )
-from .link import LinkModel, cloud_uplink, downlink, sensor_link, uplink
+from .link import LinkModel, downlink, sensor_link, uplink
 from .network import (
     EDGE_SERVER_ID,
     DeadNodeError,
@@ -49,22 +36,20 @@ from .network import (
     TransmissionLedger,
     TransmissionRecord,
     WSNetwork,
-    build_cluster,
 )
 
 __all__ = [
-    "AggregationReport", "AggregationTree", "TDMASchedule",
+    "AggregationReport", "AggregationTree",
     "build_aggregation_tree", "hybrid_encode", "hybrid_encode_partial",
     "reachable_nodes", "simulate_encoder_distribution",
     "simulate_hybrid_aggregation", "simulate_masked_hybrid_aggregation",
     "simulate_raw_aggregation",
-    "cluster_aggregators", "leach_rotation", "lloyd_clusters", "select_aggregator",
+    "select_aggregator",
     "Battery", "BatteryDepletedError", "RadioEnergyModel",
-    "centroid", "distance", "pairwise_distances", "place_clustered",
-    "place_grid", "place_uniform",
+    "distance", "pairwise_distances", "place_grid", "place_uniform",
     "LifetimeReport", "compare_lifetime", "lifetime_extension_factor",
     "simulate_lifetime",
-    "LinkModel", "cloud_uplink", "downlink", "sensor_link", "uplink",
+    "LinkModel", "downlink", "sensor_link", "uplink",
     "EDGE_SERVER_ID", "DeadNodeError", "Node", "NodeRole",
-    "TransmissionLedger", "TransmissionRecord", "WSNetwork", "build_cluster",
+    "TransmissionLedger", "TransmissionRecord", "WSNetwork",
 ]

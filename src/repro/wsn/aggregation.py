@@ -12,9 +12,10 @@
 * **Encoder distribution** (Sec. III-C): after training, column ``i`` of
   ``We`` travels from the aggregator down the tree to device ``i``.
 
-A :class:`TDMASchedule` serialises transmissions toward a common receiver
-while letting disjoint receivers work in parallel — the collision
-mitigation the paper attributes to tree aggregation.
+A tree's TDMA slots (:meth:`AggregationTree.tdma_slots`) serialise
+transmissions toward a common receiver while letting disjoint receivers
+work in parallel — the collision mitigation the paper attributes to tree
+aggregation.
 """
 
 from __future__ import annotations
@@ -243,20 +244,6 @@ class AggregationReport:
         return self.wire_bytes / 1024.0
 
 
-class TDMASchedule:
-    """Slot assignment: transmissions to a common parent serialise;
-    transmissions to distinct parents at the same tree level parallelise.
-    The slots are the tree's cached :meth:`AggregationTree.tdma_slots`."""
-
-    def __init__(self, tree: AggregationTree):
-        self.tree = tree
-        self.slots: Tuple[Tuple[int, ...], ...] = tree.tdma_slots()
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.slots)
-
-
 def _simulate_upward(network: WSNetwork, tree: AggregationTree,
                      own_values: Dict[int, int], value_bytes: int,
                      kind: str,
@@ -404,7 +391,8 @@ def reachable_nodes(tree: AggregationTree,
     forwarded around it (single-parent tree routing), so every
     descendant is unreachable even if individually alive.  The root is
     excluded from ``failed`` handling here — a dead root needs
-    aggregator failover first (see :mod:`repro.sim.faults`).
+    aggregator failover first (see
+    :func:`~repro.wsn.clustering.select_aggregator`).
     """
     if tree.root in failed:
         raise ValueError("root (aggregator) is failed; run failover before "

@@ -1,15 +1,14 @@
-"""Cluster-head (data aggregator) selection and multi-cluster partitioning.
+"""Cluster-head (data aggregator) selection.
 
 The paper assumes the aggregator "is usually chosen based on its proximity
 to other IoT devices within the same cluster" (Sec. III-E) and cites the
 cluster-head-selection literature [18]-[20].  We provide that proximity
-rule, an energy-aware variant, LEACH-style randomised rotation, and a
-Lloyd's-algorithm partitioner for multi-cluster deployments.
+rule and two energy-aware variants.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,73 +55,3 @@ def select_aggregator(positions: np.ndarray, method: str = "proximity",
         score = alpha * distance_rank + (1.0 - alpha) * energy_rank
         return int(np.argmin(score))
     raise ValueError(f"unknown method {method!r}")
-
-
-def leach_rotation(round_index: int, num_nodes: int, head_fraction: float = 0.1,
-                   rng: Optional[np.random.Generator] = None) -> List[int]:
-    """LEACH-style randomised cluster-head election for one round.
-
-    Every node that has not served in the current epoch becomes a head
-    with probability ``p / (1 - p * (round mod 1/p))``.  Returns the list
-    of elected node indices (possibly empty; the caller re-runs or falls
-    back to proximity selection).
-    """
-    if not 0 < head_fraction < 1:
-        raise ValueError("head_fraction must be in (0, 1)")
-    rng = rng or np.random.default_rng()
-    p = head_fraction
-    period = int(round(1.0 / p))
-    threshold = p / (1.0 - p * (round_index % period))
-    draws = rng.random(num_nodes)
-    return [i for i in range(num_nodes) if draws[i] < threshold]
-
-
-def lloyd_clusters(positions: np.ndarray, num_clusters: int,
-                   rng: Optional[np.random.Generator] = None,
-                   max_iters: int = 100) -> Tuple[np.ndarray, np.ndarray]:
-    """Partition nodes into ``num_clusters`` groups with Lloyd's algorithm.
-
-    Returns
-    -------
-    (assignment, centers):
-        ``assignment`` is ``(n,)`` int cluster labels, ``centers`` is
-        ``(k, 2)``.
-    """
-    positions = np.asarray(positions, dtype=float)
-    count = positions.shape[0]
-    if not 0 < num_clusters <= count:
-        raise ValueError("need 0 < num_clusters <= number of nodes")
-    rng = rng or np.random.default_rng()
-    centers = positions[rng.choice(count, num_clusters, replace=False)].copy()
-    assignment = np.zeros(count, dtype=int)
-    for _ in range(max_iters):
-        dists = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        new_assignment = dists.argmin(axis=1)
-        if np.array_equal(new_assignment, assignment) and _ > 0:
-            break
-        assignment = new_assignment
-        for k in range(num_clusters):
-            members = positions[assignment == k]
-            if len(members):
-                centers[k] = members.mean(axis=0)
-            else:
-                # Re-seed an empty cluster at the point farthest from its
-                # nearest centre, the standard k-means repair.
-                farthest = dists.min(axis=1).argmax()
-                centers[k] = positions[farthest]
-    return assignment, centers
-
-
-def cluster_aggregators(positions: np.ndarray, assignment: np.ndarray,
-                        method: str = "proximity",
-                        energies: Optional[Sequence[float]] = None) -> List[int]:
-    """Select one aggregator per cluster; returns global node indices."""
-    positions = np.asarray(positions, dtype=float)
-    assignment = np.asarray(assignment)
-    heads: List[int] = []
-    for label in sorted(set(assignment.tolist())):
-        member_idx = np.flatnonzero(assignment == label)
-        member_energy = None if energies is None else np.asarray(energies)[member_idx]
-        local = select_aggregator(positions[member_idx], method, member_energy)
-        heads.append(int(member_idx[local]))
-    return heads

@@ -46,21 +46,6 @@ def place_grid(count: int, area: Tuple[float, float] = (100.0, 100.0),
     return grid
 
 
-def place_clustered(count: int, num_clusters: int,
-                    area: Tuple[float, float] = (100.0, 100.0),
-                    spread: float = 8.0,
-                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Place nodes in Gaussian blobs around random cluster centres."""
-    if num_clusters <= 0 or count <= 0:
-        raise ValueError("count and num_clusters must be positive")
-    rng = rng or np.random.default_rng()
-    centers = place_uniform(num_clusters, area, rng)
-    assignment = rng.integers(0, num_clusters, count)
-    points = centers[assignment] + rng.normal(0, spread, (count, 2))
-    width, height = area
-    return np.clip(points, [0, 0], [width, height])
-
-
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """Full symmetric Euclidean distance matrix for ``(n, 2)`` positions."""
     positions = np.asarray(positions, dtype=float)
@@ -73,8 +58,3 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.sqrt(((a - b) ** 2).sum()))
-
-
-def centroid(positions: np.ndarray) -> np.ndarray:
-    """Geometric centroid of a point set."""
-    return np.asarray(positions, dtype=float).mean(axis=0)

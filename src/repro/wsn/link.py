@@ -109,10 +109,3 @@ def downlink() -> LinkModel:
     per the paper's overhead analysis)."""
     return LinkModel(bandwidth_bps=10_000_000.0, latency_s=0.005,
                      max_payload_bytes=1400, header_bytes=40)
-
-
-def cloud_uplink() -> LinkModel:
-    """Aggregator/edge -> cloud WAN uplink, used by offline DCDA baselines
-    that ship raw historical data to the cloud for training."""
-    return LinkModel(bandwidth_bps=5_000_000.0, latency_s=0.050,
-                     max_payload_bytes=1400, header_bytes=40)

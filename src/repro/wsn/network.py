@@ -489,19 +489,3 @@ class WSNetwork:
         """Swap in a fresh ledger, returning the old one."""
         old, self.ledger = self.ledger, TransmissionLedger()
         return old
-
-
-def build_cluster(num_devices: int, rng: Optional[np.random.Generator] = None,
-                  area: Tuple[float, float] = (100.0, 100.0),
-                  comm_range_m: float = 30.0,
-                  **kwargs) -> WSNetwork:
-    """Convenience constructor: scatter devices, pick the most central one
-    as aggregator (proximity rule of Sec. III-E)."""
-    from .clustering import select_aggregator
-    from .geometry import place_uniform
-
-    rng = rng or np.random.default_rng()
-    positions = place_uniform(num_devices, area, rng)
-    network = WSNetwork(positions, comm_range_m=comm_range_m, **kwargs)
-    network.set_aggregator(select_aggregator(positions))
-    return network

@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines import (
     DCSNET_LATENT_DIM,
-    DCSNetOffline,
     DCSNetOnline,
     build_dcsnet_decoder,
     build_dcsnet_encoder,
@@ -87,26 +86,3 @@ class TestOnlineFramework:
         framework = DCSNetOnline.for_digits(seed=0)
         out = framework.reconstruct(np.random.default_rng(0).random((3, 784)))
         assert out.shape == (3, 784)
-
-
-class TestOfflineFramework:
-    def test_charges_raw_upload_before_training(self):
-        framework = DCSNetOffline((1, 28, 28), seed=0, data_fraction=0.5)
-        rows = np.random.default_rng(0).random((32, 784))
-        framework.fit_fraction(rows, epochs=1, batch_size=16)
-        assert framework.ledger.total_wire_bytes("raw_cloud_upload") > 0
-
-    def test_cloud_compute_is_fast(self):
-        offline = DCSNetOffline((1, 28, 28), seed=0)
-        online = DCSNetOnline.for_digits(seed=0)
-        rows = np.random.default_rng(0).random((32, 784))
-        offline_hist = offline.fit_fraction(rows, epochs=1, batch_size=16)
-        online_hist = online.fit_fraction(rows, epochs=1, batch_size=16)
-        # Per-round compute in the cloud is far cheaper than on the
-        # aggregator (upload dominates the offline clock instead).
-        offline_compute = offline_hist.total_time_s - \
-            offline.ledger.total_time_s("raw_cloud_upload")
-        assert offline_compute < online_hist.total_time_s
-
-    def test_name(self):
-        assert "offline" in DCSNetOffline((1, 28, 28)).name

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import OrcoDCSConfig, gtsrb_task_config, mnist_task_config
+from repro.core import OrcoDCSConfig
 
 
 class TestValidation:
@@ -79,20 +79,3 @@ class TestProperties:
         assert base.latent_dim == 128
         assert changed.latent_dim == 256
         assert changed.input_dim == 784
-
-
-class TestTaskConfigs:
-    def test_mnist_task(self):
-        config = mnist_task_config()
-        assert config.input_dim == 784
-        assert config.latent_dim == 128
-
-    def test_gtsrb_task(self):
-        config = gtsrb_task_config()
-        assert config.input_dim == 3072
-        assert config.latent_dim == 512
-
-    def test_task_overrides(self):
-        config = mnist_task_config(noise_sigma=0.3, decoder_layers=3)
-        assert config.noise_sigma == 0.3
-        assert config.decoder_layers == 3

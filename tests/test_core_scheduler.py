@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    EdgeTrainingScheduler,
-    OrcoDCSConfig,
-    OrcoDCSFramework,
-    compare_policies,
-)
+from repro.core import EdgeTrainingScheduler, OrcoDCSConfig, OrcoDCSFramework
 
 
 def make_framework(dim=24, latent=4, seed=0, decoder_layers=1, noise=0.0):
@@ -62,6 +57,39 @@ class TestSchedulerSetup:
         scheduler.add_cluster("a", make_framework(), cluster_data())
         with pytest.raises(ValueError):
             scheduler.run(rounds_per_cluster=0)
+
+    @pytest.mark.parametrize("engine", ["sequential", "batched", "event"])
+    @pytest.mark.parametrize("rounds", [2.5, float("nan")],
+                             ids=["fractional", "nan"])
+    def test_bad_round_budget_rejected_before_any_round(self, rounds, engine):
+        # Checked before any round: a fractional budget must not round
+        # up (or raise mid-run on batched), and NaN must not slip past a
+        # "<= 0" test and run nothing.
+        scheduler = EdgeTrainingScheduler("round_robin", engine=engine,
+                                          rng=np.random.default_rng(0))
+        for i in range(2):
+            scheduler.add_cluster(f"c{i}", make_framework(seed=i),
+                                  cluster_data(seed=i))
+        with pytest.raises(ValueError, match="integer >= 1"):
+            scheduler.run(rounds)
+        assert all(c.rounds_completed == 0 for c in scheduler.clusters)
+        # NumPy integers stay legal, as for ARQConfig.max_retries.
+        report = scheduler.run(np.int64(2))
+        assert report.rounds_per_cluster == {"c0": 2, "c1": 2}
+
+    @pytest.mark.parametrize("batch_size", [0, 2.5],
+                             ids=["zero", "fractional"])
+    def test_bad_batch_size_rejected_at_registration(self, batch_size):
+        # Checked at registration: both would otherwise fail only
+        # mid-run, 0 with a ZeroDivisionError and 2.5 with a TypeError.
+        scheduler = EdgeTrainingScheduler("fifo")
+        with pytest.raises(ValueError, match="batch_size must be an integer"):
+            scheduler.add_cluster("a", make_framework(), cluster_data(),
+                                  batch_size=batch_size)
+        assert scheduler.clusters == []
+        scheduler.add_cluster("a", make_framework(), cluster_data(),
+                              batch_size=np.int64(8))
+        assert scheduler.run(2).rounds_per_cluster == {"a": 2}
 
 
 class TestSchedulerRun:
@@ -317,13 +345,14 @@ class TestEngineEquivalence:
 
 class TestComparePolicies:
     def test_all_policies_complete_same_workload(self):
-        def make_clusters():
-            return [(f"c{i}", make_framework(seed=i), cluster_data(seed=i))
-                    for i in range(2)]
-
-        reports = compare_policies(make_clusters, rounds_per_cluster=6)
-        assert set(reports) == {"fifo", "round_robin", "loss_priority",
-                                "deadline"}
+        reports = {}
+        for policy in ("fifo", "round_robin", "loss_priority", "deadline"):
+            scheduler = EdgeTrainingScheduler(policy,
+                                              rng=np.random.default_rng(0))
+            for i in range(2):
+                scheduler.add_cluster(f"c{i}", make_framework(seed=i),
+                                      cluster_data(seed=i))
+            reports[policy] = scheduler.run(rounds_per_cluster=6)
         edge_times = {round(r.total_edge_time_s, 9) for r in reports.values()}
         # Same work -> same total edge compute, whatever the order.
         assert len(edge_times) == 1

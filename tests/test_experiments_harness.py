@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import EXPERIMENTS, digits_workload, signs_workload
-from repro.experiments.common import (
-    ExperimentResult,
-    epochs_for_scale,
-    scaled,
-    workload_by_name,
-)
+from repro.experiments.common import ExperimentResult, epochs_for_scale, scaled
 
 
 class TestExperimentResult:
@@ -73,11 +68,6 @@ class TestWorkloads:
         small = digits_workload(scale=0.02)
         large = digits_workload(scale=0.05)
         assert len(small.train_images) < len(large.train_images)
-
-    def test_workload_by_name(self):
-        assert workload_by_name("digits", 0.02).name == "digits"
-        with pytest.raises(ValueError):
-            workload_by_name("imagenet")
 
 
 class TestScaling:

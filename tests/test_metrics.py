@@ -10,9 +10,7 @@ from repro.metrics import (
     mse,
     nmse,
     psnr,
-    reconstruction_snr,
     savings_factor,
-    scalars_to_bytes,
     ssim,
 )
 
@@ -48,12 +46,6 @@ class TestQuality:
         small = x + rng.normal(0, 0.01, x.shape)
         large = x + rng.normal(0, 0.1, x.shape)
         assert psnr(x, small) > psnr(x, large)
-
-    def test_reconstruction_snr(self):
-        x = np.ones(10)
-        assert reconstruction_snr(x, x) == float("inf")
-        noisy = x + 0.1
-        assert reconstruction_snr(x, noisy) > 0
 
     def test_batch_psnr_per_sample(self):
         x = np.random.default_rng(0).random((3, 5, 5))
@@ -93,12 +85,6 @@ class TestSSIM:
 class TestCost:
     def test_bytes_to_kb(self):
         assert bytes_to_kb(2048) == 2.0
-
-    def test_scalars_to_bytes(self):
-        assert scalars_to_bytes(10) == 40
-        assert scalars_to_bytes(10, value_bytes=8) == 80
-        with pytest.raises(ValueError):
-            scalars_to_bytes(-1)
 
     def test_breakdown_totals(self):
         cost = CostBreakdown("x", setup_bytes=1000, per_image_bytes=10,

@@ -83,15 +83,3 @@ class TestDataLoader:
     def test_batch_size_validation(self):
         with pytest.raises(ValueError):
             nn.DataLoader(nn.ArrayDataset(np.arange(4)), batch_size=0)
-
-
-class TestOneHot:
-    def test_encoding(self):
-        out = nn.one_hot(np.array([0, 2, 1]), 3)
-        assert np.allclose(out, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            nn.one_hot(np.array([3]), 3)
-        with pytest.raises(ValueError):
-            nn.one_hot(np.array([-1]), 3)

@@ -56,15 +56,17 @@ BATCH = 8
 ROWS = 48
 
 
-def build_scheduler(policy="round_robin", clusters=3, seed=0, **kwargs):
+def build_scheduler(policy="round_robin", clusters=3, seed=0, engine="event",
+                    deadlines=None, **kwargs):
     scheduler = EdgeTrainingScheduler(policy, rng=np.random.default_rng(seed),
-                                      engine="event", **kwargs)
+                                      engine=engine, **kwargs)
     for index in range(clusters):
         config = OrcoDCSConfig(input_dim=DIM, latent_dim=LATENT, seed=index,
                                noise_sigma=0.05, batch_size=BATCH)
         data = np.random.default_rng(100 + index).random((ROWS, DIM))
         scheduler.add_cluster(f"c{index}", OrcoDCSFramework(config), data,
-                              batch_size=BATCH, aggregator_battery_j=1e9)
+                              batch_size=BATCH, aggregator_battery_j=1e9,
+                              deadline_s=(deadlines or {}).get(f"c{index}"))
     return scheduler
 
 
@@ -246,33 +248,90 @@ def _exploding(kind):
     return Exploding
 
 
+def _counting(event_class, site, built):
+    """A stand-in event class that notes ``site`` in ``built``, then
+    constructs the real event."""
+
+    def construct(*args, **kwargs):
+        built.append(site)
+        return event_class(*args, **kwargs)
+
+    construct.kind = event_class.kind
+    return construct
+
+
+#: Every hot-path emission site, as (module, event class name there).
+#: ClusterRetired is not one: the report tap legitimately wants it even
+#: with telemetry off.
+HOT_PATH_SITES = [
+    (scheduler_mod, "RoundCompleted"),
+    (scheduler_mod, "QuorumCheck"),
+    (scheduler_mod, "ParityChosen"),
+    (scheduler_mod, "ArqRederived"),
+    (rounds_mod, "RoundCompleted"),
+    (rounds_mod, "SegmentFused"),
+    (rounds_mod, "WavePlanned"),
+    (rounds_mod, "DeadlineMissed"),
+    (channel_mod, "TransmitBatchEvent"),
+    (faults_mod, "FaultApplied"),
+]
+
+
+def elision_runs(telemetry=None):
+    """Runs that between them reach every site in HOT_PATH_SITES.
+
+    A fused event run with a node death, lossy enough that uplinks and
+    downlinks both fail; an event ``loss_priority`` run with hybrid
+    recovery, adaptive ARQ and a quorum, whose brownout re-derives c0's
+    budgets and whose c1 cannot meet its deadline; and a batched run,
+    whose ``IdealRoundLoop`` emits its own round and deadline events.
+    """
+    schedulers = [
+        build_scheduler(
+            telemetry=telemetry,
+            channels=ChannelSpec(loss=0.3, arq=ARQConfig(max_retries=1)),
+            fault_schedule=FaultSchedule.first_death("c0", 1e-4, device=5)),
+        build_scheduler(
+            "loss_priority", telemetry=telemetry, deadlines={"c1": 1e-6},
+            channels=ChannelSpec(loss=0.1, arq=ARQConfig(max_retries=1)),
+            resilience=ResilientOrchestrationPolicy(
+                recovery="hybrid", adaptive_arq=True, quorum=0.1),
+            fault_schedule=FaultSchedule([FaultEvent(
+                0.05, "brownout", "c0", magnitude=1e-12)])),
+        build_scheduler(engine="batched", telemetry=telemetry,
+                        deadlines={"c1": 1e-6}),
+    ]
+    return [scheduler.run(rounds_per_cluster=8) for scheduler in schedulers]
+
+
 class TestNullBusElision:
     """With no subscriber, emission sites never construct events."""
 
     def test_hot_path_events_elided_when_telemetry_off(self, monkeypatch):
         # Patch every hot-path event class at its emission sites with a
-        # constructor that explodes.  ClusterRetired stays real: the
-        # report tap legitimately wants it even with telemetry off.
-        for mod, name in [
-            (scheduler_mod, "RoundCompleted"),
-            (scheduler_mod, "QuorumCheck"),
-            (scheduler_mod, "ParityChosen"),
-            (scheduler_mod, "ArqRederived"),
-            (scheduler_mod, "DeadlineMissed"),
-            (rounds_mod, "RoundCompleted"),
-            (rounds_mod, "SegmentFused"),
-            (rounds_mod, "WavePlanned"),
-            (rounds_mod, "DeadlineMissed"),
-            (channel_mod, "TransmitBatchEvent"),
-            (faults_mod, "FaultApplied"),
-        ]:
+        # constructor that explodes.
+        for mod, name in HOT_PATH_SITES:
             monkeypatch.setattr(mod, name,
                                 _exploding(getattr(mod, name).kind))
-        scheduler = build_scheduler(
-            channels=ChannelSpec(loss=0.1, arq=ARQConfig(max_retries=1)),
-            fault_schedule=FaultSchedule.first_death("c0", 1e-4, device=5))
-        report = scheduler.run(rounds_per_cluster=8)
-        assert report.faults_applied == 1
+        reports = elision_runs()
+        assert [r.faults_applied for r in reports] == [1, 1, 0]
+        assert [r.deadline_misses for r in reports] == [[], ["c1"], ["c1"]]
+
+    def test_elision_runs_reach_every_patched_site(self, monkeypatch):
+        # The subscribed twin: each patched site builds its event at
+        # least once, and a real subscriber sees every patched kind.
+        built = []
+        for mod, name in HOT_PATH_SITES:
+            monkeypatch.setattr(mod, name, _counting(
+                getattr(mod, name), (mod.__name__, name), built))
+        seen = set()
+        bus = TelemetryBus()
+        bus.subscribe(lambda event: seen.add(event.kind))
+        elision_runs(bus)
+        assert set(built) == {(mod.__name__, name)
+                              for mod, name in HOT_PATH_SITES}
+        assert {getattr(mod, name).kind for mod, name in HOT_PATH_SITES} \
+            <= seen
 
     def test_null_bus_wants_nothing_and_rejects_subscribers(self):
         assert not NULL_BUS.wants(RoundCompleted.kind)

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import nn
-from repro.cs import from_dct, to_dct
 from repro.datasets import denormalize_rounds, normalized_rounds
 from repro.nn.tensor import Tensor
-from repro.wsn.aggregation import AggregationTree, TDMASchedule, hybrid_encode
+from repro.wsn.aggregation import AggregationTree, hybrid_encode
 
 finite_floats = st.floats(min_value=-50, max_value=50,
                           allow_nan=False, allow_infinity=False)
@@ -103,18 +102,6 @@ class TestLossProperties:
         assert nn.CrossEntropyLoss()(logits, targets).item() >= 0
 
 
-class TestDCTProperties:
-    @given(hnp.arrays(np.float64, st.integers(2, 64), elements=finite_floats))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip_identity(self, x):
-        assert np.allclose(from_dct(to_dct(x)), x, atol=1e-8)
-
-    @given(hnp.arrays(np.float64, st.integers(2, 64), elements=finite_floats))
-    @settings(max_examples=40, deadline=None)
-    def test_parseval_energy(self, x):
-        assert abs(np.linalg.norm(to_dct(x)) - np.linalg.norm(x)) < 1e-8
-
-
 class TestNormalizationProperties:
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
                       elements=finite_floats))
@@ -150,10 +137,10 @@ class TestTreeProperties:
     @given(random_trees())
     @settings(max_examples=50, deadline=None)
     def test_tdma_each_non_root_exactly_once(self, tree):
-        schedule = TDMASchedule(tree)
-        sent = [n for slot in schedule.slots for n in slot]
+        slots = tree.tdma_slots()
+        sent = [n for slot in slots for n in slot]
         assert sorted(sent) == sorted(n for n in tree.nodes if n != tree.root)
-        for slot in schedule.slots:
+        for slot in slots:
             receivers = [tree.parent[n] for n in slot]
             assert len(receivers) == len(set(receivers))
 

@@ -35,10 +35,7 @@ from repro.scale.analytic import failure_run_probability, forecast_fleet
 from repro.sim import ARQConfig, ChannelSpec, CodingSpec, FaultEvent, \
     FaultSchedule, UnreliableChannel
 from repro.sim.channel import ideal_transmit_result
-from repro.sim.coding import delivery_probability, \
-    hybrid_delivery_probability
-from repro.sim.sampler import (arq_message_delivery_probability,
-                               arq_slot_delivery_probability,
+from repro.sim.sampler import (arq_slot_delivery_probability,
                                expected_slot_attempts)
 from repro.wsn.link import sensor_link
 
@@ -63,33 +60,23 @@ class TestClosedFormHelpers:
         assert expected_slot_attempts(0.2, 2) == pytest.approx(
             (1 - 0.2 ** 3) / 0.8)
 
-    def test_message_delivery_probability(self):
-        assert arq_message_delivery_probability(3, 0.2, 1) == pytest.approx(
-            0.96 ** 3)
-        assert arq_message_delivery_probability(5, 0.0, 0) == 1.0
-
     def test_helper_validation(self):
         with pytest.raises(ValueError):
             arq_slot_delivery_probability(1.5, 1)
         with pytest.raises(ValueError):
             expected_slot_attempts(0.1, -1)
-        with pytest.raises(ValueError):
-            arq_message_delivery_probability(-1, 0.1, 1)
-
-    def test_hybrid_zero_parity_degenerates_to_arq(self):
-        # parity=0: every burst loss becomes a repair slot, so the
-        # hybrid equals per-frame ARQ with one extra attempt (the burst
-        # transmission itself) on top of the repair budget.
-        assert hybrid_delivery_probability(4, 0, 0.2, 0) == pytest.approx(
-            arq_message_delivery_probability(4, 0.2, 1))
-        assert hybrid_delivery_probability(6, 0, 0.3, 2) == pytest.approx(
-            arq_message_delivery_probability(6, 0.3, 3))
 
     def test_hybrid_dominates_pure_fec(self):
-        fec = delivery_probability(6, 2, 0.25)
-        hybrid = hybrid_delivery_probability(6, 2, 0.25, 2)
-        assert hybrid > fec
-        assert hybrid <= 1.0
+        link = sensor_link()
+        payload = 6 * link.max_payload_bytes      # six data frames
+        fec = price_transmit(link, payload, 0.25, ARQConfig(max_retries=2),
+                             CodingSpec(parity_frames=2))
+        hybrid = price_transmit(link, payload, 0.25, ARQConfig(max_retries=2),
+                                CodingSpec(parity_frames=2, arq_fallback=True))
+        assert fec.frames == hybrid.frames == 6
+        assert fec.p_deliver == pytest.approx(0.679, abs=1e-3)
+        assert hybrid.p_deliver == pytest.approx(0.993, abs=1e-3)
+        assert fec.p_deliver < hybrid.p_deliver <= 1.0
 
     def test_failure_run_probability_exact_cases(self):
         assert failure_run_probability(0.0, 100, 3) == 0.0

@@ -459,54 +459,6 @@ class TestTraceRerecord:
         channel.rerecord_trace()     # no trace: nothing to do
         channel.transmit(500)
 
-class TestTraceDigests:
-    """The presets' calibration data lives in-repo as trace digests;
-    the test *fits* Gilbert-Elliott parameters from the digests instead
-    of asserting the hand-derived constants against themselves."""
-
-    def test_digests_cover_every_preset(self):
-        from repro.sim import GILBERT_ELLIOTT_TRACE_DIGESTS
-        assert set(GILBERT_ELLIOTT_TRACE_DIGESTS) \
-            == set(GILBERT_ELLIOTT_PRESETS)
-
-    @pytest.mark.parametrize("name", sorted(GILBERT_ELLIOTT_PRESETS))
-    def test_fitted_parameters_recover_preset(self, name):
-        from repro.sim import (
-            GILBERT_ELLIOTT_TRACE_DIGESTS,
-            fit_gilbert_elliott,
-        )
-        digest = GILBERT_ELLIOTT_TRACE_DIGESTS[name]
-        fitted = fit_gilbert_elliott(digest)
-        for param, value in GILBERT_ELLIOTT_PRESETS[name].items():
-            assert getattr(fitted, param) == pytest.approx(value, rel=0.10), \
-                f"{name}.{param}"
-        # The fitted chain's steady state agrees with the trace's
-        # empirical loss rate (the published figure each preset cites).
-        assert fitted.mean_loss_rate == pytest.approx(digest.loss_rate,
-                                                      rel=0.05)
-
-    @pytest.mark.parametrize("name", sorted(GILBERT_ELLIOTT_PRESETS))
-    def test_digest_reproducible_from_generator(self, name):
-        """The committed numbers are exactly what the in-repo generator
-        produces — the digests are data, not hand-tuned constants."""
-        from repro.sim import (
-            GILBERT_ELLIOTT_TRACE_DIGESTS,
-            digest_gilbert_elliott,
-        )
-        model = GilbertElliottLoss(**GILBERT_ELLIOTT_PRESETS[name])
-        regenerated = digest_gilbert_elliott(
-            model, 200_000, np.random.default_rng(0x802154))
-        assert regenerated == GILBERT_ELLIOTT_TRACE_DIGESTS[name]
-
-    def test_digest_mean_burst_length(self):
-        from repro.sim import GILBERT_ELLIOTT_TRACE_DIGESTS
-        digest = GILBERT_ELLIOTT_TRACE_DIGESTS["802154_indoor"]
-        expected = 1.0 / GILBERT_ELLIOTT_PRESETS[
-            "802154_indoor"]["p_bad_to_good"]
-        assert digest.mean_bad_sojourn_frames == pytest.approx(expected,
-                                                               rel=0.1)
-
-
 #: Channel configurations transmit_each is checked on, covering every
 #: pricing route: lossless, block-sampled Bernoulli and Gilbert-Elliott,
 #: and the sampler-less default Gilbert-Elliott chain (loss_good == 0).

@@ -1,6 +1,5 @@
 """Unit tests for declarative fault schedules and injection."""
 
-import numpy as np
 import pytest
 
 from repro.sim import (
@@ -8,11 +7,8 @@ from repro.sim import (
     FaultEvent,
     FaultInjector,
     FaultSchedule,
-    NetworkFaultTarget,
     apply_fault,
-    apply_fault_to_network,
 )
-from repro.wsn import DeadNodeError, WSNetwork, select_aggregator
 
 
 class RecordingTarget:
@@ -141,66 +137,6 @@ class TestInjector:
             {"real": RecordingTarget()})
         with pytest.raises(KeyError):
             injector.arm(EventScheduler())
-
-
-class TestNetworkTarget:
-    def make_network(self, n=9):
-        positions = np.array([[i * 10.0, (i % 3) * 10.0] for i in range(n)])
-        network = WSNetwork(positions, comm_range_m=200.0,
-                            battery_capacity_j=5.0)
-        network.set_aggregator(int(select_aggregator(positions)))
-        return network
-
-    def test_node_death_marks_dead(self):
-        network = self.make_network()
-        apply_fault_to_network(
-            FaultEvent(0.0, "node_death", "c", device=2), network)
-        assert not network.is_alive(2)
-        assert 2 not in network.alive_device_ids
-        with pytest.raises(DeadNodeError):
-            network.unicast(2, 3, 10)
-        with pytest.raises(DeadNodeError):
-            network.unicast(3, 2, 10)
-
-    def test_aggregator_death_triggers_proximity_failover(self):
-        network = self.make_network()
-        old_head = network.aggregator_id
-        target = apply_fault_to_network(
-            FaultEvent(0.0, "aggregator_death", "c"), network)
-        assert network.aggregator_id != old_head
-        assert network.is_alive(network.aggregator_id)
-        assert target.failovers == [network.aggregator_id]
-        # The replacement is the proximity-rule winner among survivors.
-        alive = network.alive_device_ids
-        expected = alive[select_aggregator(
-            np.array([network.nodes[n].position for n in alive]))]
-        assert network.aggregator_id == expected
-
-    def test_brownout_scales_batteries(self):
-        network = self.make_network()
-        before = [network.nodes[n].battery.remaining_j
-                  for n in network.device_ids]
-        apply_fault_to_network(
-            FaultEvent(0.0, "brownout", "c", magnitude=0.25), network)
-        after = [network.nodes[n].battery.remaining_j
-                 for n in network.device_ids]
-        assert all(b == pytest.approx(0.25 * a)
-                   for a, b in zip(before, after))
-
-    def test_revive_restores_node(self):
-        network = self.make_network()
-        target = NetworkFaultTarget(network)
-        target.kill_device(4)
-        assert not network.is_alive(4)
-        target.revive_device(4)
-        assert network.is_alive(4)
-
-    def test_kill_cluster_empties_network(self):
-        network = self.make_network()
-        apply_fault_to_network(
-            FaultEvent(0.0, "cluster_death", "c"), network)
-        assert network.alive_device_ids == []
-        assert network.alive_fraction() == 0.0
 
 
 class TestFaultHorizon:

@@ -14,7 +14,6 @@ from repro.wsn import (
     AggregationTree,
     BatteryDepletedError,
     DeadNodeError,
-    TDMASchedule,
     WSNetwork,
     build_aggregation_tree,
     hybrid_encode,
@@ -119,24 +118,22 @@ class TestTDMA:
     def test_every_non_root_transmits_once(self):
         net = grid_network()
         tree = build_aggregation_tree(net)
-        schedule = TDMASchedule(tree)
-        transmitted = [n for slot in schedule.slots for n in slot]
+        transmitted = [n for slot in tree.tdma_slots() for n in slot]
         assert sorted(transmitted) == sorted(n for n in tree.nodes
                                              if n != tree.root)
 
     def test_no_shared_receiver_within_slot(self):
         net = grid_network()
         tree = build_aggregation_tree(net)
-        for slot in TDMASchedule(tree).slots:
+        for slot in tree.tdma_slots():
             parents = [tree.parent[n] for n in slot]
             assert len(parents) == len(set(parents))
 
     def test_children_transmit_before_parents(self):
         net = grid_network()
         tree = build_aggregation_tree(net)
-        schedule = TDMASchedule(tree)
         slot_of = {}
-        for index, slot in enumerate(schedule.slots):
+        for index, slot in enumerate(tree.tdma_slots()):
             for node in slot:
                 slot_of[node] = index
         for node in tree.nodes:
@@ -594,8 +591,7 @@ class TestTraversalCache:
 
     def test_slots_are_built_once_and_immutable(self):
         tree = _generated_trees()[4]
-        slots = TDMASchedule(tree).slots
-        assert TDMASchedule(tree).slots is slots
+        slots = tree.tdma_slots()
         assert tree.tdma_slots() is slots
         assert isinstance(slots, tuple)
         assert all(isinstance(slot, tuple) for slot in slots)

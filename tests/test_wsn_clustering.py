@@ -1,15 +1,9 @@
-"""Unit tests for cluster-head selection and partitioning."""
+"""Unit tests for cluster-head selection."""
 
 import numpy as np
 import pytest
 
-from repro.wsn import (
-    cluster_aggregators,
-    leach_rotation,
-    lloyd_clusters,
-    pairwise_distances,
-    select_aggregator,
-)
+from repro.wsn import pairwise_distances, select_aggregator
 
 
 class TestSelectAggregator:
@@ -45,71 +39,3 @@ class TestSelectAggregator:
         with pytest.raises(ValueError):
             select_aggregator(np.zeros((3, 2)), "random", [1, 2, 3])
 
-
-class TestLeach:
-    def test_probability_statistics(self):
-        rng = np.random.default_rng(0)
-        counts = [len(leach_rotation(0, 1000, 0.1, rng)) for _ in range(20)]
-        mean = np.mean(counts)
-        assert 60 < mean < 140    # ~10% election rate
-
-    def test_threshold_rises_through_epoch(self):
-        # Late in the epoch the election probability grows.
-        rng_a = np.random.default_rng(1)
-        rng_b = np.random.default_rng(1)
-        early = len(leach_rotation(0, 2000, 0.1, rng_a))
-        late = len(leach_rotation(9, 2000, 0.1, rng_b))
-        assert late > early
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            leach_rotation(0, 10, 0.0)
-
-
-class TestLloyd:
-    def test_partition_covers_all_nodes(self):
-        pts = np.random.default_rng(0).uniform(0, 100, (60, 2))
-        assignment, centers = lloyd_clusters(pts, 4,
-                                             rng=np.random.default_rng(0))
-        assert assignment.shape == (60,)
-        assert centers.shape == (4, 2)
-        assert set(assignment.tolist()) <= {0, 1, 2, 3}
-
-    def test_separated_blobs_recovered(self):
-        rng = np.random.default_rng(0)
-        blob_a = rng.normal(0, 1, (20, 2))
-        blob_b = rng.normal(50, 1, (20, 2))
-        pts = np.vstack([blob_a, blob_b])
-        assignment, _ = lloyd_clusters(pts, 2, rng=rng)
-        assert len(set(assignment[:20].tolist())) == 1
-        assert len(set(assignment[20:].tolist())) == 1
-        assert assignment[0] != assignment[20]
-
-    def test_nodes_assigned_to_nearest_center(self):
-        pts = np.random.default_rng(1).uniform(0, 100, (40, 2))
-        assignment, centers = lloyd_clusters(pts, 3,
-                                             rng=np.random.default_rng(1))
-        dists = ((pts[:, None, :] - centers[None]) ** 2).sum(axis=-1)
-        assert np.array_equal(assignment, dists.argmin(axis=1))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lloyd_clusters(np.zeros((3, 2)), 5)
-
-
-class TestClusterAggregators:
-    def test_one_head_per_cluster(self):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(0, 100, (30, 2))
-        assignment, _ = lloyd_clusters(pts, 3, rng=rng)
-        heads = cluster_aggregators(pts, assignment)
-        assert len(heads) == 3
-        head_labels = [assignment[h] for h in heads]
-        assert sorted(head_labels) == [0, 1, 2]
-
-    def test_heads_are_cluster_members(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 100, (24, 2))
-        assignment, _ = lloyd_clusters(pts, 2, rng=rng)
-        for head in cluster_aggregators(pts, assignment):
-            assert 0 <= head < 24

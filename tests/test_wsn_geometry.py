@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.wsn import (
-    centroid,
-    distance,
-    pairwise_distances,
-    place_clustered,
-    place_grid,
-    place_uniform,
-)
+from repro.wsn import distance, pairwise_distances, place_grid, place_uniform
 
 
 class TestPlacement:
@@ -36,16 +29,6 @@ class TestPlacement:
                        rng=np.random.default_rng(0))
         assert np.abs(a - b).max() <= 1.0 + 1e-9
 
-    def test_clustered_within_area(self):
-        pts = place_clustered(60, 3, (100.0, 100.0), spread=5.0,
-                              rng=np.random.default_rng(0))
-        assert pts.shape == (60, 2)
-        assert pts.min() >= 0 and pts.max() <= 100
-
-    def test_clustered_validation(self):
-        with pytest.raises(ValueError):
-            place_clustered(10, 0)
-
 
 class TestDistances:
     def test_pairwise_symmetric_zero_diagonal(self):
@@ -67,7 +50,3 @@ class TestDistances:
             for j in range(8):
                 for k in range(8):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
-
-    def test_centroid(self):
-        pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
-        assert np.allclose(centroid(pts), [1.0, 1.0])

@@ -52,25 +52,3 @@ class TestSimulateLifetime:
                                    max_rounds=8000, death_fraction=0.1)
         if report.rounds_to_fraction_dead is not None:
             assert report.rounds_to_fraction_dead >= report.rounds_to_first_death
-
-
-class TestCosamp:
-    def test_exact_recovery(self):
-        from repro.cs import cosamp, gaussian_matrix
-        rng = np.random.default_rng(0)
-        A = gaussian_matrix(48, 96, rng)
-        x = np.zeros(96)
-        support = rng.choice(96, 6, replace=False)
-        x[support] = rng.standard_normal(6) * 2
-        result = cosamp(A, A @ x, sparsity=6)
-        assert np.allclose(result.solution, x, atol=1e-6)
-        assert result.converged
-
-    def test_registry_lookup(self):
-        from repro.cs import cosamp, get_solver
-        assert get_solver("cosamp") is cosamp
-
-    def test_sparsity_validation(self):
-        from repro.cs import cosamp
-        with pytest.raises(ValueError):
-            cosamp(np.eye(8), np.ones(8), sparsity=5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.wsn import LinkModel, cloud_uplink, downlink, sensor_link, uplink
+from repro.wsn import LinkModel, downlink, sensor_link, uplink
 
 
 class TestLinkModel:
@@ -76,9 +76,6 @@ class TestFactories:
 
     def test_sensor_link_is_slowest(self):
         assert sensor_link().bandwidth_bps < uplink().bandwidth_bps
-
-    def test_cloud_uplink_high_latency(self):
-        assert cloud_uplink().latency_s > uplink().latency_s
 
     def test_same_payload_cheaper_on_downlink(self):
         payload = 100_000

@@ -9,7 +9,6 @@ from repro.wsn import (
     NodeRole,
     TransmissionLedger,
     WSNetwork,
-    build_cluster,
     distance,
     place_grid,
     place_uniform,
@@ -189,12 +188,6 @@ class TestReports:
     def test_alive_fraction(self):
         net = small_network(4)
         assert net.alive_fraction() == 1.0
-
-    def test_build_cluster_selects_central_aggregator(self):
-        net = build_cluster(20, rng=np.random.default_rng(0),
-                            comm_range_m=60.0)
-        assert net.aggregator_id is not None
-        assert net.nodes[net.aggregator_id].role is NodeRole.AGGREGATOR
 
 
 class TestLiveness:
