@@ -9,14 +9,17 @@ from repro.core import (
     OrcoDCSFramework,
     ResilientOrchestrationPolicy,
 )
+from repro.core.scheduler import _EventClusterState
 from repro.sim import (
     ARQConfig,
     ChannelSpec,
     CodingSpec,
+    EventScheduler,
     FaultEvent,
     FaultSchedule,
+    apply_fault,
 )
-from repro.wsn import place_uniform
+from repro.wsn import place_uniform, select_aggregator
 
 DIM = 24
 LATENT = 4
@@ -283,6 +286,113 @@ class TestFaultInjection:
             < healthy.rounds_per_cluster["c"]
 
 
+class TestFaultTargetState:
+    """The event engine's per-cluster state is the one fault target: each
+    event, dispatched through :func:`apply_fault` as the injector fires
+    it, mutates the state directly."""
+
+    def state(self, with_positions=True, **policy):
+        scheduler = build_scheduler("event", clusters=1,
+                                    with_positions=with_positions)
+        return _EventClusterState(
+            scheduler.clusters[0], ResilientOrchestrationPolicy(**policy),
+            EventScheduler(), (None, None), np.random.default_rng(0), 100.0)
+
+    def bystander(self, state):
+        return next(d for d in range(DIM) if d != state.aggregator_device)
+
+    def test_node_death_marks_dead(self):
+        state = self.state()
+        device = self.bystander(state)
+        apply_fault(FaultEvent(0.0, "node_death", "c0", device=device), state)
+        assert not state.alive_mask[device]
+        assert state.device_fraction == pytest.approx((DIM - 1) / DIM)
+        assert state.failovers == 0 and not state.dead
+
+    @pytest.mark.parametrize("device", [-1, DIM])
+    def test_unknown_device_rejected(self, device):
+        state = self.state()
+        with pytest.raises(IndexError, match="no device"):
+            apply_fault(FaultEvent(0.0, "node_death", "c0", device=device),
+                        state)
+        assert state.alive_mask.all()
+
+    def test_revive_restores_node(self):
+        state = self.state()
+        device = self.bystander(state)
+        apply_fault(FaultEvent(0.0, "node_death", "c0", device=device), state)
+        apply_fault(FaultEvent(1.0, "node_revive", "c0", device=device), state)
+        assert state.alive_mask[device]
+        assert state.device_fraction == 1.0
+
+    def test_aggregator_death_triggers_proximity_failover(self):
+        state = self.state(failover_downtime_s=2.0)
+        old_head = state.aggregator_device
+        apply_fault(FaultEvent(0.0, "aggregator_death", "c0"), state)
+        assert state.aggregator_device != old_head
+        assert state.alive_mask[state.aggregator_device]
+        assert state.failovers == 1
+        # The replacement is the proximity-rule winner among survivors,
+        # and re-election keeps the cluster off the air for the downtime.
+        alive = np.flatnonzero(state.alive_mask)
+        positions = state.cluster.positions
+        assert state.aggregator_device == alive[select_aggregator(
+            positions[alive])]
+        assert state.ready_at == pytest.approx(2.0)
+        assert not state.dead
+
+    def test_failover_without_positions_promotes_first_survivor(self):
+        state = self.state(with_positions=False)
+        assert state.aggregator_device == 0
+        apply_fault(FaultEvent(0.0, "aggregator_death", "c0"), state)
+        assert state.aggregator_device == 1
+        assert state.failovers == 1
+
+    def test_skip_policy_retires_on_aggregator_death(self):
+        state = self.state(on_aggregator_death="skip")
+        apply_fault(FaultEvent(0.0, "aggregator_death", "c0"), state)
+        assert state.dead and "skip" in state.dead_reason
+        assert state.failovers == 0
+
+    def test_last_device_death_retires(self):
+        state = self.state(min_device_fraction=0.0)
+        for device in range(DIM):
+            apply_fault(FaultEvent(0.0, "node_death", "c0", device=device),
+                        state)
+        assert state.device_fraction == 0.0
+        assert state.dead
+        assert state.dead_reason == "no surviving device to promote"
+
+    def test_brownout_scales_batteries(self):
+        state = self.state()
+        before = state.battery.remaining_j
+        apply_fault(FaultEvent(0.0, "brownout", "c0", magnitude=0.25), state)
+        assert state.battery.remaining_j == pytest.approx(0.25 * before)
+        assert not state.dead
+
+    def test_total_brownout_retires(self):
+        state = self.state()
+        apply_fault(FaultEvent(0.0, "brownout", "c0", magnitude=0.0), state)
+        assert state.battery.remaining_j == 0.0
+        assert state.dead and "brownout" in state.dead_reason
+
+    def test_straggler_below_cutoff_waits_then_recovers(self):
+        state = self.state(on_straggler="skip", straggler_cutoff=8.0)
+        apply_fault(FaultEvent(0.0, "straggler", "c0", magnitude=4.0), state)
+        assert state.slow_factor == 4.0 and not state.dead
+        apply_fault(FaultEvent(1.0, "recover", "c0"), state)
+        assert state.slow_factor == 1.0
+
+    def test_kill_cluster_retires(self):
+        state = self.state()
+        apply_fault(FaultEvent(0.0, "cluster_death", "c0"), state)
+        assert state.dead
+        assert state.dead_reason == "cluster killed by fault schedule"
+        # A second retirement keeps the first reason.
+        state.retire("later")
+        assert state.dead_reason == "cluster killed by fault schedule"
+
+
 class TestReviewRegressions:
     def test_deadline_miss_recorded_when_final_round_fails(self):
         """A cluster whose last budgeted round is lost to ARQ exhaustion
@@ -404,6 +514,17 @@ class TestPolicySettingValidation:
         with pytest.raises(ValueError, match="arq_battery_margin"):
             ResilientOrchestrationPolicy(adaptive_arq=True,
                                          arq_battery_margin=float("nan"))
+
+    @pytest.mark.parametrize("setting", [
+        dict(fec_target_residual=0.0),
+        dict(on_aggregator_death="elect"),
+        dict(on_straggler="drop"),
+        dict(min_device_fraction=1.5),
+        dict(quorum=-0.1),
+    ], ids=lambda s: next(iter(s)))
+    def test_out_of_range_setting_rejected(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            ResilientOrchestrationPolicy(**setting)
 
 
 class TestCodedRecovery:

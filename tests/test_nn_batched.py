@@ -11,11 +11,14 @@ from repro.nn import (
     FleetAdam,
     FleetIncompatibilityError,
     HuberLoss,
+    L1Loss,
+    LeakyReLU,
     MSELoss,
     Optimizer,
     ReLU,
     Sequential,
     Sigmoid,
+    Softmax,
     Tensor,
     VectorHuberLoss,
     fleet_optimizer_from,
@@ -24,7 +27,7 @@ from repro.nn import (
     stack_sequential,
     unstack_sequential,
 )
-from repro.nn.batched import _gather_rows
+from repro.nn.batched import _gather_rows, check_fleet_optimizers
 from repro.nn.losses import BCELoss, CrossEntropyLoss
 
 
@@ -85,6 +88,41 @@ class TestBatchedDense:
         with pytest.raises(FleetIncompatibilityError):
             BatchedDense.from_layers([Dense(3, 2), Dense(3, 4)])
 
+    @pytest.mark.parametrize("layers, match", [
+        ([], "empty layer list"),
+        ([Dense(3, 2), Sigmoid()], "expected Dense, got Sigmoid"),
+        ([Dense(3, 2), Dense(3, 2, bias=False)], "bias presence differs"),
+    ], ids=["empty", "not-dense", "bias-presence"])
+    def test_unstackable_layers_rejected(self, layers, match):
+        with pytest.raises(FleetIncompatibilityError, match=match):
+            BatchedDense.from_layers(layers)
+
+    def test_bias_free_stack_matches_slices(self):
+        rng = np.random.default_rng(4)
+        layers = [Dense(4, 3, bias=False, rng=rng) for _ in range(3)]
+        batched = BatchedDense.from_layers(layers)
+        assert batched.bias is None
+        x = rng.random((3, 2, 4))
+        out = batched(Tensor(x))
+        for k, layer in enumerate(layers):
+            np.testing.assert_array_equal(out.data[k],
+                                          layer(Tensor(x[k])).data)
+        batched.weight.data += 1.0
+        batched.to_layers(layers)
+        assert all(layer.bias is None for layer in layers)
+        np.testing.assert_array_equal(layers[2].weight.data,
+                                      batched.weight.data[2])
+
+    def test_write_back_needs_one_layer_per_slice(self):
+        layers = [Dense(3, 2), Dense(3, 2)]
+        batched = BatchedDense.from_layers(layers)
+        with pytest.raises(ValueError, match="expected 2 layers, got 1"):
+            batched.to_layers(layers[:1])
+
+    def test_repr(self):
+        batched = BatchedDense.from_layers([Dense(3, 2), Dense(3, 2)])
+        assert repr(batched) == "BatchedDense(slices=2, 3, 2)"
+
 
 class TestStackSequential:
     def test_stack_and_run_matches_models(self):
@@ -112,6 +150,34 @@ class TestStackSequential:
         with pytest.raises(FleetIncompatibilityError):
             stack_sequential([Sequential(Dense(3, 2), Sigmoid()),
                               Sequential(Dense(3, 2), ReLU())])
+
+    def test_empty_model_list_rejected(self):
+        with pytest.raises(FleetIncompatibilityError, match="empty model"):
+            stack_sequential([])
+
+    def test_matching_leaky_relus_share_one_instance(self):
+        rng = np.random.default_rng(5)
+        models = [Sequential(Dense(4, 3, rng=rng), LeakyReLU(0.2))
+                  for _ in range(2)]
+        stacked = stack_sequential(models)
+        assert stacked[1].negative_slope == 0.2
+        x = rng.standard_normal((2, 5, 4))
+        out = run_stack(stacked, Tensor(x))
+        for k, model in enumerate(models):
+            np.testing.assert_array_equal(out.data[k],
+                                          model(Tensor(x[k])).data)
+
+    @pytest.mark.parametrize("activations, match", [
+        ((LeakyReLU(0.1), LeakyReLU(0.2)), "LeakyReLU slopes differ"),
+        ((Softmax(-1), Softmax(1)), "Softmax axes differ"),
+        ((Softmax(1), Softmax(1)), "only last-axis Softmax"),
+    ], ids=["leaky-slopes", "softmax-axes", "softmax-inner-axis"])
+    def test_activation_settings_must_stack_slice_exactly(self, activations,
+                                                          match):
+        models = [Sequential(Dense(3, 2), activation)
+                  for activation in activations]
+        with pytest.raises(FleetIncompatibilityError, match=match):
+            stack_sequential(models)
 
     def test_stateful_layers_rejected(self):
         # A convolution carries weights but has no slice-exact stacked form.
@@ -258,6 +324,33 @@ class TestFleetOptimizers:
         np.testing.assert_array_equal(single_opts[2]._v[0], fleet_opt._v[0][2])
         assert [opt._t for opt in single_opts] == [2, 7, 2]
 
+    @pytest.mark.parametrize("num_slices, match", [
+        (0, "num_slices must be positive"),
+        (2, "leading dim 3 != num_slices 2"),
+    ], ids=["no-slices", "leading-dim"])
+    def test_fleet_adam_validation(self, num_slices, match):
+        _, batched, _, _ = self._stacked_problem()
+        with pytest.raises(ValueError, match=match):
+            FleetAdam(batched.parameters(), lr=0.01, num_slices=num_slices)
+
+    def test_parameters_without_gradient_are_left_alone(self):
+        _, batched, x, target = self._stacked_problem(seed=3)
+        fleet_opt = FleetAdam(batched.parameters(), lr=0.01, num_slices=3)
+        # Only the weight took part in the loss: the bias has no grad.
+        out = Tensor(x).matmul(batched.weight)
+        diff = out - Tensor(target)
+        (diff * diff).sum().backward()
+        bias_before = batched.bias.data.copy()
+        weight_before = batched.weight.data.copy()
+        fleet_opt.step()
+        assert batched.bias.grad is None
+        np.testing.assert_array_equal(batched.bias.data, bias_before)
+        assert np.all(batched.weight.data != weight_before)
+
+    def test_no_optimisers_rejected(self):
+        with pytest.raises(FleetIncompatibilityError, match="no optimisers"):
+            check_fleet_optimizers([])
+
     def test_mixed_optimizers_rejected(self):
         # Only Adam has a fleet form.
         class Momentum(Optimizer):
@@ -291,7 +384,8 @@ class TestFleetOptimizers:
 
 class TestPerClusterLosses:
     @pytest.mark.parametrize("loss", [MSELoss(), HuberLoss(0.5),
-                                      VectorHuberLoss(3.0), BCELoss()])
+                                      VectorHuberLoss(3.0), BCELoss(),
+                                      L1Loss()])
     def test_matches_per_slice_forward(self, loss):
         rng = np.random.default_rng(0)
         prediction = Tensor(rng.random((4, 6, 5)), requires_grad=True)
@@ -313,6 +407,21 @@ class TestPerClusterLosses:
             loss(single, np.zeros((4, 5))).backward()
             np.testing.assert_allclose(prediction.grad[k], single.grad,
                                        atol=1e-15)
+
+    @pytest.mark.parametrize("loss", [MSELoss(), HuberLoss(0.5)])
+    def test_fused_gradient_reaches_a_trainable_target(self, loss):
+        rng = np.random.default_rng(2)
+        stacked_pred, stacked_target = rng.random((2, 3, 4, 5))
+        prediction = Tensor(stacked_pred, requires_grad=True)
+        target = Tensor(stacked_target, requires_grad=True)
+        loss.per_cluster(prediction, target).sum().backward()
+        for k in range(3):
+            single_pred = Tensor(stacked_pred[k], requires_grad=True)
+            single_target = Tensor(stacked_target[k], requires_grad=True)
+            loss(single_pred, single_target).backward()
+            np.testing.assert_allclose(target.grad[k], single_target.grad,
+                                       atol=1e-15)
+        np.testing.assert_array_equal(target.grad, -prediction.grad)
 
     def test_unsupported_loss_raises(self):
         with pytest.raises(NotImplementedError):

@@ -126,6 +126,30 @@ class TestConvTranspose2d:
             approx = numeric_grad(value, tensor.data)
             assert np.allclose(tensor.grad, approx, atol=1e-4)
 
+    def test_bias_added_per_output_channel_and_its_gradient(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        w = Tensor(rng.standard_normal((2, 3, 2, 2)))
+        bias = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        plain = F.conv_transpose2d(x, w, stride=2)
+        out = F.conv_transpose2d(x, w, bias=bias, stride=2)
+        np.testing.assert_allclose(out.data - plain.data,
+                                   np.broadcast_to(bias.data.reshape(
+                                       1, 3, 1, 1), out.shape))
+        upstream = rng.standard_normal(out.shape)
+        (out * Tensor(upstream)).sum().backward()
+        np.testing.assert_allclose(bias.grad, upstream.sum(axis=(0, 2, 3)))
+
+    def test_channel_mismatch_raises(self):
+        with pytest.raises(ValueError, match="channels"):
+            F.conv_transpose2d(Tensor(np.ones((1, 2, 3, 3))),
+                               Tensor(np.ones((3, 1, 2, 2))))
+
+    def test_empty_output_rejected(self):
+        with pytest.raises(ValueError, match="empty output"):
+            F.conv_transpose2d(Tensor(np.ones((1, 1, 1, 1))),
+                               Tensor(np.ones((1, 1, 1, 1))), padding=1)
+
 
 class TestPooling:
     def test_max_pool_values(self):

@@ -78,6 +78,48 @@ class TestClosedFormHelpers:
         assert hybrid.p_deliver == pytest.approx(0.993, abs=1e-3)
         assert fec.p_deliver < hybrid.p_deliver <= 1.0
 
+    @pytest.mark.parametrize("frames, loss, retries", [
+        (3, 0.2, 1), (4, 0.3, 2), (1, 0.5, 0), (6, 0.1, 3)])
+    def test_message_delivery_probability(self, frames, loss, retries):
+        """Uncoded ARQ delivers iff every frame's slot delivers."""
+        link = sensor_link()
+        forecast = price_transmit(link, frames * link.max_payload_bytes,
+                                  loss, ARQConfig(max_retries=retries))
+        assert forecast.frames == frames
+        assert forecast.p_deliver == pytest.approx(
+            (1.0 - loss ** (retries + 1)) ** frames)
+
+    @pytest.mark.parametrize("frames, parity, loss", [
+        (6, 2, 0.25), (4, 1, 0.1), (10, 3, 0.3)])
+    def test_fec_delivery_is_binomial_tail(self, frames, parity, loss):
+        """Pure FEC decodes iff at most ``parity`` of the burst's
+        ``frames + parity`` frames are erased."""
+        link = sensor_link()
+        forecast = price_transmit(link, frames * link.max_payload_bytes,
+                                  loss, ARQConfig(max_retries=2),
+                                  CodingSpec(parity_frames=parity))
+        burst = frames + parity
+        expected = sum(math.comb(burst, e) * loss ** e
+                       * (1.0 - loss) ** (burst - e)
+                       for e in range(parity + 1))
+        assert forecast.parity_frames == parity
+        assert forecast.p_deliver == pytest.approx(expected)
+
+    @pytest.mark.parametrize("loss", [0.1, 0.3])
+    def test_hybrid_repair_budget_drives_delivery_to_one(self, loss):
+        link = sensor_link()
+        payload = 6 * link.max_payload_bytes
+        fec = price_transmit(link, payload, loss, ARQConfig(max_retries=0),
+                             CodingSpec(parity_frames=1))
+        hybrid = [price_transmit(link, payload, loss,
+                                 ARQConfig(max_retries=retries),
+                                 CodingSpec(parity_frames=1,
+                                            arq_fallback=True)).p_deliver
+                  for retries in (0, 2, 8, 40)]
+        assert fec.p_deliver < hybrid[0]
+        assert all(a < b for a, b in zip(hybrid, hybrid[1:]))
+        assert hybrid[-1] == pytest.approx(1.0, abs=1e-12)
+
     def test_failure_run_probability_exact_cases(self):
         assert failure_run_probability(0.0, 100, 3) == 0.0
         assert failure_run_probability(0.3, 2, 3) == 0.0

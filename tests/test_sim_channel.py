@@ -22,6 +22,17 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def _gilbert_elliott_trace(model, frames, seed=0x802154):
+    """Per-frame hidden state (True = BAD) and loss verdict of a chain."""
+    generator = rng(seed)
+    states = np.empty(frames, dtype=bool)
+    lost = np.empty(frames, dtype=bool)
+    for i in range(frames):
+        lost[i] = model.frame_lost(generator)
+        states[i] = model.bad
+    return states, lost
+
+
 class TestLossModels:
     def test_bernoulli_rate_statistics(self):
         loss = BernoulliLoss(0.3)
@@ -70,6 +81,25 @@ class TestLossModels:
     def test_inescapable_lossy_state_rejected(self):
         with pytest.raises(ValueError):
             GilbertElliottLoss(p_bad_to_good=0.0, loss_bad=1.0)
+
+    @pytest.mark.parametrize("param", ["p_good_to_bad", "p_bad_to_good",
+                                       "loss_good", "loss_bad"])
+    def test_gilbert_elliott_probability_range(self, param):
+        with pytest.raises(ValueError, match=param):
+            GilbertElliottLoss(**{param: 1.5})
+        with pytest.raises(ValueError, match=param):
+            GilbertElliottLoss(**{param: -0.1})
+
+    def test_frozen_chain_stays_good(self):
+        """With no transitions the chain never leaves GOOD, so its
+        steady-state loss is the GOOD-state rate."""
+        loss = GilbertElliottLoss(p_good_to_bad=0.0, p_bad_to_good=0.0,
+                                  loss_good=0.1, loss_bad=0.9)
+        assert loss.mean_loss_rate == 0.1
+        generator = rng(0)
+        hits = sum(loss.frame_lost(generator) for _ in range(20000))
+        assert not loss.bad
+        assert hits / 20000 == pytest.approx(0.1, abs=0.01)
 
     def test_as_loss_model_coercion(self):
         assert as_loss_model(None) is None
@@ -223,6 +253,35 @@ class TestGilbertElliottPresets:
         assert a.loss is not b.loss
         a.loss.bad = True
         assert not b.loss.bad
+
+    @pytest.mark.parametrize("name", sorted(GILBERT_ELLIOTT_PRESETS))
+    def test_fitted_parameters_recover_preset(self, name):
+        """Fit the chain's parameters back from a generated trace: the
+        generator realises each preset's transition and loss rates."""
+        states, lost = _gilbert_elliott_trace(
+            GilbertElliottLoss(**GILBERT_ELLIOTT_PRESETS[name]), 200_000)
+        entering = np.concatenate([[False], states[:-1]])
+        fitted = {
+            "p_good_to_bad": states[~entering].mean(),
+            "p_bad_to_good": (~states[entering]).mean(),
+            "loss_good": lost[~states].mean(),
+            "loss_bad": lost[states].mean(),
+        }
+        for param, value in GILBERT_ELLIOTT_PRESETS[name].items():
+            assert fitted[param] == pytest.approx(value, rel=0.10), \
+                f"{name}.{param}"
+        model = GilbertElliottLoss(**fitted)
+        assert model.mean_loss_rate == pytest.approx(lost.mean(), rel=0.05)
+
+    @pytest.mark.parametrize("name", sorted(GILBERT_ELLIOTT_PRESETS))
+    def test_mean_burst_length(self, name):
+        """BAD sojourns are geometric: mean length 1 / p_bad_to_good."""
+        states, _ = _gilbert_elliott_trace(
+            GilbertElliottLoss(**GILBERT_ELLIOTT_PRESETS[name]), 200_000)
+        edges = np.diff(np.concatenate([[0], states.astype(int), [0]]))
+        lengths = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+        expected = 1.0 / GILBERT_ELLIOTT_PRESETS[name]["p_bad_to_good"]
+        assert lengths.mean() == pytest.approx(expected, rel=0.10)
 
     def test_preset_severity_ordering(self):
         rates = {name: ChannelSpec.preset(name).build(
@@ -458,6 +517,48 @@ class TestTraceRerecord:
         channel = UnreliableChannel(uplink(), loss=0.2, rng=rng(0))
         channel.rerecord_trace()     # no trace: nothing to do
         channel.transmit(500)
+
+    def test_hand_built_trace_cannot_rerecord(self):
+        entries = UnreliableChannel(uplink(), loss=0.2,
+                                    rng=rng(0)).transmit_batch(500, 3)
+        with pytest.raises(ValueError, match="re-recording metadata"):
+            ChannelTrace(tuple(entries)).rerecord()
+
+
+class TestTransmitBatchEdges:
+    """Inputs the batched pricer short-cuts before touching the stream."""
+
+    @pytest.mark.parametrize("count, n_bytes", [(-1, 96), (3, -1)],
+                             ids=["count", "payload"])
+    def test_negative_input_rejected(self, count, n_bytes):
+        channel = UnreliableChannel(sensor_link(), loss=0.3, rng=rng(0))
+        with pytest.raises(ValueError, match="non-negative"):
+            channel.transmit_batch(n_bytes, count)
+        assert channel._sampler.position == 0
+
+    def test_negative_trace_length_rejected(self):
+        channel = UnreliableChannel(sensor_link(), loss=0.3, rng=rng(0))
+        with pytest.raises(ValueError, match="transmits"):
+            channel.record_trace(96, -1)
+
+    def test_empty_payload_radiates_nothing(self):
+        channel = UnreliableChannel(sensor_link(), loss=0.3, rng=rng(0))
+        results = channel.transmit_batch(0, 4)
+        assert len(results) == 4
+        assert all(r.delivered and r.frames == r.wire_bytes == 0
+                   and r.elapsed_s == 0.0 for r in results)
+        # No frame was sent, so no loss verdict was drawn.
+        assert channel._sampler.position == 0
+
+    def test_lossless_coded_batch_radiates_parity_every_time(self):
+        coding = CodingSpec(parity_frames=2)
+        batch = UnreliableChannel(sensor_link(), loss=None, rng=rng(0),
+                                  coding=coding).transmit_batch(500, 3)
+        live = UnreliableChannel(sensor_link(), loss=None, rng=rng(0),
+                                 coding=coding).transmit(500)
+        assert batch == [live] * 3
+        assert live.delivered and live.lost_frames == 0
+        assert live.parity_frames == 2 and live.fec_wire_bytes > 0
 
 #: Channel configurations transmit_each is checked on, covering every
 #: pricing route: lossless, block-sampled Bernoulli and Gilbert-Elliott,

@@ -489,6 +489,16 @@ class TestCodedChannel:
         # 254 data frames + 2 parity still fit.
         assert channel.transmit(254 * link.max_payload_bytes).delivered
 
+    @pytest.mark.parametrize("arq_fallback", [False, True],
+                             ids=["fec", "hybrid"])
+    def test_batched_messages_beyond_256_shards_rejected(self, arq_fallback):
+        link = sensor_link()
+        channel = UnreliableChannel(
+            link, loss=0.1, rng=np.random.default_rng(0),
+            coding=CodingSpec(2, arq_fallback=arq_fallback))
+        with pytest.raises(ValueError, match="256-shard"):
+            channel.transmit_batch(300 * link.max_payload_bytes, 3)
+
 
 # ----------------------------------------------------------------------
 # Closed-form pricing + the adaptive redundancy rule
@@ -528,6 +538,18 @@ class TestAdaptiveRedundancy:
             assert vec_e.tolist() == [
                 expected_frames_per_delivery(frames, parity, float(r))
                 for r in rates]
+
+    @pytest.mark.parametrize("frames, parity, loss", [
+        (0, 1, 0.1), (4, -1, 0.1), (4, 1, 1.0), (4, 1, -0.2)],
+        ids=["no-data", "negative-parity", "certain-loss", "negative-loss"])
+    def test_scalar_pricing_validation(self, frames, parity, loss):
+        with pytest.raises(ValueError):
+            delivery_probability(frames, parity, loss)
+
+    def test_underflowing_delivery_prices_as_infinite(self):
+        # 200 uncoded frames at 99.99% loss: P[deliver] underflows to 0.
+        assert delivery_probability(200, 0, 0.9999) == 0.0
+        assert expected_frames_per_delivery(200, 0, 0.9999) == float("inf")
 
     def test_array_pricing_validation(self):
         with pytest.raises(ValueError):

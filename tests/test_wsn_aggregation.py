@@ -334,6 +334,19 @@ class TestMaskedHybridAggregationCost:
         assert masked.values_transmitted == full.values_transmitted
         assert masked.wire_bytes == full.wire_bytes
 
+    def test_latent_dim_validated(self):
+        net = line_network()
+        with pytest.raises(ValueError, match="latent_dim"):
+            simulate_masked_hybrid_aggregation(
+                net, build_aggregation_tree(net), latent_dim=0)
+
+    def test_report_sizes_in_kilobytes(self):
+        net = line_network()
+        report = simulate_masked_hybrid_aggregation(
+            net, build_aggregation_tree(net), latent_dim=3, failed={4})
+        assert report.wire_bytes > 0
+        assert report.total_kb == report.wire_bytes / 1024.0
+
     def test_surviving_counts_shrink_with_dead_descendants(self):
         net = line_network()
         tree = build_aggregation_tree(net)

@@ -189,6 +189,25 @@ class TestReports:
         net = small_network(4)
         assert net.alive_fraction() == 1.0
 
+    def test_delivered_fraction_counts_messages_of_a_kind(self):
+        ledger = TransmissionLedger()
+        # Nothing sent yet: no message was lost.
+        assert ledger.delivered_fraction() == 1.0
+        ledger.record(1, 0, 10, 16, "raw", 0.01, 1, True)
+        ledger.record(2, 0, 10, 48, "raw", 0.03, 3, False)
+        assert ledger.delivered_fraction() == 0.5
+        assert ledger.delivered_fraction("raw") == 0.5
+        assert ledger.delivered_fraction("latent") == 1.0
+
+    def test_downlink_needs_an_aggregator(self):
+        net = WSNetwork(np.array([[0.0, 0.0], [10.0, 0.0]]),
+                        comm_range_m=50.0)
+        with pytest.raises(RuntimeError, match="no aggregator"):
+            net.downlink_from_edge(64)
+        net.set_aggregator(1)
+        assert net.downlink_from_edge(64) > 0.0
+        assert net.ledger.records[-1].dst == 1
+
 
 class TestLiveness:
     def test_kill_and_revive(self):
