@@ -10,6 +10,7 @@ not among them: the aggregator and the edge both train with Adam.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -82,8 +83,10 @@ class OrcoDCSConfig:
                              f"non-negative, got {self.noise_sigma}")
         if self.decoder_layers < 1:
             raise ValueError("decoder needs at least one layer")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        if not (isinstance(self.batch_size, numbers.Integral)
+                and self.batch_size >= 1):
+            raise ValueError(f"batch_size must be an integer >= 1, "
+                             f"got {self.batch_size!r}")
         self.dtype = _training_dtype(self.dtype)
 
     @property

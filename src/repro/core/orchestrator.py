@@ -28,6 +28,7 @@ engines.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -314,8 +315,10 @@ class OrchestratedTrainer:
         ``history`` continues it (used by fine-tuning relaunches).
         """
         train_rows = np.atleast_2d(np.asarray(train_rows, dtype=self.dtype))
-        if epochs <= 0 or batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
+        for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
         history = history or TrainingHistory(self.name)
         for epoch in range(1, epochs + 1):
             order = np.arange(len(train_rows))

@@ -60,20 +60,18 @@ class AggregationTree:
         self._post_order: Optional[Tuple[int, ...]] = None
         self._levels: Optional[Tuple[Tuple[Tuple[int, ...], ...], ...]] = None
         self._slots: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._validate_acyclic()
+        self._validate_connected()
 
-    def _validate_acyclic(self) -> None:
+    def _validate_connected(self) -> None:
+        """Every node must reach the root.  Each node has one parent, so
+        a walk down from the root meets no node twice; a cycle shows up
+        as nodes the walk never meets."""
         seen_total = 0
         frontier = [self.root]
-        visited = {self.root}
         while frontier:
             node = frontier.pop()
             seen_total += 1
-            for child in self.children[node]:
-                if child in visited:
-                    raise ValueError("cycle detected in aggregation tree")
-                visited.add(child)
-                frontier.append(child)
+            frontier.extend(self.children[node])
         if seen_total != len(self.parent):
             raise ValueError("tree is not connected")
 
@@ -275,8 +273,8 @@ def _simulate_upward(network: WSNetwork, tree: AggregationTree,
     only on deeper levels, so they are all computed first and priced
     together (:meth:`WSNetwork.sensor_outcomes`: from one block of the
     sampler of a lossless or pure-FEC sensor channel, live hop by hop
-    on others); the hops are then checked and charged one by one in
-    slot order (:meth:`WSNetwork.send_hop`), each taking its outcome
+    on others); one :meth:`WSNetwork.send_hops` call then checks and
+    charges the level's hops in slot order, each taking its outcome
     only after its liveness check.  Ledger, batteries and the channel's
     loss stream therefore evolve exactly as under one live transmit per
     hop, up to and including a dead node or an empty battery that stops
@@ -285,40 +283,54 @@ def _simulate_upward(network: WSNetwork, tree: AggregationTree,
     report = AggregationReport()
     report.slots = len(tree.tdma_slots())
     children, parent = tree.children, tree.parent
-    wire_bytes = network.sensor_link.wire_bytes
+    per_node, failed_hops = report.per_node_values, report.failed_hops
+    wire_of: Dict[int, int] = {}     # nominal wire bytes per payload size
+    values = payload_bytes = wire_bytes = 0
+    airtime = makespan = 0.0
     delivered_pool: Dict[int, int] = {}
     for level in tree.tdma_levels():
         sends: List[List[Tuple[int, int, int, int]]] = []
-        payloads: List[int] = []
+        hops: List[Tuple[int, int, int]] = []
         for slot in level:
             slot_sends = []
             for node in slot:
                 if transmitters is not None and node not in transmitters:
                     continue
-                pool = own_values.get(node, 0) + sum(
-                    delivered_pool.get(child, 0) for child in children[node])
+                pool = own_values.get(node, 0)
+                for child in children[node]:
+                    pool += delivered_pool.get(child, 0)
                 count = pool if latent_cap is None else min(pool, latent_cap)
                 payload = count * value_bytes
                 slot_sends.append((node, pool, count, payload))
-                payloads.append(payload)
+                hops.append((node, parent[node], payload))
             sends.append(slot_sends)
-        take = network.sensor_outcomes(payloads).__next__
+        # zip draws from slot_sends first, so it stops at a slot's end
+        # without consuming the next slot's result.
+        outcomes = network.sensor_outcomes([hop[2] for hop in hops])
+        results = iter(network.send_hops(hops, outcomes, kind, force=True))
         for slot_sends in sends:
             slot_time = 0.0
-            for node, pool, count, payload in slot_sends:
-                elapsed, delivered = network.send_hop(
-                    node, parent[node], payload, take, kind=kind, force=True)
+            for (node, pool, count, payload), (elapsed, delivered) in zip(
+                    slot_sends, results):
                 if payload > 0 and not delivered:
-                    report.failed_hops.add(node)
+                    failed_hops.add(node)
                 else:
                     delivered_pool[node] = pool
-                report.values_transmitted += count
-                report.payload_bytes += payload
-                report.wire_bytes += wire_bytes(payload)
-                report.airtime_s += elapsed
-                report.per_node_values[node] = count
-                slot_time = max(slot_time, elapsed)
-            report.makespan_s += slot_time
+                wire = wire_of.get(payload)
+                if wire is None:
+                    wire = wire_of[payload] = \
+                        network.sensor_link.wire_bytes(payload)
+                values += count
+                payload_bytes += payload
+                wire_bytes += wire
+                airtime += elapsed
+                per_node[node] = count
+                if elapsed > slot_time:      # max(), without the call
+                    slot_time = elapsed
+            makespan += slot_time
+    report.values_transmitted, report.payload_bytes = values, payload_bytes
+    report.wire_bytes, report.airtime_s = wire_bytes, airtime
+    report.makespan_s = makespan
     return report
 
 

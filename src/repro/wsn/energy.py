@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadioEnergyModel:
-    """Energy cost model for one radio.
+    """Energy cost model for one radio (immutable).
 
     Attributes
     ----------
@@ -31,9 +32,10 @@ class RadioEnergyModel:
     amp_free_space_j_per_bit_m2: float = 10e-12
     amp_multipath_j_per_bit_m4: float = 0.0013e-12
 
-    @property
+    @cached_property
     def crossover_distance_m(self) -> float:
-        """Distance at which free-space and multipath amp energies match."""
+        """Distance at which free-space and multipath amp energies match
+        (computed once: the model is frozen)."""
         return math.sqrt(self.amp_free_space_j_per_bit_m2
                          / self.amp_multipath_j_per_bit_m4)
 

@@ -14,13 +14,13 @@ goodput from radiated traffic.  Nodes can die (:meth:`WSNetwork.kill_node`
 — battery depletion or an injected fault); transmissions involving dead
 nodes raise :class:`DeadNodeError`.
 
-Every sensor-radio hop goes through one check-and-charge step
-(:meth:`WSNetwork.send_hop`): both ends must be alive, then the hop's
-transmit outcome is taken and charged to both batteries and the ledger.
-:meth:`WSNetwork.unicast` feeds it one live transmit; tree aggregation
-feeds it a whole tree level priced at once
-(:meth:`WSNetwork.sensor_outcomes`), taking each hop's outcome only
-after that hop's liveness check.
+Every sensor-radio hop goes through one check-and-charge loop
+(:meth:`WSNetwork.send_hops`): for each hop in order, both ends must be
+alive, then the hop's transmit outcome is taken and charged to both
+batteries and the ledger.  :meth:`WSNetwork.unicast` feeds it one hop
+and one live transmit; tree aggregation feeds it a whole tree level
+priced at once (:meth:`WSNetwork.sensor_outcomes`), taking each hop's
+outcome only after that hop's liveness check.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -80,14 +80,15 @@ class Node:
         return self.role is NodeRole.EDGE
 
 
-@dataclass(frozen=True)
-class TransmissionRecord:
+class TransmissionRecord(NamedTuple):
     """One logical message: who, to whom, how many payload bytes, what for.
 
     ``wire_bytes`` counts every radiated byte including retransmissions;
     ``attempts`` is the number of frame transmissions that produced it
     and ``delivered`` whether the message survived its ARQ budget
-    (always ``1``/``True`` on ideal links).
+    (always ``1``/``True`` on ideal links).  An immutable named tuple
+    (cheap to build: a ledger takes one per message), so a record
+    compares equal to a plain tuple of the same values.
     """
 
     src: int
@@ -368,40 +369,63 @@ class WSNetwork:
         (:meth:`~repro.sim.channel.UnreliableChannel.transmit_each`) but
         consumes each message's loss verdicts only when that outcome is
         taken, so a caller that stops early leaves the channel as that
-        many :meth:`unicast` calls would.  The caller must take them in
-        order and run no other sensor transmit in between (the channel
-        raises :class:`RuntimeError` if one does).
+        many :meth:`unicast` calls would.  The caller (:meth:`send_hops`)
+        must take them in order and run no other sensor transmit in
+        between (the channel raises :class:`RuntimeError` if one does).
         """
         if self.sensor_channel is None:
             return (self._transmit(self.sensor_link, None, payload_bytes)
                     for payload_bytes in payloads)
         return map(self._outcome, self.sensor_channel.transmit_each(payloads))
 
-    def send_hop(self, src: int, dst: int, payload_bytes: int,
-                 take: Callable[[], Outcome], kind: str = "data",
-                 force: bool = False) -> Tuple[float, bool]:
-        """Check, transmit and charge one sensor-radio hop.
+    def send_hops(self, hops: Sequence[Tuple[int, int, int]],
+                  outcomes: Iterator[Outcome], kind: str = "data",
+                  force: bool = False) -> List[Tuple[float, bool]]:
+        """Check, transmit and charge sensor-radio hops, one at a time.
 
-        Both ends must be alive and, unless ``force``, within radio
-        range; only then is ``take()`` called for the hop's transmit
-        outcome, so a refused hop consumes no loss verdicts.  The sender
-        pays for every radiated byte, the receiver for every received
-        one, and the ledger records the message.  Returns ``(elapsed_s,
-        delivered)``.
+        ``hops`` holds ``(src, dst, payload_bytes)`` and ``outcomes``
+        yields their transmit outcomes in the same order.  A hop's ends
+        must be alive and, unless ``force``, within radio range; only
+        then is its outcome taken, so a refused hop consumes no loss
+        verdicts.  The sender pays for every radiated byte, then the
+        receiver for every received one, and the ledger records the
+        message.  A :class:`DeadNodeError` or
+        :class:`~repro.wsn.energy.BatteryDepletedError` stops the loop at
+        its hop, every earlier hop charged.  Returns ``(elapsed_s,
+        delivered)`` per hop.
         """
-        if src == dst:
-            raise ValueError("unicast to self")
-        src_node, dst_node = self._require_alive(src), self._require_alive(dst)
-        hop = self.link_distance(src, dst)
-        if hop > self.comm_range_m + 1e-9 and not force:
-            raise ValueError(f"nodes {src} and {dst} are out of radio range "
-                             f"({hop:.1f} m > {self.comm_range_m} m)")
-        wire, received, elapsed, attempts, delivered = take()
-        self._charge(src_node, src_node.radio.tx_energy(wire * 8, hop))
-        self._charge(dst_node, dst_node.radio.rx_energy(received * 8))
-        self.ledger.record(src, dst, payload_bytes, wire, kind, elapsed,
-                           attempts, delivered)
-        return elapsed, delivered
+        nodes, failed, edge = self.nodes, self.failed_nodes, self.edge
+        hop_m, reach = self._hop_m, self.comm_range_m + 1e-9
+        append = self.ledger.records.append
+        done: List[Tuple[float, bool]] = []
+        for src, dst, payload_bytes in hops:
+            if src == dst:
+                raise ValueError("unicast to self")
+            # is_alive, read inline; the edge server never dies.
+            sender = edge if src == EDGE_SERVER_ID else nodes[src]
+            if sender is not edge and (
+                    src in failed or not sender.battery.remaining_j > 0):
+                raise DeadNodeError(f"node {src} is dead")
+            receiver = edge if dst == EDGE_SERVER_ID else nodes[dst]
+            if receiver is not edge and (
+                    dst in failed or not receiver.battery.remaining_j > 0):
+                raise DeadNodeError(f"node {dst} is dead")
+            hop = hop_m.get((src, dst))
+            if hop is None:
+                hop = self.link_distance(src, dst)
+            if hop > reach and not force:
+                raise ValueError(f"nodes {src} and {dst} are out of radio "
+                                 f"range ({hop:.1f} m > {self.comm_range_m} m)")
+            wire, received, elapsed, attempts, delivered = next(outcomes)
+            # The edge is the one powered node: it pays nothing.
+            if sender is not edge:
+                sender.battery.drain(sender.radio.tx_energy(wire * 8, hop))
+            if receiver is not edge:
+                receiver.battery.drain(receiver.radio.rx_energy(received * 8))
+            append(TransmissionRecord(src, dst, payload_bytes, wire, kind,
+                                      elapsed, attempts, delivered))
+            done.append((elapsed, delivered))
+        return done
 
     def unicast(self, src: int, dst: int, payload_bytes: int,
                 kind: str = "data", force: bool = False) -> float:
@@ -424,11 +448,10 @@ class WSNetwork:
         """:meth:`unicast`, also returning whether the message survived
         its recovery budget — the verdict masked aggregation severs
         subtrees on (always ``True`` on ideal links)."""
-        return self.send_hop(
-            src, dst, payload_bytes,
-            lambda: self._transmit(self.sensor_link, self.sensor_channel,
-                                   payload_bytes),
-            kind=kind, force=force)
+        outcome = (self._transmit(self.sensor_link, self.sensor_channel, n)
+                   for n in (payload_bytes,))
+        return self.send_hops(((src, dst, payload_bytes),), outcome,
+                              kind=kind, force=force)[0]
 
     def broadcast(self, src: int, payload_bytes: int,
                   kind: str = "broadcast") -> float:

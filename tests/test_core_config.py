@@ -18,12 +18,19 @@ class TestValidation:
         {"input_dim": 100, "noise_sigma": -0.1},
         {"input_dim": 100, "decoder_layers": 0},
         {"input_dim": 100, "batch_size": 0},
+        {"input_dim": 100, "batch_size": 2.5},
+        {"input_dim": 100, "batch_size": float("nan")},
         {"input_dim": 100, "noise_sigma": float("nan")},
         {"input_dim": 100, "noise_sigma": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OrcoDCSConfig(**kwargs)
+
+    def test_numpy_integer_batch_size_accepted(self):
+        config = OrcoDCSConfig(input_dim=24, latent_dim=4,
+                               batch_size=np.int64(8))
+        assert config.batch_size == 8
 
     def test_dtype_defaults_to_float64(self):
         assert OrcoDCSConfig(input_dim=8).dtype == np.dtype(np.float64)

@@ -124,6 +124,20 @@ class TestFit:
         with pytest.raises(ValueError):
             trainer.fit(toy_rows(8), epochs=0)
 
+    @pytest.mark.parametrize("name,value", [("epochs", 2.5),
+                                            ("batch_size", 2.5),
+                                            ("epochs", float("nan"))])
+    def test_fractional_or_nan_counts_rejected(self, name, value):
+        trainer = toy_trainer()
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            trainer.fit(toy_rows(8), **{name: value})
+        assert trainer.clock_s == 0.0
+
+    def test_numpy_integer_counts_accepted(self):
+        history = toy_trainer().fit(toy_rows(32), epochs=np.int64(2),
+                                    batch_size=np.int32(16))
+        assert len(history.rounds) == 4
+
 
 class TestEvaluateReconstruct:
     def test_evaluate_does_not_update(self):

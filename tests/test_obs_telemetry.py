@@ -48,6 +48,7 @@ from repro.obs import (
     read_events,
     summary_table,
 )
+from repro.serve import RunController
 from repro.sim import ARQConfig, ChannelSpec, FaultEvent, FaultSchedule
 
 DIM = 24
@@ -277,14 +278,33 @@ HOT_PATH_SITES = [
 ]
 
 
+class _CancelAfterBoundaries(RunController):
+    """Lets ``boundaries`` between-round boundaries pass, then cancels
+    right after the last, as a cancel from another thread may land: the
+    next plan goes through the wave planner's "command-pending" clamp
+    with no bus subscriber raising the cancel."""
+
+    def __init__(self, boundaries):
+        super().__init__()
+        self.boundaries = boundaries
+
+    def checkpoint(self, outstanding):
+        go_on = super().checkpoint(outstanding)
+        self.boundaries -= 1
+        if self.boundaries == 0:
+            self.cancel()
+        return go_on
+
+
 def elision_runs(telemetry=None):
     """Runs that between them reach every site in HOT_PATH_SITES.
 
     A fused event run with a node death, lossy enough that uplinks and
     downlinks both fail; an event ``loss_priority`` run with hybrid
     recovery, adaptive ARQ and a quorum, whose brownout re-derives c0's
-    budgets and whose c1 cannot meet its deadline; and a batched run,
-    whose ``IdealRoundLoop`` emits its own round and deadline events.
+    budgets and whose c1 cannot meet its deadline; a batched run, whose
+    ``IdealRoundLoop`` emits its own round and deadline events; and a
+    fused ``loss_priority`` run cancelled mid-run by its controller.
     """
     schedulers = [
         build_scheduler(
@@ -300,6 +320,11 @@ def elision_runs(telemetry=None):
                 0.05, "brownout", "c0", magnitude=1e-12)])),
         build_scheduler(engine="batched", telemetry=telemetry,
                         deadlines={"c1": 1e-6}),
+        build_scheduler(
+            "loss_priority", telemetry=telemetry,
+            control=_CancelAfterBoundaries(4),
+            fault_schedule=FaultSchedule([FaultEvent(
+                0.1, "straggler", "c0", magnitude=2.0)])),
     ]
     return [scheduler.run(rounds_per_cluster=8) for scheduler in schedulers]
 
@@ -314,8 +339,11 @@ class TestNullBusElision:
             monkeypatch.setattr(mod, name,
                                 _exploding(getattr(mod, name).kind))
         reports = elision_runs()
-        assert [r.faults_applied for r in reports] == [1, 1, 0]
-        assert [r.deadline_misses for r in reports] == [[], ["c1"], ["c1"]]
+        assert [r.faults_applied for r in reports] == [1, 1, 0, 1]
+        assert [r.deadline_misses for r in reports] \
+            == [[], ["c1"], ["c1"], []]
+        cancelled = sum(reports[-1].rounds_per_cluster.values())
+        assert 0 < cancelled < 3 * 8
 
     def test_elision_runs_reach_every_patched_site(self, monkeypatch):
         # The subscribed twin: each patched site builds its event at
@@ -325,11 +353,15 @@ class TestNullBusElision:
             monkeypatch.setattr(mod, name, _counting(
                 getattr(mod, name), (mod.__name__, name), built))
         seen = set()
+        bounds = []
         bus = TelemetryBus()
         bus.subscribe(lambda event: seen.add(event.kind))
+        bus.subscribe(lambda event: bounds.append(event.bound),
+                      kinds=[WavePlanned.kind])
         elision_runs(bus)
         assert set(built) == {(mod.__name__, name)
                               for mod, name in HOT_PATH_SITES}
+        assert "command-pending" in bounds
         assert {getattr(mod, name).kind for mod, name in HOT_PATH_SITES} \
             <= seen
 

@@ -12,6 +12,7 @@ from repro.sim import (ARQConfig, ChannelSpec, CodingSpec, GilbertElliottLoss,
 from repro.wsn import (
     AggregationReport,
     AggregationTree,
+    Battery,
     BatteryDepletedError,
     DeadNodeError,
     WSNetwork,
@@ -73,8 +74,11 @@ class TestAggregationTree:
             AggregationTree({0: None, 1: 9})
 
     def test_rejects_cycle(self):
-        with pytest.raises(ValueError):
-            AggregationTree({0: None, 1: 2, 2: 1})
+        # One parent per node: a cycle is never reached from the root.
+        for parent in ({0: None, 1: 2, 2: 1},
+                       {0: None, 1: 0, 2: 3, 3: 4, 4: 2}):
+            with pytest.raises(ValueError, match="tree is not connected"):
+                AggregationTree(parent)
 
 
 class TestBuildTree:
@@ -663,10 +667,38 @@ class TestReusedTreeRounds:
 # ----------------------------------------------------------------------
 # The level walk against the per-hop loop it replaced
 # ----------------------------------------------------------------------
+def _oracle_hop(network, src, dst, payload, kind):
+    """One forced sensor hop, checked and charged by hand from public
+    pieces: both ends alive, then one live transmit (or the ideal
+    link's framing), the sender's TX energy, the receiver's RX energy
+    and one ledger record, in that order."""
+    for node in (src, dst):
+        if not network.is_alive(node):
+            raise DeadNodeError(f"node {node} is dead")
+    hop = network.link_distance(src, dst)
+    channel, link = network.sensor_channel, network.sensor_link
+    if channel is None:
+        wire = received = link.wire_bytes(payload)
+        elapsed, delivered = link.transfer_time(payload), True
+        attempts = max(1, link.frames_for(payload))
+    else:
+        result = channel.transmit(payload)
+        wire, received = result.wire_bytes, result.received_wire_bytes
+        elapsed, delivered = result.elapsed_s, result.delivered
+        attempts = max(1, result.attempts)
+    sender, receiver = network.nodes[src], network.nodes[dst]
+    sender.battery.drain(sender.radio.tx_energy(wire * 8, hop))
+    receiver.battery.drain(receiver.radio.rx_energy(received * 8))
+    network.ledger.record(src, dst, payload, wire, kind, elapsed, attempts,
+                          delivered)
+    return elapsed, delivered
+
+
 def _per_hop_upward(network, tree, own_values, value_bytes, kind,
                     transmitters=None, latent_cap=None):
-    """The upward pass as one live ``unicast_delivered`` per hop, slot
-    by slot: the oracle the level walk must reproduce exactly."""
+    """The upward pass as one hand-charged live transmit per hop, slot
+    by slot (:func:`_oracle_hop`): the oracle the level walk must
+    reproduce exactly."""
     report = AggregationReport()
     slots = tree.tdma_slots()
     report.slots = len(slots)
@@ -681,8 +713,8 @@ def _per_hop_upward(network, tree, own_values, value_bytes, kind,
                 for child in tree.children[node])
             count = pool if latent_cap is None else min(pool, latent_cap)
             payload = count * value_bytes
-            elapsed, delivered = network.unicast_delivered(
-                node, tree.parent[node], payload, kind=kind, force=True)
+            elapsed, delivered = _oracle_hop(network, node, tree.parent[node],
+                                             payload, kind)
             if payload > 0 and not delivered:
                 report.failed_hops.add(node)
             else:
@@ -869,6 +901,48 @@ class TestLevelWalkOracle:
         for net in nets:
             net.nodes[drained].battery.remaining_j = 1e-9
         self._assert_same_stop(nets, BatteryDepletedError, hops_before)
+
+    @given(channel=st.sampled_from(["ideal", "lossless"]),
+           recovery=st.sampled_from(sorted(_RECOVERY)),
+           masked=st.booleans(),
+           latent_cap=st.sampled_from([None, 16]),
+           value_bytes=st.sampled_from([4, 40]),
+           passes=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_batteries_equal_replayed_ledger(self, channel, recovery, masked,
+                                             latent_cap, value_bytes, passes,
+                                             seed):
+        # Battery drained == radio energy: where every radiated byte is
+        # received, replaying the ledger on fresh batteries (sender TX,
+        # then receiver RX, from each record's wire bytes and hop
+        # distance) reproduces every battery bit for bit.
+        tree = _WALK_TREE
+        net = _twin_network(channel, recovery, True, seed)
+        failed = set()
+        if masked:
+            others = sorted(n for n in tree.nodes if n != tree.root)
+            victim = others[seed % len(others)]
+            failed = {victim}
+            net.kill_node(victim)
+        else:
+            simulate_encoder_distribution(net, tree, latent_dim=4)
+        args, kwargs = _pass_args(tree, failed, 1, value_bytes, latent_cap)
+        for _ in range(passes):
+            _simulate_upward(net, tree, *args, **kwargs)
+        replayed = {nid: Battery(node.battery.capacity_j)
+                    for nid, node in net.nodes.items()}
+        for record in net.ledger.records:
+            hop = net.link_distance(record.src, record.dst)
+            bits = record.wire_bytes * 8
+            replayed[record.src].drain(
+                net.nodes[record.src].radio.tx_energy(bits, hop))
+            replayed[record.dst].drain(
+                net.nodes[record.dst].radio.rx_energy(bits))
+        assert {nid: battery.remaining_j
+                for nid, battery in replayed.items()} \
+            == {nid: node.battery.remaining_j
+                for nid, node in net.nodes.items()}
 
     def test_levels_flatten_to_slots(self):
         for tree in _generated_trees():
