@@ -74,19 +74,17 @@ class OrcoDCSConfig:
     dtype: np.dtype = TRAINING_DTYPES[1]
 
     def __post_init__(self):
-        if self.input_dim <= 0:
-            raise ValueError("input_dim must be positive")
-        if self.latent_dim <= 0:
-            raise ValueError("latent_dim must be positive")
+        counts = ["input_dim", "latent_dim", "decoder_layers", "batch_size"]
+        if self.decoder_hidden is not None:
+            counts.append("decoder_hidden")
+        for name in counts:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and "
                              f"non-negative, got {self.noise_sigma}")
-        if self.decoder_layers < 1:
-            raise ValueError("decoder needs at least one layer")
-        if not (isinstance(self.batch_size, numbers.Integral)
-                and self.batch_size >= 1):
-            raise ValueError(f"batch_size must be an integer >= 1, "
-                             f"got {self.batch_size!r}")
         self.dtype = _training_dtype(self.dtype)
 
     @property

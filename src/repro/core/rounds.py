@@ -72,18 +72,15 @@ so that one combination runs unfused.  A lossy round is therefore
 plan-time computable: failed rounds are walked through exactly as the
 kernel will process them inline (budget burned, battery charged,
 failure streaks advanced, no training update), and successful rounds
-carry their planner-priced clock stretch into the wave.  For the
-loss-coupled ``loss_priority`` policy the planner cannot mirror picks,
-so it plans **wave-by-wave** (:meth:`SegmentedFleetExecutor._plan_wave`)
-— fusing, per cluster, the earliest-consumed prefix of rounds a sound
-bound proves consumed strictly before the horizon (a terminality
-argument extends the proof to quorum-guarded fleets), and leaving the
-rest to execute inline and re-plan at their next request.
+carry their planner-priced clock stretch into the wave.  The one policy
+the planner cannot mirror is the loss-coupled ``loss_priority``: its
+picks depend on losses no plan can foresee, so its event runs take the
+unfused loop (:class:`InlineRoundExecutor`).
 
-A fused run — fault-only, lossy-but-faultless, or lossy-with-faults
-under an uncoupled policy — therefore reproduces the unfused engine's
-modeled clock, transmission ledger, delivered/attempt counts, report
-and fault audit trail bit-for-bit, and its per-cluster losses to
+A fused run — fault-only, lossy-but-faultless, or lossy-with-faults —
+therefore reproduces the unfused engine's modeled clock, transmission
+ledger, delivered/attempt counts, report and fault audit trail
+bit-for-bit, and its per-cluster losses to
 stacked-vs-solo GEMM reduction noise (<= 1e-9 observed; the repo-wide
 equivalence budget is 1e-6) — asserted in ``tests/test_core_rounds.py``
 and ``benchmarks/bench_resilience.py``.
@@ -99,9 +96,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..obs.telemetry import (
-    NULL_BUS, DeadlineMissed, RoundCompleted, SegmentFused, WavePlanned,
-)
+from ..obs.telemetry import (NULL_BUS, DeadlineMissed, RoundCompleted,
+                             SegmentFused)
 from ..sim.channel import TransmitResult, ideal_transmit_result
 from .fleet import FleetTrainer
 from .orchestrator import RoundRecord
@@ -460,11 +456,11 @@ class InlineRoundExecutor:
     """Per-cluster round execution: one autograd pass at its kernel time.
 
     The fallback whenever nothing may run early: segment batching
-    disabled, no stackable cluster group, or channels whose draw stream
-    cannot be re-recorded at a fault's budget re-derivation boundary
-    (scalar-path channels: ``vectorize=False`` or a loss model without
-    a block sampler — see
-    :attr:`~repro.sim.channel.ChannelSpec.rerecordable`).
+    disabled, no stackable cluster group, the loss-coupled
+    ``loss_priority`` policy, or channels whose draw stream cannot be
+    re-recorded at a fault's budget re-derivation boundary (scalar-path
+    channels: ``vectorize=False`` or a loss model without a block
+    sampler — see :attr:`~repro.sim.channel.ChannelSpec.rerecordable`).
     """
 
     fused_rounds = 0
@@ -534,13 +530,6 @@ class _PlanCursor:
             return "fail_up", up, None
         down = self.executor._down_entry(self.name, self.down_idx)
         return ("success" if down.delivered else "fail_down"), up, down
-
-    def span(self, kind: str, up, down) -> float:
-        """Upper bound on how much a round can push the fleet's clocks."""
-        if kind == "fail_up":
-            return self.agg_s + up.elapsed_s
-        return (self.timing.edge_compute_s + self.agg_s + up.elapsed_s
-                + down.elapsed_s)
 
     def extra(self, up, down) -> float:
         """The round's stretch beyond ideal accounting — the same
@@ -628,23 +617,11 @@ class SegmentedFleetExecutor:
     rounds (budget burned, no update) are walked through exactly as the
     kernel will process them inline.
 
-    Two planning modes:
-
-    * ``segment`` (``fifo``/``round_robin``/``deadline``): the picks are
-      loss-independent, so :meth:`_plan_segment` dry-runs the kernel
-      loop float-for-float up to the fault horizon and pre-executes that
-      exact prefix; straddling rounds degenerate to one-cluster waves at
-      their true kernel times.
-    * ``wave`` (``loss_priority``): picks depend on losses the planner
-      cannot foresee, but per-cluster round *math* is pick-independent,
-      so :meth:`_plan_wave` pre-executes, per cluster, the
-      earliest-consumed prefix of rounds a sound bound proves consumed
-      strictly before the next fault (all of them when the horizon is
-      clear), leaving the rest to run inline and re-plan at their next
-      request.  A terminality argument extends the proof to
-      quorum-guarded fleets: fusion is admitted only when the alive
-      count after every remaining round still satisfies the quorum, so
-      the halt provably cannot trip inside the fused window.
+    The policy's picks (``fifo``/``round_robin``/``deadline``) are
+    loss-independent, so :meth:`_plan_segment` dry-runs the kernel loop
+    float-for-float up to the fault horizon and pre-executes that exact
+    prefix; straddling rounds degenerate to one-cluster waves at their
+    true kernel times.
     """
 
     def __init__(self, clusters: Sequence["ScheduledCluster"],
@@ -655,14 +632,11 @@ class SegmentedFleetExecutor:
                  policy: str,
                  resilience,
                  groups: Optional[Sequence[Sequence[int]]] = None,
-                 mode: str = "segment",
                  bus: "TelemetryBus" = NULL_BUS,
                  command_gate: Optional[Callable[[], bool]] = None) -> None:
-        if mode not in ("segment", "wave"):
-            raise ValueError(f"unknown planning mode {mode!r}")
         self.bus = bus
         # Control-plane seam: once ``command_gate()`` reports a pending
-        # cancel, planners clamp to the requesting round only
+        # cancel, the planner clamps to the requesting round only
         # ("command-pending" bound) so pre-executed work drains and the
         # run can stop at an outstanding==0 round boundary instead of
         # waiting out a whole-run plan.  An uncancelled run never fires
@@ -677,7 +651,6 @@ class SegmentedFleetExecutor:
         self.edge_clock_ref = edge_clock_ref
         self.policy = policy
         self.resilience = resilience
-        self.mode = mode
         if groups is None:
             groups = [tuple(range(len(self.clusters)))]
         self.group_fleets = [
@@ -788,34 +761,20 @@ class SegmentedFleetExecutor:
               extra_s: float) -> None:
         """Plan from ``current``'s math point, then pre-execute the plan
         as fleet waves."""
-        if self.mode == "wave":
-            # Partial-prefix wave plans legitimately leave *other*
-            # clusters' queues non-empty (their prefixes outlive this
-            # cluster's); only the requesting cluster must be drained —
-            # the planner fast-forwards past the rest.
-            if self.queues[current.name] or self.fail_queues[current.name]:
-                raise RuntimeError(
-                    f"replanning {current.name} with its own queue "
-                    "non-empty — planner/loop divergence")
-        else:
-            stale = [name for name in self.queues
-                     if self.queues[name] or self.fail_queues[name]]
-            if stale:
-                raise RuntimeError(
-                    f"replanning with non-empty queues {stale} — "
-                    "planner/loop divergence")
+        stale = [name for name in self.queues
+                 if self.queues[name] or self.fail_queues[name]]
+        if stale:
+            raise RuntimeError(
+                f"replanning with non-empty queues {stale} — "
+                "planner/loop divergence")
         horizon = self.injector.horizon()
         with self.bus.span("plan"):
-            if self.mode == "wave":
-                plan, bound = self._plan_wave(current, agg_s, extra_s,
-                                              horizon)
-            else:
-                plan, bound = self._plan_segment(current, agg_s, extra_s,
-                                                 horizon)
+            plan, bound = self._plan_segment(current, agg_s, extra_s,
+                                             horizon)
         if self.bus.wants(SegmentFused.kind):
             items = [item for items in plan.values() for item in items]
             self.bus.emit(SegmentFused(
-                index=self.segments, mode=self.mode,
+                index=self.segments,
                 horizon_s=None if horizon == float("inf") else horizon,
                 clusters=sum(1 for items in plan.values() if items),
                 successes=sum(1 for kind, _ in items if kind == "success"),
@@ -908,124 +867,6 @@ class SegmentedFleetExecutor:
                     ("fail", cursor.fail_charge(kind, up, down)))
             cursor.apply(kind, up, down)
         return plan, "before-horizon"
-
-    def _plan_wave(self, current: "ScheduledCluster", agg_s: float,
-                   extra_s: float, horizon: float):
-        """Loss-coupled planning: fuse each cluster's earliest-consumed
-        rounds up to the fault horizon, quorum-safely.
-
-        ``loss_priority`` picks depend on losses the planner cannot
-        foresee, but each cluster's round math, budget burn, battery
-        drain and failure streak evolve in its own round order whatever
-        the interleaving.  The hazard is timing: a pre-executed round
-        must be *consumed* strictly before the next fault can change its
-        contributor mask (or retire clusters under it).
-
-        Sound bound: ``max(edge clock, every ready time)`` grows by at
-        most one round's *span* per processed round, so cluster X's
-        ``j``-th future round is consumed no later than that starting
-        maximum plus every other cluster's total remaining span plus
-        X's own spans through ``j`` — whatever the pick order.  The
-        per-cluster prefix whose worst-case consume time stays strictly
-        below the horizon fuses; the rest runs inline and re-plans at
-        its next request (by which time the horizon has usually moved
-        past the fault).  Rounds already pre-executed by an earlier
-        wave but not yet consumed (``queues``/``fail_queues``) are
-        fast-forwarded through each cursor — the trace dictates the
-        same kinds in the same order — and their spans count toward the
-        bound, since new rounds consume after them.
-
-        Quorum safety: cluster death is terminal, so the alive count
-        after walking *all* remaining rounds lower-bounds the alive
-        count at every intermediate point.  If even that final count
-        satisfies the quorum, no pick inside the window can trip the
-        halt — in this engine or the unfused reference — and fusion is
-        safe; otherwise only the requesting round is planned and the
-        kernel walks into the halt inline.
-        """
-        cursors = {c.name: _PlanCursor(self, c, self.states[c.name])
-                   for c in self.clusters}
-        cursors[current.name].seed_current(self.edge_clock_ref[0], agg_s)
-        plan: Dict[str, List[tuple]] = {c.name: [] for c in self.clusters}
-        plan[current.name].append(("success", extra_s))
-
-        # Pending cancel: plan the requesting round only (see
-        # ``_plan_segment``) so earlier waves' leftovers drain and the
-        # run stops at the next outstanding==0 boundary.
-        if self.command_gate is not None and self.command_gate():
-            if self.bus.wants(WavePlanned.kind):
-                self.bus.emit(WavePlanned(clusters=1, rounds=1,
-                                          fused_all=False,
-                                          bound="command-pending"))
-            return plan, "command-pending"
-
-        committed: Dict[str, float] = {}
-        for cluster in self.clusters:
-            name = cluster.name
-            outstanding = len(self.queues[name]) + len(self.fail_queues[name])
-            span_sum = 0.0
-            cursor = cursors[name]
-            for _ in range(outstanding):
-                kind, up, down = cursor.peek()
-                span_sum += cursor.span(kind, up, down)
-                cursor.apply(kind, up, down)
-            committed[name] = span_sum
-
-        bound_start = max([self.edge_clock_ref[0]]
-                          + [cursor.ready for cursor in cursors.values()])
-        futures: Dict[str, List[tuple]] = {}
-        spans: Dict[str, List[float]] = {}
-        for cluster in self.clusters:
-            cursor = cursors[cluster.name]
-            items: List[tuple] = []
-            item_spans: List[float] = []
-            while cursor.pending:
-                kind, up, down = cursor.peek()
-                item_spans.append(cursor.span(kind, up, down))
-                if kind == "success":
-                    items.append(("success", cursor.extra(up, down)))
-                else:
-                    items.append(("fail",
-                                  cursor.fail_charge(kind, up, down)))
-                cursor.apply(kind, up, down)
-            futures[cluster.name] = items
-            spans[cluster.name] = item_spans
-
-        def emitted(bound: str):
-            if self.bus.wants(WavePlanned.kind):
-                self.bus.emit(WavePlanned(
-                    clusters=sum(1 for items in plan.values() if items),
-                    rounds=sum(len(items) for items in plan.values()),
-                    fused_all=bound == "all-before-horizon", bound=bound))
-            return plan, bound
-
-        quorum = self.resilience.quorum
-        total = len(self.clusters)
-        if quorum > 0.0 and total:
-            alive = sum(1 for c in self.clusters if not cursors[c.name].dead)
-            if alive / total < quorum:
-                return emitted("quorum-risk")
-
-        totals = {name: committed[name] + sum(spans[name])
-                  for name in committed}
-        grand = bound_start + sum(totals.values())
-        all_taken = True
-        for cluster in self.clusters:
-            name = cluster.name
-            run = grand - totals[name] + committed[name]
-            take = 0
-            for span in spans[name]:
-                run += span
-                if not run < horizon:
-                    break
-                take += 1
-            plan[name].extend(futures[name][:take])
-            if take < len(futures[name]):
-                all_taken = False
-        if all_taken:
-            return emitted("all-before-horizon")
-        fused = sum(len(items) for items in plan.values())
-        return emitted("prefix" if fused > 1 else "requesting-only")
 
     def _run_waves(self, plan: Dict[str, List[tuple]]) -> None:
         """Pre-execute the planned rounds as stacked fleet waves.

@@ -78,16 +78,14 @@ exotic losses, data shorter than one batch).
   their true kernel times.  Unreliable channels are no barrier: their
   whole horizon of loss draws is pre-sampled into replayable
   :class:`~repro.sim.channel.ChannelTrace`\\ s, making lossy rounds
-  plan-time computable.  ``loss_priority`` — whose picks the planner
-  cannot foresee — fuses **wave-by-wave** (pre-execute only what is
-  provably consumed before the next fault; re-pick and re-plan
-  otherwise).  A fused run is bit-identical in clock, ledger,
-  delivered/attempt counts and report to the unfused loop (losses
-  match to stacked-GEMM reduction noise); pass
-  ``segment_batching=False`` to force the unfused loop.  The resolved
-  strategy is introspectable via :meth:`EdgeTrainingScheduler.
-  execution_plan`, which routes every engine gate through one
-  :class:`ExecutionPlan` object.
+  plan-time computable.  ``loss_priority`` — whose picks depend on
+  losses the planner cannot foresee — runs the unfused loop.  A fused
+  run is bit-identical in clock, ledger, delivered/attempt counts and
+  report to the unfused loop (losses match to stacked-GEMM reduction
+  noise); pass ``segment_batching=False`` to force the unfused loop.
+  The resolved strategy is introspectable via
+  :meth:`EdgeTrainingScheduler.execution_plan`, which routes every
+  engine gate through one :class:`ExecutionPlan` object.
 
 * ``analytic`` — the ensemble-pricing engine
   (:mod:`repro.scale.analytic`): no rounds execute at all.  Expected
@@ -583,11 +581,6 @@ class ExecutionPlan:
     fused:
         Event engine only: fault-free/channel-safe spans pre-execute as
         fleet waves (:class:`~repro.core.rounds.SegmentedFleetExecutor`).
-    mode:
-        Fused planning mode — ``segment`` (pick-mirroring dry-run up to
-        the fault horizon) or ``wave`` (loss-coupled policies: fuse
-        per-cluster futures only when provably consumed before the
-        horizon, else one round at a time).
     traced:
         Channel randomness is pre-sampled into replayable
         :class:`~repro.sim.channel.ChannelTrace`\\ s so the planner can
@@ -599,15 +592,15 @@ class ExecutionPlan:
     reasons:
         The same gates as machine-readable slugs, one per blocker —
         ``"segment-batching-disabled"``, ``"no-stackable-group"``,
-        ``"non-rerecordable-channel"``, ``"analytic-engine"`` — empty
-        when fusion (or batching) is on.  Tests and experiment drivers
-        match on these instead of parsing the prose.
+        ``"loss-coupled-policy"``, ``"non-rerecordable-channel"``,
+        ``"analytic-engine"`` — empty when fusion (or batching) is on.
+        Tests and experiments match on these instead of parsing the
+        prose.
     """
 
     engine: str
     groups: Tuple[Tuple[int, ...], ...] = ()
     fused: bool = False
-    mode: str = "segment"
     traced: bool = False
     reason: str = ""
     reasons: Tuple[str, ...] = ()
@@ -651,9 +644,9 @@ class EdgeTrainingScheduler:
     segment_batching:
         Event engine only: fuse fault-free segments into
         :class:`~repro.core.fleet.FleetTrainer` waves whenever the
-        channels are lossless and the clusters stack (see the module
-        docstring).  ``False`` forces the per-round unfused loop — the
-        reference the fused path is validated against.
+        clusters stack and the policy is not ``loss_priority`` (see the
+        module docstring).  ``False`` forces the per-round unfused loop
+        — the reference the fused path is validated against.
     telemetry:
         Optional :class:`~repro.obs.telemetry.TelemetryBus` receiving
         structured run events (rounds, segments, faults, channel
@@ -798,6 +791,11 @@ class EdgeTrainingScheduler:
                 blockers.append((
                     "no-stackable-group",
                     "no homogeneous group of >= 2 clusters to stack"))
+            if self.policy == "loss_priority":
+                blockers.append((
+                    "loss-coupled-policy",
+                    "loss_priority picks depend on losses the planner "
+                    "cannot foresee"))
             lossy = self.channels is not None and not self.channels.ideal
             # Coded channels must be trace-priced even when lossless:
             # parity frames radiate extra bytes and airtime the
@@ -829,14 +827,6 @@ class EdgeTrainingScheduler:
                     "event", groups,
                     reason="; ".join(human for _, human in blockers),
                     reasons=tuple(slug for slug, _ in blockers))
-            if self.policy == "loss_priority":
-                # Quorum-guarded fleets fuse too: _plan_wave proves per
-                # wave that no death can land inside the outstanding
-                # window (deaths are terminal, so the post-wave alive
-                # count lower-bounds every intermediate one) and falls
-                # back to a requesting-round-only plan otherwise.
-                return ExecutionPlan("event", groups, fused=True,
-                                     mode="wave", traced=traced)
             return ExecutionPlan("event", groups, fused=True, traced=traced)
         if self.engine == "batched":
             # Mixed fleets batch group by group, exactly like ``auto``
@@ -1150,8 +1140,7 @@ class EdgeTrainingScheduler:
         if plan.fused:
             executor = SegmentedFleetExecutor(
                 self.clusters, states, injector, budget, edge_clock,
-                self.policy, self.resilience, groups=plan.groups,
-                mode=plan.mode, bus=bus,
+                self.policy, self.resilience, groups=plan.groups, bus=bus,
                 command_gate=(control.has_pending
                               if control is not None else None))
         else:
@@ -1308,6 +1297,10 @@ class EdgeTrainingScheduler:
                         time_s=state.ready_at,
                         battery_j=state.battery.remaining_j,
                         radio_energy_j=state.radio_energy_j))
+            # Training is over, whether budgets ran out, the quorum
+            # halted the run or a cancel stopped it: faults inside the
+            # last rounds' link tails still fire, later ones never do.
+            injector.disarm_after(max(s.ready_at for s in states.values()))
 
         sim.process(edge_process())
         sim.run()

@@ -36,13 +36,12 @@ from .telemetry import (
     TelemetryBus,
     TelemetryEvent,
     TransmitBatch,
-    WavePlanned,
 )
 
 __all__ = [
     "TelemetryBus", "NullTelemetryBus", "NULL_BUS", "TelemetryEvent",
     "EVENT_TYPES",
-    "RoundCompleted", "SegmentFused", "WavePlanned", "FaultApplied",
+    "RoundCompleted", "SegmentFused", "FaultApplied",
     "ArqRederived", "ParityChosen", "TransmitBatch", "QuorumCheck",
     "ClusterRetired", "DeadlineMissed", "SpanClosed",
     "Counter", "Gauge", "Histogram", "RingSeries", "MetricsCollector",

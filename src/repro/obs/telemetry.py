@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Type
 
 __all__ = [
     "TelemetryEvent",
-    "RoundCompleted", "SegmentFused", "WavePlanned", "FaultApplied",
+    "RoundCompleted", "SegmentFused", "FaultApplied",
     "ArqRederived", "ParityChosen", "TransmitBatch", "QuorumCheck",
     "ClusterRetired", "DeadlineMissed", "SpanClosed",
     "EVENT_TYPES", "TelemetryBus", "NullTelemetryBus", "NULL_BUS",
@@ -83,37 +83,21 @@ class RoundCompleted(TelemetryEvent):
 
 @dataclass(frozen=True)
 class SegmentFused(TelemetryEvent):
-    """The segment planner fused a horizon into one fleet batch."""
+    """The segment planner fused a horizon into one fleet batch.
+
+    ``bound`` names the planner bound that decided the batch's extent:
+    ``"before-horizon"`` (every round lands strictly before the next
+    fault) or ``"command-pending"`` (a cancel pends; the requesting
+    round only).
+    """
 
     kind = "segment_fused"
 
     index: int
-    mode: str
     horizon_s: Optional[float]
     clusters: int
     successes: int
     failures: int
-    bound: str = ""   # which planner bound admitted the batch
-
-
-@dataclass(frozen=True)
-class WavePlanned(TelemetryEvent):
-    """Wave mode planned its next fleet wave (full fusion or fallback).
-
-    ``bound`` names the planner bound that decided the wave's extent:
-    ``"all-before-horizon"`` (every outstanding round provably finishes
-    before the fault horizon), ``"prefix"`` (per-cluster incremental
-    bound fused the earliest-consumed rounds only), ``"quorum-risk"``
-    (a death inside the window could trip the quorum mid-wave),
-    ``"requesting-only"`` (nothing beyond the requesting round fit) or
-    ``"command-pending"`` (a cancel pends; the requesting round only).
-    """
-
-    kind = "wave_planned"
-
-    clusters: int
-    rounds: int
-    fused_all: bool
     bound: str = ""
 
 
@@ -228,7 +212,7 @@ class SpanClosed(TelemetryEvent):
 EVENT_TYPES: Dict[str, Type[TelemetryEvent]] = {
     cls.kind: cls
     for cls in (
-        RoundCompleted, SegmentFused, WavePlanned, FaultApplied,
+        RoundCompleted, SegmentFused, FaultApplied,
         ArqRederived, ParityChosen, TransmitBatch, QuorumCheck,
         ClusterRetired, DeadlineMissed, SpanClosed,
     )

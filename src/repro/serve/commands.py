@@ -13,7 +13,7 @@ and of the ideal round loop (sequential engine, batched replay):
   :meth:`~repro.core.rounds.SegmentedFleetExecutor.finalize` stays
   safe and a partial :class:`~repro.core.rounds.ScheduleReport` is
   still produced.  While a cancel pends, the controller's
-  :meth:`has_pending` gate makes the fused planners clamp to
+  :meth:`has_pending` gate makes the fused planner clamp to
   requesting-round-only plans (bound ``"command-pending"``), so
   outstanding work drains within one boundary instead of waiting out
   a whole-run plan.
@@ -70,7 +70,7 @@ class RunController:
             self._resume.set()
 
     def has_pending(self) -> bool:
-        """Command gate for the fused planners: clamp once a cancel pends."""
+        """Command gate for the fused planner: clamp once a cancel pends."""
         return self.cancelled
 
     # -- simulation-thread side ------------------------------------------

@@ -154,6 +154,13 @@ class EventScheduler:
                  if e.tag == tag and not e.cancelled]
         return min(times) if times else float("inf")
 
+    def cancel_after(self, tag: str, time_s: float) -> None:
+        """Cancel the pending events scheduled with ``tag`` later than
+        ``time_s`` (the fault injector's end-of-run disarm)."""
+        for event in self._heap:
+            if event.tag == tag and event.time_s > time_s:
+                event.cancel()
+
     def step(self) -> bool:
         """Fire the next pending event; returns False when none remain."""
         while self._heap:

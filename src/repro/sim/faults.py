@@ -223,6 +223,15 @@ class FaultInjector:
         for event in self.schedule:
             sim.schedule_at(event.time_s, self._fire, event, tag=self.TAG)
 
+    def disarm_after(self, time_s: float) -> None:
+        """Drop the faults scheduled later than ``time_s`` unfired.
+
+        The scheduler calls this with the run's makespan once training
+        stops: a fault past the end of the run has nothing to act on,
+        so it neither fires nor enters :attr:`applied`.
+        """
+        self._sim.cancel_after(self.TAG, time_s)
+
     def horizon(self) -> float:
         """Simulated time of the next *unfired* fault (inf when none).
 

@@ -22,15 +22,24 @@ class TestValidation:
         {"input_dim": 100, "batch_size": float("nan")},
         {"input_dim": 100, "noise_sigma": float("nan")},
         {"input_dim": 100, "noise_sigma": float("inf")},
+        {"input_dim": 100, "latent_dim": 2.5},
+        {"input_dim": 100, "latent_dim": float("nan")},
+        {"input_dim": 24.5},
+        {"input_dim": 100, "decoder_layers": 1.5},
+        {"input_dim": 100, "decoder_layers": 3, "decoder_hidden": 2.5},
+        {"input_dim": 100, "decoder_layers": 3, "decoder_hidden": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OrcoDCSConfig(**kwargs)
 
     def test_numpy_integer_batch_size_accepted(self):
-        config = OrcoDCSConfig(input_dim=24, latent_dim=4,
+        config = OrcoDCSConfig(input_dim=np.int64(24),
+                               latent_dim=np.int32(4),
+                               decoder_layers=np.int64(3),
+                               decoder_hidden=np.int64(8),
                                batch_size=np.int64(8))
-        assert config.batch_size == 8
+        assert config.batch_size == 8 and config.hidden_width == 8
 
     def test_dtype_defaults_to_float64(self):
         assert OrcoDCSConfig(input_dim=8).dtype == np.dtype(np.float64)

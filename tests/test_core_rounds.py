@@ -139,41 +139,7 @@ class TestFusedEquivalence:
         assert fused_report.makespan_s == pytest.approx(
             seq_report.makespan_s, abs=1e-9)
 
-    def test_loss_priority_fuses_wave_by_wave_with_faults(self):
-        """Loss-coupled picks no longer disable fusion wholesale: the
-        executor fuses everything provably consumed before the next
-        fault and runs one-round waves while a fault is imminent."""
-        report = build_scheduler(policy="loss_priority").run(
-            rounds_per_cluster=ROUNDS)
-        assert report.fused_rounds == 4 * ROUNDS
-        faults = FaultSchedule([FaultEvent(1e-3, "node_death", "c0",
-                                           device=2)])
-        pair = run_pair(policy="loss_priority", faults=faults)
-        assert_fused_matches_unfused(*pair)
-        report = pair[1]
-        assert report.fused_rounds > 0
-        assert report.rounds_per_cluster == {f"c{i}": ROUNDS
-                                             for i in range(4)}
-
-    def test_loss_priority_with_quorum_fuses(self):
-        """Quorum-guarded loss_priority fleets fuse now: the wave
-        planner proves per wave that no death can land inside the
-        outstanding window (deaths are terminal), and falls back to a
-        requesting-round-only plan when one could."""
-        faults = FaultSchedule([FaultEvent(1e-3, "cluster_death", "c0")])
-        pair = run_pair(policy="loss_priority", faults=faults,
-                        resilience=ResilientOrchestrationPolicy(quorum=0.5),
-                        rounds=5)
-        assert_fused_matches_unfused(*pair)
-        assert pair[1].fused_rounds > 0
-        assert not pair[1].halted          # 3/4 alive >= 0.5
-
-    def test_loss_priority_fault_free_matches_unfused(self):
-        pair = run_pair(policy="loss_priority")
-        assert_fused_matches_unfused(*pair)
-
-    @pytest.mark.parametrize("policy", ["round_robin", "loss_priority"])
-    def test_lossy_fault_run_matches_unfused(self, policy):
+    def test_lossy_fault_run_matches_unfused(self):
         """Channel traces + faults together: the planner prices lossy
         rounds from the pre-sampled traces on both sides of each fault
         boundary, bit-identical to the live unfused run."""
@@ -182,7 +148,7 @@ class TestFusedEquivalence:
             (0.4, "straggler", "c1", None, 3.0),
             (0.7, "recover", "c1", None, 1.0),
         ])
-        pair = run_pair(policy=policy, faults=faults,
+        pair = run_pair(faults=faults,
                         channels=ChannelSpec(loss=0.1,
                                              arq=ARQConfig(max_retries=1)))
         assert_fused_matches_unfused(*pair)
@@ -405,7 +371,7 @@ class TestExecutionPlan:
     def test_lossless_homogeneous_plan(self):
         plan = build_scheduler().execution_plan()
         assert plan.engine == "event" and plan.fused
-        assert plan.mode == "segment" and not plan.traced
+        assert not plan.traced
         assert plan.groups == ((0, 1, 2, 3),)
         assert plan.stacked_clusters == 4
 
@@ -413,19 +379,6 @@ class TestExecutionPlan:
         plan = build_scheduler(
             channels=ChannelSpec(loss=0.1)).execution_plan()
         assert plan.fused and plan.traced
-
-    def test_loss_priority_plan_uses_wave_mode(self):
-        plan = build_scheduler(policy="loss_priority").execution_plan()
-        assert plan.fused and plan.mode == "wave"
-
-    def test_quorum_loss_priority_plan_fused(self):
-        """The quorum gate is gone: safety is proved per wave instead."""
-        plan = build_scheduler(
-            policy="loss_priority",
-            resilience=ResilientOrchestrationPolicy(
-                quorum=0.5)).execution_plan()
-        assert plan.fused and plan.mode == "wave"
-        assert plan.reasons == ()
 
     def test_adaptive_arq_with_faults_and_loss_fuses(self):
         """Mid-run ARQ re-derivation no longer disables fusion: the
@@ -477,9 +430,10 @@ class TestExecutionPlan:
     def test_decision_matrix(self):
         """Enumerate engine × recovery × faults × adaptive_arq × quorum
         and assert each combination's fused/unfused outcome and reason
-        slugs.  Under the new gates the *only* event-engine blockers
-        are the flag, unstackable fleets and non-rerecordable channels
-        — resilience knobs never disable fusion on rewindable draws."""
+        slugs.  The only event-engine blockers are the flag,
+        unstackable fleets, the loss-coupled ``loss_priority`` policy
+        and non-rerecordable channels — resilience knobs never disable
+        fusion on rewindable draws."""
         faults = FaultSchedule([FaultEvent(1.0, "brownout", "c0",
                                            magnitude=0.5)])
         lossy = ChannelSpec(loss=0.1)
@@ -493,29 +447,30 @@ class TestExecutionPlan:
                         for policy in ("round_robin", "loss_priority"):
                             combo = (recovery, with_faults, adaptive,
                                      quorum, policy)
+                            coupled = (("loss-coupled-policy",)
+                                       if policy == "loss_priority" else ())
                             plan = build_scheduler(
                                 policy=policy, channels=lossy,
                                 faults=faults if with_faults else None,
                                 resilience=resilience).execution_plan()
-                            assert plan.fused and plan.traced, combo
-                            assert plan.reasons == (), combo
-                            expected = ("wave" if policy == "loss_priority"
-                                        else "segment")
-                            assert plan.mode == expected, combo
+                            assert plan.fused == (not coupled), combo
+                            assert plan.traced == (not coupled), combo
+                            assert plan.reasons == coupled, combo
                             # Scalar-path channels flip exactly the
                             # combos that re-derive budgets at fault
                             # boundaries.
                             rederives = with_faults and (
                                 adaptive or recovery != "arq")
+                            blockers = coupled + (
+                                ("non-rerecordable-channel",)
+                                if rederives else ())
                             for spec in SCALAR_PATH.values():
                                 plan = build_scheduler(
                                     policy=policy, channels=spec,
                                     faults=faults if with_faults else None,
                                     resilience=resilience).execution_plan()
-                                assert plan.fused == (not rederives), combo
-                                assert plan.reasons == (
-                                    ("non-rerecordable-channel",)
-                                    if rederives else ()), combo
+                                assert plan.fused == (not blockers), combo
+                                assert plan.reasons == blockers, combo
         # The non-event engines and the flag keep their own slugs.
         plan = build_scheduler(fused=False).execution_plan()
         assert plan.reasons == ("segment-batching-disabled",)
@@ -523,6 +478,51 @@ class TestExecutionPlan:
         assert plan.reasons == ("no-stackable-group",)
         plan = build_scheduler(engine="analytic").execution_plan()
         assert plan.reasons == ("analytic-engine",)
+
+
+class TestLossCoupledPolicy:
+    """``loss_priority`` picks depend on losses no plan can foresee, so
+    its event runs take the unfused loop whatever the segment flag."""
+
+    def test_plan_is_unfused(self):
+        plan = build_scheduler(policy="loss_priority").execution_plan()
+        assert not plan.fused and not plan.traced
+        assert plan.reasons == ("loss-coupled-policy",)
+        assert "loss_priority" in plan.reason
+
+    def test_lossy_fault_run_matches_unfused_twin(self):
+        faults = mid_training_faults([
+            (0.25, "node_death", "c0", 5, 1.0),
+            (0.4, "straggler", "c1", None, 3.0),
+            (0.7, "recover", "c1", None, 1.0),
+        ])
+        pair = run_pair(policy="loss_priority", faults=faults,
+                        channels=ChannelSpec(loss=0.1,
+                                             arq=ARQConfig(max_retries=1)))
+        assert_fused_matches_unfused(*pair)
+        assert pair[1].fused_rounds == pair[3].fused_rounds == 0
+        assert pair[1].faults_applied == 3
+        assert sum(pair[1].failed_rounds.values()) > 0
+
+    def test_zero_fault_run_matches_sequential_twin(self):
+        """Both engines step each cluster alone, so they agree exactly,
+        losses included."""
+        event = build_scheduler(policy="loss_priority")
+        event_report = event.run(rounds_per_cluster=ROUNDS)
+        sequential = build_scheduler(policy="loss_priority",
+                                     engine="sequential")
+        seq_report = sequential.run(rounds_per_cluster=ROUNDS)
+        for c_e, c_s in zip(event.clusters, sequential.clusters):
+            assert np.array_equal(c_e.history.losses, c_s.history.losses)
+            assert np.array_equal(c_e.history.times, c_s.history.times)
+            assert c_e.trainer.clock_s == c_s.trainer.clock_s
+            assert len(c_e.trainer.ledger) == len(c_s.trainer.ledger)
+            assert c_e.trainer.ledger.by_kind() \
+                == c_s.trainer.ledger.by_kind()
+        assert event_report.makespan_s == seq_report.makespan_s
+        assert event_report.completion_times == seq_report.completion_times
+        assert event_report.total_edge_time_s \
+            == seq_report.total_edge_time_s
 
 
 def assert_rng_states_match(fused, unfused):
@@ -536,9 +536,8 @@ def assert_rng_states_match(fused, unfused):
 
 
 class TestRerecordFusion:
-    """The run classes PR 9 unfuses the gates for: adaptive budgets
-    re-derived at fault boundaries (trace re-recording) and
-    quorum-guarded loss_priority fleets (terminality bound)."""
+    """Adaptive budgets re-derived at fault boundaries fuse through
+    trace re-recording."""
 
     def _brownout(self, fraction=0.5, cluster="c0", **kwargs):
         probe = build_scheduler(fused=False, **kwargs)
@@ -546,18 +545,15 @@ class TestRerecordFusion:
         return FaultSchedule([FaultEvent(fraction * makespan, "brownout",
                                          cluster, magnitude=1e-12)])
 
-    @pytest.mark.parametrize("policy", ["round_robin", "loss_priority"])
-    def test_adaptive_arq_lossy_faults_fuses_bit_identically(self, policy):
-        """The tentpole contract: a brownout collapses c0's re-derived
-        retry budget mid-run; the fused run re-records c0's remaining
-        trace horizon and still matches the live unfused loop bit for
-        bit — clock, ledger, report and RNG state."""
+    def test_adaptive_arq_lossy_faults_fuses_bit_identically(self):
+        """A brownout collapses c0's re-derived retry budget mid-run;
+        the fused run re-records c0's remaining trace horizon and still
+        matches the live unfused loop bit for bit — clock, ledger,
+        report and RNG state."""
         spec = ChannelSpec(loss=0.1, arq=ARQConfig(max_retries=3))
         resilience = ResilientOrchestrationPolicy(adaptive_arq=True)
-        faults = self._brownout(channels=spec, resilience=resilience,
-                                policy=policy)
-        pair = run_pair(policy=policy, channels=spec,
-                        resilience=resilience, faults=faults)
+        faults = self._brownout(channels=spec, resilience=resilience)
+        pair = run_pair(channels=spec, resilience=resilience, faults=faults)
         assert_fused_matches_unfused(*pair)
         assert_rng_states_match(pair[0], pair[2])
         assert pair[1].fused_rounds > 0
@@ -581,17 +577,16 @@ class TestRerecordFusion:
         # The browned-out cluster fell to the energy-optimal budget.
         assert pair[1].coding_budgets["c1"] < pair[1].coding_budgets["c0"]
 
-    def test_hybrid_adaptive_rederivation_wave_mode(self):
-        """ARQ and parity re-derive together (hybrid recovery) under
-        the loss-coupled wave planner."""
+    def test_hybrid_adaptive_rederivation_fuses_bit_identically(self):
+        """ARQ and parity budgets re-derive together (hybrid recovery
+        with adaptive ARQ, the ``fleet_lossy`` benchmark's setting)."""
         spec = ChannelSpec(loss=0.12, arq=ARQConfig(max_retries=2))
         resilience = ResilientOrchestrationPolicy(recovery="hybrid",
                                                   adaptive_arq=True)
-        faults = self._brownout(policy="loss_priority", channels=spec,
-                                resilience=resilience)
-        pair = run_pair(policy="loss_priority", channels=spec,
-                        resilience=resilience, faults=faults)
+        faults = self._brownout(channels=spec, resilience=resilience)
+        pair = run_pair(channels=spec, resilience=resilience, faults=faults)
         assert_fused_matches_unfused(*pair)
+        assert_rng_states_match(pair[0], pair[2])
         assert pair[1].fused_rounds > 0
         assert pair[1].arq_budgets == pair[3].arq_budgets
         assert pair[1].coding_budgets == pair[3].coding_budgets
@@ -606,23 +601,6 @@ class TestRerecordFusion:
         pair = run_pair(channels=spec, resilience=resilience, faults=faults)
         assert_fused_matches_unfused(*pair)
         assert_rng_states_match(pair[0], pair[2])
-        assert pair[1].fused_rounds > 0
-
-    def test_quorum_wave_halt_matches_unfused(self):
-        """Two deaths trip a 0.7 quorum mid-run: the fused wave planner
-        never pre-executes past the halt (terminality bound) and the
-        halted reports match bit for bit."""
-        probe = build_scheduler(fused=False, policy="loss_priority")
-        makespan = probe.run(rounds_per_cluster=ROUNDS).makespan_s
-        faults = FaultSchedule([
-            FaultEvent(0.2 * makespan, "cluster_death", "c0"),
-            FaultEvent(0.4 * makespan, "cluster_death", "c1"),
-        ])
-        pair = run_pair(policy="loss_priority", faults=faults,
-                        resilience=ResilientOrchestrationPolicy(quorum=0.7))
-        assert_fused_matches_unfused(*pair)
-        assert_rng_states_match(pair[0], pair[2])
-        assert pair[1].halted
         assert pair[1].fused_rounds > 0
 
     @pytest.mark.parametrize("kind", sorted(SCALAR_PATH))

@@ -10,6 +10,8 @@ from repro.core import (
     ResilientOrchestrationPolicy,
 )
 from repro.core.scheduler import _EventClusterState
+from repro.obs import RoundCompleted, TelemetryBus
+from repro.serve import RunController
 from repro.sim import (
     ARQConfig,
     ChannelSpec,
@@ -219,6 +221,41 @@ class TestFaultInjection:
         report = scheduler.run(rounds_per_cluster=6)
         assert "c0" in report.dead_clusters
         assert "attrition" in report.dead_clusters["c0"]
+
+    def test_fault_after_the_run_never_fires(self):
+        """A fault past the makespan lands on a finished run: c1 trained
+        all its rounds, so it is neither killed nor counted."""
+        ideal = build_scheduler("event").run(rounds_per_cluster=8)
+        faults = FaultSchedule([FaultEvent(100.0, "cluster_death", "c1")])
+        report = build_scheduler("event", fault_schedule=faults).run(
+            rounds_per_cluster=8)
+        assert report.makespan_s == ideal.makespan_s < 100.0
+        assert report.rounds_per_cluster["c1"] == 8
+        assert report.faults_applied == 0
+        assert report.dead_clusters == {}
+        assert report.retirement_reasons == {}
+
+    def test_cancelled_run_skips_faults_after_its_end(self):
+        """A cancel ends the run at its boundary; a fault scheduled
+        after that never fires."""
+        bus = TelemetryBus()
+        controller = RunController()
+        completed = []
+
+        def on_round(event):
+            completed.append(event)
+            if len(completed) == 4:
+                controller.cancel()
+
+        bus.subscribe(on_round, kinds=[RoundCompleted.kind])
+        faults = FaultSchedule([
+            FaultEvent(0.1, "straggler", "c0", magnitude=2.0)])
+        report = build_scheduler(
+            "event", fault_schedule=faults, segment_batching=False,
+            telemetry=bus, control=controller).run(rounds_per_cluster=8)
+        assert sum(report.rounds_per_cluster.values()) == 4
+        assert report.makespan_s < 0.1
+        assert report.faults_applied == 0
 
     def test_straggler_stretches_makespan(self):
         ideal = build_scheduler("event").run(rounds_per_cluster=6)
@@ -593,10 +630,11 @@ class TestCodedRecovery:
         assert set(report.coding_budgets.values()) == {3}
 
     def test_coded_run_with_faults_fuses_bit_identically(self):
+        # All three faults land before the run's 0.36 s makespan.
         faults = FaultSchedule([
             FaultEvent(0.05, "node_death", "c0", device=3),
-            FaultEvent(0.3, "straggler", "c1", magnitude=2.0),
-            FaultEvent(0.6, "recover", "c1"),
+            FaultEvent(0.2, "straggler", "c1", magnitude=2.0),
+            FaultEvent(0.3, "recover", "c1"),
         ])
         _, report = self._assert_bit_identical(recovery="fec", faults=faults)
         assert report.faults_applied == 3

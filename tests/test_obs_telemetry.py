@@ -44,7 +44,6 @@ from repro.obs import (
     SpanClosed,
     TelemetryBus,
     TransmitBatch,
-    WavePlanned,
     read_events,
     summary_table,
 )
@@ -80,7 +79,7 @@ SCENARIOS = {
     "coded_hybrid": dict(
         channels=ChannelSpec(loss=0.15, arq=ARQConfig(max_retries=1)),
         resilience=ResilientOrchestrationPolicy(recovery="hybrid")),
-    "wave_by_wave": dict(
+    "unfused_loss_priority": dict(
         policy="loss_priority",
         channels=ChannelSpec(loss=0.1, arq=ARQConfig(max_retries=1))),
 }
@@ -138,7 +137,11 @@ class TestBitIdentity:
         assert SegmentFused.kind in kinds_by_scenario["fused_fault_only"]
         assert TransmitBatch.kind in kinds_by_scenario["lossy"]
         assert ParityChosen.kind in kinds_by_scenario["coded_hybrid"]
-        assert WavePlanned.kind in kinds_by_scenario["wave_by_wave"]
+        # The unfused loop plans nothing and records no traces, so it
+        # emits neither fusion events nor spans.
+        unfused = kinds_by_scenario.pop("unfused_loss_priority")
+        assert RoundCompleted.kind in unfused
+        assert not {SegmentFused.kind, SpanClosed.kind} & unfused
         for kinds in kinds_by_scenario.values():
             assert RoundCompleted.kind in kinds
             assert SpanClosed.kind in kinds
@@ -152,63 +155,15 @@ class TestFusionBounds:
     justified it (see ``ExecutionPlan.reasons`` for the unfused side).
     """
 
-    def _bounds(self, rounds=10, **kwargs):
-        events = []
-        bus = TelemetryBus()
-        bus.subscribe(events.append,
-                      kinds=(SegmentFused.kind, WavePlanned.kind))
-        report = build_scheduler(telemetry=bus, **kwargs).run(
-            rounds_per_cluster=rounds)
-        by_kind = {}
-        for event in events:
-            by_kind.setdefault(event.kind, set()).add(event.bound)
-        return by_kind, report
-
     def test_segment_mode_fault_run_uses_horizon_bound(self):
-        by_kind, _ = self._bounds(
-            fault_schedule=FaultSchedule.first_death("c0", 1e-4, device=5))
-        assert by_kind[SegmentFused.kind] == {"before-horizon"}
-        assert WavePlanned.kind not in by_kind
-
-    def test_quorum_risk_bound_on_projected_battery_deaths(self):
-        # Starved aggregator batteries: every wave's fault horizon
-        # projects cluster deaths that could drop the fleet below
-        # quorum, so no wave may prove more than the requesting round.
         events = []
         bus = TelemetryBus()
-        bus.subscribe(events.append,
-                      kinds=(SegmentFused.kind, WavePlanned.kind))
-        scheduler = build_scheduler(
-            telemetry=bus, policy="loss_priority",
-            resilience=ResilientOrchestrationPolicy(quorum=0.5))
-        for cluster in scheduler.clusters:
-            cluster.aggregator_battery_j = 0.015
-        report = scheduler.run(rounds_per_cluster=40)
-        assert report.halted
-        bounds = {e.bound for e in events}
-        assert bounds == {"quorum-risk"}
-
-    def test_wave_mode_fault_run_emits_all_and_requesting_bounds(self):
-        by_kind, _ = self._bounds(
-            policy="loss_priority",
-            channels=ChannelSpec(loss=0.1, arq=ARQConfig(max_retries=1)),
-            fault_schedule=FaultSchedule.first_death("c0", 0.3, device=5))
-        assert by_kind[WavePlanned.kind] \
-            == {"all-before-horizon", "requesting-only"}
-
-    def test_prefix_bound_fuses_partial_wave_near_late_fault(self):
-        # A fault near the end of the run leaves each cluster a tail
-        # that only partially fits before the horizon: the per-cluster
-        # incremental bound fuses the provable prefix.
-        spec = ChannelSpec(loss=0.1, arq=ARQConfig(max_retries=1))
-        makespan = build_scheduler(
-            policy="loss_priority", channels=spec,
-            segment_batching=False).run(rounds_per_cluster=10).makespan_s
-        by_kind, _ = self._bounds(
-            policy="loss_priority", channels=spec,
-            fault_schedule=FaultSchedule([FaultEvent(
-                0.9 * makespan, "node_death", "c0", device=5)]))
-        assert "prefix" in by_kind[WavePlanned.kind]
+        bus.subscribe(events.append, kinds=(SegmentFused.kind,))
+        build_scheduler(
+            telemetry=bus,
+            fault_schedule=FaultSchedule.first_death("c0", 1e-4, device=5),
+        ).run(rounds_per_cluster=10)
+        assert {event.bound for event in events} == {"before-horizon"}
 
     def test_adaptive_rederivation_keeps_run_fused(self):
         # Budget re-derivation at a fault boundary used to force the
@@ -271,18 +226,18 @@ HOT_PATH_SITES = [
     (scheduler_mod, "ArqRederived"),
     (rounds_mod, "RoundCompleted"),
     (rounds_mod, "SegmentFused"),
-    (rounds_mod, "WavePlanned"),
     (rounds_mod, "DeadlineMissed"),
     (channel_mod, "TransmitBatchEvent"),
     (faults_mod, "FaultApplied"),
 ]
 
 
-class _CancelAfterBoundaries(RunController):
+class _CancelBeforeReplan(RunController):
     """Lets ``boundaries`` between-round boundaries pass, then cancels
-    right after the last, as a cancel from another thread may land: the
-    next plan goes through the wave planner's "command-pending" clamp
-    with no bus subscriber raising the cancel."""
+    right after the next one with no pre-executed round outstanding, as
+    a cancel from another thread may land: the replan that follows goes
+    through the segment planner's "command-pending" clamp with no bus
+    subscriber raising the cancel."""
 
     def __init__(self, boundaries):
         super().__init__()
@@ -291,7 +246,7 @@ class _CancelAfterBoundaries(RunController):
     def checkpoint(self, outstanding):
         go_on = super().checkpoint(outstanding)
         self.boundaries -= 1
-        if self.boundaries == 0:
+        if self.boundaries <= 0 and outstanding == 0:
             self.cancel()
         return go_on
 
@@ -300,11 +255,12 @@ def elision_runs(telemetry=None):
     """Runs that between them reach every site in HOT_PATH_SITES.
 
     A fused event run with a node death, lossy enough that uplinks and
-    downlinks both fail; an event ``loss_priority`` run with hybrid
-    recovery, adaptive ARQ and a quorum, whose brownout re-derives c0's
-    budgets and whose c1 cannot meet its deadline; a batched run, whose
-    ``IdealRoundLoop`` emits its own round and deadline events; and a
-    fused ``loss_priority`` run cancelled mid-run by its controller.
+    downlinks both fail; an unfused event ``loss_priority`` run with
+    hybrid recovery, adaptive ARQ and a quorum, whose brownout
+    re-derives c0's budgets and whose c1 cannot meet its deadline; a
+    batched run, whose ``IdealRoundLoop`` emits its own round and
+    deadline events; and a fused ``round_robin`` run cancelled by its
+    controller just before a replan, mid-run.
     """
     schedulers = [
         build_scheduler(
@@ -321,8 +277,7 @@ def elision_runs(telemetry=None):
         build_scheduler(engine="batched", telemetry=telemetry,
                         deadlines={"c1": 1e-6}),
         build_scheduler(
-            "loss_priority", telemetry=telemetry,
-            control=_CancelAfterBoundaries(4),
+            telemetry=telemetry, control=_CancelBeforeReplan(2),
             fault_schedule=FaultSchedule([FaultEvent(
                 0.1, "straggler", "c0", magnitude=2.0)])),
     ]
@@ -357,7 +312,7 @@ class TestNullBusElision:
         bus = TelemetryBus()
         bus.subscribe(lambda event: seen.add(event.kind))
         bus.subscribe(lambda event: bounds.append(event.bound),
-                      kinds=[WavePlanned.kind])
+                      kinds=[SegmentFused.kind])
         elision_runs(bus)
         assert set(built) == {(mod.__name__, name)
                               for mod, name in HOT_PATH_SITES}
@@ -416,9 +371,8 @@ class TestJsonlRoundTrip:
     SAMPLES = [
         RoundCompleted(cluster="c0", round=3, delivered=False, loss=None,
                        time_s=1.5, battery_j=9.0, radio_energy_j=0.25),
-        SegmentFused(index=0, mode="segment", horizon_s=None, clusters=3,
-                     successes=30, failures=0),
-        WavePlanned(clusters=3, rounds=3, fused_all=True),
+        SegmentFused(index=0, horizon_s=None, clusters=3, successes=30,
+                     failures=0),
         FaultApplied(cluster="c1", fault="node_death", time_s=0.5),
         ArqRederived(cluster="c1", direction="up", old_retries=3,
                      new_retries=1, time_s=0.5),
@@ -541,8 +495,8 @@ class TestMetricsCollector:
         bus.emit(TransmitBatch(payload_bytes=512, count=4, delivered=3,
                                attempts=6, lost_frames=3, retransmissions=2,
                                wire_bytes=3000))
-        bus.emit(SegmentFused(index=0, mode="segment", horizon_s=None,
-                              clusters=2, successes=5, failures=1))
+        bus.emit(SegmentFused(index=0, horizon_s=None, clusters=2,
+                              successes=5, failures=1))
         bus.emit(FaultApplied(cluster="c0", fault="node_death", time_s=0.5))
         bus.emit(ClusterRetired(cluster="c1", reason="battery", time_s=9.0))
         bus.emit(DeadlineMissed(cluster="c0", round=1, finish_s=3.0,

@@ -30,7 +30,6 @@ from repro.obs import (
 from repro.obs.exporters import _flush_on_exit
 from repro.obs.telemetry import (
     ClusterRetired, FaultApplied, RoundCompleted, SegmentFused, SpanClosed,
-    WavePlanned,
 )
 from repro.serve import (
     AsyncTelemetryBridge, ControlPlaneClient, EventStream,
@@ -391,24 +390,21 @@ def test_sequential_run_honours_pause_and_cancel():
         assert np.array_equal(losses, full.history.losses[:len(losses)])
 
 
-@pytest.mark.parametrize("policy", ["round_robin", "loss_priority"])
-def test_cancel_clamps_the_fused_planner(policy):
-    """A cancel raised mid-run drains fused work through the
-    "command-pending" clamp on both planners (round_robin plans
-    segments, loss_priority plans waves) and leaves a prefix of the
-    uncancelled run."""
-    spec = {**CLAMP_SPEC, "policy": policy}
-    reference = build_scheduler_from_spec(dict(spec))
+def test_cancel_clamps_the_fused_planner():
+    """A cancel raised mid-run drains fused work through the planner's
+    "command-pending" clamp and leaves a prefix of the uncancelled
+    run."""
+    reference = build_scheduler_from_spec(dict(CLAMP_SPEC))
     reference.run(rounds_per_cluster=CLAMP_ROUNDS)
     bus = TelemetryBus()
     controller = RunController()
-    scheduler = build_scheduler_from_spec(dict(spec), telemetry=bus,
+    scheduler = build_scheduler_from_spec(dict(CLAMP_SPEC), telemetry=bus,
                                           control=controller)
     bus.subscribe(lambda event: controller.cancel(),
                   kinds=[FaultApplied.kind])
     bounds = []
     bus.subscribe(lambda event: bounds.append(event.bound),
-                  kinds=[SegmentFused.kind, WavePlanned.kind])
+                  kinds=[SegmentFused.kind])
     report = scheduler.run(rounds_per_cluster=CLAMP_ROUNDS)  # finalizes
     assert "command-pending" in bounds
     assert report.fused_rounds > 0

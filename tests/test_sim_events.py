@@ -183,3 +183,14 @@ class TestTaggedEvents:
 
     def test_next_time_empty_is_inf(self):
         assert EventScheduler().next_time("fault") == float("inf")
+
+    def test_cancel_after_drops_only_later_events_of_the_tag(self):
+        sim = EventScheduler()
+        fired = []
+        for time_s, tag in ((1.0, "fault"), (2.0, "fault"), (3.0, "fault"),
+                            (3.0, None)):
+            sim.schedule_at(time_s, fired.append, (time_s, tag), tag=tag)
+        sim.cancel_after("fault", 2.0)
+        assert sim.next_time("fault") == 1.0
+        sim.run()
+        assert fired == [(1.0, "fault"), (2.0, "fault"), (3.0, None)]
