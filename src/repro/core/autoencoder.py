@@ -20,12 +20,12 @@ from .noise import GaussianNoiseInjector
 
 def build_encoder(config: OrcoDCSConfig,
                   rng: Optional[np.random.Generator] = None) -> L.Sequential:
-    """One dense layer + activation: the paper's eq. (1), in
+    """One dense layer + sigmoid: the paper's eq. (1), in
     ``config.dtype``."""
     rng = rng or np.random.default_rng(config.seed)
     return L.Sequential(
         L.Dense(config.input_dim, config.latent_dim, rng=rng),
-        L.make_activation(config.activation),
+        L.Sigmoid(),
     ).astype(config.dtype)
 
 

@@ -1,10 +1,11 @@
 """Configuration for the OrcoDCS framework.
 
 The whole point of OrcoDCS (vs. offline DCDA) is that these knobs —
-latent dimension, decoder depth, noise level, loss — are chosen *per
-sensing task* instead of being fixed in the cloud, so they live in one
-explicit config object that experiments sweep over.  The optimiser is
-not among them: the aggregator and the edge both train with Adam.
+latent dimension, decoder depth, noise level — are chosen *per sensing
+task* instead of being fixed in the cloud, so they live in one explicit
+config object that experiments sweep over.  The paper fixes the rest: a
+sigmoid encoder (eq. 1) and decoder output (eq. 3), Adam on both sides,
+and the Huber loss of eq. (4), with MSE as its ablation (:data:`LOSSES`).
 """
 
 from __future__ import annotations
@@ -12,12 +13,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Dict
 
 import numpy as np
 
+from ..nn.losses import HuberLoss, Loss, MSELoss
+
 #: The dtypes a model may train in.
 TRAINING_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+#: The reconstruction losses a config may name: eq. (4)'s Huber loss
+#: (threshold 1) and plain MSE for ablations.
+LOSSES: Dict[str, Callable[[], Loss]] = {"huber": HuberLoss, "mse": MSELoss}
 
 
 @dataclass
@@ -38,15 +45,10 @@ class OrcoDCSConfig:
     decoder_layers:
         Number of trainable layers in the decoder (1 = the paper's
         single dense layer; 3/5 are the Fig. 8 sensitivity points).
-    decoder_hidden:
-        Hidden width for decoders deeper than one layer; ``None`` picks
-        ``max(latent_dim, input_dim // 2)``.
-    activation:
-        Activation for encoder/decoder layers (final decoder layer is
-        always sigmoid so outputs live in [0, 1]).
-    loss / huber_delta:
-        Reconstruction loss ("huber" per eq. 4, or "mse"/"l1" for
-        ablations) and the Huber threshold.
+        Deeper decoders have hidden layers of :attr:`hidden_width`.
+    loss:
+        Reconstruction loss: ``"huber"`` (eq. 4) or ``"mse"`` for
+        ablations, the names of :data:`LOSSES`.
     learning_rate / batch_size:
         Online-training knobs shared by aggregator and edge, which each
         train their side with Adam.
@@ -64,20 +66,15 @@ class OrcoDCSConfig:
     latent_dim: int = 128
     noise_sigma: float = 0.1
     decoder_layers: int = 1
-    decoder_hidden: Optional[int] = None
-    activation: str = "sigmoid"
     loss: str = "huber"
-    huber_delta: float = 1.0
     learning_rate: float = 3e-3
     batch_size: int = 32
     seed: int = 0
     dtype: np.dtype = TRAINING_DTYPES[1]
 
     def __post_init__(self):
-        counts = ["input_dim", "latent_dim", "decoder_layers", "batch_size"]
-        if self.decoder_hidden is not None:
-            counts.append("decoder_hidden")
-        for name in counts:
+        for name in ("input_dim", "latent_dim", "decoder_layers",
+                     "batch_size"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, "
@@ -85,6 +82,9 @@ class OrcoDCSConfig:
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and "
                              f"non-negative, got {self.noise_sigma}")
+        if self.loss not in LOSSES:
+            raise ValueError(f"loss must be one of {sorted(LOSSES)}, "
+                             f"got {self.loss!r}")
         self.dtype = _training_dtype(self.dtype)
 
     @property
@@ -104,9 +104,8 @@ class OrcoDCSConfig:
 
     @property
     def hidden_width(self) -> int:
-        """Resolved hidden width for multi-layer decoders."""
-        if self.decoder_hidden is not None:
-            return self.decoder_hidden
+        """Hidden width of multi-layer decoders:
+        ``max(latent_dim, input_dim // 2)``."""
         return max(self.latent_dim, self.input_dim // 2)
 
     def with_overrides(self, **kwargs) -> "OrcoDCSConfig":

@@ -11,7 +11,7 @@ bias and activation, recovering exactly the centralized eq. (1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -24,16 +24,13 @@ from ..wsn.aggregation import (
     simulate_hybrid_aggregation,
     simulate_masked_hybrid_aggregation,
 )
-from ..wsn.network import WSNetwork
+from ..wsn.network import VALUE_BYTES, WSNetwork
 from .autoencoder import AsymmetricAutoencoder
 
-_ACTIVATIONS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
-    "tanh": np.tanh,
-    "relu": lambda z: np.maximum(z, 0.0),
-    "identity": lambda z: z,
-    "linear": lambda z: z,
-}
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The encoder's eq. (1) activation, applied by the aggregator."""
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass
@@ -69,9 +66,6 @@ class EncoderDeployment:
             raise ValueError(
                 f"model expects {model.config.input_dim} devices, network has "
                 f"{network.num_devices}")
-        if model.config.activation not in _ACTIVATIONS:
-            raise ValueError(f"unsupported activation {model.config.activation!r} "
-                             "for distributed encoding")
         self.model = model
         self.network = network
         self.tree = tree
@@ -85,7 +79,6 @@ class EncoderDeployment:
         # cluster's devices never change, so rounds iterate this dict
         # for the sorted ids.
         self.device_index = {nid: idx for idx, nid in enumerate(network.device_ids)}
-        self._activation = _ACTIVATIONS[model.config.activation]
         self.distributed = False
 
     # ------------------------------------------------------------------
@@ -94,17 +87,16 @@ class EncoderDeployment:
         cost report (the one-time deployment overhead of Fig. 3)."""
         report = simulate_encoder_distribution(
             self.network, self.tree, self.model.config.latent_dim,
-            self.network.value_bytes)
+            VALUE_BYTES)
         self.distributed = True
         return report
 
-    def compressed_round(self, readings: Dict[int, float],
-                         charge_network: bool = True) -> CompressedRound:
+    def compressed_round(self, readings: Dict[int, float]) -> CompressedRound:
         """Collect one round of readings as an M-dimensional latent vector.
 
-        Performs the actual distributed numerics (partial-sum hybrid
-        aggregation) and — when ``charge_network`` — bills the network for
-        the transmissions of the hybrid scheme.
+        Bills the network for the transmissions of the hybrid scheme,
+        then performs the actual distributed numerics (partial-sum
+        hybrid aggregation).
 
         With an unreliable sensor channel attached
         (:meth:`~repro.wsn.network.WSNetwork.attach_unreliable`), hops
@@ -131,19 +123,16 @@ class EncoderDeployment:
             raise ValueError(f"missing readings for devices {missing[:5]}")
         # Charge the network first: on unreliable sensor links the
         # transmissions decide which subtrees' contributions survive.
-        if charge_network and failed:
+        if failed:
             report = simulate_masked_hybrid_aggregation(
                 self.network, self.tree, self.model.config.latent_dim,
-                failed=failed, values_per_node=1,
-                value_bytes=self.network.value_bytes,
-                kind="compressed_round")
-        elif charge_network:
-            report = simulate_hybrid_aggregation(
-                self.network, self.tree, self.model.config.latent_dim,
-                values_per_node=1, value_bytes=self.network.value_bytes,
+                failed=failed, values_per_node=1, value_bytes=VALUE_BYTES,
                 kind="compressed_round")
         else:
-            report = AggregationReport()
+            report = simulate_hybrid_aggregation(
+                self.network, self.tree, self.model.config.latent_dim,
+                values_per_node=1, value_bytes=VALUE_BYTES,
+                kind="compressed_round")
         severed = failed | report.failed_hops
         if severed:
             partial, _, contributors = hybrid_encode_partial(
@@ -153,17 +142,17 @@ class EncoderDeployment:
             partial, _ = hybrid_encode(self.tree, readings, self.weight_e,
                                        self.device_index)
             contributors = frozenset(self.device_index)
-        latent = self._activation(partial + self.bias_e)
+        latent = _sigmoid(partial + self.bias_e)
         return CompressedRound(latent, report, tuple(sorted(contributors)))
 
     def centralized_latent(self, readings: Dict[int, float]) -> np.ndarray:
         """Reference eq. (1) computation for equivalence checks."""
         stacked = np.array([readings[nid] for nid in self.device_index])
-        return self._activation(self.weight_e @ stacked + self.bias_e)
+        return _sigmoid(self.weight_e @ stacked + self.bias_e)
 
     def uplink_latent(self, latent: np.ndarray) -> float:
         """Send the aggregated latent to the edge; returns elapsed seconds."""
-        payload = latent.size * self.network.value_bytes
+        payload = latent.size * VALUE_BYTES
         return self.network.uplink_to_edge(payload, kind="latent_uplink")
 
     def reconstruct_at_edge(self, latent: np.ndarray) -> np.ndarray:

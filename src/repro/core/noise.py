@@ -27,21 +27,13 @@ class GaussianNoiseInjector:
         Noise standard deviation; 0 disables injection.
     rng:
         Generator for the draws (seeded by the orchestrator).
-    decay:
-        Optional multiplicative decay applied per epoch via
-        :meth:`on_epoch_end`, letting long runs anneal the noise.
     """
 
-    def __init__(self, sigma: float, rng: Optional[np.random.Generator] = None,
-                 decay: float = 1.0):
+    def __init__(self, sigma: float, rng: Optional[np.random.Generator] = None):
         if not 0.0 <= sigma < math.inf:
             raise ValueError(f"sigma must be finite and non-negative, "
                              f"got {sigma}")
-        if not 0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        self.initial_sigma = float(sigma)
         self.sigma = float(sigma)
-        self.decay = decay
         self.rng = rng or np.random.default_rng()
 
     @property
@@ -59,10 +51,3 @@ class GaussianNoiseInjector:
             return latent
         noise = self.rng.normal(0.0, self.sigma, latent.shape)
         return latent + Tensor(noise.astype(latent.dtype, copy=False))
-
-    def on_epoch_end(self) -> None:
-        """Apply the per-epoch decay schedule."""
-        self.sigma *= self.decay
-
-    def reset(self) -> None:
-        self.sigma = self.initial_sigma

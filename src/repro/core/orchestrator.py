@@ -40,7 +40,7 @@ from ..nn.layers import Module
 from ..nn.tensor import Tensor
 from ..wsn.network import TransmissionLedger
 from .autoencoder import AsymmetricAutoencoder
-from .config import OrcoDCSConfig
+from .config import LOSSES, OrcoDCSConfig
 from .noise import GaussianNoiseInjector
 from .timing import (
     OrchestrationTimingModel,
@@ -305,14 +305,13 @@ class OrchestratedTrainer:
     # ------------------------------------------------------------------
     def fit(self, train_rows: np.ndarray, epochs: int = 10,
             batch_size: int = 32, val_rows: Optional[np.ndarray] = None,
-            shuffle: bool = True, time_budget_s: Optional[float] = None,
-            max_rounds: Optional[int] = None,
+            time_budget_s: Optional[float] = None,
             history: Optional[TrainingHistory] = None) -> TrainingHistory:
         """Online training over ``train_rows`` (``(num_samples, N)``).
 
-        Stops early when the modeled clock exceeds ``time_budget_s`` or
-        after ``max_rounds`` minibatch rounds.  Passing an existing
-        ``history`` continues it (used by fine-tuning relaunches).
+        Each epoch visits the rows in a fresh random order.  Stops early
+        when the modeled clock exceeds ``time_budget_s``; an existing
+        ``history`` is continued (used by fine-tuning relaunches).
         """
         train_rows = np.atleast_2d(np.asarray(train_rows, dtype=self.dtype))
         for name, value in (("epochs", epochs), ("batch_size", batch_size)):
@@ -322,8 +321,7 @@ class OrchestratedTrainer:
         history = history or TrainingHistory(self.name)
         for epoch in range(1, epochs + 1):
             order = np.arange(len(train_rows))
-            if shuffle:
-                self.rng.shuffle(order)
+            self.rng.shuffle(order)
             epoch_losses: List[float] = []
             for start in range(0, len(order), batch_size):
                 batch = train_rows[order[start:start + batch_size]]
@@ -332,16 +330,10 @@ class OrchestratedTrainer:
                 epoch_losses.append(record.train_loss)
                 if time_budget_s is not None and self.clock_s >= time_budget_s:
                     break
-                if max_rounds is not None and self._round_index >= max_rounds:
-                    break
             val_loss = self.evaluate(val_rows) if val_rows is not None else None
             history.epochs.append(EpochRecord(
                 epoch, self.clock_s, float(np.mean(epoch_losses)), val_loss))
-            if self.noise is not None:
-                self.noise.on_epoch_end()
             if time_budget_s is not None and self.clock_s >= time_budget_s:
-                break
-            if max_rounds is not None and self._round_index >= max_rounds:
                 break
         return history
 
@@ -359,10 +351,7 @@ class OrcoDCSFramework(OrchestratedTrainer):
                  rng: Optional[np.random.Generator] = None):
         rng = rng or np.random.default_rng(config.seed)
         model = AsymmetricAutoencoder(config, rng)
-        if config.loss in ("huber", "vector_huber"):
-            loss = losses_mod.make_loss(config.loss, delta=config.huber_delta)
-        else:
-            loss = losses_mod.make_loss(config.loss)
+        loss = LOSSES[config.loss]()
         decoder_dims = self._decoder_dims(config)
         super().__init__(
             model.encoder, model.decoder,

@@ -274,7 +274,8 @@ class ScheduleReport:
     ``completion_times`` maps each cluster to the *scheduled* (edge-
     contended) clock at which each of its rounds finished — the fairness
     signal policies differ on, since per-cluster trajectories themselves
-    are schedule-independent.
+    are schedule-independent.  ``makespan_s`` is the end of the last
+    round any cluster ran, delivered or failed.
 
     The event engine additionally fills the resilience fields:
     ``failed_rounds`` (rounds whose transfers exhausted their ARQ

@@ -443,6 +443,7 @@ class _EventClusterState:
         self.failed_rounds = 0
         self.failovers = 0
         self.ready_at = 0.0
+        self.round_end_s = 0.0
         self.battery = Battery(cluster.aggregator_battery_j)
         self.radio = RadioEnergyModel()
         self.radio_energy_j = 0.0
@@ -496,6 +497,11 @@ class _EventClusterState:
 
     def round_succeeded(self) -> None:
         self.consecutive_failures = 0
+
+    def end_round(self, time_s: float) -> None:
+        """A round, delivered or failed, ended at ``time_s``.  A later
+        failover delays :attr:`ready_at`, never :attr:`round_end_s`."""
+        self.ready_at = self.round_end_s = time_s
 
     @property
     def device_fraction(self) -> float:
@@ -716,6 +722,7 @@ class EdgeTrainingScheduler:
         ``batch_size`` is an integer >= 1.  ``deadline_s`` may be any
         number but NaN, which has no place in the earliest-deadline-first
         order; a zero or negative deadline is already expired.
+        ``aggregator_battery_j`` must be positive (not NaN).
         """
         if any(c.name == name for c in self.clusters):
             raise ValueError(f"duplicate cluster name {name!r}")
@@ -724,6 +731,9 @@ class EdgeTrainingScheduler:
                              f"got {batch_size!r}")
         if deadline_s is not None and deadline_s != deadline_s:
             raise ValueError(f"cluster {name!r} has a NaN deadline")
+        if not aggregator_battery_j > 0:
+            raise ValueError(f"cluster {name!r} aggregator_battery_j must be "
+                             f"positive, got {aggregator_battery_j!r}")
         stream = np.random.default_rng(self.rng.integers(2 ** 63))
         cluster = ScheduledCluster(name, trainer, data, batch_size, deadline_s,
                                    stream_rng=stream, positions=positions,
@@ -1199,7 +1209,7 @@ class EdgeTrainingScheduler:
                     executor.charge_failure(cluster, agg_s + up.elapsed_s)
                     state.charge_backhaul(up.wire_bytes, 0)
                     state.round_failed()
-                    state.ready_at = start + agg_s + up.elapsed_s
+                    state.end_round(start + agg_s + up.elapsed_s)
                     spend_round(budget, misses, cluster, state.ready_at,
                                 miss_rounds, bus)
                     if bus.wants(RoundCompleted.kind):
@@ -1230,8 +1240,8 @@ class EdgeTrainingScheduler:
                     state.charge_backhaul(up.wire_bytes,
                                           down.received_wire_bytes)
                     state.round_failed()
-                    state.ready_at = edge_clock[0] + agg_s + up.elapsed_s \
-                        + down.elapsed_s
+                    state.end_round(edge_clock[0] + agg_s + up.elapsed_s
+                                    + down.elapsed_s)
                     spend_round(budget, misses, cluster, state.ready_at,
                                 miss_rounds, bus)
                     if bus.wants(RoundCompleted.kind):
@@ -1282,8 +1292,8 @@ class EdgeTrainingScheduler:
                                           down.retransmissions, True)
                 state.charge_backhaul(up.wire_bytes, down.received_wire_bytes)
                 state.round_succeeded()
-                state.ready_at = edge_clock[0] + agg_s + up.elapsed_s \
-                    + down.elapsed_s
+                state.end_round(edge_clock[0] + agg_s + up.elapsed_s
+                                + down.elapsed_s)
                 completion[cluster.name].append(state.ready_at)
                 cluster.history.rounds.append(record)
                 cluster.rounds_completed += 1
@@ -1300,7 +1310,8 @@ class EdgeTrainingScheduler:
             # Training is over, whether budgets ran out, the quorum
             # halted the run or a cancel stopped it: faults inside the
             # last rounds' link tails still fire, later ones never do.
-            injector.disarm_after(max(s.ready_at for s in states.values()))
+            injector.disarm_after(
+                max(s.round_end_s for s in states.values()))
 
         sim.process(edge_process())
         sim.run()
@@ -1309,7 +1320,8 @@ class EdgeTrainingScheduler:
         return ScheduleReport(
             policy=self.policy,
             total_edge_time_s=edge_busy[0],
-            makespan_s=max(states[c.name].ready_at for c in self.clusters),
+            makespan_s=max(states[c.name].round_end_s
+                           for c in self.clusters),
             rounds_per_cluster={c.name: c.rounds_completed
                                 for c in self.clusters},
             final_loss_per_cluster={c.name: c.current_loss

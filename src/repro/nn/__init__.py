@@ -45,7 +45,6 @@ from .layers import (
     Softmax,
     Tanh,
     Upsample2D,
-    make_activation,
 )
 from .losses import (
     BCELoss,
@@ -56,7 +55,6 @@ from .losses import (
     MSELoss,
     VectorHuberLoss,
     accuracy,
-    make_loss,
 )
 from .optim import Adam, Optimizer
 from .tensor import Tensor, concatenate, stack, where
@@ -69,9 +67,9 @@ __all__ = [
     "get_initializer",
     "Conv2D", "ConvTranspose2D", "Dense", "Flatten", "Identity", "LeakyReLU",
     "MaxPool2D", "Module", "Parameter", "ReLU", "Reshape", "Sequential",
-    "Sigmoid", "Softmax", "Tanh", "Upsample2D", "make_activation",
+    "Sigmoid", "Softmax", "Tanh", "Upsample2D",
     "BCELoss", "CrossEntropyLoss", "HuberLoss", "L1Loss", "Loss", "MSELoss",
-    "VectorHuberLoss", "accuracy", "make_loss",
+    "VectorHuberLoss", "accuracy",
     "Adam", "Optimizer",
     "Tensor", "concatenate", "stack", "where",
     "functional",

@@ -44,7 +44,7 @@ from .layers import (
     Softmax,
     Tanh,
 )
-from .optim import Adam, Optimizer, adam_scratch, adam_update
+from .optim import BETA1, BETA2, Adam, Optimizer, adam_scratch, adam_update
 from .tensor import Tensor
 
 ActiveSlices = Optional[Union[Sequence[int], np.ndarray]]
@@ -300,10 +300,8 @@ class FleetAdam(Adam):
     indices) that are written back.
     """
 
-    def __init__(self, params, lr: float = 1e-3, num_slices: int = 1,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr, betas, eps, weight_decay)
+    def __init__(self, params, lr: float = 1e-3, num_slices: int = 1):
+        super().__init__(params, lr)
         if num_slices <= 0:
             raise ValueError("num_slices must be positive")
         for param in self.params:
@@ -325,10 +323,9 @@ class FleetAdam(Adam):
         else:
             self._t[index] += 1
             t = self._t[index]
-        bias1 = (1.0 - self.beta1 ** t)[:, None]
-        bias2 = (1.0 - self.beta2 ** t)[:, None]
-        hyper = (self._scratch, self.lr, self.beta1, self.beta2, self.eps,
-                 self.weight_decay, bias1, bias2)
+        bias1 = (1.0 - BETA1 ** t)[:, None]
+        bias2 = (1.0 - BETA2 ** t)[:, None]
+        hyper = (self._scratch, self.lr, bias1, bias2)
         for param, m, v in zip(self.params, self._m, self._v):
             if param.grad is None:
                 continue
@@ -347,14 +344,13 @@ class FleetAdam(Adam):
 def fleet_settings(optimizer: Adam) -> Tuple[Tuple[str, float], ...]:
     """The Adam settings that K optimisers must share to step as one fleet.
 
-    ``(name, value)`` pairs for the learning rate, both betas, eps and
-    weight decay.  Stacking optimisers that differ in any of them would
-    silently retrain some slices with another slice's settings, so
+    ``(name, value)`` pairs; the learning rate is the one setting Adam
+    has.  Stacking optimisers that differ in it would silently retrain
+    some slices with another slice's rate, so
     :func:`check_fleet_optimizers` compares them and
     :func:`repro.core.fleet.stacking_key` groups trainers by them.
     """
-    return tuple((name, getattr(optimizer, name))
-                 for name in ("lr", "beta1", "beta2", "eps", "weight_decay"))
+    return (("lr", optimizer.lr),)
 
 
 def check_fleet_optimizers(optimizers: Sequence[Optimizer]) -> None:
@@ -385,9 +381,7 @@ def fleet_optimizer_from(optimizers: Sequence[Adam], params) -> FleetAdam:
     """
     check_fleet_optimizers(optimizers)
     first = optimizers[0]
-    fleet = FleetAdam(params, lr=first.lr, num_slices=len(optimizers),
-                      betas=(first.beta1, first.beta2), eps=first.eps,
-                      weight_decay=first.weight_decay)
+    fleet = FleetAdam(params, lr=first.lr, num_slices=len(optimizers))
     for k, opt in enumerate(optimizers):
         for stacked_m, stacked_v, m, v in zip(fleet._m, fleet._v,
                                               opt._m, opt._v):

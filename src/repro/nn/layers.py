@@ -310,22 +310,3 @@ class Softmax(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.softmax(x, self.axis)
-
-
-_ACTIVATIONS = {
-    "relu": ReLU,
-    "leaky_relu": LeakyReLU,
-    "sigmoid": Sigmoid,
-    "tanh": Tanh,
-    "identity": Identity,
-    "linear": Identity,
-    "softmax": Softmax,
-}
-
-
-def make_activation(name: str) -> Module:
-    """Instantiate an activation layer by name."""
-    try:
-        return _ACTIVATIONS[name]()
-    except KeyError:
-        raise KeyError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")

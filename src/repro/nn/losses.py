@@ -2,9 +2,11 @@
 
 The OrcoDCS paper trains its asymmetric autoencoder with the Huber loss
 (eq. 4) rather than plain L2, arguing it makes reconstructions more
-robust.  Both the standard elementwise Huber and the paper's literal
-norm-based form are provided, along with MSE / L1 for ablations and
-cross-entropy for the follow-up classifier.
+robust.  OrcoDCS trains with the standard elementwise Huber, or MSE as
+its ablation (:data:`repro.core.config.LOSSES`); the DCSNet baseline
+trains with MSE and the follow-up classifier with cross-entropy.  The
+paper's literal norm-based Huber, L1 and binary cross-entropy are here
+too, for direct use.
 """
 
 from __future__ import annotations
@@ -225,21 +227,3 @@ def accuracy(logits, targets) -> float:
     targets = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
     predictions = logits.argmax(axis=1)
     return float((predictions == targets.reshape(-1)).mean())
-
-
-_LOSSES = {
-    "mse": MSELoss,
-    "l1": L1Loss,
-    "huber": HuberLoss,
-    "vector_huber": VectorHuberLoss,
-    "bce": BCELoss,
-    "cross_entropy": CrossEntropyLoss,
-}
-
-
-def make_loss(name: str, **kwargs) -> Loss:
-    """Instantiate a loss by name (``mse``, ``huber``, ...)."""
-    try:
-        return _LOSSES[name](**kwargs)
-    except KeyError:
-        raise KeyError(f"unknown loss {name!r}; choose from {sorted(_LOSSES)}")

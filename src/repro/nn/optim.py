@@ -40,6 +40,10 @@ class Optimizer:
         raise NotImplementedError
 
 
+#: Adam's moment decay rates and the denominator's epsilon: the settings
+#: of Kingma & Ba (2015), which every model here trains with.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 #: Elements per block of the in-place Adam kernel.  One 16K-element
 #: block of param, grad, m, v and the two scratch buffers (6 x 128 KiB
 #: in float64) stays resident in L2 across the update's passes.
@@ -66,15 +70,14 @@ def adam_scratch(params: Iterable[Tensor], rows: int = 1) -> AdamScratch:
 
 
 def adam_update(data: np.ndarray, grad: np.ndarray, m: np.ndarray,
-                v: np.ndarray, scratch: AdamScratch, lr: float, beta1: float,
-                beta2: float, eps: float, weight_decay: float, bias1, bias2,
+                v: np.ndarray, scratch: AdamScratch, lr: float, bias1, bias2,
                 rows: int = 1) -> None:
     """One Adam step of a parameter's ``data``, ``m`` and ``v``, in place.
 
     Every element goes through the operations of the reference
-    expression, in its order::
+    expression, in its order (``g`` is ``grad``; the betas and eps are
+    :data:`BETA1`, :data:`BETA2` and :data:`EPS`)::
 
-        g = grad + weight_decay * p            (only if weight_decay)
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + ((1 - beta2) * g) * g
         p = p - (lr * (m / bias1)) / (sqrt(v / bias2) + eps)
@@ -101,20 +104,16 @@ def adam_update(data: np.ndarray, grad: np.ndarray, m: np.ndarray,
     for pc, g, mc, vc in blocks:
         s1 = buf1[:pc.size].reshape(pc.shape)
         s2 = buf2[:pc.size].reshape(pc.shape)
-        if weight_decay:
-            np.multiply(pc, weight_decay, out=s1)
-            s1 += g
-            g = s1
-        mc *= beta1
-        np.multiply(g, 1.0 - beta1, out=s2)
+        mc *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=s2)
         mc += s2
-        vc *= beta2
-        np.multiply(g, 1.0 - beta2, out=s2)
+        vc *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=s2)
         s2 *= g
         vc += s2
         np.divide(vc, bias2, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += eps
+        s2 += EPS
         np.divide(mc, bias1, out=s1)
         s1 *= lr
         s1 /= s2
@@ -126,27 +125,17 @@ def adam_update(data: np.ndarray, grad: np.ndarray, m: np.ndarray,
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias correction.
 
-    :meth:`step` runs :func:`adam_update`: ``param.data`` changes in
-    place, and the working memory is one scratch of
-    ``min(CHUNK, largest param)`` elements per dtype, allocated once here.
-
-    Settings under which the first step would write NaN into every
-    weight raise ``ValueError``: a beta outside ``[0, 1)`` (a beta of 1
-    zeroes its bias correction), ``eps <= 0`` (a zero gradient then
-    divides 0 by 0), or a learning rate that is not finite and positive.
+    The betas and eps are Kingma & Ba's defaults (:data:`BETA1`,
+    :data:`BETA2`, :data:`EPS`), with no weight decay; the learning
+    rate is the one setting, and one that is not finite and positive
+    raises ``ValueError``.  :meth:`step` runs :func:`adam_update`:
+    ``param.data`` changes in place, and the working memory is one
+    scratch of ``min(CHUNK, largest param)`` elements per dtype,
+    allocated once here.
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3):
         super().__init__(params, lr)
-        if not all(0.0 <= beta < 1.0 for beta in betas):
-            raise ValueError(f"Adam betas must lie in [0, 1), got {betas}")
-        if not eps > 0.0:
-            raise ValueError(f"Adam eps must be positive, got {eps}")
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
         self._v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
         self._t = 0
@@ -154,11 +143,10 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
+        bias1 = 1.0 - BETA1 ** self._t
+        bias2 = 1.0 - BETA2 ** self._t
         for param, m, v in zip(self.params, self._m, self._v):
             if param.grad is None:
                 continue
             adam_update(param.data, param.grad, m, v, self._scratch, self.lr,
-                        self.beta1, self.beta2, self.eps, self.weight_decay,
                         bias1, bias2)

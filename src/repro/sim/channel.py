@@ -1029,20 +1029,14 @@ class ChannelSpec:
         """
         return replace(self, arq=arq)
 
-    def with_coding(self, coding: Union[CodingSpec, int, None],
-                    arq_fallback: bool = False) -> "ChannelSpec":
+    def with_coding(self, coding: CodingSpec) -> "ChannelSpec":
         """This spec with an erasure-coding recipe on every link.
 
-        ``coding`` may be a :class:`~repro.sim.coding.CodingSpec`, a
-        bare parity-frame count ``k`` (``arq_fallback`` then selects
-        hybrid FEC+ARQ repair), or ``None`` to strip coding.  The hook
-        per-cluster redundancy adaptation uses: the resilience policy
-        derives one ``k`` per cluster from observed loss and battery
-        headroom and stamps per-cluster channels from the shared recipe.
+        The hook per-cluster redundancy adaptation uses: the resilience
+        policy derives one :class:`~repro.sim.coding.CodingSpec` per
+        cluster from observed loss and battery headroom and stamps
+        per-cluster channels from the shared recipe.
         """
-        if isinstance(coding, int):
-            coding = CodingSpec(parity_frames=coding,
-                                arq_fallback=arq_fallback)
         return replace(self, coding=coding)
 
     @property

@@ -173,26 +173,8 @@ class EventScheduler:
             return True
         return False
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        """Drain the queue (optionally only up to simulated time ``until``).
-
-        Returns the final clock.  With ``until`` given, events strictly
-        later stay queued and the clock lands exactly on ``until``.
-        ``max_events`` is a runaway-guard for cyclic schedules.
-        """
-        fired = 0
-        while True:
-            next_time = self.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                break
-            if max_events is not None and fired >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} (runaway schedule?)")
-            self.step()
-            fired += 1
-        if until is not None and until > self.now:
-            self.now = until
+    def run(self) -> float:
+        """Fire events until the queue is empty; returns the final clock."""
+        while self.step():
+            pass
         return self.now

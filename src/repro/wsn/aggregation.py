@@ -156,28 +156,19 @@ class AggregationTree:
         return path
 
 
-def build_aggregation_tree(network: WSNetwork, root: Optional[int] = None,
-                           weight: str = "distance") -> AggregationTree:
+def build_aggregation_tree(network: WSNetwork) -> AggregationTree:
     """Build a shortest-path aggregation tree rooted at the aggregator.
 
-    Edges exist between devices within radio range.  If the range graph is
-    disconnected, the nearest node pairs between components are bridged
-    (and flagged on the tree as ``extended_edges``) so that a spanning
-    tree always exists — mirroring real deployments that raise TX power
-    for stranded nodes.
-
-    Parameters
-    ----------
-    weight:
-        ``"distance"`` — minimise total metres (energy-friendly);
-        ``"hops"`` — minimise hop count (latency-friendly).
+    Edges exist between devices within radio range, and paths minimise
+    total metres (energy-friendly).  If the range graph is disconnected,
+    the nearest node pairs between components are bridged (and flagged
+    on the tree as ``extended_edges``) so that a spanning tree always
+    exists — mirroring real deployments that raise TX power for stranded
+    nodes.
     """
-    if weight not in ("distance", "hops"):
-        raise ValueError(f"unknown weight {weight!r}; "
-                         "expected 'distance' or 'hops'")
-    root = root if root is not None else network.aggregator_id
+    root = network.aggregator_id
     if root is None:
-        raise ValueError("network has no aggregator and no root was given")
+        raise ValueError("network has no aggregator")
 
     ids = network.device_ids
     positions = network.positions()
@@ -187,7 +178,7 @@ def build_aggregation_tree(network: WSNetwork, root: Optional[int] = None,
     for i, a in enumerate(ids):
         for j in range(i + 1, len(ids)):
             if dist[i, j] <= network.comm_range_m:
-                graph.add_edge(a, ids[j], distance=float(dist[i, j]), hops=1.0)
+                graph.add_edge(a, ids[j], distance=float(dist[i, j]))
 
     extended: List[Tuple[int, int]] = []
     while not nx.is_connected(graph):
@@ -195,7 +186,7 @@ def build_aggregation_tree(network: WSNetwork, root: Optional[int] = None,
         root_comp = next(c for c in components if root in c)
         best = None
         for comp in components:
-            if root is not None and comp is root_comp:
+            if comp is root_comp:
                 continue
             for a in comp:
                 for b in root_comp:
@@ -204,10 +195,10 @@ def build_aggregation_tree(network: WSNetwork, root: Optional[int] = None,
                         best = (d, a, b)
             break
         d, a, b = best
-        graph.add_edge(a, b, distance=float(d), hops=1.0)
+        graph.add_edge(a, b, distance=float(d))
         extended.append((a, b))
 
-    _, paths = nx.single_source_dijkstra(graph, root, weight=weight)
+    _, paths = nx.single_source_dijkstra(graph, root, weight="distance")
     parent: Dict[int, Optional[int]] = {root: None}
     for node, path in paths.items():
         if node != root:

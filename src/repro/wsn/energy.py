@@ -69,8 +69,8 @@ class Battery:
     remaining_j: float = field(default=None)
 
     def __post_init__(self):
-        if self.capacity_j <= 0:
-            raise ValueError("capacity must be positive")
+        if not self.capacity_j > 0:
+            raise ValueError(f"capacity must be positive, got {self.capacity_j}")
         if self.remaining_j is None:
             self.remaining_j = self.capacity_j
 

@@ -170,6 +170,10 @@ class TransmissionLedger:
 
 EDGE_SERVER_ID = -1
 
+#: Where every network's edge server sits (metres), and the bytes one
+#: scalar sensing value takes on the wire (float32).
+EDGE_POSITION, VALUE_BYTES = (150.0, 50.0), 4
+
 #: One message's transmit outcome: ``(radiated_wire_bytes,
 #: received_wire_bytes, elapsed_s, attempts, delivered)``.
 Outcome = Tuple[int, int, float, int, bool]
@@ -178,48 +182,43 @@ Outcome = Tuple[int, int, float, int, bool]
 class WSNetwork:
     """A single-cluster wireless sensor network plus its edge server.
 
+    The edge server sits at :data:`EDGE_POSITION` (reached via the
+    backhaul links, not the sensor radio), every value travels as
+    :data:`VALUE_BYTES` bytes, the links are the :mod:`repro.wsn.link`
+    defaults and every radio is a default :class:`RadioEnergyModel`.
+
     Parameters
     ----------
     positions:
         ``(n, 2)`` device coordinates (metres).  One of them may later be
         promoted to aggregator via :meth:`set_aggregator`.
-    edge_position:
-        Coordinates of the edge server (reached via the backhaul links,
-        not the sensor radio).
     comm_range_m:
         Maximum single-hop radio range between sensor nodes.
-    value_bytes:
-        Bytes per scalar sensing value (4 = float32 on the wire).
+    battery_capacity_j:
+        Each device's battery capacity.
     """
 
-    def __init__(self, positions: np.ndarray,
-                 edge_position: Tuple[float, float] = (150.0, 50.0),
-                 comm_range_m: float = 30.0,
-                 battery_capacity_j: float = 2.0,
-                 radio: Optional[RadioEnergyModel] = None,
-                 sensor: Optional[LinkModel] = None,
-                 up: Optional[LinkModel] = None,
-                 down: Optional[LinkModel] = None,
-                 value_bytes: int = 4):
+    def __init__(self, positions: np.ndarray, comm_range_m: float = 30.0,
+                 battery_capacity_j: float = 2.0):
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("positions must be (n, 2)")
-        if comm_range_m <= 0:
-            raise ValueError("comm_range_m must be positive")
-        radio = radio or RadioEnergyModel()
+        if not comm_range_m > 0:
+            raise ValueError(f"comm_range_m must be positive, "
+                             f"got {comm_range_m}")
+        radio = RadioEnergyModel()
         self.nodes: Dict[int, Node] = {}
         for node_id, pos in enumerate(positions):
             self.nodes[node_id] = Node(node_id, pos, NodeRole.DEVICE,
                                        Battery(battery_capacity_j), radio)
         # Nodes never change after construction, so neither does their order.
         self._device_ids: Tuple[int, ...] = tuple(sorted(self.nodes))
-        self.edge = Node(EDGE_SERVER_ID, np.asarray(edge_position, float),
+        self.edge = Node(EDGE_SERVER_ID, np.asarray(EDGE_POSITION, float),
                          NodeRole.EDGE, Battery(1e9), radio)
         self.comm_range_m = comm_range_m
-        self.sensor_link = sensor or sensor_link()
-        self.uplink = up or uplink()
-        self.downlink = down or downlink()
-        self.value_bytes = value_bytes
+        self.sensor_link = sensor_link()
+        self.uplink = uplink()
+        self.downlink = downlink()
         self.ledger = TransmissionLedger()
         self.aggregator_id: Optional[int] = None
         self.failed_nodes: Set[int] = set()

@@ -40,11 +40,13 @@ class TestArchitecture:
             assert len(dense_layers) == depth
 
     def test_deep_decoder_uses_hidden_width(self):
-        cfg = config(decoder_layers=3, decoder_hidden=16)
+        cfg = config(decoder_layers=3)
+        # max(latent_dim, input_dim // 2) = max(8, 20)
+        assert cfg.hidden_width == 20
         decoder = build_decoder(cfg)
         dense_layers = [l for l in decoder.layers if isinstance(l, Dense)]
-        assert dense_layers[0].out_features == 16
-        assert dense_layers[-1].in_features == 16
+        assert dense_layers[0].out_features == 20
+        assert dense_layers[-1].in_features == 20
         assert dense_layers[-1].out_features == 40
 
     def test_deterministic_init_with_seed(self):

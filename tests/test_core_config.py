@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import OrcoDCSConfig
+from repro.core import OrcoDCSConfig, OrcoDCSFramework
+from repro.core.config import LOSSES
+from repro.nn import HuberLoss, MSELoss
 
 
 class TestValidation:
@@ -26,20 +28,34 @@ class TestValidation:
         {"input_dim": 100, "latent_dim": float("nan")},
         {"input_dim": 24.5},
         {"input_dim": 100, "decoder_layers": 1.5},
-        {"input_dim": 100, "decoder_layers": 3, "decoder_hidden": 2.5},
-        {"input_dim": 100, "decoder_layers": 3, "decoder_hidden": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OrcoDCSConfig(**kwargs)
 
+    @pytest.mark.parametrize("loss", ["l1", "vector_huber", "bce",
+                                      "cross_entropy", "bogus", "Huber",
+                                      ""])
+    def test_rejects_untrainable_loss_names(self, loss):
+        """Only the two losses a framework can train with are accepted;
+        the refusal names both, at construction."""
+        with pytest.raises(ValueError, match="'huber', 'mse'"):
+            OrcoDCSConfig(input_dim=8, loss=loss)
+
+    @pytest.mark.parametrize("loss, cls", [("huber", HuberLoss),
+                                           ("mse", MSELoss)])
+    def test_loss_table_builds_the_framework_loss(self, loss, cls):
+        framework = OrcoDCSFramework(OrcoDCSConfig(input_dim=8,
+                                                   latent_dim=2, loss=loss))
+        assert sorted(LOSSES) == ["huber", "mse"]
+        assert type(framework.loss) is cls
+
     def test_numpy_integer_batch_size_accepted(self):
         config = OrcoDCSConfig(input_dim=np.int64(24),
                                latent_dim=np.int32(4),
                                decoder_layers=np.int64(3),
-                               decoder_hidden=np.int64(8),
                                batch_size=np.int64(8))
-        assert config.batch_size == 8 and config.hidden_width == 8
+        assert config.batch_size == 8 and config.hidden_width == 12
 
     def test_dtype_defaults_to_float64(self):
         assert OrcoDCSConfig(input_dim=8).dtype == np.dtype(np.float64)
@@ -83,11 +99,6 @@ class TestProperties:
         config = OrcoDCSConfig(input_dim=1000, latent_dim=100,
                                decoder_layers=3)
         assert config.hidden_width == 500
-
-    def test_hidden_width_explicit(self):
-        config = OrcoDCSConfig(input_dim=1000, latent_dim=100,
-                               decoder_layers=3, decoder_hidden=64)
-        assert config.hidden_width == 64
 
     def test_with_overrides_is_functional(self):
         base = OrcoDCSConfig(input_dim=784)

@@ -11,15 +11,14 @@ from repro.core import (
 from repro.wsn import WSNetwork, build_aggregation_tree, select_aggregator
 
 
-def deployed_cluster(n=16, latent=4, seed=0, activation="sigmoid",
-                     dtype=np.float64):
+def deployed_cluster(n=16, latent=4, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0, 60, (n, 2))
     network = WSNetwork(positions, comm_range_m=25.0, battery_capacity_j=100.0)
     network.set_aggregator(select_aggregator(positions))
     tree = build_aggregation_tree(network)
     config = OrcoDCSConfig(input_dim=n, latent_dim=latent, seed=seed,
-                           activation=activation, dtype=dtype)
+                           dtype=dtype)
     model = AsymmetricAutoencoder(config)
     return EncoderDeployment(model, network, tree), network, tree, model
 
@@ -58,7 +57,7 @@ class TestEquivalence:
         deployment, network, _, model = deployed_cluster()
         deployment.distribute()
         readings = readings_for(network)
-        collected = deployment.compressed_round(readings, charge_network=False)
+        collected = deployment.compressed_round(readings)
         centralized = deployment.centralized_latent(readings)
         assert np.allclose(collected.latent, centralized, atol=1e-10)
 
@@ -66,20 +65,12 @@ class TestEquivalence:
         deployment, network, _, model = deployed_cluster()
         deployment.distribute()
         readings = readings_for(network)
-        collected = deployment.compressed_round(readings, charge_network=False)
+        collected = deployment.compressed_round(readings)
         stacked = np.array([readings[nid] for nid in network.device_ids])
         from repro.nn.tensor import Tensor
         model.eval()
         expected = model.encode(Tensor(stacked[None, :])).data[0]
         assert np.allclose(collected.latent, expected, atol=1e-10)
-
-    def test_equivalence_holds_for_tanh(self):
-        deployment, network, _, _ = deployed_cluster(activation="tanh")
-        deployment.distribute()
-        readings = readings_for(network)
-        collected = deployment.compressed_round(readings, charge_network=False)
-        assert np.allclose(collected.latent,
-                           deployment.centralized_latent(readings), atol=1e-10)
 
     def test_float32_model_keeps_eq1_exact(self):
         """A float32 model is deployed as float64 columns (its weights,
@@ -111,11 +102,6 @@ class TestEquivalence:
         reconstruction = deployment.reconstruct_at_edge(masked.latent)
         assert reconstruction.dtype == np.float32
         assert reconstruction.shape == (40,)
-
-    def test_unsupported_activation_rejected(self):
-        with pytest.raises(ValueError):
-            deployed_cluster(activation="softmax")
-
 
 class TestRounds:
     def test_missing_reading_rejected(self):
@@ -212,8 +198,8 @@ class TestUnreliableSensorHops:
         # contributors that actually reached the aggregator.
         stacked = np.array([readings[nid] if nid in collected.contributors
                             else 0.0 for nid in network.device_ids])
-        expected = deployment._activation(
-            deployment.weight_e @ stacked + deployment.bias_e)
+        expected = 1.0 / (1.0 + np.exp(
+            -(deployment.weight_e @ stacked + deployment.bias_e)))
         np.testing.assert_array_equal(collected.latent, expected)
 
     def test_delivered_rounds_unchanged_by_channel(self):

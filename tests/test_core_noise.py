@@ -36,20 +36,7 @@ class TestInjector:
         injector = GaussianNoiseInjector(0.3)
         assert abs(injector.variance - 0.09) < 1e-12
 
-    def test_decay_schedule(self):
-        injector = GaussianNoiseInjector(1.0, decay=0.5)
-        injector.on_epoch_end()
-        assert injector.sigma == 0.5
-        injector.on_epoch_end()
-        assert injector.sigma == 0.25
-        injector.reset()
-        assert injector.sigma == 1.0
-
     def test_validation(self):
         for sigma in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 GaussianNoiseInjector(sigma)
-        with pytest.raises(ValueError):
-            GaussianNoiseInjector(0.1, decay=0.0)
-        with pytest.raises(ValueError):
-            GaussianNoiseInjector(0.1, decay=1.5)

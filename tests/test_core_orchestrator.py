@@ -91,6 +91,23 @@ class TestFit:
         assert len(history.epochs) == 3
         assert len(history.rounds) == 3 * 4
 
+    def test_each_epoch_visits_every_row_once_in_a_fresh_order(self):
+        trainer = toy_trainer()
+        rows = toy_rows(32)
+        seen = []
+        train_round = trainer.train_round
+
+        def record(batch, epoch):
+            seen.append([int(np.flatnonzero((rows == r).all(axis=1))[0])
+                         for r in batch])
+            return train_round(batch, epoch)
+
+        trainer.train_round = record
+        trainer.fit(rows, epochs=2, batch_size=8)
+        first, second = sum(seen[:4], []), sum(seen[4:], [])
+        assert sorted(first) == sorted(second) == list(range(32))
+        assert first != list(range(32)) and first != second
+
     def test_validation_loss_recorded(self):
         trainer = toy_trainer()
         history = trainer.fit(toy_rows(32), epochs=2, batch_size=16,
@@ -104,12 +121,6 @@ class TestFit:
         trainer.fit(toy_rows(256), epochs=50, batch_size=16,
                     time_budget_s=budget)
         assert trainer.clock_s <= budget + probe.time_s
-
-    def test_max_rounds_stops_early(self):
-        trainer = toy_trainer()
-        history = trainer.fit(toy_rows(256), epochs=50, batch_size=16,
-                              max_rounds=5)
-        assert len(history.rounds) == 5
 
     def test_history_continuation(self):
         trainer = toy_trainer()
@@ -211,12 +222,25 @@ class TestOrcoDCSFramework:
         history = framework.fit_config(rows, epochs=30)
         assert history.epochs[-1].train_loss < 0.5 * history.epochs[0].train_loss
 
-    def test_noise_decay_hook_runs(self):
+    def test_mse_framework_trains(self):
+        rng = np.random.default_rng(0)
+        basis = rng.random((3, 30))
+        rows = np.clip(rng.random((96, 3)) @ basis / 3.0, 0, 1)
+        config = OrcoDCSConfig(input_dim=30, latent_dim=6, seed=0,
+                               noise_sigma=0.05, loss="mse")
+        history = OrcoDCSFramework(config).fit_config(rows, epochs=30)
+        assert history.epochs[-1].train_loss < 0.5 * history.epochs[0].train_loss
+
+    def test_huber_threshold_is_one(self):
+        framework = OrcoDCSFramework(OrcoDCSConfig(input_dim=30,
+                                                   latent_dim=6))
+        assert framework.loss.delta == 1.0
+
+    def test_noise_sigma_stays_fixed_through_fit(self):
         config = OrcoDCSConfig(input_dim=30, latent_dim=6, noise_sigma=0.2)
         framework = OrcoDCSFramework(config)
-        framework.noise.decay = 0.5
-        framework.fit_config(toy_rows(16, 30), epochs=2)
-        assert abs(framework.noise.sigma - 0.05) < 1e-12
+        framework.fit_config(toy_rows(16, 30), epochs=3)
+        assert framework.noise.sigma == 0.2
 
     def test_overhead_reflects_decoder_depth(self):
         shallow = OrcoDCSFramework(OrcoDCSConfig(input_dim=64, latent_dim=8,
@@ -225,21 +249,6 @@ class TestOrcoDCSFramework:
                                               decoder_layers=5))
         assert deep.overhead().edge_compute_share > \
             shallow.overhead().edge_compute_share
-
-    def test_vector_huber_loss_option(self):
-        config = OrcoDCSConfig(input_dim=30, latent_dim=6,
-                               loss="vector_huber", huber_delta=5.0)
-        framework = OrcoDCSFramework(config)
-        history = framework.fit_config(toy_rows(16, 30), epochs=1)
-        assert history.rounds[0].train_loss > 0
-
-    @pytest.mark.parametrize("loss", ["huber", "vector_huber"])
-    def test_nan_huber_delta_fails_at_construction(self, loss):
-        """It used to build a framework whose first round's loss was NaN."""
-        config = OrcoDCSConfig(input_dim=30, latent_dim=6, loss=loss,
-                               huber_delta=float("nan"))
-        with pytest.raises(ValueError, match="delta"):
-            OrcoDCSFramework(config)
 
     def test_reconstruct_diverse_shapes_and_clean_head(self):
         config = OrcoDCSConfig(input_dim=30, latent_dim=6, noise_sigma=0.3,

@@ -31,6 +31,15 @@ class TestSchedulerSetup:
         with pytest.raises(RuntimeError):
             EdgeTrainingScheduler("fifo").run()
 
+    @pytest.mark.parametrize("battery_j", [float("nan"), 0.0, -1.0])
+    def test_bad_aggregator_battery_rejected_at_registration(self,
+                                                             battery_j):
+        scheduler = EdgeTrainingScheduler("fifo", engine="event")
+        with pytest.raises(ValueError, match="aggregator_battery_j"):
+            scheduler.add_cluster("a", make_framework(), cluster_data(),
+                                  aggregator_battery_j=battery_j)
+        assert scheduler.clusters == []
+
     def test_nan_deadline_rejected(self):
         """A NaN deadline has no place in the EDF order: deadlines
         [5.0, nan, 1.0] used to serve the 1.0 s cluster last."""

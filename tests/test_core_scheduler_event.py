@@ -235,6 +235,50 @@ class TestFaultInjection:
         assert report.dead_clusters == {}
         assert report.retirement_reasons == {}
 
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    def test_failover_in_the_last_round_keeps_the_makespan(self, fused):
+        """A failover delays the cluster's next round; after c0's last
+        round there is none, so the run ends when it did without the
+        fault, and a fault after that end never fires."""
+        ideal = build_scheduler("event", segment_batching=fused).run(
+            rounds_per_cluster=8)
+        last = ideal.completion_times["c0"][-1]
+        faults = FaultSchedule([
+            FaultEvent(last - 1e-4, "aggregator_death", "c0"),
+            FaultEvent(last - 1e-4 + 0.5, "node_death", "c1", device=3)])
+        report = build_scheduler(
+            "event", segment_batching=fused, fault_schedule=faults,
+            resilience=ResilientOrchestrationPolicy(
+                failover_downtime_s=1.0)).run(rounds_per_cluster=8)
+        assert report.makespan_s == ideal.makespan_s
+        assert report.completion_times == ideal.completion_times
+        assert report.faults_applied == 1
+
+    @pytest.mark.parametrize("fused", [True, False],
+                             ids=["fused", "unfused"])
+    def test_failover_after_a_cluster_finished_keeps_the_makespan(self,
+                                                                  fused):
+        """Under ``fifo`` c0 finishes first; its aggregator dies while c1
+        and c2 still train.  The failover fires, but the downtime has no
+        round of c0's left to delay."""
+        ideal = build_scheduler("event", policy="fifo",
+                                segment_batching=fused).run(
+            rounds_per_cluster=8)
+        c0_done = ideal.completion_times["c0"][-1]
+        assert c0_done + 1e-3 < ideal.makespan_s
+        faults = FaultSchedule([
+            FaultEvent(c0_done + 1e-3, "aggregator_death", "c0")])
+        report = build_scheduler(
+            "event", policy="fifo", segment_batching=fused,
+            fault_schedule=faults,
+            resilience=ResilientOrchestrationPolicy(
+                failover_downtime_s=10.0)).run(rounds_per_cluster=8)
+        assert report.faults_applied == 1
+        assert report.dead_clusters == {}
+        assert report.makespan_s == ideal.makespan_s
+        assert report.completion_times == ideal.completion_times
+
     def test_cancelled_run_skips_faults_after_its_end(self):
         """A cancel ends the run at its boundary; a fault scheduled
         after that never fires."""

@@ -128,24 +128,20 @@ class TestShapeLayers:
 
 
 class TestActivationLayers:
-    @pytest.mark.parametrize("name,fn", [
-        ("relu", lambda x: np.maximum(x, 0)),
-        ("sigmoid", lambda x: 1 / (1 + np.exp(-x))),
-        ("tanh", np.tanh),
-        ("identity", lambda x: x),
+    @pytest.mark.parametrize("layer,fn", [
+        (nn.ReLU, lambda x: np.maximum(x, 0)),
+        (nn.Sigmoid, lambda x: 1 / (1 + np.exp(-x))),
+        (nn.Tanh, np.tanh),
+        (nn.Identity, lambda x: x),
     ])
-    def test_matches_numpy(self, name, fn):
-        layer = nn.make_activation(name)
+    def test_matches_numpy(self, layer, fn):
+        layer = layer()
         x = np.linspace(-2, 2, 7)
         assert np.allclose(layer(Tensor(x)).data, fn(x))
 
     def test_softmax_layer(self):
         out = nn.Softmax()(Tensor(np.zeros((2, 4))))
         assert np.allclose(out.data, 0.25)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            nn.make_activation("swish9000")
 
     def test_leaky_relu_layer(self):
         layer = nn.LeakyReLU(0.2)

@@ -145,13 +145,3 @@ class TestAccuracy:
     def test_accepts_tensors(self):
         logits = Tensor(np.array([[2.0, 1.0]]))
         assert nn.accuracy(logits, np.array([0])) == 1.0
-
-
-class TestRegistry:
-    def test_make_loss(self):
-        assert isinstance(nn.make_loss("mse"), nn.MSELoss)
-        assert isinstance(nn.make_loss("huber", delta=2.0), nn.HuberLoss)
-
-    def test_unknown_loss(self):
-        with pytest.raises(KeyError):
-            nn.make_loss("hinge")

@@ -62,6 +62,15 @@ class TestRunShardedValidation:
         with pytest.raises(ValueError, match="require engine='event'"):
             default_fleet_builder(job, None, fleet_rng(ROOT_SEED, 0))
 
+    def test_nan_battery_rejected_when_built(self):
+        """A NaN ``battery_j`` used to run as if the battery were
+        infinite: no cluster ever retired, whatever it spent."""
+        job = FleetJob(0, "nan-battery", {"clusters": 2, "engine": "event",
+                                          "loss": 0.2, "retries": 1,
+                                          "battery_j": "nan"})
+        with pytest.raises(ValueError, match="aggregator_battery_j"):
+            default_fleet_builder(job, None, fleet_rng(ROOT_SEED, 0))
+
     @pytest.mark.parametrize("engine", ["event", "analytic"])
     def test_lossy_settings_build_channels(self, engine):
         job = FleetJob(0, "lossy", {"engine": engine, "loss": 0.3,

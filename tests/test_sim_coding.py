@@ -348,12 +348,12 @@ class TestCodingSpecPlumbing:
         assert base.recovery == "arq"
         assert ChannelSpec(loss=0.1,
                            arq=ARQConfig(max_retries=0)).recovery == "none"
-        fec = base.with_coding(2)
+        fec = base.with_coding(CodingSpec(parity_frames=2))
         assert fec.coding == CodingSpec(parity_frames=2)
         assert fec.recovery == "fec"
-        hybrid = base.with_coding(3, arq_fallback=True)
+        assert fec.arq == base.arq and fec.loss == base.loss
+        hybrid = base.with_coding(CodingSpec(3, arq_fallback=True))
         assert hybrid.recovery == "hybrid"
-        assert hybrid.with_coding(None).recovery == "arq"
 
     def test_coded_spec_is_never_ideal(self):
         # Parity frames radiate bytes and airtime even with zero loss.

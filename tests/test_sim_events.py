@@ -74,31 +74,31 @@ class TestScheduling:
         assert sim.empty
 
 
-class TestRunUntil:
-    def test_run_until_leaves_later_events_queued(self):
+class TestRunAndStep:
+    def test_step_fires_one_event_and_leaves_later_ones_queued(self):
         sim = EventScheduler()
         fired = []
         sim.schedule(1.0, fired.append, "early")
         sim.schedule(5.0, fired.append, "late")
-        sim.run(until=2.0)
-        assert fired == ["early"] and sim.now == 2.0
-        sim.run()
+        assert sim.peek_time() == 1.0
+        assert sim.step() is True
+        assert fired == ["early"] and sim.now == 1.0
+        assert sim.peek_time() == 5.0
+        assert sim.run() == 5.0
         assert fired == ["early", "late"] and sim.now == 5.0
+        assert sim.peek_time() is None
 
-    def test_run_until_advances_idle_clock(self):
+    def test_run_on_an_empty_queue_keeps_the_clock(self):
+        sim = EventScheduler(start_s=7.5)
+        assert sim.run() == 7.5
+        assert sim.now == 7.5 and sim.events_processed == 0
+
+    def test_cancelled_tail_event_does_not_advance_the_clock(self):
         sim = EventScheduler()
-        sim.run(until=7.5)
-        assert sim.now == 7.5
-
-    def test_max_events_guard(self):
-        sim = EventScheduler()
-
-        def forever():
-            sim.schedule(1.0, forever)
-
-        sim.schedule(1.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=50)
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(5.0, lambda: None).cancel()
+        assert sim.run() == 1.0
+        assert sim.events_processed == 1 and sim.empty
 
     def test_step_returns_false_when_drained(self):
         sim = EventScheduler()

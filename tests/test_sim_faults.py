@@ -36,6 +36,12 @@ class RecordingTarget:
         self.calls.append(("kill_cluster",))
 
 
+def step_through(sim, time_s):
+    """Fire every event of ``sim`` due at or before ``time_s``."""
+    while sim.peek_time() is not None and sim.peek_time() <= time_s:
+        sim.step()
+
+
 class TestFaultEvent:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -125,7 +131,7 @@ class TestInjector:
         ])
         injector = FaultInjector(schedule, {"c": target})
         injector.arm(sim)
-        sim.run(until=1.5)
+        step_through(sim, 1.5)
         assert target.calls == [("brownout", 0.9)]
         sim.run()
         assert len(injector.applied) == 2
@@ -159,7 +165,7 @@ class TestFaultHorizon:
         assert injector.horizon() == 1.0          # pre-arm: schedule order
         injector.arm(sim)
         assert injector.horizon() == 1.0
-        sim.run(until=2.0)
+        step_through(sim, 2.0)
         assert injector.horizon() == 4.0
         sim.run()
         assert injector.horizon() == float("inf")

@@ -102,20 +102,36 @@ class TestBuildTree:
         assert sorted(tree.nodes) == [0, 1, 2]
         assert len(tree.extended_edges) == 1
 
+    def test_paths_minimise_total_metres(self):
+        # Bellman-Ford over the in-range pairs: the least metres from
+        # every node to the root, which each tree path must match.
+        net = grid_network(range_m=25.0)
+        dist = np.linalg.norm(net.positions()[:, None]
+                              - net.positions()[None], axis=-1)
+        hop = np.where(dist <= net.comm_range_m, dist, np.inf)
+        best = np.full(len(dist), np.inf)
+        best[net.aggregator_id] = 0.0
+        for _ in range(len(dist)):
+            best = np.minimum(best, (hop + best[None]).min(axis=1))
+        tree = build_aggregation_tree(net)
+        assert not tree.extended_edges
+        for node in net.device_ids:
+            path = tree.path_to_root(node)
+            metres = sum(dist[a, b] for a, b in zip(path, path[1:]))
+            assert metres == pytest.approx(best[node], abs=1e-9)
+
+    def test_roots_at_the_network_aggregator(self):
+        net = grid_network()
+        for aggregator in (12, 7):
+            net.set_aggregator(aggregator)
+            tree = build_aggregation_tree(net)
+            assert tree.root == aggregator and tree.parent[aggregator] is None
+            assert sorted(tree.nodes) == net.device_ids
+
     def test_requires_root(self):
         net = WSNetwork(np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValueError):
             build_aggregation_tree(net)
-
-    def test_hops_metric_shallower_or_equal(self):
-        net = grid_network(range_m=25.0)
-        by_dist = build_aggregation_tree(net, weight="distance")
-        by_hops = build_aggregation_tree(net, weight="hops")
-        assert by_hops.max_depth() <= by_dist.max_depth()
-
-    def test_rejects_unknown_weight(self):
-        with pytest.raises(ValueError, match="'distances'"):
-            build_aggregation_tree(grid_network(), weight="distances")
 
 
 class TestTDMA:

@@ -70,6 +70,12 @@ class TestBattery:
         battery.recharge()
         assert battery.remaining_j == 1.0
 
+    def test_nan_capacity_rejected(self):
+        """A NaN capacity passed the ``<= 0`` check and built a battery
+        no drain could ever deplete."""
+        with pytest.raises(ValueError, match="capacity"):
+            Battery(float("nan"))
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             Battery(0.0)

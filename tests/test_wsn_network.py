@@ -54,6 +54,16 @@ class TestTopology:
         with pytest.raises(ValueError):
             WSNetwork(np.zeros((3, 2)), comm_range_m=0)
 
+    def test_nan_battery_and_range_rejected(self):
+        """NaN passed both ``<= 0`` checks: a NaN battery built a
+        network with no device alive, and a NaN range bridged every
+        tree edge as an ``extended_edges`` hop."""
+        positions = place_grid(16, (60.0, 60.0))
+        with pytest.raises(ValueError, match="capacity"):
+            WSNetwork(positions, battery_capacity_j=float("nan"))
+        with pytest.raises(ValueError, match="comm_range_m"):
+            WSNetwork(positions, comm_range_m=float("nan"))
+
     def test_node_positions_are_read_only_copies(self):
         positions = np.array([[0.0, 0.0], [10.0, 0.0]])
         net = WSNetwork(positions)
