@@ -43,6 +43,7 @@ from .orchestrator import (
     OrcoDCSFramework,
     RoundRecord,
     TrainingHistory,
+    config_overhead,
 )
 from .timing import (
     DeviceProfile,
@@ -73,7 +74,7 @@ __all__ = [
     "ResilientOrchestrationPolicy",
     "ScheduledCluster", "ScheduleReport",
     "EpochRecord", "OrchestratedTrainer", "OrcoDCSFramework", "RoundRecord",
-    "TrainingHistory",
+    "TrainingHistory", "config_overhead",
     "DeviceProfile", "OrchestrationTimingModel", "OverheadReport",
     "RoundTiming", "conv2d_flops", "dense_flops",
     "dense_stack_flops", "edge_server_profile", "iot_aggregator_profile",

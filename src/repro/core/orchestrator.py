@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .config import LOSSES, OrcoDCSConfig
 from .noise import GaussianNoiseInjector
 from .timing import (
     OrchestrationTimingModel,
+    OverheadReport,
     RoundTiming,
     dense_flops,
     dense_stack_flops,
@@ -352,26 +353,17 @@ class OrcoDCSFramework(OrchestratedTrainer):
         rng = rng or np.random.default_rng(config.seed)
         model = AsymmetricAutoencoder(config, rng)
         loss = LOSSES[config.loss]()
-        decoder_dims = self._decoder_dims(config)
+        encoder_flops, decoder_flops = _forward_flops(config)
         super().__init__(
             model.encoder, model.decoder,
             input_dim=config.input_dim, latent_dim=config.latent_dim,
             loss=loss, noise=model.noise,
-            encoder_forward_flops=dense_flops(config.input_dim, config.latent_dim),
-            decoder_forward_flops=dense_stack_flops(decoder_dims),
+            encoder_forward_flops=encoder_flops,
+            decoder_forward_flops=decoder_flops,
             timing=timing, learning_rate=config.learning_rate, rng=rng,
             name="OrcoDCS")
         self.config = config
         self.model = model
-
-    @staticmethod
-    def _decoder_dims(config: OrcoDCSConfig) -> List[int]:
-        if config.decoder_layers == 1:
-            return [config.latent_dim, config.input_dim]
-        hidden = config.hidden_width
-        return ([config.latent_dim]
-                + [hidden] * (config.decoder_layers - 1)
-                + [config.input_dim])
 
     def fit_config(self, train_rows: np.ndarray, epochs: int = 10,
                    val_rows: Optional[np.ndarray] = None,
@@ -402,9 +394,31 @@ class OrcoDCSFramework(OrchestratedTrainer):
             outputs.append(self.decoder(noisy).data)
         return np.vstack(outputs)
 
-    def overhead(self):
+    def overhead(self) -> OverheadReport:
         """Sec. III-E's overhead breakdown for this configuration."""
-        return overhead_report(
-            self.config.batch_size, self.config.input_dim,
-            self.config.latent_dim, self.encoder_forward_flops,
-            self.decoder_forward_flops)
+        return config_overhead(self.config)
+
+
+def _forward_flops(config: OrcoDCSConfig) -> Tuple[int, int]:
+    """Per-sample forward FLOPs of ``config``'s encoder and decoder."""
+    if config.decoder_layers == 1:
+        decoder_dims = [config.latent_dim, config.input_dim]
+    else:
+        hidden = config.hidden_width
+        decoder_dims = ([config.latent_dim]
+                        + [hidden] * (config.decoder_layers - 1)
+                        + [config.input_dim])
+    return (dense_flops(config.input_dim, config.latent_dim),
+            dense_stack_flops(decoder_dims))
+
+
+def config_overhead(config: OrcoDCSConfig) -> OverheadReport:
+    """Sec. III-E's overhead breakdown for ``config``.
+
+    It reads the config alone, so no model is built:
+    :meth:`OrcoDCSFramework.overhead` returns it for the framework's
+    config, and the overhead experiment calls it directly.
+    """
+    encoder_flops, decoder_flops = _forward_flops(config)
+    return overhead_report(config.batch_size, config.input_dim,
+                           config.latent_dim, encoder_flops, decoder_flops)

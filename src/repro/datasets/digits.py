@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 IMAGE_SIZE = 28
 NUM_CLASSES = 10
@@ -65,6 +64,9 @@ class DigitConfig:
 def render_digit(digit: int, rng: np.random.Generator,
                  config: Optional[DigitConfig] = None) -> np.ndarray:
     """Render one randomised digit image in [0, 1]."""
+    # Imported on use, so that importing the package does not load scipy.
+    from scipy import ndimage
+
     config = config or DigitConfig()
     size = config.image_size
     bitmap = glyph_bitmap(digit)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 
 @dataclass
@@ -59,6 +58,9 @@ class SensorField:
 
     def _draw_innovation(self) -> np.ndarray:
         """Fresh smooth zero-mean unit-ish variance field."""
+        # Imported on use, so that importing the package does not load scipy.
+        from scipy import ndimage
+
         white = self.rng.standard_normal((self.resolution, self.resolution))
         sigma = self.regime.correlation_length / \
             (self.area[0] / self.resolution)
@@ -98,6 +100,8 @@ class SensorField:
     def read(self, positions: np.ndarray,
              noise_std: float = 0.0) -> np.ndarray:
         """Sample the field at ``(n, 2)`` positions (bilinear interpolation)."""
+        from scipy import ndimage
+
         positions = np.asarray(positions, dtype=float)
         grid = self._grid_values()
         scale_x = (self.resolution - 1) / self.area[0]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 IMAGE_SIZE = 32
 NUM_CLASSES = 43
@@ -120,6 +119,9 @@ def render_sign(label: int, rng: np.random.Generator,
     """Render one randomised sign image: ``(size, size, 3)`` in [0, 1]."""
     if not 0 <= label < NUM_CLASSES:
         raise ValueError(f"label must be in [0, {NUM_CLASSES}), got {label}")
+    # Imported on use, so that importing the package does not load scipy.
+    from scipy import ndimage
+
     config = config or SignConfig()
     size = config.image_size
     shape, border_name, fill_name, glyph_name = _CLASS_TABLE[label]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import os
 import sys
 import time
@@ -76,6 +77,10 @@ def main(argv=None) -> int:
                              "python -m repro.serve.dashboard --connect ...) "
                              "instead of a file")
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        parser.error(f"--scale must be finite and > 0, got {args.scale}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.serve and args.telemetry:
         parser.error("--serve and --telemetry are mutually exclusive "
                      "(the control plane streams events over TCP)")

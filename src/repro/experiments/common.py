@@ -286,10 +286,11 @@ def sweep_with_dcsnet_reference(workload: ImageWorkload, configs,
     variant_time = {}
     slowest = 0.0
     for label, config in configs.items():
-        framework = OrcoDCSFramework(config)
+        # Bound to no name, the trained variant is freed as soon as its
+        # curve is taken, before the next model is built.
         times, mses, _ = train_with_mse_curve(
-            framework, workload.train_rows, workload.test_rows, epochs,
-            batch_size=config.batch_size)
+            OrcoDCSFramework(config), workload.train_rows,
+            workload.test_rows, epochs, batch_size=config.batch_size)
         result.add_series(f"{label}/{workload.name}",
                           list(range(1, len(mses) + 1)), mses,
                           "epoch", "val_mse")

@@ -54,6 +54,7 @@ def run_task(workload: ImageWorkload, epochs: int, seed: int,
     orco_times, orco_mses, _ = train_with_mse_curve(
         orco, workload.train_rows, val_rows, epochs,
         batch_size=config.batch_size)
+    del orco  # freed before DCSNet is built
 
     dcsnet = DCSNetOnline(image_shape=workload.image_shape, seed=seed,
                           data_fraction=0.5)

@@ -56,6 +56,9 @@ def _reconstruction_sets(workload: ImageWorkload, epochs: int, seed: int
         "train_labels": np.tile(workload.train_labels, 2),
         "test": orco.reconstruct(workload.test_rows),
     }
+    # Each trained model is freed once its reconstructions are taken, so
+    # no two are held at once.
+    del orco
     for fraction in (0.3, 0.5, 0.7):
         dcsnet = DCSNetOnline(image_shape=workload.image_shape, seed=seed,
                               data_fraction=fraction)
@@ -67,6 +70,7 @@ def _reconstruction_sets(workload: ImageWorkload, epochs: int, seed: int
             "train_labels": workload.train_labels,
             "test": dcsnet.reconstruct(workload.test_rows),
         }
+        del dcsnet
     return sets
 
 
@@ -85,6 +89,7 @@ def run_task(workload: ImageWorkload, recon_epochs: int,
                                  data["test"], workload.test_labels,
                                  epochs=max_epoch,
                                  eval_epochs=classifier_epochs)
+        del classifier
         result.add_series(f"{label}/{workload.name}/accuracy",
                           history.epochs, history.test_accuracy,
                           "epoch", "test_accuracy")

@@ -15,7 +15,7 @@ small multiples of the raw data size; DCSNet's aggregator-side cost is
 from __future__ import annotations
 
 from ..baselines.dcsnet import DCSNET_LATENT_DIM, dcsnet_decoder_flops
-from ..core import OrcoDCSConfig, OrcoDCSFramework, dense_flops
+from ..core import OrcoDCSConfig, config_overhead, dense_flops
 from .common import ExperimentResult
 
 _TASKS = {
@@ -37,8 +37,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             config = OrcoDCSConfig(input_dim=spec["input_dim"],
                                    latent_dim=spec["latent"],
                                    decoder_layers=depth, seed=seed)
-            framework = OrcoDCSFramework(config)
-            report = framework.overhead()
+            report = config_overhead(config)
             label = f"OrcoDCS-{depth}L"
             result.add_row(
                 dataset=task, framework=label,

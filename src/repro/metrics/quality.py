@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import ndimage
 
 
 def mse(original: np.ndarray, reconstructed: np.ndarray) -> float:
@@ -55,6 +54,9 @@ def ssim(original: np.ndarray, reconstructed: np.ndarray,
         return float(np.mean(channels))
     if original.ndim != 2:
         raise ValueError("ssim expects 2-D or 3-D (H, W[, C]) images")
+
+    # Imported on use, so that importing the package does not load scipy.
+    from scipy import ndimage
 
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2

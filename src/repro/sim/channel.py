@@ -1012,6 +1012,16 @@ class ChannelSpec:
     coding: Optional[CodingSpec] = None
     vectorize: bool = True
 
+    def __post_init__(self):
+        # Checked here so that a bad value fails where it is set, not at
+        # the first read of ``recovery``; with_arq and with_coding go
+        # through dataclasses.replace, which runs this too.
+        if not isinstance(self.arq, ARQConfig):
+            raise TypeError(f"arq must be an ARQConfig, got {self.arq!r}")
+        if self.coding is not None and not isinstance(self.coding, CodingSpec):
+            raise TypeError("coding must be a CodingSpec or None, "
+                            f"got {self.coding!r}")
+
     def build(self, link: LinkModel,
               rng: np.random.Generator) -> UnreliableChannel:
         loss = self.loss() if callable(self.loss) else self.loss

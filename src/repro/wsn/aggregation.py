@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .geometry import pairwise_distances
@@ -166,6 +165,9 @@ def build_aggregation_tree(network: WSNetwork) -> AggregationTree:
     exists — mirroring real deployments that raise TX power for stranded
     nodes.
     """
+    # Imported on use, so that importing the package does not load networkx.
+    import networkx as nx
+
     root = network.aggregator_id
     if root is None:
         raise ValueError("network has no aggregator")

@@ -8,6 +8,7 @@ from repro.core import (
     OrcoDCSFramework,
     OrchestratedTrainer,
     TrainingHistory,
+    config_overhead,
 )
 from repro.nn import Dense, HuberLoss, Sequential, Sigmoid
 
@@ -249,6 +250,17 @@ class TestOrcoDCSFramework:
                                               decoder_layers=5))
         assert deep.overhead().edge_compute_share > \
             shallow.overhead().edge_compute_share
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(input_dim=64, latent_dim=8),
+        dict(input_dim=64, latent_dim=8, decoder_layers=3, batch_size=16),
+        dict(input_dim=30, latent_dim=40, decoder_layers=2,
+             dtype=np.float32),
+        dict(input_dim=784, latent_dim=128, decoder_layers=5, seed=3),
+    ])
+    def test_config_overhead_matches_the_built_framework(self, kwargs):
+        config = OrcoDCSConfig(**kwargs)
+        assert config_overhead(config) == OrcoDCSFramework(config).overhead()
 
     def test_reconstruct_diverse_shapes_and_clean_head(self):
         config = OrcoDCSConfig(input_dim=30, latent_dim=6, noise_sigma=0.3,

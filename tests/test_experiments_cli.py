@@ -63,6 +63,27 @@ class TestArguments:
             main(["fig99"])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("scale", ["-1", "0", "inf", "nan"])
+    def test_bad_scale_rejected_before_any_experiment_runs(
+            self, scale, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setitem(EXPERIMENTS, "fake", fake_experiment(calls))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fake", "--scale", scale])
+        assert exit_info.value.code == 2
+        assert calls == []
+        assert "--scale must be finite and > 0" in capsys.readouterr().err
+
+    def test_negative_seed_rejected_before_any_experiment_runs(
+            self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setitem(EXPERIMENTS, "fake", fake_experiment(calls))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fake", "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert calls == []
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
     def test_serve_and_telemetry_are_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["multicluster", "--serve", "0",

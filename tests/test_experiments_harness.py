@@ -1,6 +1,8 @@
 """Unit tests for the experiment harness plumbing."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -143,3 +145,93 @@ class TestComparisonHelpers:
                                               time_budget_s=budget)
         assert times[-1] <= budget + probe.clock_s
         assert len(times) < 50
+
+
+class _LifetimeProbe:
+    """Records, as each watched model is built, how many earlier ones
+    are still alive.
+
+    Run with the cyclic collector off, so a model counts as freed only
+    when its last reference went, not when a collection happened to run.
+    """
+
+    def __init__(self):
+        self.refs = []
+        self.alive_at_build = []
+
+    def watch(self, cls):
+        probe = self
+
+        class Watched(cls):
+            def __init__(self, *args, **kwargs):
+                probe.alive_at_build.append(
+                    sum(ref() is not None for ref in probe.refs))
+                super().__init__(*args, **kwargs)
+                probe.refs.append(weakref.ref(self))
+
+        return Watched
+
+
+@pytest.fixture
+def probe():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield _LifetimeProbe()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestModelLifetimes:
+    """The image figures free each trained model before building the
+    next, so a sweep's resident peak is one model's, not two."""
+
+    def test_sweep_frees_each_variant_before_the_next(self, probe,
+                                                      monkeypatch):
+        import repro.baselines
+        import repro.core
+        from repro.core import OrcoDCSConfig
+        from repro.experiments.common import (IMAGE_DTYPE,
+                                              sweep_with_dcsnet_reference)
+
+        monkeypatch.setattr(repro.core, "OrcoDCSFramework",
+                            probe.watch(repro.core.OrcoDCSFramework))
+        monkeypatch.setattr(repro.baselines, "DCSNetOnline",
+                            probe.watch(repro.baselines.DCSNetOnline))
+        workload = digits_workload(scale=0.01, seed=0)
+        configs = {f"M={m}": OrcoDCSConfig(input_dim=workload.input_dim,
+                                           latent_dim=m, seed=0,
+                                           dtype=IMAGE_DTYPE)
+                   for m in (8, 16, 32)}
+        finals, _ = sweep_with_dcsnet_reference(
+            workload, configs, epochs=2, seed=0,
+            result=ExperimentResult("sweep", "lifetime probe"))
+        assert set(finals) == {"M=8", "M=16", "M=32", "DCSNet"}
+        # Three variants, then the DCSNet reference.
+        assert probe.alive_at_build == [0, 0, 0, 0]
+
+    def test_fig5_frees_each_model_before_the_next(self, probe, monkeypatch):
+        from repro.experiments import fig5_classifier
+
+        for name in ("OrcoDCSFramework", "DCSNetOnline", "ImageClassifier"):
+            monkeypatch.setattr(fig5_classifier, name,
+                                probe.watch(getattr(fig5_classifier, name)))
+        result = ExperimentResult("fig5", "lifetime probe")
+        fig5_classifier.run_task(digits_workload(scale=0.01, seed=0),
+                                 recon_epochs=2, classifier_epochs=[1],
+                                 seed=0, result=result, strict=False)
+        # OrcoDCS and three DCSNet fractions, then one classifier each.
+        assert probe.alive_at_build == [0] * 8
+
+    def test_fig4_frees_orcodcs_before_building_dcsnet(self, probe,
+                                                       monkeypatch):
+        from repro.experiments import fig4_time_to_loss
+
+        for name in ("OrcoDCSFramework", "DCSNetOnline"):
+            monkeypatch.setattr(fig4_time_to_loss, name,
+                                probe.watch(getattr(fig4_time_to_loss, name)))
+        result = ExperimentResult("fig4", "lifetime probe")
+        fig4_time_to_loss.run_task(digits_workload(scale=0.01, seed=0),
+                                   epochs=2, seed=0, result=result)
+        assert probe.alive_at_build == [0, 0]

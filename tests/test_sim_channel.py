@@ -214,6 +214,24 @@ class TestChannelSpec:
         assert channel_a.loss is not channel_b.loss
         assert not spec.ideal
 
+    # A wrong-typed ``coding`` or ``arq`` used to construct and fail
+    # only at the first read of ``recovery`` (``AttributeError``).
+    def test_int_coding_rejected_at_construction(self):
+        with pytest.raises(TypeError, match="coding must be a CodingSpec"):
+            ChannelSpec(coding=2)
+
+    def test_int_coding_rejected_by_with_coding(self):
+        with pytest.raises(TypeError, match="coding must be a CodingSpec"):
+            ChannelSpec(loss=0.1).with_coding(2)
+
+    def test_int_arq_rejected_at_construction(self):
+        with pytest.raises(TypeError, match="arq must be an ARQConfig"):
+            ChannelSpec(loss=0.1, arq=3)
+
+    def test_int_arq_rejected_by_with_arq(self):
+        with pytest.raises(TypeError, match="arq must be an ARQConfig"):
+            ChannelSpec(loss=0.1).with_arq(3)
+
     def test_ideal_property(self):
         assert ChannelSpec().ideal
         assert ChannelSpec(loss=0.0).ideal
