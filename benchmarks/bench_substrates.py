@@ -37,7 +37,7 @@ class TestNNSubstrate:
         model = nn.Sequential(nn.Dense(784, 128, rng=rng), nn.Sigmoid(),
                               nn.Dense(128, 784, rng=rng), nn.Sigmoid())
         optimizer = nn.Adam(model.parameters(), lr=1e-3)
-        loss = nn.HuberLoss(1.0)
+        loss = nn.HuberLoss()
         batch = rng.random((32, 784))
 
         def round_step():

@@ -154,10 +154,3 @@ class ImageClassifier:
                 history.test_loss.append(test_loss)
                 history.train_loss.append(train_loss)
         return history
-
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        """Class predictions for a batch."""
-        self.model.eval()
-        logits = self.model(Tensor(self._to_nchw(images)))
-        self.model.train()
-        return logits.data.argmax(axis=1)

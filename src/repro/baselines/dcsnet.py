@@ -129,8 +129,3 @@ class DCSNetOnline(OrchestratedTrainer):
         """28x28 grayscale configuration (the MNIST-class task)."""
         return cls(image_shape=(1, 28, 28), **kwargs)
 
-    @classmethod
-    def for_signs(cls, **kwargs) -> "DCSNetOnline":
-        """32x32 RGB configuration (the GTSRB-class task)."""
-        return cls(image_shape=(3, 32, 32), **kwargs)
-

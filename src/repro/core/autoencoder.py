@@ -75,38 +75,9 @@ class AsymmetricAutoencoder(L.Module):
         self.decoder = build_decoder(config, rng)
         self.noise = GaussianNoiseInjector(config.noise_sigma, rng)
 
-    # ------------------------------------------------------------------
-    def encode(self, x: Tensor) -> Tensor:
-        """Eq. (1): raw data rows ``(B, N)`` -> latent rows ``(B, M)``."""
-        return self.encoder(x)
-
     def decode(self, y: Tensor) -> Tensor:
         """Eq. (3): latent rows -> reconstructed rows ``(B, N)``."""
         return self.decoder(y)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Full round trip with train-time latent noise (eq. 2)."""
-        latent = self.encode(x)
-        noisy = self.noise(latent, training=self.training)
-        return self.decode(noisy)
-
-    # ------------------------------------------------------------------
-    def reconstruct(self, rows: np.ndarray) -> np.ndarray:
-        """Inference helper on raw numpy rows (no noise, no grad)."""
-        was_training = self.training
-        self.eval()
-        rows = np.atleast_2d(np.asarray(rows, dtype=self.config.dtype))
-        out = self.forward(Tensor(rows)).data
-        self.train(was_training)
-        return out
-
-    def encoder_parameters(self) -> List[L.Parameter]:
-        """Parameters living on the data aggregator."""
-        return self.encoder.parameters()
-
-    def decoder_parameters(self) -> List[L.Parameter]:
-        """Parameters living on the edge server."""
-        return self.decoder.parameters()
 
     def encoder_weights(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(We, be)`` in the paper's orientation.
@@ -117,9 +88,3 @@ class AsymmetricAutoencoder(L.Module):
         """
         dense = self.encoder[0]
         return dense.weight.data.T.copy(), dense.bias.data.copy()
-
-    def device_column(self, device_index: int) -> np.ndarray:
-        """Column ``i`` of ``We`` — the only weights device ``i`` needs
-        for distributed encoding (Sec. III-C)."""
-        weight_e, _ = self.encoder_weights()
-        return weight_e[:, device_index].copy()

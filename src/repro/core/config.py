@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
@@ -98,19 +98,10 @@ class OrcoDCSConfig:
         return self.input_dim / self.latent_dim
 
     @property
-    def is_compressive(self) -> bool:
-        """True when the latent is strictly smaller than the input."""
-        return self.latent_dim < self.input_dim
-
-    @property
     def hidden_width(self) -> int:
         """Hidden width of multi-layer decoders:
         ``max(latent_dim, input_dim // 2)``."""
         return max(self.latent_dim, self.input_dim // 2)
-
-    def with_overrides(self, **kwargs) -> "OrcoDCSConfig":
-        """Functional update — used by the sensitivity sweeps."""
-        return replace(self, **kwargs)
 
 
 def _training_dtype(value) -> np.dtype:

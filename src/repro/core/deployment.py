@@ -86,8 +86,7 @@ class EncoderDeployment:
         """Ship each device its encoder column down the tree; returns the
         cost report (the one-time deployment overhead of Fig. 3)."""
         report = simulate_encoder_distribution(
-            self.network, self.tree, self.model.config.latent_dim,
-            VALUE_BYTES)
+            self.network, self.tree, self.model.config.latent_dim)
         self.distributed = True
         return report
 
@@ -126,13 +125,11 @@ class EncoderDeployment:
         if failed:
             report = simulate_masked_hybrid_aggregation(
                 self.network, self.tree, self.model.config.latent_dim,
-                failed=failed, values_per_node=1, value_bytes=VALUE_BYTES,
-                kind="compressed_round")
+                failed=failed, values_per_node=1, kind="compressed_round")
         else:
             report = simulate_hybrid_aggregation(
                 self.network, self.tree, self.model.config.latent_dim,
-                values_per_node=1, value_bytes=VALUE_BYTES,
-                kind="compressed_round")
+                values_per_node=1, kind="compressed_round")
         severed = failed | report.failed_hops
         if severed:
             partial, _, contributors = hybrid_encode_partial(

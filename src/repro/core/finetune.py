@@ -87,10 +87,6 @@ class AdaptationLog:
     def num_retrains(self) -> int:
         return len(self.events)
 
-    def errors_between(self, start_round: int, end_round: int) -> List[float]:
-        return [e for r, e in zip(self.check_rounds, self.errors)
-                if start_round <= r < end_round]
-
 
 class OnlineAdaptationLoop:
     """Drives sensing + monitoring + fine-tuning relaunches.

@@ -126,8 +126,7 @@ def stacking_key(trainer: OrchestratedTrainer) -> Optional[tuple]:
         signature = []
         for layer in model.layers:
             entry = [type(layer).__name__]
-            for attr in ("in_features", "out_features", "negative_slope",
-                         "axis"):
+            for attr in ("in_features", "out_features"):
                 if hasattr(layer, attr):
                     entry.append((attr, getattr(layer, attr)))
             entry.append(getattr(layer, "bias", None) is not None)
@@ -223,14 +222,13 @@ class FleetTrainer:
         return latent + Tensor(buffer)
 
     # ------------------------------------------------------------------
-    def forward(self, batches: np.ndarray, training: bool = True,
+    def forward(self, batches: np.ndarray,
                 active: ActiveSlices = None) -> Tensor:
         """Stacked encode -> noise -> decode over ``(K, B, N)`` batches."""
         index = _as_index(active, self.num_clusters)
         x = Tensor(batches)
         latent = run_stack(self.encoder_layers, x, index)
-        if training:
-            latent = self._inject_noise(latent, self._active_trainers(index))
+        latent = self._inject_noise(latent, self._active_trainers(index))
         return run_stack(self.decoder_layers, latent, index)
 
     def step(self, batches: np.ndarray,
@@ -265,7 +263,7 @@ class FleetTrainer:
         if batches.shape[2] != self.input_dim:
             raise ValueError(f"batch dim {batches.shape[2]} != "
                              f"input_dim {self.input_dim}")
-        reconstruction = self.forward(batches, training=True, active=index)
+        reconstruction = self.forward(batches, active=index)
         per_cluster = self.loss.per_cluster(reconstruction, batches)
         total = per_cluster.sum()
         self.encoder_optimizer.zero_grad()
@@ -297,15 +295,6 @@ class FleetTrainer:
                                        trainer.clock_s, float(losses[row]),
                                        costs.up_bytes, costs.down_bytes))
         return records
-
-    def evaluate(self, rows: np.ndarray) -> np.ndarray:
-        """Per-cluster reconstruction loss on a shared ``(B, N)`` row set
-        (or a per-cluster ``(K, B, N)`` stack) — no noise, no updates."""
-        rows = np.asarray(rows, dtype=self.dtype)
-        if rows.ndim == 2:
-            rows = np.broadcast_to(rows, (self.num_clusters,) + rows.shape)
-        reconstruction = self.forward(rows, training=False)
-        return self.loss.per_cluster(reconstruction, rows).data.copy()
 
     # ------------------------------------------------------------------
     def subset(self, indices) -> "FleetSubset":
@@ -346,8 +335,8 @@ class FleetSubset:
     """A partial fleet: K' of the fleet's K clusters as one program.
 
     Built by :meth:`FleetTrainer.subset`; holds only the parent fleet
-    and an index array.  ``step``/``forward``/``evaluate`` run the
-    stacked tensor program gathered over exactly these clusters —
+    and an index array.  ``step`` runs the stacked tensor program
+    gathered over exactly these clusters —
     untouched clusters keep their weights *and* optimiser state (the
     per-slice masked updates of :mod:`repro.nn.batched`) — so the
     trajectory of each member matches training it in any other
@@ -358,18 +347,6 @@ class FleetSubset:
         self.fleet = fleet
         self.index = index
 
-    @property
-    def num_clusters(self) -> int:
-        return int(self.index.size)
-
-    @property
-    def trainers(self) -> List[OrchestratedTrainer]:
-        return [self.fleet.trainers[int(k)] for k in self.index]
-
-    def forward(self, batches: np.ndarray, training: bool = True) -> Tensor:
-        return self.fleet.forward(batches, training=training,
-                                  active=self.index)
-
     def step(self, batches: np.ndarray,
              epochs: Optional[Sequence[int]] = None) -> List[RoundRecord]:
         """One training round for every member cluster, in one pass.
@@ -379,14 +356,6 @@ class FleetSubset:
         :meth:`FleetTrainer.step` would with ``active=self.index``.
         """
         return self.fleet.step(batches, epochs=epochs, active=self.index)
-
-    def evaluate(self, rows: np.ndarray) -> np.ndarray:
-        """Per-member reconstruction loss (no noise, no updates)."""
-        rows = np.asarray(rows, dtype=self.fleet.dtype)
-        if rows.ndim == 2:
-            rows = np.broadcast_to(rows, (self.num_clusters,) + rows.shape)
-        reconstruction = self.forward(rows, training=False)
-        return self.fleet.loss.per_cluster(reconstruction, rows).data.copy()
 
 
 def _layer_params(layers: Sequence[Module]):

@@ -36,18 +36,14 @@ class GaussianNoiseInjector:
         self.sigma = float(sigma)
         self.rng = rng or np.random.default_rng()
 
-    @property
-    def variance(self) -> float:
-        """The sigma^2 the paper reports on its Fig. 7 axis labels."""
-        return self.sigma ** 2
+    def __call__(self, latent: Tensor) -> Tensor:
+        """Return ``latent + noise`` (``latent`` itself when sigma is 0).
 
-    def __call__(self, latent: Tensor, training: bool = True) -> Tensor:
-        """Return ``latent + noise`` (or ``latent`` unchanged at inference).
-
-        The noise is drawn in float64 whatever the latent's dtype (so
-        float32 and float64 models see one stream), then cast to it.
+        Callers inject only while training.  The noise is drawn in
+        float64 whatever the latent's dtype (so float32 and float64
+        models see one stream), then cast to it.
         """
-        if not training or self.sigma == 0.0:
+        if self.sigma == 0.0:
             return latent
         noise = self.rng.normal(0.0, self.sigma, latent.shape)
         return latent + Tensor(noise.astype(latent.dtype, copy=False))

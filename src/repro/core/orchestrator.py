@@ -106,19 +106,6 @@ class TrainingHistory:
         return np.array([r.train_loss for r in self.rounds])
 
     @property
-    def epoch_times(self) -> np.ndarray:
-        return np.array([e.time_s for e in self.epochs])
-
-    @property
-    def epoch_losses(self) -> np.ndarray:
-        return np.array([e.train_loss for e in self.epochs])
-
-    @property
-    def val_losses(self) -> np.ndarray:
-        return np.array([e.val_loss if e.val_loss is not None else np.nan
-                         for e in self.epochs])
-
-    @property
     def final_loss(self) -> float:
         if not self.rounds:
             raise ValueError("history is empty")
@@ -127,22 +114,6 @@ class TrainingHistory:
     @property
     def total_time_s(self) -> float:
         return self.rounds[-1].time_s if self.rounds else 0.0
-
-    def time_to_loss(self, threshold: float) -> Optional[float]:
-        """Modeled seconds until train loss first dips below ``threshold``
-        (None if never)."""
-        for record in self.rounds:
-            if record.train_loss <= threshold:
-                return record.time_s
-        return None
-
-    def smoothed_losses(self, window: int = 10) -> np.ndarray:
-        """Running-mean loss curve (round-level losses are noisy)."""
-        losses = self.losses
-        if window <= 1 or len(losses) < 2:
-            return losses
-        kernel = np.ones(min(window, len(losses))) / min(window, len(losses))
-        return np.convolve(losses, kernel, mode="valid")
 
 
 class OrchestratedTrainer:
@@ -215,7 +186,7 @@ class OrchestratedTrainer:
         """Aggregator side: eq. (1) encode, plus eq. (2) train-time noise."""
         latent = self.encoder(x)
         if self.noise is not None and training:
-            latent = self.noise(latent, training=True)
+            latent = self.noise(latent)
         return latent
 
     def decode_latent(self, latent: Tensor) -> Tensor:
@@ -390,7 +361,7 @@ class OrcoDCSFramework(OrchestratedTrainer):
         outputs = [self.reconstruct(rows)]
         for _ in range(copies - 1):
             latent = self.encoder(Tensor(rows))
-            noisy = self.noise(latent, training=True)
+            noisy = self.noise(latent)
             outputs.append(self.decoder(noisy).data)
         return np.vstack(outputs)
 

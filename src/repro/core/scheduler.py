@@ -461,6 +461,10 @@ class _EventClusterState:
             self.up_channel = None
             self.down_channel = None
 
+    @property
+    def num_devices(self) -> int:
+        return self.alive_mask.size
+
     # -- transmissions -------------------------------------------------
     def transmit_up(self, payload_bytes: int):
         return self._transmit(self.up_channel, self.cluster.trainer.timing.up,
@@ -610,11 +614,6 @@ class ExecutionPlan:
     traced: bool = False
     reason: str = ""
     reasons: Tuple[str, ...] = ()
-
-    @property
-    def stacked_clusters(self) -> int:
-        """Clusters that execute inside a multi-member stacked group."""
-        return sum(len(g) for g in self.groups if len(g) >= 2)
 
 
 class EdgeTrainingScheduler:
@@ -821,11 +820,7 @@ class EdgeTrainingScheduler:
             # (``vectorize=False``, or a loss model make_loss_sampler
             # refuses) keep the unfused loop — the only remaining
             # fault/loss coupling gate.
-            rederives = bool(self.fault_schedule) \
-                and self.channels is not None \
-                and (self.resilience.adaptive_arq
-                     or (self.resilience.recovery in ("fec", "hybrid")
-                         and self.channels.coding is None))
+            rederives = bool(self.fault_schedule) and self._adapts_budgets()
             if rederives and traced and not self.channels.rerecordable:
                 blockers.append((
                     "non-rerecordable-channel",
@@ -902,6 +897,59 @@ class EdgeTrainingScheduler:
     # ------------------------------------------------------------------
     # Event engine: asynchronous rounds on the discrete-event kernel
     # ------------------------------------------------------------------
+    def _adapts_budgets(self) -> bool:
+        """Whether this run derives per-cluster channel budgets: adaptive
+        ARQ, or adaptive erasure coding over an uncoded fleet spec."""
+        policy = self.resilience
+        return self.channels is not None and (
+            policy.adaptive_arq
+            or (policy.recovery in ("fec", "hybrid")
+                and self.channels.coding is None))
+
+    def _derive_budgets(self, cluster: ScheduledCluster, battery_j: float,
+                        remaining: int, now: float
+                        ) -> Tuple[int, Optional[Tuple[float, int, int]]]:
+        """One cluster's channel budgets for its ``remaining`` rounds.
+
+        Returns the ARQ retry budget and, when the run codes adaptively,
+        ``(loss_rate, uplink_parity, downlink_parity)`` (else ``None``).
+        Battery headroom is ``battery_j`` over the remaining rounds'
+        ideal backhaul radio energy; deadline slack is the deadline left
+        after ``now`` over the remaining rounds' ideal (uncontended)
+        time (:meth:`ResilientOrchestrationPolicy.arq_retries_for`).  The
+        parity budget ``k`` protects whole messages, so it is derived
+        **per link direction** from that direction's own frame count (a
+        25-frame reconstruction downlink needs more parity than a
+        4-frame latent uplink), the spec's mean loss rate and the
+        headroom (:meth:`ResilientOrchestrationPolicy.coding_parity_for`).
+        Run start is ``now = 0`` with the full battery and round budget.
+        """
+        spec, policy = self.channels, self.resilience
+        costs = cluster.trainer.round_costs(cluster.batch_size)
+        radio = RadioEnergyModel()
+        round_j = (radio.tx_energy(costs.up_wire_bytes * 8,
+                                   self.backhaul_distance_m)
+                   + radio.rx_energy(costs.down_wire_bytes * 8))
+        headroom = battery_j / (round_j * remaining)
+        retries = spec.arq.max_retries
+        if policy.adaptive_arq:
+            slack = (float("inf") if cluster.deadline_s is None
+                     else (cluster.deadline_s - now)
+                     / (costs.timing.total_s * remaining))
+            retries = policy.arq_retries_for(retries, slack, headroom)
+        if policy.recovery == "arq" or spec.coding is not None:
+            return retries, None
+        model = as_loss_model(spec.loss() if callable(spec.loss)
+                              else spec.loss)
+        rate = model.mean_loss_rate if model is not None else 0.0
+        timing = cluster.trainer.timing
+        return retries, (
+            rate,
+            policy.coding_parity_for(timing.up.frames_for(costs.up_bytes),
+                                     rate, headroom),
+            policy.coding_parity_for(
+                timing.down.frames_for(costs.down_bytes), rate, headroom))
+
     def _channel_specs_for(self, cluster: ScheduledCluster,
                            rounds_per_cluster: int
                            ) -> Tuple[Optional[ChannelSpec],
@@ -909,53 +957,23 @@ class EdgeTrainingScheduler:
         """The cluster's (uplink, downlink) recipes with adaptive budgets.
 
         With ``resilience.adaptive_arq`` the fleet-uniform spec's retry
-        budget is overridden per cluster from its deadline slack
-        (deadline over ideal uncontended completion) and battery
-        headroom (battery over the run's ideal backhaul radio energy).
-        With ``resilience.recovery`` of ``"fec"``/``"hybrid"`` an
-        erasure-coding recipe is stamped on **per link direction**: the
-        parity budget ``k`` protects whole messages, so it is derived
-        from each direction's own frame count (a 25-frame reconstruction
-        downlink needs more parity than a 4-frame latent uplink) plus
-        the channel's observed mean loss rate and the cluster's battery
-        headroom (:meth:`ResilientOrchestrationPolicy.coding_parity_for`).
-        A spec already carrying explicit coding keeps it on both links.
+        budget is overridden per cluster; with ``resilience.recovery``
+        of ``"fec"``/``"hybrid"`` an erasure-coding recipe is stamped on
+        per link direction (:meth:`_derive_budgets` at ``now = 0``).  A
+        spec already carrying explicit coding keeps it on both links.
         """
         spec = self.channels
-        policy = self.resilience
-        wants_fec = (policy.recovery in ("fec", "hybrid")
-                     and spec is not None and spec.coding is None)
-        if spec is None or not (policy.adaptive_arq or wants_fec):
+        if not self._adapts_budgets():
             return spec, spec
-        costs = cluster.trainer.round_costs(cluster.batch_size)
-        radio = RadioEnergyModel()
-        round_j = (radio.tx_energy(costs.up_wire_bytes * 8,
-                                   self.backhaul_distance_m)
-                   + radio.rx_energy(costs.down_wire_bytes * 8))
-        headroom = cluster.aggregator_battery_j \
-            / (round_j * rounds_per_cluster)
-        if policy.adaptive_arq:
-            ideal_total_s = costs.timing.total_s * rounds_per_cluster
-            slack = (float("inf") if cluster.deadline_s is None
-                     else cluster.deadline_s / ideal_total_s)
-            retries = policy.arq_retries_for(spec.arq.max_retries,
-                                             slack, headroom)
-            if retries != spec.arq.max_retries:
-                spec = spec.with_arq(ARQConfig(
-                    max_retries=retries,
-                    ack_timeout_s=spec.arq.ack_timeout_s))
-        if not wants_fec:
+        retries, coding = self._derive_budgets(
+            cluster, cluster.aggregator_battery_j, rounds_per_cluster, 0.0)
+        if retries != spec.arq.max_retries:
+            spec = spec.with_arq(ARQConfig(
+                max_retries=retries, ack_timeout_s=spec.arq.ack_timeout_s))
+        if coding is None:
             return spec, spec
-        model = as_loss_model(spec.loss() if callable(spec.loss)
-                              else spec.loss)
-        rate = model.mean_loss_rate if model is not None else 0.0
-        hybrid = policy.recovery == "hybrid"
-        up_parity = policy.coding_parity_for(
-            cluster.trainer.timing.up.frames_for(costs.up_bytes),
-            rate, headroom)
-        down_parity = policy.coding_parity_for(
-            cluster.trainer.timing.down.frames_for(costs.down_bytes),
-            rate, headroom)
+        rate, up_parity, down_parity = coding
+        hybrid = self.resilience.recovery == "hybrid"
         if self._bus.wants(ParityChosen.kind):
             for direction, parity in (("up", up_parity),
                                       ("down", down_parity)):
@@ -998,23 +1016,19 @@ class EdgeTrainingScheduler:
 
         Run-start budgets price each cluster's *initial* deadline slack
         and battery headroom; a brownout, failover or straggler changes
-        both.  This callback re-runs
-        :meth:`ResilientOrchestrationPolicy.arq_retries_for` (and, for
-        adaptively-coded fleets, :meth:`ResilientOrchestrationPolicy.
-        coding_parity_for` per link direction) with the cluster's
-        *remaining* rounds, remaining deadline and current battery at
-        every fault application and swaps the channel's budgets in
-        place.  A channel whose budget changed then **re-records** the
-        remaining horizon of its trace from the cursor's resume point
+        both.  This callback re-runs :meth:`_derive_budgets` with the
+        cluster's *remaining* rounds, remaining deadline and current
+        battery at every fault application and swaps the channel's
+        budgets in place.  A channel whose budget changed then
+        **re-records** the remaining horizon of its trace from the
+        cursor's resume point
         (:meth:`~repro.sim.channel.UnreliableChannel.rerecord_trace`),
         so fused planning keeps pricing past the fault boundary from
         the exact draw stream a live run would consume.
         """
         by_name = {c.name: c for c in self.clusters}
         policy = self.resilience
-        wants_fec = (policy.recovery in ("fec", "hybrid")
-                     and self.channels is not None
-                     and self.channels.coding is None)
+        hybrid = policy.recovery == "hybrid"
 
         def rederive(event: FaultEvent) -> None:
             cluster = by_name.get(event.cluster)
@@ -1024,21 +1038,13 @@ class EdgeTrainingScheduler:
             remaining = budget[event.cluster]
             if state.dead or remaining <= 0:
                 return
-            costs = cluster.trainer.round_costs(cluster.batch_size)
-            round_j = (state.radio.tx_energy(costs.up_wire_bytes * 8,
-                                             state.backhaul_m)
-                       + state.radio.rx_energy(costs.down_wire_bytes * 8))
-            headroom = state.battery.remaining_j / (round_j * remaining)
-            changed = {"up": False, "down": False}
+            retries, coding = self._derive_budgets(
+                cluster, state.battery.remaining_j, remaining, sim.now)
+            channels = (("up", state.up_channel),
+                        ("down", state.down_channel))
+            changed = set()
             if policy.adaptive_arq:
-                ideal_remaining_s = costs.timing.total_s * remaining
-                slack = (float("inf") if cluster.deadline_s is None
-                         else (cluster.deadline_s - sim.now)
-                         / ideal_remaining_s)
-                retries = policy.arq_retries_for(
-                    self.channels.arq.max_retries, slack, headroom)
-                for direction, channel in (("up", state.up_channel),
-                                           ("down", state.down_channel)):
+                for direction, channel in channels:
                     if channel.arq.max_retries != retries:
                         if self._bus.wants(ArqRederived.kind):
                             self._bus.emit(ArqRederived(
@@ -1048,20 +1054,10 @@ class EdgeTrainingScheduler:
                         channel.set_arq(ARQConfig(
                             max_retries=retries,
                             ack_timeout_s=channel.arq.ack_timeout_s))
-                        changed[direction] = True
-            if wants_fec:
-                model = as_loss_model(
-                    self.channels.loss() if callable(self.channels.loss)
-                    else self.channels.loss)
-                rate = model.mean_loss_rate if model is not None else 0.0
-                hybrid = policy.recovery == "hybrid"
-                timing = cluster.trainer.timing
-                for direction, channel, frames in (
-                        ("up", state.up_channel,
-                         timing.up.frames_for(costs.up_bytes)),
-                        ("down", state.down_channel,
-                         timing.down.frames_for(costs.down_bytes))):
-                    parity = policy.coding_parity_for(frames, rate, headroom)
+                        changed.add(direction)
+            if coding is not None:
+                rate, *parities = coding
+                for (direction, channel), parity in zip(channels, parities):
                     current = (channel.coding.parity_frames
                                if channel.coding is not None else 0)
                     if parity != current:
@@ -1071,11 +1067,9 @@ class EdgeTrainingScheduler:
                                 parity=parity, loss_rate=rate,
                                 headroom_j=state.battery.remaining_j))
                         channel.set_coding(CodingSpec(parity, hybrid))
-                        changed[direction] = True
-            for channel, was_changed in ((state.up_channel, changed["up"]),
-                                         (state.down_channel,
-                                          changed["down"])):
-                if was_changed:
+                        changed.add(direction)
+            for direction, channel in channels:
+                if direction in changed:
                     channel.rerecord_trace()
 
         return rederive
@@ -1133,10 +1127,7 @@ class EdgeTrainingScheduler:
             self._record_channel_traces(states, rounds_per_cluster)
         injector = FaultInjector(self.fault_schedule, states, bus=bus)
         budget = {c.name: rounds_per_cluster for c in self.clusters}
-        if self.channels is not None and (
-                self.resilience.adaptive_arq
-                or (self.resilience.recovery in ("fec", "hybrid")
-                    and self.channels.coding is None)):
+        if self._adapts_budgets():
             injector.on_applied = self._budget_rederiver(states, budget, sim)
         injector.arm(sim)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from ..wsn.link import LinkModel, downlink, uplink
+from ..wsn.network import VALUE_BYTES
 
 
 @dataclass(frozen=True)
@@ -105,19 +106,18 @@ class OrchestrationTimingModel:
     up, down:
         Link models for latent uplink and reconstruction/gradient
         downlink.
-    value_bytes:
-        Bytes per scalar on the wire.
+
+    A scalar takes :data:`~repro.wsn.network.VALUE_BYTES` bytes on the
+    wire.
     """
 
     def __init__(self, aggregator: DeviceProfile = None,
                  edge: DeviceProfile = None,
-                 up: LinkModel = None, down: LinkModel = None,
-                 value_bytes: int = 4):
+                 up: LinkModel = None, down: LinkModel = None):
         self.aggregator = aggregator or iot_aggregator_profile()
         self.edge = edge or edge_server_profile()
         self.up = up or uplink()
         self.down = down or downlink()
-        self.value_bytes = value_bytes
 
     def round_bytes(self, batch_size: int, input_dim: int,
                     latent_dim: int) -> Tuple[int, int]:
@@ -126,8 +126,8 @@ class OrchestrationTimingModel:
         Uplink: noisy latents, ``B x M`` scalars.  Downlink:
         reconstructions ``B x N`` plus latent gradients ``B x M``.
         """
-        up_bytes = batch_size * latent_dim * self.value_bytes
-        down_bytes = batch_size * (input_dim + latent_dim) * self.value_bytes
+        up_bytes = batch_size * latent_dim * VALUE_BYTES
+        down_bytes = batch_size * (input_dim + latent_dim) * VALUE_BYTES
         return up_bytes, down_bytes
 
     def training_round(self, batch_size: int, input_dim: int, latent_dim: int,
@@ -150,13 +150,6 @@ class OrchestrationTimingModel:
             downlink_s=self.down.transfer_time(down_bytes),
         )
 
-    def inference_round(self, batch_size: int, latent_dim: int,
-                        encoder_forward_flops: float) -> float:
-        """Steady-state cost of shipping one compressed batch (Sec. III-C)."""
-        up_bytes = batch_size * latent_dim * self.value_bytes
-        return (self.aggregator.seconds_for(encoder_forward_flops * batch_size)
-                + self.up.transfer_time(up_bytes))
-
 
 @dataclass
 class OverheadReport:
@@ -175,8 +168,8 @@ class OverheadReport:
 
 
 def overhead_report(batch_size: int, input_dim: int, latent_dim: int,
-                    encoder_forward_flops: float, decoder_forward_flops: float,
-                    value_bytes: int = 4) -> OverheadReport:
+                    encoder_forward_flops: float,
+                    decoder_forward_flops: float) -> OverheadReport:
     """Quantify how OrcoDCS splits training overhead (Sec. III-E).
 
     The claim to verify: the aggregator's share is minimal because the
@@ -185,6 +178,6 @@ def overhead_report(batch_size: int, input_dim: int, latent_dim: int,
     return OverheadReport(
         aggregator_flops_per_round=training_flops(encoder_forward_flops) * batch_size,
         edge_flops_per_round=training_flops(decoder_forward_flops) * batch_size,
-        uplink_bytes_per_round=batch_size * latent_dim * value_bytes,
-        downlink_bytes_per_round=batch_size * (input_dim + latent_dim) * value_bytes,
+        uplink_bytes_per_round=batch_size * latent_dim * VALUE_BYTES,
+        downlink_bytes_per_round=batch_size * (input_dim + latent_dim) * VALUE_BYTES,
     )

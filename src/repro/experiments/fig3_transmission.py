@@ -39,6 +39,7 @@ from ..wsn import (
     simulate_raw_aggregation,
 )
 from ..wsn.link import uplink
+from ..wsn.network import VALUE_BYTES
 from .common import ExperimentResult
 
 _TASKS = {
@@ -48,9 +49,9 @@ _TASKS = {
 }
 
 
-def backhaul_bytes_per_image(latent_dim: int, value_bytes: int = 4) -> int:
+def backhaul_bytes_per_image(latent_dim: int) -> int:
     """Wire bytes to uplink one compressed image (the Fig. 3 metric)."""
-    return uplink().wire_bytes(latent_dim * value_bytes)
+    return uplink().wire_bytes(latent_dim * VALUE_BYTES)
 
 
 def _cluster_for(dim: int, seed: int) -> Tuple[WSNetwork, object]:
@@ -66,8 +67,7 @@ def _cluster_for(dim: int, seed: int) -> Tuple[WSNetwork, object]:
 
 def pipeline_cost_models(dim: int, latent_dim: int, seed: int = 0,
                          training_rounds: int = 100, training_batch: int = 32,
-                         raw_training_rounds: int = 64,
-                         value_bytes: int = 4
+                         raw_training_rounds: int = 64
                          ) -> Tuple[CostBreakdown, CostBreakdown]:
     """Full sensor-side accounting: (OrcoDCS, DCSNet) breakdowns.
 
@@ -76,21 +76,19 @@ def pipeline_cost_models(dim: int, latent_dim: int, seed: int = 0,
     analysis treats it as nearly free.
     """
     network, tree = _cluster_for(dim, seed)
-    hybrid = simulate_hybrid_aggregation(network, tree, latent_dim,
-                                         value_bytes=value_bytes)
-    raw = simulate_raw_aggregation(network, tree, value_bytes=value_bytes)
-    distribution = simulate_encoder_distribution(network, tree, latent_dim,
-                                                 value_bytes=value_bytes)
+    hybrid = simulate_hybrid_aggregation(network, tree, latent_dim)
+    raw = simulate_raw_aggregation(network, tree)
+    distribution = simulate_encoder_distribution(network, tree, latent_dim)
     up = uplink()
 
     orco_train_up = training_rounds * up.wire_bytes(
-        training_batch * latent_dim * value_bytes)
+        training_batch * latent_dim * VALUE_BYTES)
     orco = CostBreakdown(
         "OrcoDCS",
         setup_bytes=(raw_training_rounds * raw.wire_bytes
                      + orco_train_up + distribution.wire_bytes),
         per_image_bytes=hybrid.wire_bytes
-        + backhaul_bytes_per_image(latent_dim, value_bytes),
+        + backhaul_bytes_per_image(latent_dim),
         components={
             "raw_training_rounds": float(raw_training_rounds * raw.wire_bytes),
             "training_uplink": float(orco_train_up),
@@ -99,12 +97,12 @@ def pipeline_cost_models(dim: int, latent_dim: int, seed: int = 0,
         })
 
     dcs_train_up = training_rounds * up.wire_bytes(
-        training_batch * DCSNET_LATENT_DIM * value_bytes)
+        training_batch * DCSNET_LATENT_DIM * VALUE_BYTES)
     dcsnet = CostBreakdown(
         "DCSNet",
         setup_bytes=raw_training_rounds * raw.wire_bytes + dcs_train_up,
         per_image_bytes=raw.wire_bytes
-        + backhaul_bytes_per_image(DCSNET_LATENT_DIM, value_bytes),
+        + backhaul_bytes_per_image(DCSNET_LATENT_DIM),
         components={
             "raw_training_rounds": float(raw_training_rounds * raw.wire_bytes),
             "training_uplink": float(dcs_train_up),

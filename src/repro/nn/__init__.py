@@ -11,7 +11,7 @@ Public surface::
 
     from repro import nn
     model = nn.Sequential(nn.Dense(784, 128), nn.Sigmoid())
-    loss = nn.HuberLoss(delta=1.0)
+    loss = nn.HuberLoss()
     opt = nn.Adam(model.parameters(), lr=1e-3)
 """
 
@@ -30,11 +30,8 @@ from .data import ArrayDataset, DataLoader
 from .init import get_initializer
 from .layers import (
     Conv2D,
-    ConvTranspose2D,
     Dense,
     Flatten,
-    Identity,
-    LeakyReLU,
     MaxPool2D,
     Module,
     Parameter,
@@ -42,22 +39,11 @@ from .layers import (
     Reshape,
     Sequential,
     Sigmoid,
-    Softmax,
-    Tanh,
     Upsample2D,
 )
-from .losses import (
-    BCELoss,
-    CrossEntropyLoss,
-    HuberLoss,
-    L1Loss,
-    Loss,
-    MSELoss,
-    VectorHuberLoss,
-    accuracy,
-)
+from .losses import CrossEntropyLoss, HuberLoss, Loss, MSELoss, accuracy
 from .optim import Adam, Optimizer
-from .tensor import Tensor, concatenate, stack, where
+from .tensor import Tensor, where
 
 __all__ = [
     "BatchedDense", "FleetAdam", "FleetIncompatibilityError",
@@ -65,12 +51,10 @@ __all__ = [
     "stack_sequential", "unstack_sequential",
     "ArrayDataset", "DataLoader",
     "get_initializer",
-    "Conv2D", "ConvTranspose2D", "Dense", "Flatten", "Identity", "LeakyReLU",
-    "MaxPool2D", "Module", "Parameter", "ReLU", "Reshape", "Sequential",
-    "Sigmoid", "Softmax", "Tanh", "Upsample2D",
-    "BCELoss", "CrossEntropyLoss", "HuberLoss", "L1Loss", "Loss", "MSELoss",
-    "VectorHuberLoss", "accuracy",
+    "Conv2D", "Dense", "Flatten", "MaxPool2D", "Module", "Parameter", "ReLU",
+    "Reshape", "Sequential", "Sigmoid", "Upsample2D",
+    "CrossEntropyLoss", "HuberLoss", "Loss", "MSELoss", "accuracy",
     "Adam", "Optimizer",
-    "Tensor", "concatenate", "stack", "where",
+    "Tensor", "where",
     "functional",
 ]

@@ -32,18 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .layers import (
-    Dense,
-    Identity,
-    LeakyReLU,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Softmax,
-    Tanh,
-)
+from .layers import Dense, Module, Parameter, ReLU, Sequential, Sigmoid
 from .optim import BETA1, BETA2, Adam, Optimizer, adam_scratch, adam_update
 from .tensor import Tensor
 
@@ -51,7 +40,7 @@ ActiveSlices = Optional[Union[Sequence[int], np.ndarray]]
 
 # Elementwise activations act identically on (B, F) and (K, B, F) inputs,
 # so a single shared instance serves every slice of a stack.
-_STATELESS_ACTIVATIONS = (ReLU, LeakyReLU, Sigmoid, Tanh, Identity, Softmax)
+_STATELESS_ACTIVATIONS = (ReLU, Sigmoid)
 
 
 class FleetIncompatibilityError(ValueError):
@@ -219,17 +208,6 @@ def _clone_activation(layers: Sequence[Module]) -> Module:
             raise FleetIncompatibilityError(
                 f"layer classes differ across slices: {type(layer).__name__} "
                 f"vs {type(first).__name__}")
-    if isinstance(first, LeakyReLU):
-        if any(layer.negative_slope != first.negative_slope for layer in layers):
-            raise FleetIncompatibilityError("LeakyReLU slopes differ")
-        return LeakyReLU(first.negative_slope)
-    if isinstance(first, Softmax):
-        if any(layer.axis != first.axis for layer in layers):
-            raise FleetIncompatibilityError("Softmax axes differ")
-        if first.axis not in (-1, 2):
-            raise FleetIncompatibilityError(
-                "only last-axis Softmax is slice-safe in a stack")
-        return Softmax(first.axis)
     return type(first)()
 
 

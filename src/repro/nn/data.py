@@ -7,7 +7,7 @@ consumes them directly).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,23 +36,6 @@ class ArrayDataset:
     def __getitem__(self, index):
         items = tuple(a[index] for a in self.arrays)
         return items[0] if len(items) == 1 else items
-
-    def subset(self, indices: Sequence[int]) -> "ArrayDataset":
-        """Return a new dataset restricted to ``indices``."""
-        indices = np.asarray(indices)
-        return ArrayDataset(*(a[indices] for a in self.arrays))
-
-    def fraction(self, frac: float, rng: Optional[np.random.Generator] = None) -> "ArrayDataset":
-        """Return a random ``frac`` fraction of the dataset.
-
-        Used to model DCSNet's limited historical data (30/50/70 %).
-        """
-        if not 0.0 < frac <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        rng = rng or np.random.default_rng()
-        count = max(1, int(round(frac * len(self))))
-        indices = rng.choice(len(self), size=count, replace=False)
-        return self.subset(indices)
 
 
 class DataLoader:
@@ -83,10 +66,6 @@ class DataLoader:
         self.shuffle = shuffle
         self.drop_last = drop_last
         self.rng = rng or np.random.default_rng()
-
-    def __len__(self) -> int:
-        full, rem = divmod(len(self.dataset), self.batch_size)
-        return full if self.drop_last or rem == 0 else full + 1
 
     def __iter__(self) -> Iterator:
         order = np.arange(len(self.dataset))

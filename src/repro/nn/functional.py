@@ -250,13 +250,6 @@ def upsample2d(x: Tensor, scale: int = 2) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    exps = (x - shift).exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shift = Tensor(x.data.max(axis=axis, keepdims=True))

@@ -30,28 +30,6 @@ def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
     raise ValueError(f"unsupported weight shape {shape}")
 
 
-def zeros(shape, rng: np.random.Generator = None) -> np.ndarray:
-    """All-zero initialisation (typically for biases)."""
-    return np.zeros(shape)
-
-
-def ones(shape, rng: np.random.Generator = None) -> np.ndarray:
-    """All-one initialisation (e.g. batch-norm scale)."""
-    return np.ones(shape)
-
-
-def uniform(shape, rng: np.random.Generator, low: float = -0.05,
-            high: float = 0.05) -> np.ndarray:
-    """Uniform initialisation on ``[low, high)``."""
-    return rng.uniform(low, high, size=shape)
-
-
-def normal(shape, rng: np.random.Generator, mean: float = 0.0,
-           std: float = 0.05) -> np.ndarray:
-    """Gaussian initialisation with the given mean and std."""
-    return rng.normal(mean, std, size=shape)
-
-
 def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
     """Glorot/Xavier uniform: variance balanced between fan-in and fan-out.
 
@@ -63,13 +41,6 @@ def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.nda
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    fan_in, fan_out = _fan_in_out(tuple(shape))
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def he_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming uniform: suited to ReLU-family activations."""
     fan_in, _ = _fan_in_out(tuple(shape))
@@ -77,22 +48,9 @@ def he_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def he_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming normal initialisation."""
-    fan_in, _ = _fan_in_out(tuple(shape))
-    std = math.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
-
-
 _SCHEMES = {
-    "zeros": zeros,
-    "ones": ones,
-    "uniform": uniform,
-    "normal": normal,
     "xavier_uniform": xavier_uniform,
-    "xavier_normal": xavier_normal,
     "he_uniform": he_uniform,
-    "he_normal": he_normal,
 }
 
 

@@ -2,7 +2,7 @@
 
 The :class:`Module` base class gives automatic parameter registration
 (assigning a :class:`Parameter` or a sub-:class:`Module` to an attribute
-registers it), recursive ``parameters()`` / ``state_dict()`` traversal,
+registers it), recursive ``parameters()`` traversal,
 train/eval mode switching and a one-time parameter cast (``astype``) — a
 deliberately small subset of the familiar PyTorch API, enough for every
 model in the OrcoDCS paper.  Layers draw their initial weights in
@@ -12,7 +12,7 @@ float64; a float32 model is that model rounded.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class Module:
 
     Subclasses implement :meth:`forward`.  Assigning a
     :class:`Parameter` or :class:`Module` instance to an attribute
-    registers it for :meth:`parameters`, :meth:`state_dict` and friends.
+    registers it for :meth:`parameters` and :meth:`named_parameters`.
     """
 
     def __init__(self):
@@ -68,12 +68,8 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
-    def num_parameters(self) -> int:
-        """Total number of trainable scalars."""
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------------
-    # Modes and gradients
+    # Modes and dtype
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
         """Switch train/eval mode (the latent noise reads ``training``)."""
@@ -83,10 +79,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
 
     def astype(self, dtype) -> "Module":
         """Cast every parameter to ``dtype``; returns ``self``.
@@ -98,14 +90,6 @@ class Module:
         for param in self.parameters():
             param.data = param.data.astype(dtype, copy=False)
         return self
-
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Return a flat ``name -> array`` snapshot of all parameters."""
-        return OrderedDict((name, param.data.copy())
-                           for name, param in self.named_parameters())
 
     # ------------------------------------------------------------------
     # Call protocol
@@ -129,11 +113,6 @@ class Sequential(Module):
         self.layers = list(layers)
         for index, layer in enumerate(layers):
             self._modules[str(index)] = layer
-
-    def append(self, layer: Module) -> "Sequential":
-        self._modules[str(len(self.layers))] = layer
-        self.layers.append(layer)
-        return self
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -210,29 +189,6 @@ class Conv2D(Module):
                 f"kernel={self.kernel_size}, stride={self.stride}, padding={self.padding})")
 
 
-class ConvTranspose2D(Module):
-    """2-D transposed convolution (upsampling) layer."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: F.IntPair,
-                 stride: F.IntPair = 1, padding: F.IntPair = 0, bias: bool = True,
-                 weight_init: str = "he_uniform",
-                 rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        rng = rng or np.random.default_rng()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = F._pair(kernel_size)
-        self.stride = F._pair(stride)
-        self.padding = F._pair(padding)
-        scheme = initializers.get_initializer(weight_init)
-        shape = (in_channels, out_channels) + self.kernel_size
-        self.weight = Parameter(scheme(shape, rng))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.conv_transpose2d(x, self.weight, self.bias, self.stride, self.padding)
-
-
 class MaxPool2D(Module):
     """Max pooling layer."""
 
@@ -279,34 +235,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
 class Sigmoid(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.sigmoid()
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class Softmax(Module):
-    def __init__(self, axis: int = -1):
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.softmax(x, self.axis)

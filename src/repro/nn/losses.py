@@ -4,19 +4,18 @@ The OrcoDCS paper trains its asymmetric autoencoder with the Huber loss
 (eq. 4) rather than plain L2, arguing it makes reconstructions more
 robust.  OrcoDCS trains with the standard elementwise Huber, or MSE as
 its ablation (:data:`repro.core.config.LOSSES`); the DCSNet baseline
-trains with MSE and the follow-up classifier with cross-entropy.  The
-paper's literal norm-based Huber, L1 and binary cross-entropy are here
-too, for direct use.
+trains with MSE and the follow-up classifier with cross-entropy.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import functional as F
 from .tensor import Tensor, where
+
+#: The Huber loss's threshold between its quadratic and linear parts.
+HUBER_DELTA = 1.0
 
 
 class Loss:
@@ -47,11 +46,6 @@ class Loss:
         raise NotImplementedError(
             f"{type(self).__name__} does not define a per-cluster "
             "(stacked-batch) reduction")
-
-
-def _slice_axes(tensor: Tensor) -> tuple:
-    """All axes except the leading slice axis."""
-    return tuple(range(1, tensor.ndim))
 
 
 class MSELoss(Loss):
@@ -86,37 +80,21 @@ class MSELoss(Loss):
         return out
 
 
-class L1Loss(Loss):
-    """Mean absolute error: ``mean(|x - y|)``."""
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        return (prediction - target).abs().mean()
-
-    def _per_cluster(self, prediction: Tensor, target: Tensor) -> Tensor:
-        absolute = (prediction - target).abs()
-        return absolute.mean(axis=_slice_axes(absolute))
-
-
 class HuberLoss(Loss):
-    """Elementwise Huber loss with threshold ``delta``.
+    """Elementwise Huber loss with threshold :data:`HUBER_DELTA`.
 
-    Quadratic for residuals below ``delta``, linear above — the standard
-    robust-regression compromise between L2 and L1.  This is the form used
-    throughout training in this reproduction (see also
-    :class:`VectorHuberLoss` for the paper's literal eq. 4).
+    Quadratic for residuals below the threshold, linear above — the
+    standard robust-regression compromise between L2 and L1, and this
+    reproduction's form of the paper's eq. (4), whose switch is on whole
+    residual norms.
     """
-
-    def __init__(self, delta: float = 1.0):
-        if not 0.0 < delta < math.inf:
-            raise ValueError(f"delta must be finite and positive, got {delta}")
-        self.delta = delta
 
     def _elementwise(self, prediction: Tensor, target: Tensor) -> Tensor:
         diff = prediction - target
         abs_diff = diff.abs()
         quadratic = diff * diff * 0.5
-        linear = abs_diff * self.delta - 0.5 * self.delta ** 2
-        return where(abs_diff.data <= self.delta, quadratic, linear)
+        linear = abs_diff * HUBER_DELTA - 0.5 * HUBER_DELTA ** 2
+        return where(abs_diff.data <= HUBER_DELTA, quadratic, linear)
 
     def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
         return self._elementwise(prediction, target).mean()
@@ -125,7 +103,7 @@ class HuberLoss(Loss):
         # Fused tape node (hot path of the fleet engine): identical
         # values/gradients to ``self._elementwise(...).mean(axis=...)``,
         # 1 node instead of ~8.
-        delta = self.delta
+        delta = HUBER_DELTA
         diff = prediction.data - target.data
         abs_diff = np.abs(diff)
         quadratic_mask = abs_diff <= delta
@@ -154,56 +132,6 @@ class HuberLoss(Loss):
 
             out._backward = backward
         return out
-
-
-class VectorHuberLoss(Loss):
-    """The paper's eq. (4): Huber applied to whole-vector norms.
-
-    ``L = 0.5 * ||x - xr||_2^2``            if ``||x - xr||_1 <= delta``
-    ``L = delta * ||x - xr||_1 - delta^2/2`` otherwise
-
-    Each row (sample) of the batch contributes one term; the mean over the
-    batch is returned.  Because the switch is on the L1 norm of the whole
-    residual vector, ``delta`` must scale with the data dimension.
-    """
-
-    def __init__(self, delta: float = 1.0):
-        if not 0.0 < delta < math.inf:
-            raise ValueError(f"delta must be finite and positive, got {delta}")
-        self.delta = delta
-
-    def _per_sample(self, prediction: Tensor, target: Tensor,
-                    start_axis: int) -> Tensor:
-        diff = (prediction - target).flatten(start_axis=start_axis)
-        l1 = diff.abs().sum(axis=start_axis)
-        l2_sq = (diff * diff).sum(axis=start_axis)
-        quadratic = l2_sq * 0.5
-        linear = l1 * self.delta - 0.5 * self.delta ** 2
-        return where(l1.data <= self.delta, quadratic, linear)
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        return self._per_sample(prediction, target, start_axis=1).mean()
-
-    def _per_cluster(self, prediction: Tensor, target: Tensor) -> Tensor:
-        return self._per_sample(prediction, target, start_axis=2).mean(axis=1)
-
-
-class BCELoss(Loss):
-    """Binary cross-entropy on probabilities in (0, 1)."""
-
-    def __init__(self, eps: float = 1e-7):
-        self.eps = eps
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        p = prediction.clip(self.eps, 1.0 - self.eps)
-        one = Tensor(np.ones_like(p.data))
-        return -(target * p.log() + (one - target) * (one - p).log()).mean()
-
-    def _per_cluster(self, prediction: Tensor, target: Tensor) -> Tensor:
-        p = prediction.clip(self.eps, 1.0 - self.eps)
-        one = Tensor(np.ones_like(p.data))
-        likelihood = target * p.log() + (one - target) * (one - p).log()
-        return -likelihood.mean(axis=_slice_axes(likelihood))
 
 
 class CrossEntropyLoss(Loss):

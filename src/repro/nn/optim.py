@@ -7,7 +7,7 @@ correction; :class:`Optimizer` is the base they share.
 :class:`Adam` updates ``param.data`` **in place** (and so does
 :class:`~repro.nn.batched.FleetAdam`): an array obtained from
 ``param.data`` before a step sees the step.  Take snapshots with
-:meth:`~repro.nn.layers.Module.state_dict` or ``param.data.copy()``.
+``param.data.copy()``.
 """
 
 from __future__ import annotations

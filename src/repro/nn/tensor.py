@@ -102,23 +102,6 @@ class Tensor:
         self._op: str = ""
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False, dtype=None) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype or np.float64), requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False, dtype=None) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=dtype or np.float64), requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: Optional[np.random.Generator] = None,
-              requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        return Tensor(rng.standard_normal(shape), requires_grad)
-
-    # ------------------------------------------------------------------
     # Basic protocol
     # ------------------------------------------------------------------
     @property
@@ -130,38 +113,15 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({self.data!r}{grad_flag})"
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data.item())
-
-    def detach(self) -> "Tensor":
-        """Return a Tensor sharing data but cut from the autograd graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        """Return a leaf Tensor with copied data."""
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -248,9 +208,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def __radd__(self, other: ArrayLike) -> "Tensor":
-        return self.__add__(other)
-
     def __neg__(self) -> "Tensor":
         out = self._make_child(-self.data, (self,), "neg")
         if out.requires_grad:
@@ -271,9 +228,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return _operand(other, self.data).__sub__(self)
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = _operand(other, self.data)
         out = self._make_child(self.data * other.data, (self, other), "mul")
@@ -283,38 +237,6 @@ class Tensor:
             def backward(grad: np.ndarray) -> None:
                 a._accumulate(_unbroadcast(grad * b.data, a.shape))
                 b._accumulate(_unbroadcast(grad * a.data, b.shape))
-
-            out._backward = backward
-        return out
-
-    def __rmul__(self, other: ArrayLike) -> "Tensor":
-        return self.__mul__(other)
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other = _operand(other, self.data)
-        out = self._make_child(self.data / other.data, (self, other), "div")
-        if out.requires_grad:
-            a, b = self, other
-
-            def backward(grad: np.ndarray) -> None:
-                a._accumulate(_unbroadcast(grad / b.data, a.shape))
-                b._accumulate(_unbroadcast(-grad * a.data / (b.data * b.data), b.shape))
-
-            out._backward = backward
-        return out
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return _operand(other, self.data).__truediv__(self)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not np.isscalar(exponent):
-            raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        out = self._make_child(self.data ** exponent, (self,), "pow")
-        if out.requires_grad:
-            a = self
-
-            def backward(grad: np.ndarray) -> None:
-                a._accumulate(grad * exponent * a.data ** (exponent - 1))
 
             out._backward = backward
         return out
@@ -337,27 +259,11 @@ class Tensor:
             out._backward = lambda grad: a._accumulate(grad / a.data)
         return out
 
-    def sqrt(self) -> "Tensor":
-        value = np.sqrt(self.data)
-        out = self._make_child(value, (self,), "sqrt")
-        if out.requires_grad:
-            a = self
-            out._backward = lambda grad: a._accumulate(grad * 0.5 / value)
-        return out
-
     def abs(self) -> "Tensor":
         out = self._make_child(np.abs(self.data), (self,), "abs")
         if out.requires_grad:
             a = self
             out._backward = lambda grad: a._accumulate(grad * np.sign(a.data))
-        return out
-
-    def tanh(self) -> "Tensor":
-        value = np.tanh(self.data)
-        out = self._make_child(value, (self,), "tanh")
-        if out.requires_grad:
-            a = self
-            out._backward = lambda grad: a._accumulate(grad * (1.0 - value * value))
         return out
 
     def sigmoid(self) -> "Tensor":
@@ -374,25 +280,6 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out = self._make_child(np.where(mask, self.data, 0.0), (self,), "relu")
-        if out.requires_grad:
-            a = self
-            out._backward = lambda grad: a._accumulate(grad * mask)
-        return out
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, negative_slope).astype(self.data.dtype,
-                                                           copy=False)
-        out = self._make_child(self.data * scale, (self,), "leaky_relu")
-        if out.requires_grad:
-            a = self
-            out._backward = lambda grad: a._accumulate(grad * scale)
-        return out
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values to ``[low, high]``; gradient is 1 inside the range."""
-        mask = (self.data >= low) & (self.data <= high)
-        out = self._make_child(np.clip(self.data, low, high), (self,), "clip")
         if out.requires_grad:
             a = self
             out._backward = lambda grad: a._accumulate(grad * mask)
@@ -431,36 +318,6 @@ class Tensor:
             count = int(np.prod([self.data.shape[ax] for ax in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        value = self.data.max(axis=axis, keepdims=True)
-        out_value = value if keepdims or axis is None else np.squeeze(value, axis=axis)
-        if axis is None and not keepdims:
-            out_value = np.asarray(self.data.max())
-        out = self._make_child(np.asarray(out_value), (self,), "max")
-        if out.requires_grad:
-            a = self
-            mask = (a.data == value)
-            # Split gradient equally among ties so the op stays a valid
-            # subgradient even for plateaued inputs.
-            counts = mask.sum(axis=axis, keepdims=True).astype(a.data.dtype)
-
-            def backward(grad: np.ndarray) -> None:
-                g = grad
-                if axis is not None and not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    axes = tuple(ax % a.data.ndim for ax in axes)
-                    for ax in sorted(axes):
-                        g = np.expand_dims(g, ax)
-                elif axis is None:
-                    g = np.broadcast_to(g, (1,) * a.data.ndim)
-                a._accumulate(np.broadcast_to(g, a.shape) * mask / counts)
-
-            out._backward = backward
-        return out
-
-    def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -478,18 +335,6 @@ class Tensor:
         lead = self.shape[:start_axis]
         return self.reshape(lead + (-1,))
 
-    def transpose(self, axes: Optional[Sequence[int]] = None) -> "Tensor":
-        out_data = np.transpose(self.data, axes)
-        out = self._make_child(out_data, (self,), "transpose")
-        if out.requires_grad:
-            a = self
-            if axes is None:
-                inverse = None
-            else:
-                inverse = np.argsort(axes)
-            out._backward = lambda grad: a._accumulate(np.transpose(grad, inverse))
-        return out
-
     def __getitem__(self, index) -> "Tensor":
         out = self._make_child(self.data[index], (self,), "getitem")
         if out.requires_grad:
@@ -499,25 +344,6 @@ class Tensor:
                 full = np.zeros_like(a.data)
                 np.add.at(full, index, grad)
                 a._accumulate(full)
-
-            out._backward = backward
-        return out
-
-    def pad2d(self, padding: Tuple[int, int]) -> "Tensor":
-        """Zero-pad the last two axes by ``(pad_h, pad_w)`` on each side."""
-        ph, pw = padding
-        if ph == 0 and pw == 0:
-            return self
-        pad_width = [(0, 0)] * (self.ndim - 2) + [(ph, ph), (pw, pw)]
-        out = self._make_child(np.pad(self.data, pad_width), (self,), "pad2d")
-        if out.requires_grad:
-            a = self
-
-            def backward(grad: np.ndarray) -> None:
-                slices = tuple([slice(None)] * (a.ndim - 2)
-                               + [slice(ph, grad.shape[-2] - ph),
-                                  slice(pw, grad.shape[-1] - pw)])
-                a._accumulate(grad[slices])
 
             out._backward = backward
         return out
@@ -558,48 +384,6 @@ class Tensor:
 
             out._backward = backward
         return out
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return self.matmul(other)
-
-    def dot(self, other: "Tensor") -> "Tensor":
-        return self.matmul(other)
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make_child(data, tensors, "concat")
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(grad: np.ndarray) -> None:
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                index = [slice(None)] * grad.ndim
-                index[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(index)])
-
-        out._backward = backward
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make_child(data, tensors, "stack")
-    if out.requires_grad:
-
-        def backward(grad: np.ndarray) -> None:
-            for i, tensor in enumerate(tensors):
-                index = [slice(None)] * grad.ndim
-                index[axis] = i
-                tensor._accumulate(grad[tuple(index)])
-
-        out._backward = backward
-    return out
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:

@@ -77,25 +77,13 @@ class Histogram:
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
 
-    @property
-    def mean(self) -> Optional[float]:
-        return self.total / self.count if self.count else None
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "count": self.count, "sum": self.total,
-            "min": self.min, "max": self.max,
-            "buckets": dict(zip([*map(str, self.edges), "+inf"],
-                                self.counts)),
-        }
-
 
 class RingSeries:
     """Fixed-capacity time series: keeps the most recent observations.
 
-    Appends are O(1) into a preallocated ring; ``values()`` returns the
-    retained window oldest-first.  ``total`` counts every observation
-    ever pushed, so consumers can tell how much history was dropped.
+    Appends are O(1) into a preallocated ring.  ``total`` counts every
+    observation ever pushed, so consumers can tell how much history was
+    dropped.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -108,21 +96,6 @@ class RingSeries:
     def push(self, value: float) -> None:
         self._ring[self.total % self.capacity] = value
         self.total += 1
-
-    def __len__(self) -> int:
-        return min(self.total, self.capacity)
-
-    def values(self) -> List[float]:
-        if self.total <= self.capacity:
-            return self._ring[:self.total]
-        head = self.total % self.capacity
-        return self._ring[head:] + self._ring[:head]
-
-    @property
-    def last(self) -> Optional[float]:
-        if self.total == 0:
-            return None
-        return self._ring[(self.total - 1) % self.capacity]
 
 
 #: Default bucket edges for each histogram the collector keeps.

@@ -83,9 +83,6 @@ class BernoulliLoss:
     def frame_lost(self, rng: np.random.Generator) -> bool:
         return bool(self.rate > 0.0 and rng.random() < self.rate)
 
-    def reset(self) -> None:
-        """i.i.d. model: nothing to reset."""
-
     @property
     def mean_loss_rate(self) -> float:
         return self.rate
@@ -126,9 +123,6 @@ class GilbertElliottLoss:
             self.bad = not self.bad
         rate = self.loss_bad if self.bad else self.loss_good
         return bool(rate > 0.0 and rng.random() < rate)
-
-    def reset(self) -> None:
-        self.bad = False
 
     @property
     def mean_loss_rate(self) -> float:
@@ -186,8 +180,7 @@ class RecoveryStrategy:
     ``coding``/``arq`` inspection at three call sites.  A strategy is
     resolved once (from :class:`ARQConfig` + optional
     :class:`~repro.sim.coding.CodingSpec`) and every transmit, batch
-    pricer and trace recorder dispatches on it.  ``kind`` is the
-    user-facing name :attr:`ChannelSpec.recovery` reports.
+    pricer and trace recorder dispatches on it.  ``kind`` names it.
     """
 
     kind: str                          # "none" | "arq" | "fec" | "hybrid"
@@ -286,10 +279,6 @@ class ChannelTrace:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def remaining(self) -> int:
-        return len(self.entries) - self.cursor
 
     def entry(self, index: int) -> TransmitResult:
         """Entry at absolute ``index`` (planner lookahead; cursor-free)."""
@@ -984,13 +973,6 @@ class UnreliableChannel:
             results.append(result)
         return results, used
 
-    def reset(self) -> None:
-        """Reset bursty loss state (new epoch / new channel realisation)."""
-        if self.loss is not None:
-            self.loss.reset()
-        if self._sampler is not None:
-            self._sampler.reset()
-
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -1048,23 +1030,6 @@ class ChannelSpec:
         per-cluster channels from the shared recipe.
         """
         return replace(self, coding=coding)
-
-    @property
-    def recovery_strategy(self) -> RecoveryStrategy:
-        """The :class:`RecoveryStrategy` channels built from this spec
-        dispatch on."""
-        return RecoveryStrategy.resolve(self.arq, self.coding)
-
-    @property
-    def recovery(self) -> str:
-        """The loss-recovery strategy this spec resolves to.
-
-        ``"fec"`` / ``"hybrid"`` when an erasure code is attached (open
-        loop vs. ARQ-repaired shortfall), ``"arq"`` when only a
-        retransmission budget stands between loss and a failed round,
-        ``"none"`` when nothing recovers a lost frame.
-        """
-        return self.recovery_strategy.kind
 
     @property
     def rerecordable(self) -> bool:

@@ -128,19 +128,6 @@ class EventScheduler:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    @property
-    def empty(self) -> bool:
-        return not any(not e.cancelled for e in self._heap)
-
-    def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event (None when the queue is empty)."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time_s if self._heap else None
-
     def next_time(self, tag: str) -> float:
         """Earliest pending time among events scheduled with ``tag``.
 

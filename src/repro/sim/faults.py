@@ -26,6 +26,8 @@ Event kinds
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -45,6 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 FAULT_KINDS = ("node_death", "node_revive", "aggregator_death", "brownout",
                "straggler", "recover", "cluster_death")
+#: The kinds that act on one device, named by ``FaultEvent.device``.
+_DEVICE_KINDS = ("node_death", "node_revive")
 
 
 @dataclass(frozen=True)
@@ -65,15 +69,21 @@ class FaultEvent:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"choose from {FAULT_KINDS}")
-        if self.time_s < 0:
-            raise ValueError("fault time must be non-negative")
-        if self.kind in ("node_death", "node_revive") and self.device is None:
-            raise ValueError(f"{self.kind} needs a device index")
+        # Written as negated comparisons so that NaN fails them too:
+        # hosted runs build events from JSON, which accepts NaN.
+        if not 0.0 <= self.time_s < math.inf:
+            raise ValueError(f"fault time must be finite and >= 0, "
+                             f"got {self.time_s!r}")
+        if self.kind in _DEVICE_KINDS and not (
+                isinstance(self.device, numbers.Integral) and self.device >= 0):
+            raise ValueError(f"{self.kind} needs a device index, an integer "
+                             f">= 0; got {self.device!r}")
         if self.kind == "brownout" and not 0.0 <= self.magnitude <= 1.0:
             raise ValueError("brownout magnitude is the battery fraction "
                              "kept; must be in [0, 1]")
-        if self.kind == "straggler" and self.magnitude < 1.0:
-            raise ValueError("straggler magnitude is a slowdown factor >= 1")
+        if self.kind == "straggler" and not self.magnitude >= 1.0:
+            raise ValueError(f"straggler magnitude is a slowdown factor >= 1, "
+                             f"got {self.magnitude!r}")
 
 
 class FaultSchedule:
@@ -92,68 +102,12 @@ class FaultSchedule:
     def __bool__(self) -> bool:
         return bool(self.events)
 
-    def for_cluster(self, name: str) -> "FaultSchedule":
-        return FaultSchedule(e for e in self.events if e.cluster == name)
-
-    def between(self, t0: float, t1: float) -> List[FaultEvent]:
-        """Events with ``t0 < time_s <= t1`` (the advance-window query)."""
-        return [e for e in self.events if t0 < e.time_s <= t1]
-
-    def next_after(self, t: float) -> float:
-        """Time of the first event strictly after ``t`` (inf when none).
-
-        The static companion to :meth:`FaultInjector.horizon`: lets
-        callers size fault-free execution segments before any kernel is
-        armed (e.g. to pre-budget a fused sweep).
-        """
-        for event in self.events:
-            if event.time_s > t:
-                return event.time_s
-        return float("inf")
-
-    def clusters(self) -> List[str]:
-        seen: List[str] = []
-        for event in self.events:
-            if event.cluster not in seen:
-                seen.append(event.cluster)
-        return seen
-
-    # ------------------------------------------------------------------
-    # Common scenario builders
-    # ------------------------------------------------------------------
-    @classmethod
-    def first_death(cls, cluster: str, time_s: float,
-                    device: int) -> "FaultSchedule":
-        """The canonical lifetime scenario: one device dies mid-training."""
-        return cls([FaultEvent(time_s, "node_death", cluster, device)])
-
-    @classmethod
-    def attrition(cls, cluster: str, devices: Iterable[int], start_s: float,
-                  interval_s: float) -> "FaultSchedule":
-        """Devices die one by one every ``interval_s`` from ``start_s``."""
-        return cls([FaultEvent(start_s + i * interval_s, "node_death",
-                               cluster, dev)
-                    for i, dev in enumerate(devices)])
-
-    @classmethod
-    def straggler_window(cls, cluster: str, start_s: float, end_s: float,
-                         factor: float) -> "FaultSchedule":
-        """The cluster slows by ``factor`` between ``start_s`` and ``end_s``."""
-        if end_s <= start_s:
-            raise ValueError("straggler window must have end_s > start_s")
-        return cls([FaultEvent(start_s, "straggler", cluster,
-                               magnitude=factor),
-                    FaultEvent(end_s, "recover", cluster)])
-
-    def merged(self, *others: "FaultSchedule") -> "FaultSchedule":
-        events = list(self.events)
-        for other in others:
-            events.extend(other.events)
-        return FaultSchedule(events)
-
 
 class FaultTarget(Protocol):
     """Mutation protocol a fault-injectable cluster state implements."""
+
+    #: Devices ``0 .. num_devices - 1`` are the ones a device fault may name.
+    num_devices: int
 
     def kill_device(self, device: int) -> None: ...
 
@@ -193,8 +147,9 @@ class FaultInjector:
     """Arms a schedule on a kernel and applies events to named targets.
 
     ``targets`` maps cluster names to fault targets.  Events naming an
-    unknown cluster raise at :meth:`arm` time (declarative schedules
-    should fail loudly, not silently no-op).  ``applied`` records the
+    unknown cluster, or a device the cluster does not have, raise at
+    :meth:`arm` time (declarative schedules should fail loudly, not
+    silently no-op or fail mid-run).  ``applied`` records the
     events that actually fired, in order — the audit trail experiment
     reports lean on.  ``on_applied`` is an optional post-application
     hook called with each fired event — the seam through which the
@@ -219,6 +174,15 @@ class FaultInjector:
         if unknown:
             raise KeyError(f"fault schedule names unknown clusters {unknown}; "
                            f"known: {sorted(self.targets)}")
+        for event in self.schedule:
+            if event.kind not in _DEVICE_KINDS:
+                continue
+            devices = self.targets[event.cluster].num_devices
+            if event.device >= devices:
+                raise ValueError(
+                    f"{event.kind} at {event.time_s} s names device "
+                    f"{event.device} of cluster {event.cluster!r}, which has "
+                    f"{devices} devices")
         self._sim = sim
         for event in self.schedule:
             sim.schedule_at(event.time_s, self._fire, event, tag=self.TAG)
@@ -239,9 +203,8 @@ class FaultInjector:
         batches up to: every round whose edge work completes strictly
         before the horizon sees exactly the current fault state, so its
         training math can be pre-executed as part of a fleet wave.
+        Valid once :meth:`arm` has run.
         """
-        if self._sim is None:
-            return self.schedule.next_after(float("-inf"))
         return self._sim.next_time(self.TAG)
 
     def _fire(self, event: FaultEvent) -> None:

@@ -25,12 +25,6 @@ scalar path:
   next message), so a ``floor``/``mod`` over inter-delivery run lengths
   recovers attempts, delivered flags, retransmissions and wire bytes
   without stepping frames.
-
-Samplers buffer *raw uniforms*, not just verdicts: a channel
-:meth:`~repro.sim.channel.UnreliableChannel.reset` re-derives the
-verdicts of still-buffered draws from the fresh GOOD state, so block
-lookahead never changes what a later transmit observes relative to the
-scalar path.
 """
 
 from __future__ import annotations
@@ -67,9 +61,6 @@ class LossSampler:
         verdict = bool(self.peek(1)[0])
         self.advance(1)
         return verdict
-
-    def reset(self) -> None:
-        """Re-derive buffered verdicts after a loss-model reset."""
 
     # -- absolute stream addressing (trace re-recording support) -------
     #
@@ -132,9 +123,6 @@ class BernoulliSampler(LossSampler):
 
     def advance(self, n: int) -> None:
         self._pos += n
-
-    # reset(): i.i.d. verdicts do not depend on chain state — buffered
-    # draws stay valid, exactly as the scalar path's future draws would.
 
 
 class GilbertElliottSampler(LossSampler):
@@ -236,23 +224,6 @@ class GilbertElliottSampler(LossSampler):
         rel = self._pos
         self.model.bad = bool(self._states[rel - 1]) if rel > 0 \
             else self._origin_bad
-
-    def reset(self) -> None:
-        """Forget derived verdicts past the cursor; re-derive from GOOD.
-
-        Called after ``model.reset()``: buffered raw uniforms stay (they
-        are the same stream positions the scalar path would consume
-        next) but their verdicts are recomputed against the reset chain.
-        Releases any pin — a reset invalidates the retained verdicts a
-        rewind would replay.
-        """
-        self._pin = None
-        self._compact()
-        self._verdicts = self._verdicts[:0]
-        self._states = self._states[:0]
-        self._derived = 0
-        self._chain_bad = bool(self.model.bad)
-        self._origin_bad = bool(self.model.bad)
 
 
 def make_loss_sampler(loss,

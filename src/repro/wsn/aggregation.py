@@ -26,7 +26,7 @@ from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 import numpy as np
 
 from .geometry import pairwise_distances
-from .network import WSNetwork
+from .network import VALUE_BYTES, WSNetwork
 
 
 class AggregationTree:
@@ -147,13 +147,6 @@ class AggregationTree:
                                 for slot in level)
         return self._slots
 
-    def path_to_root(self, node: int) -> List[int]:
-        """Nodes on the way from ``node`` (inclusive) to the root (inclusive)."""
-        path = [node]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        return path
-
 
 def build_aggregation_tree(network: WSNetwork) -> AggregationTree:
     """Build a shortest-path aggregation tree rooted at the aggregator.
@@ -236,8 +229,7 @@ class AggregationReport:
 
 
 def _simulate_upward(network: WSNetwork, tree: AggregationTree,
-                     own_values: Dict[int, int], value_bytes: int,
-                     kind: str,
+                     own_values: Dict[int, int], kind: str,
                      transmitters: Optional[AbstractSet[int]] = None,
                      latent_cap: Optional[int] = None
                      ) -> AggregationReport:
@@ -293,7 +285,7 @@ def _simulate_upward(network: WSNetwork, tree: AggregationTree,
                 for child in children[node]:
                     pool += delivered_pool.get(child, 0)
                 count = pool if latent_cap is None else min(pool, latent_cap)
-                payload = count * value_bytes
+                payload = count * VALUE_BYTES
                 slot_sends.append((node, pool, count, payload))
                 hops.append((node, parent[node], payload))
             sends.append(slot_sends)
@@ -328,21 +320,18 @@ def _simulate_upward(network: WSNetwork, tree: AggregationTree,
 
 
 def simulate_raw_aggregation(network: WSNetwork, tree: AggregationTree,
-                             values_per_node: int = 1, value_bytes: int = 4
-                             ) -> AggregationReport:
+                             values_per_node: int = 1) -> AggregationReport:
     """Raw (uncompressed) tree aggregation: every node forwards its own
     plus all *delivered* descendants' values — ``subtree_size(i) *
     values_per_node`` scalars on ideal links, less whatever upstream
     hops failed to deliver on unreliable ones."""
     own = {node: values_per_node
            for node in tree.nodes if node != tree.root}
-    return _simulate_upward(network, tree, own, value_bytes,
-                            "raw_aggregation")
+    return _simulate_upward(network, tree, own, "raw_aggregation")
 
 
 def simulate_hybrid_aggregation(network: WSNetwork, tree: AggregationTree,
                                 latent_dim: int, values_per_node: int = 1,
-                                value_bytes: int = 4,
                                 kind: str = "hybrid_aggregation"
                                 ) -> AggregationReport:
     """Hybrid CS aggregation [1]: node ``i`` transmits
@@ -352,8 +341,7 @@ def simulate_hybrid_aggregation(network: WSNetwork, tree: AggregationTree,
         raise ValueError("latent_dim must be positive")
     own = {node: values_per_node
            for node in tree.nodes if node != tree.root}
-    return _simulate_upward(network, tree, own, value_bytes, kind,
-                            latent_cap=latent_dim)
+    return _simulate_upward(network, tree, own, kind, latent_cap=latent_dim)
 
 
 def hybrid_encode(tree: AggregationTree, readings: Dict[int, float],
@@ -475,7 +463,6 @@ def simulate_masked_hybrid_aggregation(network: WSNetwork,
                                        latent_dim: int,
                                        failed: AbstractSet[int] = frozenset(),
                                        values_per_node: int = 1,
-                                       value_bytes: int = 4,
                                        kind: str = "hybrid_aggregation"
                                        ) -> AggregationReport:
     """Cost of one hybrid round when some devices are dead.
@@ -489,13 +476,12 @@ def simulate_masked_hybrid_aggregation(network: WSNetwork,
     alive = reachable_nodes(tree, failed)
     own = {node: values_per_node
            for node in alive if node != tree.root}
-    return _simulate_upward(network, tree, own, value_bytes, kind,
+    return _simulate_upward(network, tree, own, kind,
                             transmitters=alive, latent_cap=latent_dim)
 
 
 def simulate_encoder_distribution(network: WSNetwork, tree: AggregationTree,
-                                  latent_dim: int, value_bytes: int = 4
-                                  ) -> AggregationReport:
+                                  latent_dim: int) -> AggregationReport:
     """Distribute encoder columns from the aggregator down the tree.
 
     Each device needs its ``M``-float column (plus one bias element held
@@ -508,7 +494,7 @@ def simulate_encoder_distribution(network: WSNetwork, tree: AggregationTree,
         if node == tree.root:
             continue
         count = tree.subtree_size(node) * (latent_dim + 1)
-        payload = count * value_bytes
+        payload = count * VALUE_BYTES
         elapsed = network.unicast(tree.parent[node], node, payload,
                                   kind="encoder_distribution", force=True)
         report.values_transmitted += count

@@ -78,10 +78,6 @@ class Battery:
     def consumed_j(self) -> float:
         return self.capacity_j - self.remaining_j
 
-    @property
-    def fraction_remaining(self) -> float:
-        return self.remaining_j / self.capacity_j
-
     def drain(self, joules: float) -> None:
         if joules < 0:
             raise ValueError("cannot drain negative energy")
@@ -89,9 +85,6 @@ class Battery:
             raise BatteryDepletedError(
                 f"needed {joules:.3e} J but only {self.remaining_j:.3e} J remain")
         self.remaining_j -= joules
-
-    def recharge(self) -> None:
-        self.remaining_j = self.capacity_j
 
 
 class BatteryDepletedError(RuntimeError):

@@ -36,10 +36,6 @@ class LifetimeReport:
     total_rounds_simulated: int
     energy_spread: float   # max/mean consumed energy at end (hotspot factor)
 
-    @property
-    def survived_whole_run(self) -> bool:
-        return self.rounds_to_first_death >= self.total_rounds_simulated
-
 
 def _run_rounds(network: WSNetwork, tree: AggregationTree,
                 round_fn: Callable[[], None], max_rounds: int,

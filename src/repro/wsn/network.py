@@ -5,9 +5,10 @@ one edge server (Fig. 1 of the paper).  Every byte that moves is recorded
 in a :class:`TransmissionLedger` (this is what Fig. 3 plots) and charged
 against node batteries using the first-order radio model.
 
-Unreliable operation: :meth:`WSNetwork.attach_unreliable` wraps any of
-the three link classes in a :class:`repro.sim.channel.UnreliableChannel`
-(frame loss + ARQ, optionally erasure-coded).  The transmit primitives then charge every
+Unreliable operation: :meth:`WSNetwork.attach_unreliable` wraps the
+sensor radio or the backhaul uplink in a
+:class:`repro.sim.channel.UnreliableChannel` (frame loss + ARQ,
+optionally erasure-coded).  The transmit primitives then charge every
 *retransmitted* byte to the sender's battery and the ledger too, and
 records carry ``attempts``/``delivered`` so experiments can separate
 goodput from radiated traffic.  Nodes can die (:meth:`WSNetwork.kill_node`
@@ -34,8 +35,8 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, NamedTuple,
 import numpy as np
 
 from .energy import Battery, RadioEnergyModel
-from .geometry import distance, pairwise_distances
-from .link import LinkModel, downlink, sensor_link, uplink
+from .geometry import distance
+from .link import LinkModel, sensor_link, uplink
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.channel import ChannelSpec, UnreliableChannel
@@ -121,10 +122,6 @@ class TransmissionLedger:
     def __len__(self) -> int:
         return len(self.records)
 
-    def total_payload_bytes(self, kind: Optional[str] = None) -> int:
-        return sum(r.payload_bytes for r in self.records
-                   if kind is None or r.kind == kind)
-
     def total_wire_bytes(self, kind: Optional[str] = None) -> int:
         return sum(r.wire_bytes for r in self.records
                    if kind is None or r.kind == kind)
@@ -133,39 +130,12 @@ class TransmissionLedger:
         """Kilobytes on the wire (the unit of the paper's Fig. 3)."""
         return self.total_wire_bytes(kind) / 1024.0
 
-    def total_time_s(self, kind: Optional[str] = None) -> float:
-        return sum(r.time_s for r in self.records
-                   if kind is None or r.kind == kind)
-
     def by_kind(self) -> Dict[str, int]:
         """Wire bytes grouped by message kind."""
         totals: Dict[str, int] = defaultdict(int)
         for record in self.records:
             totals[record.kind] += record.wire_bytes
         return dict(totals)
-
-    def per_node_tx_bytes(self) -> Dict[int, int]:
-        """Wire bytes transmitted, per source node."""
-        totals: Dict[int, int] = defaultdict(int)
-        for record in self.records:
-            totals[record.src] += record.wire_bytes
-        return dict(totals)
-
-    def delivered_fraction(self, kind: Optional[str] = None) -> float:
-        """Fraction of logical messages that survived their ARQ budget."""
-        relevant = [r for r in self.records
-                    if kind is None or r.kind == kind]
-        if not relevant:
-            return 1.0
-        return sum(r.delivered for r in relevant) / len(relevant)
-
-    def total_attempts(self, kind: Optional[str] = None) -> int:
-        """Frame transmissions radiated (retransmissions included)."""
-        return sum(r.attempts for r in self.records
-                   if kind is None or r.kind == kind)
-
-    def merge(self, other: "TransmissionLedger") -> None:
-        self.records.extend(other.records)
 
 
 EDGE_SERVER_ID = -1
@@ -218,13 +188,11 @@ class WSNetwork:
         self.comm_range_m = comm_range_m
         self.sensor_link = sensor_link()
         self.uplink = uplink()
-        self.downlink = downlink()
         self.ledger = TransmissionLedger()
         self.aggregator_id: Optional[int] = None
         self.failed_nodes: Set[int] = set()
         self.sensor_channel: Optional["UnreliableChannel"] = None
         self.uplink_channel: Optional["UnreliableChannel"] = None
-        self.downlink_channel: Optional["UnreliableChannel"] = None
         self._hop_m: Dict[Tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
@@ -283,7 +251,6 @@ class WSNetwork:
 
     def attach_unreliable(self, sensor: Optional["ChannelSpec"] = None,
                           up: Optional["ChannelSpec"] = None,
-                          down: Optional["ChannelSpec"] = None,
                           rng: Optional[np.random.Generator] = None) -> None:
         """Wrap link classes in unreliable channels built from specs.
 
@@ -298,9 +265,6 @@ class WSNetwork:
         if up is not None:
             self.uplink_channel = up.build(
                 self.uplink, np.random.default_rng(rng.integers(2 ** 63)))
-        if down is not None:
-            self.downlink_channel = down.build(
-                self.downlink, np.random.default_rng(rng.integers(2 ** 63)))
 
     def _node(self, node_id: int) -> Node:
         return self.edge if node_id == EDGE_SERVER_ID else self.nodes[node_id]
@@ -309,18 +273,6 @@ class WSNetwork:
         if node_id != EDGE_SERVER_ID and not self.is_alive(node_id):
             raise DeadNodeError(f"node {node_id} is dead")
         return self._node(node_id)
-
-    def connectivity(self) -> "np.ndarray":
-        """Boolean adjacency matrix: nodes within radio range."""
-        dist = pairwise_distances(self.positions())
-        adjacency = dist <= self.comm_range_m
-        np.fill_diagonal(adjacency, False)
-        return adjacency
-
-    def neighbors(self, node_id: int) -> List[int]:
-        ids = self.device_ids
-        row = self.connectivity()[ids.index(node_id)]
-        return [ids[j] for j, connected in enumerate(row) if connected]
 
     def link_distance(self, src: int, dst: int) -> float:
         """Metres from ``src`` to ``dst`` (either may be the edge server),
@@ -452,23 +404,6 @@ class WSNetwork:
         return self.send_hops(((src, dst, payload_bytes),), outcome,
                               kind=kind, force=force)[0]
 
-    def broadcast(self, src: int, payload_bytes: int,
-                  kind: str = "broadcast") -> float:
-        """One radio broadcast reaching every in-range live neighbour."""
-        src_node = self._require_alive(src)
-        neighbor_ids = [n for n in self.neighbors(src) if self.is_alive(n)]
-        wire, received, elapsed, attempts, delivered = self._transmit(
-            self.sensor_link, self.sensor_channel, payload_bytes)
-        self._charge(src_node, src_node.radio.tx_energy(wire * 8,
-                                                        self.comm_range_m))
-        for nid in neighbor_ids:
-            self._charge(self.nodes[nid],
-                         self.nodes[nid].radio.rx_energy(received * 8))
-        self.ledger.record(src, EDGE_SERVER_ID if not neighbor_ids else neighbor_ids[0],
-                           payload_bytes, wire, kind, elapsed, attempts,
-                           delivered)
-        return elapsed
-
     def uplink_to_edge(self, payload_bytes: int, kind: str = "uplink") -> float:
         """Aggregator -> edge server transfer over the backhaul uplink."""
         if self.aggregator_id is None:
@@ -479,19 +414,6 @@ class WSNetwork:
         backhaul = self.link_distance(self.aggregator_id, EDGE_SERVER_ID)
         self._charge(aggregator, aggregator.radio.tx_energy(wire * 8, backhaul))
         self.ledger.record(self.aggregator_id, EDGE_SERVER_ID, payload_bytes,
-                           wire, kind, elapsed, attempts, delivered)
-        return elapsed
-
-    def downlink_from_edge(self, payload_bytes: int,
-                           kind: str = "downlink") -> float:
-        """Edge server -> aggregator transfer over the cheap downlink."""
-        if self.aggregator_id is None:
-            raise RuntimeError("no aggregator selected")
-        aggregator = self._require_alive(self.aggregator_id)
-        wire, received, elapsed, attempts, delivered = self._transmit(
-            self.downlink, self.downlink_channel, payload_bytes)
-        self._charge(aggregator, aggregator.radio.rx_energy(received * 8))
-        self.ledger.record(EDGE_SERVER_ID, self.aggregator_id, payload_bytes,
                            wire, kind, elapsed, attempts, delivered)
         return elapsed
 

@@ -86,13 +86,6 @@ class TestTraining:
                           epochs=4, eval_epochs=[2, 4])
         assert history.epochs == [2, 4]
 
-    def test_predict_labels_in_range(self):
-        images, labels = easy_task(20)
-        clf = ImageClassifier((1, 8, 8), 2, seed=0)
-        preds = clf.predict(images)
-        assert preds.shape == (20,)
-        assert set(preds.tolist()) <= {0, 1}
-
     def test_evaluate_returns_accuracy_and_loss(self):
         images, labels = easy_task(30)
         clf = ImageClassifier((1, 8, 8), 2, seed=0)
@@ -110,3 +103,14 @@ class TestTraining:
         from repro.apps import ClassifierHistory
         with pytest.raises(ValueError):
             _ = ClassifierHistory().final_accuracy
+
+    def test_best_accuracy_empty_guard(self):
+        from repro.apps import ClassifierHistory
+        with pytest.raises(ValueError, match="history is empty"):
+            _ = ClassifierHistory().best_accuracy
+
+    def test_best_accuracy_is_the_peak_not_the_last(self):
+        from repro.apps import ClassifierHistory
+        history = ClassifierHistory(test_accuracy=[0.5, 0.9, 0.7])
+        assert history.best_accuracy == 0.9
+        assert history.final_accuracy == 0.7

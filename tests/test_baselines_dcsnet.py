@@ -55,8 +55,6 @@ class TestOnlineFramework:
         digits = DCSNetOnline.for_digits(seed=0)
         assert digits.input_dim == 784
         assert digits.latent_dim == DCSNET_LATENT_DIM
-        signs = DCSNetOnline.for_signs(seed=0)
-        assert signs.input_dim == 3072
 
     def test_name_includes_fraction(self):
         assert DCSNetOnline.for_digits(data_fraction=0.3).name == "DCSNet-30%"

@@ -68,8 +68,7 @@ class TestEquivalence:
         collected = deployment.compressed_round(readings)
         stacked = np.array([readings[nid] for nid in network.device_ids])
         from repro.nn.tensor import Tensor
-        model.eval()
-        expected = model.encode(Tensor(stacked[None, :])).data[0]
+        expected = model.encoder(Tensor(stacked[None, :])).data[0]
         assert np.allclose(collected.latent, expected, atol=1e-10)
 
     def test_float32_model_keeps_eq1_exact(self):

@@ -103,6 +103,3 @@ class TestAdaptationLoop:
         with pytest.raises(ValueError):
             loop.run(np.zeros((2, 12)), check_every=0)
 
-    def test_errors_between(self):
-        log = AdaptationLog(check_rounds=[0, 2, 4], errors=[0.1, 0.2, 0.3])
-        assert log.errors_between(1, 5) == [0.2, 0.3]

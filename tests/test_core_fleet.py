@@ -10,6 +10,8 @@ from repro.core import (
     OrcoDCSFramework,
     fleet_compatible,
 )
+from repro.core.fleet import stacking_key
+from repro.nn import Module
 
 
 def make_trainers(K=3, dim=20, latent=4, noise=0.05, **overrides):
@@ -57,6 +59,26 @@ class TestConstruction:
             FleetTrainer(trainers)
         assert not fleet_compatible(trainers)
         assert fleet_compatible(make_trainers(2, dtype=np.float32))
+
+    def test_no_trainers_are_not_compatible(self):
+        assert not fleet_compatible([])
+
+    def test_non_sequential_models_rejected(self):
+        class Wrapped(Module):
+            def __init__(self, inner):
+                super().__init__()
+                self.inner = inner
+
+            def forward(self, x):
+                return self.inner(x)
+
+        trainers = make_trainers(2)
+        trainers[1].encoder = Wrapped(trainers[1].encoder)
+        with pytest.raises(FleetIncompatibilityError, match="Sequential"):
+            FleetTrainer(trainers)
+        assert not fleet_compatible(trainers)
+        assert stacking_key(trainers[1]) is None
+        assert stacking_key(trainers[0]) is not None
 
     def test_heterogeneous_noise_allowed(self):
         trainers = make_trainers(2, noise=0.1) + make_trainers(1, noise=0.0)
@@ -111,7 +133,6 @@ class TestStepEquivalence:
             for opt in (trainer.encoder_optimizer, trainer.decoder_optimizer):
                 for array in [p.data for p in opt.params] + opt._m + opt._v:
                     assert array.dtype == np.float32
-        assert fleet.evaluate(batch_stack()).dtype == np.float32
 
     def test_sync_back_continues_identically(self):
         seq = make_trainers(2)
@@ -178,14 +199,6 @@ class TestStepInterface:
         assert fleet.trainers[0].clock_s == 0.0
         assert fleet.trainers[1].clock_s > 0.0
 
-    def test_evaluate_per_cluster(self):
-        fleet = FleetTrainer(make_trainers(3))
-        rows = np.random.default_rng(0).random((10, 20))
-        losses = fleet.evaluate(rows)
-        assert losses.shape == (3,)
-        for k, trainer in enumerate(fleet.trainers):
-            assert losses[k] == pytest.approx(trainer.evaluate(rows))
-
 
 class TestFleetSubset:
     def test_subset_validation(self):
@@ -237,8 +250,7 @@ class TestFleetSubset:
     def test_boolean_mask_selects_members(self):
         fleet = FleetTrainer(make_trainers(3))
         subset = fleet.subset(np.array([True, False, True]))
-        assert subset.num_clusters == 2
-        assert subset.trainers == [fleet.trainers[0], fleet.trainers[2]]
+        assert subset.index.tolist() == [0, 2]
 
     def test_subset_shares_parameters_with_fleet(self):
         """Mid-training slicing copies nothing: a subset step mutates
@@ -270,10 +282,3 @@ class TestFleetSubset:
             fleet_losses.append(records[row].train_loss)
         solo_losses = [solo.step(batch).train_loss for batch in batches]
         np.testing.assert_allclose(fleet_losses, solo_losses, atol=1e-9)
-
-    def test_subset_evaluate_matches_fleet(self):
-        fleet = FleetTrainer(make_trainers(3))
-        rows = np.random.default_rng(5).random((12, 20))
-        full = fleet.evaluate(rows)
-        part = fleet.subset([0, 2]).evaluate(rows)
-        np.testing.assert_allclose(part, full[[0, 2]], rtol=1e-12)

@@ -11,30 +11,21 @@ class TestInjector:
     def test_adds_zero_mean_noise_with_sigma(self):
         injector = GaussianNoiseInjector(0.5, np.random.default_rng(0))
         latent = Tensor(np.zeros((200, 50)))
-        noisy = injector(latent, training=True)
+        noisy = injector(latent)
         delta = noisy.data - latent.data
         assert abs(delta.mean()) < 0.02           # zero mean (eq. 2)
         assert abs(delta.std() - 0.5) < 0.02      # requested sigma
 
-    def test_inference_passthrough(self):
-        injector = GaussianNoiseInjector(0.5, np.random.default_rng(0))
-        latent = Tensor(np.ones((4, 4)))
-        assert injector(latent, training=False) is latent
-
     def test_zero_sigma_passthrough(self):
         injector = GaussianNoiseInjector(0.0)
         latent = Tensor(np.ones((4, 4)))
-        assert injector(latent, training=True) is latent
+        assert injector(latent) is latent
 
     def test_gradient_flows_through_identity(self):
         injector = GaussianNoiseInjector(0.1, np.random.default_rng(0))
         latent = Tensor(np.ones((3, 3)), requires_grad=True)
-        injector(latent, training=True).sum().backward()
+        injector(latent).sum().backward()
         assert np.allclose(latent.grad, np.ones((3, 3)))
-
-    def test_variance_property(self):
-        injector = GaussianNoiseInjector(0.3)
-        assert abs(injector.variance - 0.09) < 1e-12
 
     def test_validation(self):
         for sigma in (-0.1, float("nan"), float("inf")):

@@ -10,7 +10,7 @@ from repro.core import (
     TrainingHistory,
     config_overhead,
 )
-from repro.nn import Dense, HuberLoss, Sequential, Sigmoid
+from repro.nn import Dense, HuberLoss, Sequential, Sigmoid, Tensor
 
 
 def toy_rows(count=64, dim=20, seed=0):
@@ -21,7 +21,7 @@ def toy_trainer(dim=20, latent=4, seed=0, **kwargs):
     rng = np.random.default_rng(seed)
     encoder = Sequential(Dense(dim, latent, rng=rng), Sigmoid())
     decoder = Sequential(Dense(latent, dim, rng=rng), Sigmoid())
-    defaults = dict(input_dim=dim, latent_dim=latent, loss=HuberLoss(1.0),
+    defaults = dict(input_dim=dim, latent_dim=latent, loss=HuberLoss(),
                     noise=None, encoder_forward_flops=2 * dim * latent,
                     decoder_forward_flops=2 * dim * latent,
                     rng=rng, name="toy")
@@ -39,7 +39,7 @@ class TestDtype:
         decoder = Sequential(Dense(4, 20, rng=rng), Sigmoid())
         with pytest.raises(ValueError, match="one dtype"):
             OrchestratedTrainer(encoder, decoder, input_dim=20, latent_dim=4,
-                                loss=HuberLoss(1.0), noise=None,
+                                loss=HuberLoss(), noise=None,
                                 encoder_forward_flops=160.0,
                                 decoder_forward_flops=160.0)
 
@@ -171,14 +171,12 @@ class TestEvaluateReconstruct:
 
 
 class TestTrainingHistory:
-    def test_time_to_loss(self):
+    def test_final_loss_and_total_time(self):
         history = TrainingHistory("x")
         from repro.core import RoundRecord
         history.rounds = [RoundRecord(1, 1, 1.0, 0.5, 0, 0),
                           RoundRecord(2, 1, 2.0, 0.2, 0, 0),
                           RoundRecord(3, 1, 3.0, 0.1, 0, 0)]
-        assert history.time_to_loss(0.25) == 2.0
-        assert history.time_to_loss(0.05) is None
         assert history.final_loss == 0.1
         assert history.total_time_s == 3.0
 
@@ -187,14 +185,6 @@ class TestTrainingHistory:
         assert history.total_time_s == 0.0
         with pytest.raises(ValueError):
             _ = history.final_loss
-
-    def test_smoothed_losses_shorter_or_equal(self):
-        history = TrainingHistory("x")
-        from repro.core import RoundRecord
-        history.rounds = [RoundRecord(i, 1, i, 1.0 / (i + 1), 0, 0)
-                          for i in range(20)]
-        smooth = history.smoothed_losses(5)
-        assert len(smooth) == 16
 
 
 class TestOrcoDCSFramework:
@@ -235,7 +225,9 @@ class TestOrcoDCSFramework:
     def test_huber_threshold_is_one(self):
         framework = OrcoDCSFramework(OrcoDCSConfig(input_dim=30,
                                                    latent_dim=6))
-        assert framework.loss.delta == 1.0
+        # Residuals 0.5 and 3.0: 0.5 * 0.5**2 and 3.0 - 0.5 under delta 1.
+        loss = framework.loss(Tensor(np.array([0.5, 3.0])), np.zeros(2))
+        assert loss.item() == pytest.approx((0.125 + 2.5) / 2)
 
     def test_noise_sigma_stays_fixed_through_fit(self):
         config = OrcoDCSConfig(input_dim=30, latent_dim=6, noise_sigma=0.2)

@@ -7,6 +7,7 @@ per-cluster losses to stacked-GEMM reduction noise; the zero-fault
 anchor still matches the sequential engine to <= 1e-6.
 """
 
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,8 +27,8 @@ from repro.core.rounds import (
     deadline_key,
     loss_rank,
 )
-from repro.sim import (ARQConfig, ChannelSpec, FaultEvent, FaultSchedule,
-                       GilbertElliottLoss)
+from repro.sim import (FAULT_KINDS, ARQConfig, ChannelSpec, FaultEvent,
+                       FaultSchedule, GilbertElliottLoss)
 
 DIM = 24
 LATENT = 4
@@ -99,10 +100,15 @@ def assert_fused_matches_unfused(fused, fused_report, unfused,
     assert fused_report.faults_applied == unfused_report.faults_applied
 
 
+@lru_cache(maxsize=None)
+def probe_makespan():
+    """Makespan of the zero-fault, ideal-link default fleet."""
+    return build_scheduler(fused=False).run(rounds_per_cluster=ROUNDS).makespan_s
+
+
 def mid_training_faults(fraction_times):
     """Faults placed at fractions of a zero-fault probe run's makespan."""
-    probe = build_scheduler(fused=False)
-    makespan = probe.run(rounds_per_cluster=ROUNDS).makespan_s
+    makespan = probe_makespan()
     return FaultSchedule([
         FaultEvent(f * makespan, kind, cluster, device=device,
                    magnitude=magnitude)
@@ -154,6 +160,66 @@ class TestFusedEquivalence:
         assert_fused_matches_unfused(*pair)
         assert pair[1].fused_rounds > 0
         assert pair[1].failed_rounds == pair[3].failed_rounds
+
+
+@st.composite
+def fault_events(draw):
+    """One valid fault of any kind within 1.2x the probe makespan."""
+    kind = draw(st.sampled_from(FAULT_KINDS))
+    device = magnitude = None
+    if kind in ("node_death", "node_revive"):
+        device = draw(st.integers(0, DIM - 1))
+    elif kind == "brownout":
+        magnitude = draw(st.sampled_from([1e-12, 0.3, 0.9]))
+    elif kind == "straggler":
+        magnitude = draw(st.floats(1.0, 10.0))
+    return FaultEvent(draw(st.floats(0.0, 1.2 * probe_makespan())), kind,
+                      draw(st.sampled_from(["c0", "c1", "c2", "c3"])),
+                      device=device,
+                      magnitude=1.0 if magnitude is None else magnitude)
+
+
+@st.composite
+def fault_scenarios(draw):
+    """Keyword arguments of :func:`run_pair`: policy, channel, recovery,
+    adaptive ARQ, quorum, deadlines and 1-5 faults."""
+    channel = draw(st.sampled_from(["ideal", "802154_indoor", "bernoulli"]))
+    channels = {
+        "ideal": None,
+        "802154_indoor": ChannelSpec.preset(
+            "802154_indoor",
+            arq=ARQConfig(max_retries=draw(st.integers(0, 3)))),
+        "bernoulli": ChannelSpec(loss=0.1),
+    }[channel]
+    makespan = probe_makespan()
+    deadlines = draw(st.none() | st.lists(
+        st.floats(0.3 * makespan, 1.5 * makespan), min_size=4, max_size=4))
+    return dict(
+        policy=draw(st.sampled_from(["fifo", "round_robin", "deadline"])),
+        channels=channels,
+        resilience=ResilientOrchestrationPolicy(
+            recovery=draw(st.sampled_from(["arq", "fec", "hybrid"])),
+            adaptive_arq=draw(st.booleans()),
+            quorum=draw(st.sampled_from([0.0, 0.5]))),
+        deadlines=deadlines,
+        faults=FaultSchedule(draw(st.lists(fault_events(), min_size=1,
+                                           max_size=5))))
+
+
+class TestGeneratedScenarios:
+    @given(scenario=fault_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_fused_matches_unfused(self, scenario):
+        fused, fused_report, unfused, unfused_report = run_pair(**scenario)
+        assert fused.execution_plan().fused
+        assert_fused_matches_unfused(fused, fused_report, unfused,
+                                     unfused_report)
+        assert fused_report.failed_rounds == unfused_report.failed_rounds
+        assert fused_report.arq_budgets == unfused_report.arq_budgets
+        assert fused_report.coding_budgets == unfused_report.coding_budgets
+        for times in fused_report.completion_times.values():
+            assert times == sorted(times)
+            assert all(t <= fused_report.makespan_s for t in times)
 
 
 class TestSegmentEdgeCases:
@@ -373,7 +439,6 @@ class TestExecutionPlan:
         assert plan.engine == "event" and plan.fused
         assert not plan.traced
         assert plan.groups == ((0, 1, 2, 3),)
-        assert plan.stacked_clusters == 4
 
     def test_lossy_plan_records_traces(self):
         plan = build_scheduler(

@@ -184,7 +184,7 @@ class TestUnreliableChannels:
 
 class TestFaultInjection:
     def test_node_death_masks_training_but_run_completes(self):
-        faults = FaultSchedule.first_death("c0", 1e-4, device=5)
+        faults = FaultSchedule([FaultEvent(1e-4, "node_death", "c0", device=5)])
         scheduler = build_scheduler("event", fault_schedule=faults)
         report = scheduler.run(rounds_per_cluster=8)
         assert report.faults_applied == 1
@@ -213,8 +213,18 @@ class TestFaultInjection:
         # Other clusters keep their full budget.
         assert report.rounds_per_cluster["c1"] == 6
 
+    @pytest.mark.parametrize("kind", ["node_death", "node_revive"])
+    def test_out_of_range_device_fails_before_any_round(self, kind):
+        faults = FaultSchedule([FaultEvent(1e-2, kind, "c1", device=DIM)])
+        scheduler = build_scheduler("event", fault_schedule=faults)
+        with pytest.raises(ValueError, match=f"device {DIM} of cluster 'c1'"):
+            scheduler.run(rounds_per_cluster=8)
+        assert all(len(c.history.rounds) == 0 for c in scheduler.clusters)
+
     def test_attrition_below_quorum_retires_cluster(self):
-        deaths = FaultSchedule.attrition("c0", range(0, 16), 1e-4, 1e-6)
+        deaths = FaultSchedule([
+            FaultEvent(1e-4 + i * 1e-6, "node_death", "c0", device=i)
+            for i in range(16)])
         scheduler = build_scheduler(
             "event", fault_schedule=deaths,
             resilience=ResilientOrchestrationPolicy(min_device_fraction=0.5))
@@ -303,8 +313,9 @@ class TestFaultInjection:
 
     def test_straggler_stretches_makespan(self):
         ideal = build_scheduler("event").run(rounds_per_cluster=6)
-        window = FaultSchedule.straggler_window(
-            "c0", 1e-4, ideal.makespan_s, factor=10.0)
+        window = FaultSchedule([
+            FaultEvent(1e-4, "straggler", "c0", magnitude=10.0),
+            FaultEvent(ideal.makespan_s, "recover", "c0")])
         slow = build_scheduler("event", fault_schedule=window)
         slow_report = slow.run(rounds_per_cluster=6)
         assert slow_report.makespan_s > ideal.makespan_s
@@ -392,10 +403,11 @@ class TestFaultTargetState:
 
     @pytest.mark.parametrize("device", [-1, DIM])
     def test_unknown_device_rejected(self, device):
+        # FaultEvent refuses -1 and FaultInjector.arm refuses DIM; the
+        # state keeps its own check for direct callers.
         state = self.state()
         with pytest.raises(IndexError, match="no device"):
-            apply_fault(FaultEvent(0.0, "node_death", "c0", device=device),
-                        state)
+            state.kill_device(device)
         assert state.alive_mask.all()
 
     def test_revive_restores_node(self):
@@ -602,6 +614,7 @@ class TestPolicySettingValidation:
         dict(on_straggler="drop"),
         dict(min_device_fraction=1.5),
         dict(quorum=-0.1),
+        dict(max_consecutive_failures=0),
     ], ids=lambda s: next(iter(s)))
     def test_out_of_range_setting_rejected(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):

@@ -76,12 +76,6 @@ class TestTimingModel:
         large = model.training_round(32, 784, 1024, 1e5, 1e5)
         assert large.uplink_s > small.uplink_s
 
-    def test_inference_round_cheaper_than_training(self):
-        model = OrchestrationTimingModel()
-        train = model.training_round(32, 784, 128, 1e5, 1e5).total_s
-        infer = model.inference_round(32, 128, 1e5)
-        assert infer < train
-
 
 class TestOverheadReport:
     def test_edge_share(self):

@@ -49,6 +49,22 @@ class TestExperimentResult:
         assert payload["series"]["s"]["y"] == [2.0]
         assert payload["summary"]["v"] == 3.5
 
+    @pytest.mark.parametrize("value, expected", [
+        (np.int64(3), 3), (np.float32(0.5), 0.5), (np.arange(3), [0, 1, 2]),
+    ], ids=["int64", "float32", "ndarray"])
+    def test_save_json_converts_numpy_values(self, tmp_path, value, expected):
+        result = ExperimentResult("x", "desc")
+        result.add_row(value=value)
+        path = tmp_path / "x.json"
+        result.save_json(str(path))
+        assert json.loads(path.read_text())["rows"] == [{"value": expected}]
+
+    def test_save_json_refuses_other_objects(self, tmp_path):
+        result = ExperimentResult("x", "desc")
+        result.summary["v"] = {1, 2}
+        with pytest.raises(TypeError, match="cannot serialise"):
+            result.save_json(str(tmp_path / "x.json"))
+
 
 class TestWorkloads:
     def test_digits_workload_shapes(self):

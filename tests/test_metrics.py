@@ -31,6 +31,12 @@ class TestQuality:
         x = np.random.default_rng(0).random(10)
         assert abs(nmse(x, np.zeros(10)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("reconstructed, expected", [
+        (np.zeros(4), 0.0), (np.full(4, 0.1), float("inf")),
+    ], ids=["exact", "nonzero"])
+    def test_nmse_of_a_silent_signal(self, reconstructed, expected):
+        assert nmse(np.zeros(4), reconstructed) == expected
+
     def test_psnr_infinite_for_exact(self):
         x = np.random.default_rng(0).random((4, 4))
         assert psnr(x, x) == float("inf")
@@ -52,6 +58,11 @@ class TestQuality:
         values = batch_psnr(x, x + 0.05)
         assert values.shape == (3,)
         assert np.all(values > 0)
+
+
+    def test_batch_psnr_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            batch_psnr(np.zeros((2, 4)), np.zeros((2, 5)))
 
 
 class TestSSIM:

@@ -11,16 +11,12 @@ from repro.nn import (
     FleetAdam,
     FleetIncompatibilityError,
     HuberLoss,
-    L1Loss,
-    LeakyReLU,
     MSELoss,
     Optimizer,
     ReLU,
     Sequential,
     Sigmoid,
-    Softmax,
     Tensor,
-    VectorHuberLoss,
     fleet_optimizer_from,
     fleet_optimizer_to,
     run_stack,
@@ -28,7 +24,7 @@ from repro.nn import (
     unstack_sequential,
 )
 from repro.nn.batched import _gather_rows, check_fleet_optimizers
-from repro.nn.losses import BCELoss, CrossEntropyLoss
+from repro.nn.losses import CrossEntropyLoss
 
 
 def make_models(K=3, din=6, dout=4, seed=0):
@@ -155,30 +151,6 @@ class TestStackSequential:
         with pytest.raises(FleetIncompatibilityError, match="empty model"):
             stack_sequential([])
 
-    def test_matching_leaky_relus_share_one_instance(self):
-        rng = np.random.default_rng(5)
-        models = [Sequential(Dense(4, 3, rng=rng), LeakyReLU(0.2))
-                  for _ in range(2)]
-        stacked = stack_sequential(models)
-        assert stacked[1].negative_slope == 0.2
-        x = rng.standard_normal((2, 5, 4))
-        out = run_stack(stacked, Tensor(x))
-        for k, model in enumerate(models):
-            np.testing.assert_array_equal(out.data[k],
-                                          model(Tensor(x[k])).data)
-
-    @pytest.mark.parametrize("activations, match", [
-        ((LeakyReLU(0.1), LeakyReLU(0.2)), "LeakyReLU slopes differ"),
-        ((Softmax(-1), Softmax(1)), "Softmax axes differ"),
-        ((Softmax(1), Softmax(1)), "only last-axis Softmax"),
-    ], ids=["leaky-slopes", "softmax-axes", "softmax-inner-axis"])
-    def test_activation_settings_must_stack_slice_exactly(self, activations,
-                                                          match):
-        models = [Sequential(Dense(3, 2), activation)
-                  for activation in activations]
-        with pytest.raises(FleetIncompatibilityError, match=match):
-            stack_sequential(models)
-
     def test_stateful_layers_rejected(self):
         # A convolution carries weights but has no slice-exact stacked form.
         with pytest.raises(FleetIncompatibilityError):
@@ -216,7 +188,7 @@ class TestRowGather:
         out.backward(np.ones_like(out.data))
         weight = Tensor(batched.weight.data, requires_grad=True)
         bias = Tensor(batched.bias.data, requires_grad=True)
-        reference = Tensor(x) @ weight[active] + bias[active]
+        reference = Tensor(x).matmul(weight[active]) + bias[active]
         reference.backward(np.ones_like(reference.data))
         np.testing.assert_array_equal(out.data, reference.data)
         np.testing.assert_array_equal(batched.weight.grad, weight.grad)
@@ -378,12 +350,12 @@ class TestFleetOptimizers:
 
 
 class TestPerClusterLosses:
-    @pytest.mark.parametrize("loss", [MSELoss(), HuberLoss(0.5),
-                                      VectorHuberLoss(3.0), BCELoss(),
-                                      L1Loss()])
+    # Predictions in [0, 3) against targets in [0, 1) put residuals on
+    # both sides of the Huber threshold (1.0).
+    @pytest.mark.parametrize("loss", [MSELoss(), HuberLoss()])
     def test_matches_per_slice_forward(self, loss):
         rng = np.random.default_rng(0)
-        prediction = Tensor(rng.random((4, 6, 5)), requires_grad=True)
+        prediction = Tensor(3.0 * rng.random((4, 6, 5)), requires_grad=True)
         target = rng.random((4, 6, 5))
         per = loss.per_cluster(prediction, target)
         assert per.shape == (4,)
@@ -391,10 +363,10 @@ class TestPerClusterLosses:
             single = loss(Tensor(prediction.data[k]), target[k]).item()
             assert abs(per.data[k] - single) < 1e-12
 
-    @pytest.mark.parametrize("loss", [MSELoss(), HuberLoss(0.5)])
+    @pytest.mark.parametrize("loss", [MSELoss(), HuberLoss()])
     def test_fused_gradient_matches_per_slice(self, loss):
         rng = np.random.default_rng(1)
-        stacked = rng.random((3, 4, 5))
+        stacked = 3.0 * rng.random((3, 4, 5))
         prediction = Tensor(stacked, requires_grad=True)
         loss.per_cluster(prediction, np.zeros((3, 4, 5))).sum().backward()
         for k in range(3):
@@ -403,10 +375,11 @@ class TestPerClusterLosses:
             np.testing.assert_allclose(prediction.grad[k], single.grad,
                                        atol=1e-15)
 
-    @pytest.mark.parametrize("loss", [MSELoss(), HuberLoss(0.5)])
+    @pytest.mark.parametrize("loss", [MSELoss(), HuberLoss()])
     def test_fused_gradient_reaches_a_trainable_target(self, loss):
         rng = np.random.default_rng(2)
         stacked_pred, stacked_target = rng.random((2, 3, 4, 5))
+        stacked_pred = 3.0 * stacked_pred
         prediction = Tensor(stacked_pred, requires_grad=True)
         target = Tensor(stacked_target, requires_grad=True)
         loss.per_cluster(prediction, target).sum().backward()

@@ -25,31 +25,11 @@ class TestArrayDataset:
         with pytest.raises(ValueError):
             nn.ArrayDataset()
 
-    def test_subset(self):
-        ds = nn.ArrayDataset(np.arange(10))
-        sub = ds.subset([1, 3, 5])
-        assert len(sub) == 3
-        assert sub[1] == 3
-
-    def test_fraction_size_and_no_duplicates(self):
-        ds = nn.ArrayDataset(np.arange(100))
-        frac = ds.fraction(0.3, rng=np.random.default_rng(0))
-        assert len(frac) == 30
-        assert len(set(frac.arrays[0].tolist())) == 30
-
-    def test_fraction_validation(self):
-        ds = nn.ArrayDataset(np.arange(4))
-        with pytest.raises(ValueError):
-            ds.fraction(0.0)
-        with pytest.raises(ValueError):
-            ds.fraction(1.5)
-
 
 class TestDataLoader:
     def test_batch_count_without_drop(self):
         ds = nn.ArrayDataset(np.arange(10))
         loader = nn.DataLoader(ds, batch_size=3)
-        assert len(loader) == 4
         batches = list(loader)
         assert len(batches) == 4
         assert len(batches[-1]) == 1
@@ -57,8 +37,9 @@ class TestDataLoader:
     def test_drop_last(self):
         ds = nn.ArrayDataset(np.arange(10))
         loader = nn.DataLoader(ds, batch_size=3, drop_last=True)
-        assert len(loader) == 3
-        assert all(len(b) == 3 for b in loader)
+        batches = list(loader)
+        assert len(batches) == 3
+        assert all(len(b) == 3 for b in batches)
 
     def test_covers_all_samples(self):
         ds = nn.ArrayDataset(np.arange(17))

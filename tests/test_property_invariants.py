@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro import nn
 from repro.datasets import denormalize_rounds, normalized_rounds
+from repro.nn.losses import HUBER_DELTA
 from repro.nn.tensor import Tensor
 from repro.wsn.aggregation import AggregationTree, hybrid_encode
 
@@ -62,27 +63,29 @@ class TestAutogradProperties:
         rng = np.random.default_rng(0)
         a = Tensor(rng.standard_normal((m, k)), requires_grad=True)
         b = Tensor(rng.standard_normal((k, n)), requires_grad=True)
-        (a @ b).sum().backward()
+        a.matmul(b).sum().backward()
         assert a.grad.shape == (m, k)
         assert b.grad.shape == (k, n)
 
     @given(small_arrays())
     @settings(max_examples=30, deadline=None)
-    def test_numeric_gradient_of_tanh_square(self, a):
+    def test_numeric_gradient_of_sigmoid_square(self, a):
         t = Tensor(a, requires_grad=True)
-        (t.tanh() ** 2).sum().backward()
-        expected = 2 * np.tanh(a) * (1 - np.tanh(a) ** 2)
+        s = t.sigmoid()
+        (s * s).sum().backward()
+        sig = 1 / (1 + np.exp(-a))
+        expected = 2 * sig * sig * (1 - sig)
         assert np.allclose(t.grad, expected, atol=1e-10)
 
 
 class TestLossProperties:
-    @given(small_arrays(), st.floats(min_value=0.1, max_value=5.0))
+    @given(small_arrays())
     @settings(max_examples=40, deadline=None)
-    def test_huber_between_zero_and_half_mse(self, a, delta):
+    def test_huber_between_zero_and_half_mse(self, a):
         target = np.zeros_like(a)
-        huber = nn.HuberLoss(delta)(Tensor(a), target).item()
+        huber = nn.HuberLoss()(Tensor(a), target).item()
         half_mse = 0.5 * float(np.mean(a ** 2))
-        scaled_l1 = delta * float(np.mean(np.abs(a)))
+        scaled_l1 = HUBER_DELTA * float(np.mean(np.abs(a)))
         assert huber >= 0
         assert huber <= half_mse + 1e-9
         assert huber <= scaled_l1 + 1e-9
@@ -90,7 +93,7 @@ class TestLossProperties:
     @given(small_arrays())
     @settings(max_examples=40, deadline=None)
     def test_losses_zero_iff_exact(self, a):
-        for loss in (nn.MSELoss(), nn.L1Loss(), nn.HuberLoss(1.0)):
+        for loss in (nn.MSELoss(), nn.HuberLoss()):
             assert loss(Tensor(a), a).item() == 0.0
 
     @given(st.integers(2, 16), st.integers(1, 8))

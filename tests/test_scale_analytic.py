@@ -31,7 +31,8 @@ from repro.core import (OrcoDCSConfig, OrcoDCSFramework,
 from repro.core.scheduler import EdgeTrainingScheduler
 from repro.core.timing import OrchestrationTimingModel
 from repro.scale import price_transmit, run_analytic
-from repro.scale.analytic import failure_run_probability, forecast_fleet
+from repro.scale.analytic import (_normal_tail, failure_run_probability,
+                                  forecast_fleet)
 from repro.sim import ARQConfig, ChannelSpec, CodingSpec, FaultEvent, \
     FaultSchedule, UnreliableChannel
 from repro.sim.channel import ideal_transmit_result
@@ -65,6 +66,29 @@ class TestClosedFormHelpers:
             arq_slot_delivery_probability(1.5, 1)
         with pytest.raises(ValueError):
             expected_slot_attempts(0.1, -1)
+
+    @pytest.mark.parametrize("helper, loss, retries", [
+        (arq_slot_delivery_probability, 0.1, -1),
+        (arq_slot_delivery_probability, float("nan"), 1),
+        (expected_slot_attempts, 1.0, 1),
+        (expected_slot_attempts, float("nan"), 1),
+    ], ids=["delivery-negative-retries", "delivery-nan-loss",
+            "attempts-certain-loss", "attempts-nan-loss"])
+    def test_helpers_refuse_bad_settings(self, helper, loss, retries):
+        with pytest.raises(ValueError):
+            helper(loss, retries)
+
+    def test_normal_tail_without_variance_is_a_step(self):
+        assert _normal_tail(2.0, 0.0, 1.0) == 1.0
+        assert _normal_tail(1.0, 0.0, 1.0) == 0.0
+        assert _normal_tail(0.0, -1.0, 1.0) == 0.0
+
+    def test_normal_tail_matches_the_normal_cdf(self):
+        assert _normal_tail(3.0, 4.0, 3.0) == pytest.approx(0.5)
+        assert _normal_tail(0.0, 1.0, 1.959964) == pytest.approx(0.025,
+                                                                 rel=1e-5)
+        assert _normal_tail(1.0, 0.25, 0.0) == pytest.approx(1 - 0.0227501,
+                                                             rel=1e-6)
 
     def test_hybrid_dominates_pure_fec(self):
         link = sensor_link()
@@ -129,6 +153,14 @@ class TestClosedFormHelpers:
         shorter = failure_run_probability(0.4, 10, 3)
         longer = failure_run_probability(0.4, 40, 3)
         assert longer > shorter
+
+    @pytest.mark.parametrize("failure_prob, run_length", [
+        (-0.1, 3), (1.5, 3), (float("nan"), 3), (0.3, 0),
+    ], ids=["negative", "above-one", "nan", "empty-run"])
+    def test_failure_run_probability_validation(self, failure_prob,
+                                                run_length):
+        with pytest.raises(ValueError):
+            failure_run_probability(failure_prob, 10, run_length)
 
     def test_failure_run_probability_matches_monte_carlo(self):
         rng = np.random.default_rng(3)

@@ -12,6 +12,7 @@ No pytest-asyncio in the container: async paths run under plain
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import io
 import json
@@ -530,6 +531,69 @@ def test_tcp_error_replies_keep_connection_alive():
         asyncio.run(drive())
 
 
+@contextlib.contextmanager
+def _emitting(bus: TelemetryBus):
+    """Emit ``c0``'s rounds 0, 1, 2, ... on ``bus`` from a thread of its
+    own, as an externally executed run does, until the block exits."""
+    stop = threading.Event()
+
+    def emit() -> None:
+        i = 0
+        while not stop.is_set():
+            bus.emit(_round_event(i))
+            i += 1
+            time.sleep(0.002)
+
+    thread = threading.Thread(target=emit, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+
+
+def test_tcp_subscribe_streams_an_external_run_up_to_max_events():
+    with serve_in_thread(max_workers=1) as box:
+        bus = TelemetryBus()
+        handle = box.service.register_external("outside", bus)
+        assert box.service.runs[handle.run_id] is handle
+        host, port = box.server.address.rsplit(":", 1)
+        assert (host, int(port)) == (box.host, box.port)
+
+        async def drive():
+            async with ControlPlaneClient(host, int(port)) as client:
+                lines = [line async for line in client.subscribe(
+                    handle.run_id, kinds=[RoundCompleted.kind],
+                    max_events=3)]
+                # The connection serves requests again after ``done``.
+                assert (await client.request("ping"))["pong"]
+                return lines
+
+        with _emitting(bus):
+            lines = asyncio.run(drive())
+        rounds = [line["event"]["round"] for line in lines[:-1]]
+        assert len(rounds) == 3
+        assert rounds == list(range(rounds[0], rounds[0] + 3))
+        assert lines[-1]["done"] and lines[-1]["events"] == 3
+        assert lines[-1]["state"] == "running"
+
+
+def test_tcp_subscribe_to_a_finished_run_ends_at_once():
+    with serve_in_thread(max_workers=1) as box:
+        handle = box.service.register_external("outside", TelemetryBus())
+        box.service.finish_external(handle)
+
+        async def drive():
+            async with ControlPlaneClient(box.host, box.port) as client:
+                return [line async for line in
+                        client.subscribe(handle.run_id)]
+
+        (done,) = asyncio.run(drive())
+        assert done["done"] and done["state"] == "done"
+        assert done["events"] == 0 and done["dropped"] == 0
+
+
 # ----------------------------------------------------------------------
 # Prometheus exposition (satellite 1)
 # ----------------------------------------------------------------------
@@ -589,6 +653,22 @@ def test_render_prometheus_from_flat_mapping():
     assert "repro_wire_bytes 1234" in text
     assert "repro_weird_name_ 1.5" in text
     assert render_prometheus({}) == ""
+
+
+@pytest.mark.parametrize("value, rendered", [
+    (float("nan"), "NaN"), (float("inf"), "+Inf"), (float("-inf"), "-Inf"),
+    (3.0, "3"), (0.25, "0.25"), (1e20, "1e+20"),
+], ids=["nan", "inf", "minus-inf", "integral", "fraction", "huge-integral"])
+def test_render_prometheus_sample_values(value, rendered):
+    text = render_prometheus({"v": value})
+    sample = text.splitlines()[-1]
+    assert sample == f"repro_v {rendered}"
+    assert _PROM_SAMPLE.fullmatch(sample)
+
+
+def test_render_prometheus_names_never_start_with_a_digit():
+    text = render_prometheus({"5xx_rate": 0.5}, namespace="")
+    assert text.splitlines()[-1] == "_5xx_rate 0.5"
 
 
 # ----------------------------------------------------------------------
@@ -678,10 +758,35 @@ def test_dashboard_main_follow_mode(tmp_path):
         for i in range(5):
             handle.write(json.dumps(_round_event(i).as_dict()) + "\n")
     from repro.serve.dashboard import main
-    import contextlib
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["--follow", str(path), "--max-events", "5",
                      "--refresh", "0"])
     assert code == 0
     assert "c0" in out.getvalue()
+
+
+def test_dashboard_main_connect_mode_watches_the_latest_run():
+    from repro.serve.dashboard import main
+    with serve_in_thread(max_workers=1) as box:
+        box.service.register_external("older", TelemetryBus())
+        bus = TelemetryBus()
+        latest = box.service.register_external("latest", bus)
+        out = io.StringIO()
+        with _emitting(bus), contextlib.redirect_stdout(out):
+            code = main(["--connect", box.server.address,
+                         "--max-events", "4", "--refresh", "0"])
+    assert code == 0
+    frame = out.getvalue()
+    assert f"run {latest.run_id}: state=running events=4 dropped=0" in frame
+    assert "c0" in frame
+
+
+def test_dashboard_main_connect_mode_needs_a_run():
+    from repro.serve.dashboard import main
+    with serve_in_thread(max_workers=1) as box:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--connect", box.server.address])
+    assert code == 1
+    assert "no runs registered" in err.getvalue()

@@ -69,15 +69,6 @@ class TestLossModels:
         after_loss = [b for a, b in pairs if a]
         assert np.mean(after_loss) > 3 * marginal
 
-    def test_gilbert_elliott_reset(self):
-        loss = GilbertElliottLoss(p_good_to_bad=1.0, p_bad_to_good=0.0,
-                                  loss_bad=0.5)
-        generator = rng(0)
-        loss.frame_lost(generator)
-        assert loss.bad
-        loss.reset()
-        assert not loss.bad
-
     def test_inescapable_lossy_state_rejected(self):
         with pytest.raises(ValueError):
             GilbertElliottLoss(p_bad_to_good=0.0, loss_bad=1.0)
@@ -237,16 +228,6 @@ class TestChannelSpec:
         assert ChannelSpec(loss=0.0).ideal
         assert not ChannelSpec(loss=0.1).ideal
 
-    def test_reset_clears_burst_state(self):
-        channel = UnreliableChannel(
-            sensor_link(),
-            loss=GilbertElliottLoss(p_good_to_bad=1.0, p_bad_to_good=0.1,
-                                    loss_bad=0.5),
-            rng=rng(0))
-        channel.transmit(960)
-        channel.reset()
-        assert not channel.loss.bad
-
 
 class TestGilbertElliottPresets:
     def test_unknown_preset_rejected(self):
@@ -394,7 +375,7 @@ class TestChannelTrace:
         channel.transmit(500)
         channel.transmit(500)
         assert channel.transmit(500) == peeked
-        assert trace.remaining == 2
+        assert trace.cursor == 3 and len(trace) == 5
 
     def test_exhausted_trace_raises(self):
         from repro.sim import ChannelTraceExhausted

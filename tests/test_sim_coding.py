@@ -220,9 +220,6 @@ class _ScriptedLoss:
     def frame_lost(self, rng):
         return self.verdicts.pop(0)
 
-    def reset(self):
-        pass
-
     mean_loss_rate = 0.0
 
 
@@ -344,16 +341,20 @@ class TestCodingSpecPlumbing:
         assert channel.transmit(200).parity_frames == 2
 
     def test_with_coding_and_recovery(self):
+        def recovery(spec):
+            channel = spec.build(sensor_link(), np.random.default_rng(0))
+            return channel.strategy.kind
+
         base = ChannelSpec(loss=0.1, arq=ARQConfig(max_retries=2))
-        assert base.recovery == "arq"
-        assert ChannelSpec(loss=0.1,
-                           arq=ARQConfig(max_retries=0)).recovery == "none"
+        assert recovery(base) == "arq"
+        assert recovery(ChannelSpec(loss=0.1,
+                                    arq=ARQConfig(max_retries=0))) == "none"
         fec = base.with_coding(CodingSpec(parity_frames=2))
         assert fec.coding == CodingSpec(parity_frames=2)
-        assert fec.recovery == "fec"
+        assert recovery(fec) == "fec"
         assert fec.arq == base.arq and fec.loss == base.loss
         hybrid = base.with_coding(CodingSpec(3, arq_fallback=True))
-        assert hybrid.recovery == "hybrid"
+        assert recovery(hybrid) == "hybrid"
 
     def test_coded_spec_is_never_ideal(self):
         # Parity frames radiate bytes and airtime even with zero loss.
@@ -363,9 +364,9 @@ class TestCodingSpecPlumbing:
 
     def test_preset_carries_coding(self):
         spec = ChannelSpec.preset("802154_indoor", coding=CodingSpec(2))
-        assert spec.recovery == "fec"
         channel = spec.build(sensor_link(), np.random.default_rng(0))
         assert channel.coding == CodingSpec(2)
+        assert channel.strategy.kind == "fec"
 
 
 # ----------------------------------------------------------------------

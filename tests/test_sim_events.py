@@ -64,29 +64,20 @@ class TestScheduling:
         assert fired == ["kept"]
         assert sim.events_processed == 1
 
-    def test_len_and_empty_ignore_cancelled(self):
-        sim = EventScheduler()
-        keep = sim.schedule(1.0, lambda: None)
-        drop = sim.schedule(2.0, lambda: None)
-        drop.cancel()
-        assert len(sim) == 1 and not sim.empty
-        keep.cancel()
-        assert sim.empty
-
 
 class TestRunAndStep:
     def test_step_fires_one_event_and_leaves_later_ones_queued(self):
         sim = EventScheduler()
         fired = []
-        sim.schedule(1.0, fired.append, "early")
-        sim.schedule(5.0, fired.append, "late")
-        assert sim.peek_time() == 1.0
+        sim.schedule(1.0, fired.append, "early", tag="t")
+        sim.schedule(5.0, fired.append, "late", tag="t")
+        assert sim.next_time("t") == 1.0
         assert sim.step() is True
         assert fired == ["early"] and sim.now == 1.0
-        assert sim.peek_time() == 5.0
+        assert sim.next_time("t") == 5.0
         assert sim.run() == 5.0
         assert fired == ["early", "late"] and sim.now == 5.0
-        assert sim.peek_time() is None
+        assert sim.next_time("t") == float("inf")
 
     def test_run_on_an_empty_queue_keeps_the_clock(self):
         sim = EventScheduler(start_s=7.5)
@@ -98,7 +89,7 @@ class TestRunAndStep:
         sim.schedule(1.0, lambda: None)
         sim.schedule(5.0, lambda: None).cancel()
         assert sim.run() == 1.0
-        assert sim.events_processed == 1 and sim.empty
+        assert sim.events_processed == 1 and sim.step() is False
 
     def test_step_returns_false_when_drained(self):
         sim = EventScheduler()

@@ -102,7 +102,7 @@ class TestSamplerBitIdentity:
             want = [model.frame_lost(rng) for _ in range(chunk)]
             assert got == want
 
-    def test_interleaved_take_peek_reset_matches_scalar(self):
+    def test_interleaved_take_and_peek_match_scalar(self):
         params = GILBERT_ELLIOTT_PRESETS["noisy_office"]
         sampler = GilbertElliottSampler(GilbertElliottLoss(**params),
                                         np.random.default_rng(3))
@@ -114,8 +114,6 @@ class TestSamplerBitIdentity:
             want.extend(model.frame_lost(rng) for _ in range(40))
             got.append(sampler.take())
             want.append(model.frame_lost(rng))
-            sampler.reset()
-            model.reset()
         assert got == want
 
     def test_factory_gates_unsupported_models(self):
@@ -209,21 +207,6 @@ class TestSamplerRewindPin:
             want = [bool(v) for v in twin.peek(700)[:700]]
             assert got == want
 
-    def test_gilbert_elliott_reset_releases_pin(self):
-        """A chain reset re-derives buffered verdicts from GOOD, so the
-        retained pre-reset verdicts a rewind would replay are invalid.
-        (Bernoulli verdicts are i.i.d. — reset keeps them, and the pin.)"""
-        sampler = self._samplers()[1]
-        sampler.peek(50)
-        sampler.advance(50)
-        sampler.pin(10)
-        sampler.model.reset()
-        sampler.reset()
-        sampler.peek(50)
-        sampler.advance(50)
-        with pytest.raises(ValueError):
-            sampler.rewind(10)   # pre-reset offsets are gone
-
 
 # ----------------------------------------------------------------------
 # Channel layer: batched pricing vs the per-frame reference
@@ -273,8 +256,8 @@ class TestBatchedPricingBitIdentity:
             == [_result_fields(e) for e in entries_r]
 
     def test_live_then_record_then_live_shares_one_stream(self):
-        """Mixing live transmits, batch recording and resets must keep
-        the kernel channel on the reference channel's RNG stream."""
+        """Mixing live transmits and batch recording must keep the
+        kernel channel on the reference channel's RNG stream."""
         vec, ref = _pair(
             5,
             lambda: GilbertElliottLoss(
@@ -286,8 +269,6 @@ class TestBatchedPricingBitIdentity:
         batch_r = [ref.transmit(120) for _ in range(25)]
         assert [_result_fields(r) for r in batch_v] \
             == [_result_fields(r) for r in batch_r]
-        vec.reset()
-        ref.reset()
         _assert_transmits_identical(vec, ref, [300, 120, 4, 1200])
 
 

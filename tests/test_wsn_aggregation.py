@@ -26,6 +26,7 @@ from repro.wsn import (
     simulate_raw_aggregation,
 )
 from repro.wsn.aggregation import _simulate_upward
+from repro.wsn.network import VALUE_BYTES
 
 
 def line_network(n=7, spacing=10.0, range_m=15.0):
@@ -60,10 +61,6 @@ class TestAggregationTree:
         assert order.index(2) < order.index(1) < order.index(0)
         assert order.index(3) < order.index(1)
         assert order[-1] == 0
-
-    def test_path_to_root(self):
-        tree = AggregationTree({0: None, 1: 0, 2: 1})
-        assert tree.path_to_root(2) == [2, 1, 0]
 
     def test_rejects_multiple_roots(self):
         with pytest.raises(ValueError):
@@ -116,7 +113,7 @@ class TestBuildTree:
         tree = build_aggregation_tree(net)
         assert not tree.extended_edges
         for node in net.device_ids:
-            path = tree.path_to_root(node)
+            path = _path_to_root(tree, node)
             metres = sum(dist[a, b] for a, b in zip(path, path[1:]))
             assert metres == pytest.approx(best[node], abs=1e-9)
 
@@ -175,8 +172,8 @@ class TestRawAggregation:
     def test_payload_bytes_match_counts(self):
         net = line_network()
         tree = build_aggregation_tree(net)
-        report = simulate_raw_aggregation(net, tree, value_bytes=4)
-        assert report.payload_bytes == report.values_transmitted * 4
+        report = simulate_raw_aggregation(net, tree)
+        assert report.payload_bytes == report.values_transmitted * VALUE_BYTES
 
     def test_vector_payloads_scale(self):
         net = line_network()
@@ -450,11 +447,19 @@ class TestLossAdaptiveCounts:
 # ----------------------------------------------------------------------
 # Reference implementations the cached and vectorized paths must match
 # ----------------------------------------------------------------------
+def _path_to_root(tree, node):
+    """Nodes on the way from ``node`` (inclusive) to the root (inclusive)."""
+    path = [node]
+    while tree.parent[path[-1]] is not None:
+        path.append(tree.parent[path[-1]])
+    return path
+
+
 def _reference_reachable(tree, failed):
     """A node is reachable iff its whole path to the root avoids failures."""
     return frozenset(node for node in tree.nodes
                      if all(hop not in failed
-                            for hop in tree.path_to_root(node)))
+                            for hop in _path_to_root(tree, node)))
 
 
 def _reference_encode_partial(tree, readings, weight, device_index,
@@ -710,7 +715,7 @@ def _oracle_hop(network, src, dst, payload, kind):
     return elapsed, delivered
 
 
-def _per_hop_upward(network, tree, own_values, value_bytes, kind,
+def _per_hop_upward(network, tree, own_values, kind,
                     transmitters=None, latent_cap=None):
     """The upward pass as one hand-charged live transmit per hop, slot
     by slot (:func:`_oracle_hop`): the oracle the level walk must
@@ -728,7 +733,7 @@ def _per_hop_upward(network, tree, own_values, value_bytes, kind,
                 delivered_pool.get(child, 0)
                 for child in tree.children[node])
             count = pool if latent_cap is None else min(pool, latent_cap)
-            payload = count * value_bytes
+            payload = count * VALUE_BYTES
             elapsed, delivered = _oracle_hop(network, node, tree.parent[node],
                                              payload, kind)
             if payload > 0 and not delivered:
@@ -802,14 +807,13 @@ def _network_state(net):
             _channel_state(net))
 
 
-def _pass_args(tree, failed, values_per_node, value_bytes, latent_cap):
+def _pass_args(tree, failed, values_per_node, latent_cap):
     """Arguments of one upward pass; with ``failed`` devices only the
     reachable ones transmit, as in masked aggregation."""
     alive = reachable_nodes(tree, failed) if failed else None
     own = {node: values_per_node for node in (alive or tree.nodes)
            if node != tree.root}
-    return (own, value_bytes, "walk"), dict(transmitters=alive,
-                                            latent_cap=latent_cap)
+    return (own, "walk"), dict(transmitters=alive, latent_cap=latent_cap)
 
 
 class TestLevelWalkOracle:
@@ -821,13 +825,11 @@ class TestLevelWalkOracle:
            vectorize=st.booleans(),
            masked=st.booleans(),
            latent_cap=st.sampled_from([None, 16]),
-           value_bytes=st.sampled_from([4, 40]),
            values_per_node=st.sampled_from([1, 3]),
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=120, deadline=None)
     def test_matches_per_hop_loop(self, channel, recovery, vectorize, masked,
-                                  latent_cap, value_bytes, values_per_node,
-                                  seed):
+                                  latent_cap, values_per_node, seed):
         tree = _WALK_TREE
         walk = _twin_network(channel, recovery, vectorize, seed)
         oracle = _twin_network(channel, recovery, vectorize, seed)
@@ -839,8 +841,7 @@ class TestLevelWalkOracle:
             for net in (walk, oracle):
                 for node in failed:
                     net.kill_node(node)
-        args, kwargs = _pass_args(tree, failed, values_per_node, value_bytes,
-                                  latent_cap)
+        args, kwargs = _pass_args(tree, failed, values_per_node, latent_cap)
         for _ in range(2):   # the second pass starts from carried state
             report = _simulate_upward(walk, tree, *args, **kwargs)
             expected = _per_hop_upward(oracle, tree, *args, **kwargs)
@@ -880,7 +881,7 @@ class TestLevelWalkOracle:
             {tree.parent[e] for e in earlier})
 
     def _assert_same_stop(self, nets, error, hops_before):
-        args, kwargs = _pass_args(_WALK_TREE, set(), 1, 4, 16)
+        args, kwargs = _pass_args(_WALK_TREE, set(), 1, 16)
         with pytest.raises(error):
             _simulate_upward(nets[0], _WALK_TREE, *args, **kwargs)
         with pytest.raises(error):
@@ -922,13 +923,11 @@ class TestLevelWalkOracle:
            recovery=st.sampled_from(sorted(_RECOVERY)),
            masked=st.booleans(),
            latent_cap=st.sampled_from([None, 16]),
-           value_bytes=st.sampled_from([4, 40]),
            passes=st.integers(1, 3),
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
     def test_batteries_equal_replayed_ledger(self, channel, recovery, masked,
-                                             latent_cap, value_bytes, passes,
-                                             seed):
+                                             latent_cap, passes, seed):
         # Battery drained == radio energy: where every radiated byte is
         # received, replaying the ledger on fresh batteries (sender TX,
         # then receiver RX, from each record's wire bytes and hop
@@ -943,7 +942,7 @@ class TestLevelWalkOracle:
             net.kill_node(victim)
         else:
             simulate_encoder_distribution(net, tree, latent_dim=4)
-        args, kwargs = _pass_args(tree, failed, 1, value_bytes, latent_cap)
+        args, kwargs = _pass_args(tree, failed, 1, latent_cap)
         for _ in range(passes):
             _simulate_upward(net, tree, *args, **kwargs)
         replayed = {nid: Battery(node.battery.capacity_j)

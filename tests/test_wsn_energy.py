@@ -53,7 +53,6 @@ class TestBattery:
         battery.drain(0.5)
         assert abs(battery.remaining_j - 1.5) < 1e-12
         assert abs(battery.consumed_j - 0.5) < 1e-12
-        assert abs(battery.fraction_remaining - 0.75) < 1e-12
 
     def test_overdrain_raises(self):
         battery = Battery(1.0)
@@ -63,12 +62,6 @@ class TestBattery:
     def test_negative_drain_rejected(self):
         with pytest.raises(ValueError):
             Battery(1.0).drain(-0.1)
-
-    def test_recharge(self):
-        battery = Battery(1.0)
-        battery.drain(0.7)
-        battery.recharge()
-        assert battery.remaining_j == 1.0
 
     def test_nan_capacity_rejected(self):
         """A NaN capacity passed the ``<= 0`` check and built a battery

@@ -17,6 +17,10 @@ class TestPlacement:
         with pytest.raises(ValueError):
             place_uniform(0)
 
+    def test_grid_validation(self):
+        with pytest.raises(ValueError, match="count must be positive"):
+            place_grid(0)
+
     def test_grid_covers_area(self):
         pts = place_grid(16, (100.0, 100.0))
         assert pts.shape == (16, 2)

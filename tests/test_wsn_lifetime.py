@@ -44,7 +44,7 @@ class TestSimulateLifetime:
         report = simulate_lifetime(deployment(16, seed=1), "hybrid",
                                    latent_dim=4, battery_j=100.0,
                                    max_rounds=20)
-        assert report.survived_whole_run
+        assert report.rounds_to_first_death >= report.total_rounds_simulated
         assert report.rounds_to_fraction_dead is None
 
     def test_fraction_death_round_after_first(self):

@@ -35,16 +35,6 @@ class TestTopology:
         with pytest.raises(KeyError):
             small_network().set_aggregator(99)
 
-    def test_connectivity_matrix(self):
-        net = small_network(range_m=15.0)
-        adjacency = net.connectivity()
-        assert adjacency[0, 1] and not adjacency[0, 2]
-        assert not adjacency.diagonal().any()
-
-    def test_neighbors(self):
-        net = small_network(range_m=15.0)
-        assert net.neighbors(2) == [1, 3]
-
     def test_positions_shape(self):
         assert small_network(5).positions().shape == (5, 2)
 
@@ -108,7 +98,8 @@ class TestTransmissions:
         net = small_network()
         elapsed = net.unicast(1, 2, 100, kind="test")
         assert elapsed > 0
-        assert net.ledger.total_payload_bytes("test") == 100
+        record = net.ledger.records[-1]
+        assert (record.kind, record.payload_bytes) == ("test", 100)
         assert net.nodes[1].battery.consumed_j > 0
         assert net.nodes[2].battery.consumed_j > 0
         # TX costs more than RX (amplifier energy).
@@ -127,21 +118,6 @@ class TestTransmissions:
         with pytest.raises(ValueError):
             small_network().unicast(1, 1, 10)
 
-    def test_broadcast_charges_neighbors(self):
-        net = small_network(range_m=15.0)
-        net.broadcast(2, 50)
-        assert net.nodes[1].battery.consumed_j > 0
-        assert net.nodes[3].battery.consumed_j > 0
-        assert net.nodes[5].battery.consumed_j == 0
-
-    def test_uplink_downlink_roundtrip(self):
-        net = small_network()
-        up = net.uplink_to_edge(1000)
-        down = net.downlink_from_edge(1000)
-        assert down < up    # downlink is the cheap direction
-        kinds = net.ledger.by_kind()
-        assert "uplink" in kinds and "downlink" in kinds
-
     def test_uplink_requires_aggregator(self):
         net = WSNetwork(np.zeros((2, 2)) + [[0, 0], [1, 1]])
         with pytest.raises(RuntimeError):
@@ -149,7 +125,7 @@ class TestTransmissions:
 
     def test_edge_server_never_drains(self):
         net = small_network()
-        net.downlink_from_edge(10_000)
+        net.uplink_to_edge(10_000)
         assert net.edge.battery.consumed_j == 0
 
 
@@ -158,26 +134,10 @@ class TestLedger:
         ledger = TransmissionLedger()
         ledger.record(0, 1, 100, 120, "a", 0.1)
         ledger.record(1, 2, 50, 60, "b", 0.2)
-        assert ledger.total_payload_bytes() == 150
         assert ledger.total_wire_bytes("a") == 120
         assert abs(ledger.total_kb() - 180 / 1024) < 1e-12
-        assert abs(ledger.total_time_s("b") - 0.2) < 1e-12
+        assert ledger.by_kind() == {"a": 120, "b": 60}
         assert len(ledger) == 2
-
-    def test_per_node_tx(self):
-        ledger = TransmissionLedger()
-        ledger.record(0, 1, 10, 12, "a", 0.0)
-        ledger.record(0, 2, 10, 12, "a", 0.0)
-        ledger.record(1, 2, 10, 12, "a", 0.0)
-        per_node = ledger.per_node_tx_bytes()
-        assert per_node[0] == 24 and per_node[1] == 12
-
-    def test_merge(self):
-        a, b = TransmissionLedger(), TransmissionLedger()
-        a.record(0, 1, 1, 1, "x", 0)
-        b.record(1, 2, 2, 2, "y", 0)
-        a.merge(b)
-        assert len(a) == 2
 
     def test_reset_ledger_swaps(self):
         net = small_network()
@@ -198,25 +158,6 @@ class TestReports:
     def test_alive_fraction(self):
         net = small_network(4)
         assert net.alive_fraction() == 1.0
-
-    def test_delivered_fraction_counts_messages_of_a_kind(self):
-        ledger = TransmissionLedger()
-        # Nothing sent yet: no message was lost.
-        assert ledger.delivered_fraction() == 1.0
-        ledger.record(1, 0, 10, 16, "raw", 0.01, 1, True)
-        ledger.record(2, 0, 10, 48, "raw", 0.03, 3, False)
-        assert ledger.delivered_fraction() == 0.5
-        assert ledger.delivered_fraction("raw") == 0.5
-        assert ledger.delivered_fraction("latent") == 1.0
-
-    def test_downlink_needs_an_aggregator(self):
-        net = WSNetwork(np.array([[0.0, 0.0], [10.0, 0.0]]),
-                        comm_range_m=50.0)
-        with pytest.raises(RuntimeError, match="no aggregator"):
-            net.downlink_from_edge(64)
-        net.set_aggregator(1)
-        assert net.downlink_from_edge(64) > 0.0
-        assert net.ledger.records[-1].dst == 1
 
 
 class TestLiveness:
@@ -258,23 +199,12 @@ class TestLiveness:
             net.unicast(1, 2, 10)
         with pytest.raises(DeadNodeError):
             net.unicast(2, 1, 10)
-        with pytest.raises(DeadNodeError):
-            net.broadcast(1, 10)
 
     def test_dead_aggregator_blocks_backhaul(self):
         net = small_network()
         net.kill_node(net.aggregator_id)
         with pytest.raises(DeadNodeError):
             net.uplink_to_edge(100)
-        with pytest.raises(DeadNodeError):
-            net.downlink_from_edge(100)
-
-    def test_broadcast_skips_dead_neighbors(self):
-        net = small_network(range_m=15.0)
-        net.kill_node(3)
-        consumed_before = net.nodes[3].battery.consumed_j
-        net.broadcast(2, 10)
-        assert net.nodes[3].battery.consumed_j == consumed_before
 
 
 class TestUnreliableTransmit:
@@ -283,7 +213,6 @@ class TestUnreliableTransmit:
         net = small_network()
         net.attach_unreliable(sensor=ChannelSpec(loss=loss, **spec_kwargs),
                               up=ChannelSpec(loss=loss, **spec_kwargs),
-                              down=ChannelSpec(loss=loss, **spec_kwargs),
                               rng=np.random.default_rng(seed))
         return net
 
@@ -298,7 +227,8 @@ class TestUnreliableTransmit:
             ideal.unicast(1, 2, payload)
             lossy.unicast(1, 2, payload)
         assert lossy.ledger.total_wire_bytes() > ideal.ledger.total_wire_bytes()
-        assert lossy.ledger.total_attempts() > ideal.ledger.total_attempts()
+        assert sum(r.attempts for r in lossy.ledger.records) \
+            > sum(r.attempts for r in ideal.ledger.records)
         assert lossy.nodes[1].battery.consumed_j \
             > ideal.nodes[1].battery.consumed_j
 
@@ -327,8 +257,7 @@ class TestUnreliableTransmit:
             lossy.unicast(1, 2, 2000)
         attempts = [r.attempts for r in lossy.ledger.records]
         assert max(attempts) > min(attempts)
-        fraction = lossy.ledger.delivered_fraction()
-        assert 0.0 <= fraction <= 1.0
+        assert all(isinstance(r.delivered, bool) for r in lossy.ledger.records)
 
     def test_delivery_failure_recorded_not_raised(self):
         from repro.sim import ARQConfig, ChannelSpec
@@ -338,7 +267,7 @@ class TestUnreliableTransmit:
             rng=np.random.default_rng(0))
         for _ in range(20):
             net.unicast(1, 2, 2000)
-        assert net.ledger.delivered_fraction() < 1.0
+        assert not all(r.delivered for r in net.ledger.records)
 
     def test_unattached_links_stay_ideal(self):
         from repro.sim import ChannelSpec
