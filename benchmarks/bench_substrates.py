@@ -1,8 +1,9 @@
 """Microbenchmarks for the substrates (repeated-timing mode).
 
 These measure the hot paths the figure experiments sit on: autograd
-training rounds, conv forward/backward, the Adam update over the DCSNet
-baseline's dense layers, WSN aggregation simulation, deployed data
+training rounds, conv forward/backward at DCSNet's layer shapes, the
+Adam update over the DCSNet baseline's parameters (both in float32, the
+dtype DCSNet trains in), WSN aggregation simulation, deployed data
 collection and dataset generation; and two the event engine sits on:
 the edge's pick queue and partial fleet waves.
 """
@@ -11,6 +12,7 @@ import time
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from repro import nn
 from repro.baselines.dcsnet import build_dcsnet_decoder, build_dcsnet_encoder
@@ -51,33 +53,48 @@ class TestNNSubstrate:
         result = benchmark(round_step)
         assert result > 0
 
-    def test_conv2d_forward_backward(self, benchmark):
+    @pytest.mark.parametrize("batch,c_in,c_out,size", [
+        (9, 16, 8, 32),    # DCSNet on signs: the second upsampled conv
+        (30, 8, 1, 28),    # DCSNet on digits: the output conv
+    ], ids=["16to8-32x32-batch9", "8to1-28x28-batch30"])
+    def test_conv2d_forward_backward(self, benchmark, batch, c_in, c_out,
+                                     size):
+        """One float32 3x3 conv (padding 1), forward and every gradient."""
         rng = np.random.default_rng(0)
-        x = Tensor(rng.random((16, 8, 28, 28)), requires_grad=True)
-        w = Tensor(rng.standard_normal((16, 8, 3, 3)) * 0.1,
+        x = Tensor(rng.random((batch, c_in, size, size), dtype=np.float32),
                    requires_grad=True)
+        w = Tensor((rng.standard_normal((c_out, c_in, 3, 3)) * 0.1)
+                   .astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
 
         def step():
-            out = F.conv2d(x, w, padding=1)
+            out = F.conv2d(x, w, b, padding=1)
             out.sum().backward()
-            x.zero_grad()
-            w.zero_grad()
-            return out.shape
+            grads = (x.grad, w.grad, b.grad)
+            for tensor in (x, w, b):
+                tensor.zero_grad()
+            return out.dtype, grads
 
-        assert benchmark(step) == (16, 16, 28, 28)
+        dtype, grads = benchmark(step)
+        assert dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads)
 
     def test_adam_step_large(self, benchmark):
-        """One Adam step over DCSNet's parameters on the signs task
-        (3x32x32 input, fixed 1024-d latent): ~5.3M elements, the
+        """One Adam step over DCSNet's float32 parameters on the signs
+        task (3x32x32 input, fixed 1024-d latent): ~5.3M elements, the
         optimiser load behind the paper's baseline figures."""
         rng = np.random.default_rng(0)
-        params = (build_dcsnet_encoder(3 * 32 * 32, rng).parameters()
-                  + build_dcsnet_decoder((3, 32, 32), rng).parameters())
+        params = (
+            build_dcsnet_encoder(3 * 32 * 32, rng).astype(np.float32)
+            .parameters()
+            + build_dcsnet_decoder((3, 32, 32), rng).astype(np.float32)
+            .parameters())
         for param in params:
-            param.grad = rng.standard_normal(param.shape)
+            param.grad = rng.standard_normal(param.shape, np.float32)
         optimizer = nn.Adam(params, lr=1e-3)
         benchmark(optimizer.step)
         assert sum(p.data.size for p in params) > 5_000_000
+        assert all(p.data.dtype == np.float32 for p in params)
         assert all(np.isfinite(p.data).all() for p in params)
 
     def test_maxpool_forward_backward(self, benchmark):
@@ -132,7 +149,7 @@ class TestSchedulingSubstrate:
     def test_partial_fleet_wave(self, benchmark):
         """One partial wave as a fused lossy run trains it: 28 of 32
         stacked clusters (40 devices, latent 6, batch 8) through
-        ``FleetTrainer.subset(...).step``."""
+        ``FleetTrainer.step(active=...)``."""
         fleet = FleetTrainer([
             OrcoDCSFramework(OrcoDCSConfig(input_dim=40, latent_dim=6,
                                            seed=k, noise_sigma=0.05,
@@ -140,7 +157,7 @@ class TestSchedulingSubstrate:
             for k in range(32)])
         active = [k for k in range(32) if k not in (3, 11, 17, 30)]
         batches = np.random.default_rng(0).random((len(active), 8, 40))
-        records = benchmark(lambda: fleet.subset(active).step(batches))
+        records = benchmark(lambda: fleet.step(batches, active=active))
         assert len(records) == 28
         assert all(np.isfinite(r.train_loss) for r in records)
 

@@ -110,7 +110,6 @@ class ImageClassifier:
         loader = DataLoader(dataset, batch_size=batch_size, shuffle=True,
                             rng=self.rng)
         losses: List[float] = []
-        self.model.train()
         for batch_images, batch_labels in loader:
             logits = self.model(Tensor(batch_images))
             loss_value = self.loss(logits, batch_labels)
@@ -125,7 +124,6 @@ class ImageClassifier:
         """Returns (accuracy, mean loss) on a held-out set."""
         nchw = self._to_nchw(images)
         labels = np.asarray(labels)
-        self.model.eval()
         correct_weighted = 0.0
         loss_weighted = 0.0
         for start in range(0, len(nchw), batch_size):
@@ -134,7 +132,6 @@ class ImageClassifier:
             logits = self.model(Tensor(batch))
             correct_weighted += accuracy(logits, batch_labels) * len(batch)
             loss_weighted += self.loss(logits, batch_labels).item() * len(batch)
-        self.model.train()
         return correct_weighted / len(nchw), loss_weighted / len(nchw)
 
     def fit(self, train_images: np.ndarray, train_labels: np.ndarray,

@@ -17,7 +17,6 @@ from .finetune import (
 )
 from .fleet import (
     FleetIncompatibilityError,
-    FleetSubset,
     FleetTrainer,
     fleet_compatible,
     stacking_key,
@@ -65,7 +64,7 @@ __all__ = [
     "CompressedRound", "EncoderDeployment",
     "AdaptationEvent", "AdaptationLog", "FineTuningMonitor",
     "OnlineAdaptationLoop",
-    "FleetIncompatibilityError", "FleetSubset", "FleetTrainer",
+    "FleetIncompatibilityError", "FleetTrainer",
     "fleet_compatible", "stacking_key",
     "GaussianNoiseInjector",
     "IdealRoundLoop", "InlineRoundExecutor", "SegmentedFleetExecutor",

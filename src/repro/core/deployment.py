@@ -156,12 +156,8 @@ class EncoderDeployment:
         """Edge-side decode of an aggregated latent vector, in the
         model's dtype."""
         from ..nn.tensor import Tensor
-        was_training = self.model.training
-        self.model.eval()
         latent = np.atleast_2d(np.asarray(latent, dtype=self.model.config.dtype))
-        out = self.model.decode(Tensor(latent)).data[0]
-        self.model.train(was_training)
-        return out
+        return self.model.decode(Tensor(latent)).data[0]
 
     def end_to_end_round(self, readings: Dict[int, float]) -> Tuple[np.ndarray, np.ndarray]:
         """Full Sec. III-C data path: distributed encode -> uplink ->

@@ -57,7 +57,7 @@ from ..nn.tensor import Tensor
 from ..wsn.network import TransmissionRecord
 from .orchestrator import OrchestratedTrainer, RoundRecord
 
-__all__ = ["FleetTrainer", "FleetSubset", "FleetIncompatibilityError",
+__all__ = ["FleetTrainer", "FleetIncompatibilityError",
            "fleet_compatible", "stacking_key"]
 
 
@@ -297,24 +297,6 @@ class FleetTrainer:
         return records
 
     # ------------------------------------------------------------------
-    def subset(self, indices) -> "FleetSubset":
-        """A stacked program over an arbitrary subset of the clusters.
-
-        Returns a lightweight :class:`FleetSubset` view bound to
-        ``indices`` (a sequence of cluster positions or a boolean mask
-        over the fleet).  Nothing is copied: the view executes through
-        this fleet's stacked parameters and optimiser state via the
-        ``active``-slice machinery, so it can be created mid-training at
-        every membership change (the event engine re-slices the
-        surviving clusters at each fault boundary) for the cost of an
-        index array.  ``indices`` is validated like ``step``'s
-        ``active``.
-        """
-        if indices is None:
-            raise ValueError("a fleet subset needs cluster indices")
-        return FleetSubset(self, _as_index(indices, self.num_clusters))
-
-    # ------------------------------------------------------------------
     def sync_to_trainers(self) -> None:
         """Write trained weights and optimiser state back to the trainers.
 
@@ -329,33 +311,6 @@ class FleetTrainer:
                            [t.encoder_optimizer for t in self.trainers])
         fleet_optimizer_to(self.decoder_optimizer,
                            [t.decoder_optimizer for t in self.trainers])
-
-
-class FleetSubset:
-    """A partial fleet: K' of the fleet's K clusters as one program.
-
-    Built by :meth:`FleetTrainer.subset`; holds only the parent fleet
-    and an index array.  ``step`` runs the stacked tensor program
-    gathered over exactly these clusters —
-    untouched clusters keep their weights *and* optimiser state (the
-    per-slice masked updates of :mod:`repro.nn.batched`) — so the
-    trajectory of each member matches training it in any other
-    grouping, or alone.
-    """
-
-    def __init__(self, fleet: FleetTrainer, index: np.ndarray):
-        self.fleet = fleet
-        self.index = index
-
-    def step(self, batches: np.ndarray,
-             epochs: Optional[Sequence[int]] = None) -> List[RoundRecord]:
-        """One training round for every member cluster, in one pass.
-
-        ``batches`` is ``(K', B, N)`` in subset order; returns one
-        :class:`RoundRecord` per member, exactly as
-        :meth:`FleetTrainer.step` would with ``active=self.index``.
-        """
-        return self.fleet.step(batches, epochs=epochs, active=self.index)
 
 
 def _layer_params(layers: Sequence[Module]):

@@ -606,8 +606,8 @@ class SegmentedFleetExecutor:
     one-cluster group executes its trainer directly) and, per plan, a
     list of how many rounds each surviving cluster completes before the
     next fault horizon.  Planned rounds are executed immediately as
-    fleet waves over the survivors (:meth:`~repro.core.fleet.
-    FleetTrainer.subset` — no parameter copies) and queued; the
+    fleet waves over the survivors (``FleetTrainer.step(active=...)``
+    — no parameter copies) and queued; the
     kernel's edge process then consumes them at the exact simulated
     times the unfused engine would have produced them.
 
@@ -875,9 +875,9 @@ class SegmentedFleetExecutor:
         Wave ``w`` trains every cluster with more than ``w`` planned
         successful rounds, split across the homogeneous groups: a full
         group runs its unsliced stacked program (allocation-free
-        optimiser fast path), a partial group runs through a
-        parameter-sharing :meth:`~repro.core.fleet.FleetTrainer.subset`,
-        and one-cluster groups step their trainer directly.
+        optimiser fast path), a partial group steps its fleet with the
+        survivors as ``active`` slices (parameters shared, nothing
+        copied), and one-cluster groups step their trainer directly.
         Per-cluster draw order (minibatch stream, noise RNG) and
         clock/ledger arithmetic match a per-round execution exactly;
         each success carries the planner-priced clock stretch, and each
@@ -932,9 +932,7 @@ class SegmentedFleetExecutor:
                         cluster, states[cluster.name].alive_mask)
                     epochs.append(epoch_of(cluster,
                                            self.executed[cluster.name]))
-                if len(rows) == len(members):
-                    records = fleet.step(stack, epochs=epochs)
-                else:
-                    records = fleet.subset(rows).step(stack, epochs=epochs)
+                active = rows if len(rows) < len(members) else None
+                records = fleet.step(stack, epochs=epochs, active=active)
                 for slot, position in enumerate(rows):
                     commit(self.clusters[members[position]], records[slot])

@@ -1,7 +1,9 @@
 """Array-level neural-network primitives and their autograd wrappers.
 
 The pure-numpy helpers (:func:`im2col_array`, :func:`col2im_array`) do the
-data movement that convolution and pooling need.  The public functions
+data movement that pooling and the transposed convolution need;
+:func:`conv2d`, stride 1 only, copies its columns as whole padded rows
+instead (:func:`_padded_rows`) and needs no fold.  The public functions
 (:func:`conv2d`, :func:`max_pool2d`, :func:`upsample2d`) operate on
 :class:`~repro.nn.tensor.Tensor` objects and register backward closures,
 so they compose with the rest of the autograd graph.
@@ -99,9 +101,38 @@ def col2im_array(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
     return padded
 
 
+def _padded_rows(x: np.ndarray, kh: int, kw: int, ph: int,
+                 pw: int) -> Tuple[np.ndarray, int, int, int]:
+    """Columns of a stride-1 convolution, one row of the padded width each.
+
+    ``x`` is zero-padded once into a flat ``(B, C, Hp * Wp + kw - 1)``
+    buffer, so tap ``(i, j)``'s column block is the contiguous run of
+    ``out_h * Wp`` values starting at ``i * Wp + j``.  Returns
+    ``(cols, out_h, out_w, Wp)`` with ``cols`` of shape
+    ``(B, C * kh * kw, out_h * Wp)``: column ``r * Wp + q`` holds the
+    receptive field of output ``(r, q)`` for ``q < out_w``, and the
+    ``Wp - out_w`` trailing columns of each row read across the row end
+    (zeros of the padding and of the tail, or neighbouring inputs), so
+    they are finite wherever ``x`` is.
+    """
+    batch, channels, height, width = x.shape
+    hp, wp = height + 2 * ph, width + 2 * pw
+    out_h, out_w = conv_output_shape(height, width, (kh, kw), 1, (ph, pw))
+    flat = np.zeros((batch, channels, hp * wp + kw - 1), dtype=x.dtype)
+    grid = flat[:, :, :hp * wp].reshape(batch, channels, hp, wp)
+    grid[:, :, ph:ph + height, pw:pw + width] = x
+    length = out_h * wp
+    cols = np.empty((batch, channels, kh * kw, length), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            start = i * wp + j
+            cols[:, :, i * kw + j] = flat[:, :, start:start + length]
+    return cols.reshape(batch, -1, length), out_h, out_w, wp
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None,
-           stride: IntPair = 1, padding: IntPair = 0) -> Tensor:
-    """2-D cross-correlation (the deep-learning "convolution").
+           padding: IntPair = 0) -> Tensor:
+    """2-D cross-correlation (the deep-learning "convolution"), stride 1.
 
     Parameters
     ----------
@@ -111,39 +142,61 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor = None,
         Filter tensor ``(C_out, C_in, kh, kw)``.
     bias:
         Optional bias ``(C_out,)``.
+    padding:
+        Zeros added on each side, per axis; smaller than the kernel
+        (``ValueError`` otherwise), so that the input gradient is the
+        same convolution of the output gradient padded by
+        ``kernel - 1 - padding``.
 
     Returns
     -------
     Tensor
         Output ``(B, C_out, out_h, out_w)``.
+
+    The columns come from :func:`_padded_rows`, and one GEMM per sample
+    gives output rows of the padded width whose trailing columns are
+    dropped.  The weight gradient multiplies the same columns by the
+    output gradient with zeros in those columns; the input gradient is
+    the flipped, transposed kernel run over the padded output gradient.
     """
     batch, _, height, width = x.shape
     out_channels, in_channels, kh, kw = weight.shape
     if x.shape[1] != in_channels:
         raise ValueError(f"input has {x.shape[1]} channels, weight expects {in_channels}")
-    out_h, out_w = conv_output_shape(height, width, (kh, kw), stride, padding)
+    ph, pw = _pair(padding)
+    if not (0 <= ph < kh and 0 <= pw < kw):
+        raise ValueError(f"padding {(ph, pw)} must be non-negative and smaller "
+                         f"than the kernel {(kh, kw)}")
 
-    cols = im2col_array(x.data, (kh, kw), stride, padding)           # (B, CKK, L)
+    cols, out_h, out_w, wp = _padded_rows(x.data, kh, kw, ph, pw)  # (B, CKK, out_h*Wp)
     w2 = weight.data.reshape(out_channels, -1)                       # (OC, CKK)
-    out_data = np.matmul(w2, cols)                                   # (B, OC, L)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, -1, 1)
-    out_data = out_data.reshape(batch, out_channels, out_h, out_w)
+    wide = np.matmul(w2, cols).reshape(batch, out_channels, out_h, wp)
+    if bias is None:
+        out_data = np.ascontiguousarray(wide[..., :out_w])
+    else:
+        out_data = wide[..., :out_w] + bias.data.reshape(1, -1, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = x._make_child(out_data, parents, "conv2d")
     if out.requires_grad:
 
         def backward(grad: np.ndarray) -> None:
-            g2 = grad.reshape(batch, out_channels, -1)               # (B, OC, L)
             if weight.requires_grad:
-                gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+                g_wide = np.zeros((batch, out_channels, out_h, wp), dtype=grad.dtype)
+                g_wide[..., :out_w] = grad
+                gw = np.matmul(g_wide.reshape(batch, out_channels, -1),
+                               cols.transpose(0, 2, 1)).sum(axis=0)
                 weight._accumulate(gw.reshape(weight.shape))
             if bias is not None and bias.requires_grad:
-                bias._accumulate(g2.sum(axis=(0, 2)))
+                bias._accumulate(grad.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                gcols = np.matmul(w2.T, g2)                          # (B, CKK, L)
-                x._accumulate(col2im_array(gcols, x.shape, (kh, kw), stride, padding))
+                flipped = w2.reshape(weight.shape)[:, :, ::-1, ::-1]
+                flipped = flipped.transpose(1, 0, 2, 3).reshape(in_channels, -1)
+                gcols, _, _, gwp = _padded_rows(grad, kh, kw, kh - 1 - ph,
+                                                kw - 1 - pw)
+                gx = np.matmul(flipped, gcols).reshape(batch, in_channels,
+                                                       height, gwp)
+                x._accumulate(gx[..., :width])
 
         out._backward = backward
     return out

@@ -2,8 +2,8 @@
 
 The :class:`Module` base class gives automatic parameter registration
 (assigning a :class:`Parameter` or a sub-:class:`Module` to an attribute
-registers it), recursive ``parameters()`` traversal,
-train/eval mode switching and a one-time parameter cast (``astype``) — a
+registers it), recursive ``parameters()`` traversal and a one-time
+parameter cast (``astype``) — a
 deliberately small subset of the familiar PyTorch API, enough for every
 model in the OrcoDCS paper.  Layers draw their initial weights in
 float64; a float32 model is that model rounded.
@@ -39,7 +39,6 @@ class Module:
     def __init__(self):
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
-        object.__setattr__(self, "training", True)
 
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
@@ -62,24 +61,9 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_parameters(prefix + name + ".")
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all descendants."""
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
-
     # ------------------------------------------------------------------
-    # Modes and dtype
+    # Dtype
     # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        """Switch train/eval mode (the latent noise reads ``training``)."""
-        for module in self.modules():
-            object.__setattr__(module, "training", mode)
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
-
     def astype(self, dtype) -> "Module":
         """Cast every parameter to ``dtype``; returns ``self``.
 
@@ -163,10 +147,10 @@ class Dense(Module):
 
 
 class Conv2D(Module):
-    """2-D convolution layer over NCHW inputs."""
+    """2-D stride-1 convolution layer over NCHW inputs."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: F.IntPair,
-                 stride: F.IntPair = 1, padding: F.IntPair = 0, bias: bool = True,
+                 padding: F.IntPair = 0, bias: bool = True,
                  weight_init: str = "he_uniform",
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
@@ -174,7 +158,6 @@ class Conv2D(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = F._pair(kernel_size)
-        self.stride = F._pair(stride)
         self.padding = F._pair(padding)
         scheme = initializers.get_initializer(weight_init)
         shape = (out_channels, in_channels) + self.kernel_size
@@ -182,11 +165,11 @@ class Conv2D(Module):
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return F.conv2d(x, self.weight, self.bias, self.padding)
 
     def __repr__(self) -> str:
         return (f"Conv2D({self.in_channels}, {self.out_channels}, "
-                f"kernel={self.kernel_size}, stride={self.stride}, padding={self.padding})")
+                f"kernel={self.kernel_size}, padding={self.padding})")
 
 
 class MaxPool2D(Module):

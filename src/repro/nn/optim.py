@@ -44,10 +44,10 @@ class Optimizer:
 #: of Kingma & Ba (2015), which every model here trains with.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-#: Elements per block of the in-place Adam kernel.  One 16K-element
-#: block of param, grad, m, v and the two scratch buffers (6 x 128 KiB
-#: in float64) stays resident in L2 across the update's passes.
-CHUNK = 1 << 14
+#: Bytes per array in one block of the in-place Adam kernel: 64K
+#: float32 or 32K float64 elements.  Sized in bytes, not elements, so a
+#: float32 model walks blocks as large as a float64 one.
+BLOCK_BYTES = 256 * 1024
 
 #: Per-dtype pair of flat scratch buffers used by :func:`adam_update`.
 AdamScratch = Dict[np.dtype, Tuple[np.ndarray, np.ndarray]]
@@ -57,13 +57,15 @@ def adam_scratch(params: Iterable[Tensor], rows: int = 1) -> AdamScratch:
     """Scratch for :func:`adam_update` over ``params``.
 
     Two flat buffers per parameter dtype, each as long as the largest
-    block any of those parameters needs: ``min(CHUNK, size)`` elements
-    for a plain parameter, ``rows`` rows of at most ``CHUNK // rows``
-    columns (at least one) for a slice-stacked one.
+    block any of those parameters needs: ``min(chunk, size)`` elements
+    for a plain parameter, ``rows`` rows of at most ``chunk // rows``
+    columns (at least one) for a slice-stacked one, where ``chunk`` is
+    :data:`BLOCK_BYTES` over the dtype's item size.
     """
     sizes: Dict[np.dtype, int] = {}
     for param in params:
-        block = rows * min(param.data.size // rows, max(1, CHUNK // rows))
+        chunk = BLOCK_BYTES // param.data.itemsize
+        block = rows * min(param.data.size // rows, max(1, chunk // rows))
         sizes[param.data.dtype] = max(sizes.get(param.data.dtype, 0), block)
     return {dtype: (np.empty(n, dtype), np.empty(n, dtype))
             for dtype, n in sizes.items()}
@@ -130,8 +132,8 @@ class Adam(Optimizer):
     rate is the one setting, and one that is not finite and positive
     raises ``ValueError``.  :meth:`step` runs :func:`adam_update`:
     ``param.data`` changes in place, and the working memory is one
-    scratch of ``min(CHUNK, largest param)`` elements per dtype,
-    allocated once here.
+    scratch of ``min(BLOCK_BYTES // itemsize, largest param)`` elements
+    per dtype, allocated once here.
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3):

@@ -19,7 +19,7 @@ from .exporters import (
     render_prometheus,
     summary_table,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsCollector, RingSeries
+from .metrics import Counter, Gauge, Histogram, MetricsCollector
 from .telemetry import (
     EVENT_TYPES,
     NULL_BUS,
@@ -44,7 +44,7 @@ __all__ = [
     "RoundCompleted", "SegmentFused", "FaultApplied",
     "ArqRederived", "ParityChosen", "TransmitBatch", "QuorumCheck",
     "ClusterRetired", "DeadlineMissed", "SpanClosed",
-    "Counter", "Gauge", "Histogram", "RingSeries", "MetricsCollector",
+    "Counter", "Gauge", "Histogram", "MetricsCollector",
     "JsonlWriter", "read_events", "render_prometheus", "summary_table",
     "LiveConsole",
 ]

@@ -90,8 +90,6 @@ def _encode_event(event: TelemetryEvent) -> str:
     """
     fields = event.__dict__
     cls = event.__class__
-    if not fields:
-        return f'{{"kind":{_ENCODER.encode(cls.kind)}}}'
     prefixes = _CLASS_PREFIXES.get(cls)
     if prefixes is None:
         prefixes = tuple(

@@ -1,4 +1,4 @@
-"""`repro.obs.metrics` — counters, gauges, histograms, ring series.
+"""`repro.obs.metrics` — counters, gauges and histograms.
 
 Small, dependency-free metric primitives plus a
 :class:`MetricsCollector` that subscribes to a
@@ -22,7 +22,7 @@ from .telemetry import (
 )
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "RingSeries", "MetricsCollector",
+    "Counter", "Gauge", "Histogram", "MetricsCollector",
 ]
 
 
@@ -78,26 +78,6 @@ class Histogram:
         self.max = value if self.max is None else max(self.max, value)
 
 
-class RingSeries:
-    """Fixed-capacity time series: keeps the most recent observations.
-
-    Appends are O(1) into a preallocated ring.  ``total`` counts every
-    observation ever pushed, so consumers can tell how much history was
-    dropped.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._ring: List[float] = [0.0] * capacity
-        self.total = 0
-
-    def push(self, value: float) -> None:
-        self._ring[self.total % self.capacity] = value
-        self.total += 1
-
-
 #: Default bucket edges for each histogram the collector keeps.
 _LOSS_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 _FRAMES_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -114,8 +94,6 @@ class _ClusterStats:
     loss: Gauge = field(default_factory=Gauge)
     battery_j: Gauge = field(default_factory=Gauge)
     radio_energy_j: Gauge = field(default_factory=Gauge)
-    loss_series: RingSeries = field(
-        default_factory=lambda: RingSeries(256))
 
 
 class MetricsCollector:
@@ -131,9 +109,7 @@ class MetricsCollector:
         SpanClosed.kind,
     )
 
-    def __init__(self, bus: Optional[TelemetryBus] = None,
-                 series_capacity: int = 256) -> None:
-        self._series_capacity = series_capacity
+    def __init__(self, bus: Optional[TelemetryBus] = None) -> None:
         self.clusters: Dict[str, _ClusterStats] = {}
         self.loss_hist = Histogram(_LOSS_BUCKETS)
         self.battery_hist = Histogram(_BATTERY_BUCKETS)
@@ -153,8 +129,7 @@ class MetricsCollector:
     def _cluster(self, name: str) -> _ClusterStats:
         stats = self.clusters.get(name)
         if stats is None:
-            stats = self.clusters[name] = _ClusterStats(
-                loss_series=RingSeries(self._series_capacity))
+            stats = self.clusters[name] = _ClusterStats()
         return stats
 
     def observe_event(self, event: TelemetryEvent) -> None:
@@ -165,7 +140,6 @@ class MetricsCollector:
                 stats.delivered.inc()
             if event.loss is not None:
                 stats.loss.set(event.loss)
-                stats.loss_series.push(event.loss)
                 self.loss_hist.observe(event.loss)
             if event.battery_j is not None:
                 stats.battery_j.set(event.battery_j)

@@ -1,21 +1,20 @@
 """Network-lifetime simulation: how long until batteries die?
 
 The WSN literature's standard summary metric — rounds until the first
-node depletes (and until a fraction of nodes deplete) — applied to the
-three aggregation modes of this reproduction.  This quantifies the
-paper's energy motivation: hybrid/trained-encoder aggregation extends
-cluster lifetime by capping per-node transmissions at ``M`` scalars.
+node depletes — applied to the aggregation modes of this reproduction.
+This quantifies the paper's energy motivation: hybrid/trained-encoder
+aggregation extends cluster lifetime by capping per-node transmissions
+at ``M`` scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
 from .aggregation import (
-    AggregationTree,
     build_aggregation_tree,
     simulate_hybrid_aggregation,
     simulate_raw_aggregation,
@@ -30,38 +29,28 @@ class LifetimeReport:
     """Outcome of one lifetime simulation."""
 
     mode: str
-    rounds_to_first_death: int
-    rounds_to_fraction_dead: Optional[int]
-    death_fraction: float
+    rounds_to_first_death: int   # max_rounds when no battery depletes
     total_rounds_simulated: int
     energy_spread: float   # max/mean consumed energy at end (hotspot factor)
 
 
-def _run_rounds(network: WSNetwork, tree: AggregationTree,
-                round_fn: Callable[[], None], max_rounds: int,
-                death_fraction: float) -> LifetimeReport:
+def _run_rounds(network: WSNetwork, round_fn: Callable[[], None],
+                max_rounds: int) -> LifetimeReport:
+    """Run rounds until the first depleted battery ends one."""
     first_death = max_rounds
-    fraction_round: Optional[int] = None
     completed = 0
     for round_index in range(1, max_rounds + 1):
         try:
             round_fn()
         except BatteryDepletedError:
-            first_death = min(first_death, round_index)
+            first_death = round_index
             break
         completed = round_index
-        alive = network.alive_fraction()
-        if first_death == max_rounds and alive < 1.0:
-            first_death = round_index
-        if fraction_round is None and (1.0 - alive) >= death_fraction:
-            fraction_round = round_index
     consumed = [n.battery.consumed_j for n in network.nodes.values()]
     mean = float(np.mean(consumed)) if consumed else 0.0
     spread = float(np.max(consumed) / mean) if mean > 0 else 1.0
     return LifetimeReport(
         mode="", rounds_to_first_death=first_death,
-        rounds_to_fraction_dead=fraction_round,
-        death_fraction=death_fraction,
         total_rounds_simulated=completed, energy_spread=spread)
 
 
@@ -69,7 +58,6 @@ def simulate_lifetime(positions: np.ndarray, mode: str,
                       latent_dim: int = 16, battery_j: float = 0.05,
                       comm_range_m: float = 30.0,
                       max_rounds: int = 10_000,
-                      death_fraction: float = 0.2,
                       values_per_node: int = 1) -> LifetimeReport:
     """Run data-collection rounds until batteries give out.
 
@@ -107,7 +95,7 @@ def simulate_lifetime(positions: np.ndarray, mode: str,
             simulate_hybrid_aggregation(network, tree, latent_dim,
                                         values_per_node=values_per_node)
 
-    report = _run_rounds(network, tree, round_fn, max_rounds, death_fraction)
+    report = _run_rounds(network, round_fn, max_rounds)
     report.mode = mode
     return report
 

@@ -201,25 +201,20 @@ class TestStepInterface:
 
 
 class TestFleetSubset:
+    """A partial wave: ``step(active=...)`` trains a subset of the fleet
+    through its stacked parameters."""
+
     def test_subset_validation(self):
         fleet = FleetTrainer(make_trainers(3))
         with pytest.raises(ValueError):
-            fleet.subset([])
+            fleet.step(batch_stack(K=1), active=[])
         with pytest.raises(ValueError):
-            fleet.subset([0, 0])
+            fleet.step(batch_stack(K=2), active=[0, 0])
         with pytest.raises(IndexError):
-            fleet.subset([0, 3])
+            fleet.step(batch_stack(K=2), active=[0, 3])
         with pytest.raises(ValueError):
-            fleet.subset(np.array([True, False]))   # wrong mask length
-        with pytest.raises(ValueError):
-            fleet.subset(None)
-
-    def test_subset_owns_its_index(self):
-        fleet = FleetTrainer(make_trainers(3))
-        rows = np.array([0, 2], dtype=np.intp)
-        subset = fleet.subset(rows)
-        rows[0] = 1
-        assert subset.index.tolist() == [0, 2]
+            fleet.step(batch_stack(K=1),
+                       active=np.array([True, False]))   # wrong mask length
 
     @pytest.mark.parametrize("active,error", [
         ([1, 1], ValueError),                  # duplicate
@@ -239,8 +234,6 @@ class TestFleetSubset:
             fleet.step(batch_stack(K=max(len(active), 1)), active=active)
         with pytest.raises(error):
             fleet.forward(batch_stack(K=max(len(active), 1)), active=active)
-        with pytest.raises(error):
-            fleet.subset(active)
         assert [t.clock_s for t in fleet.trainers] == [0.0, 0.0, 0.0]
         assert [len(t.ledger) for t in fleet.trainers] == [0, 0, 0]
         assert list(fleet.decoder_optimizer._t) == [0, 0, 0]
@@ -249,17 +242,21 @@ class TestFleetSubset:
 
     def test_boolean_mask_selects_members(self):
         fleet = FleetTrainer(make_trainers(3))
-        subset = fleet.subset(np.array([True, False, True]))
-        assert subset.index.tolist() == [0, 2]
+        records = fleet.step(batch_stack(K=2),
+                             active=np.array([True, False, True]))
+        assert len(records) == 2
+        assert list(fleet.decoder_optimizer._t) == [1, 0, 1]
+        assert [t.clock_s > 0.0 for t in fleet.trainers] == [True, False, True]
 
     def test_subset_shares_parameters_with_fleet(self):
         """Mid-training slicing copies nothing: a subset step mutates
         the fleet's stacked parameters in place."""
         fleet = FleetTrainer(make_trainers(3))
-        subset = fleet.subset([1])
-        before = fleet.encoder_layers[0].weight.data.copy()
-        subset.step(batch_stack(K=1))
+        weight = fleet.encoder_layers[0].weight.data
+        before = weight.copy()
+        fleet.step(batch_stack(K=1), active=[1])
         after = fleet.encoder_layers[0].weight.data
+        assert after is weight
         assert not np.allclose(before[1], after[1])      # member trained
         np.testing.assert_array_equal(before[0], after[0])   # others frozen
         np.testing.assert_array_equal(before[2], after[2])
@@ -278,7 +275,7 @@ class TestFleetSubset:
             stack = np.random.default_rng(99).random(
                 (len(members), 8, 20))
             stack[row] = batch
-            records = fleet.subset(members).step(stack)
+            records = fleet.step(stack, active=members)
             fleet_losses.append(records[row].train_loss)
         solo_losses = [solo.step(batch).train_loss for batch in batches]
         np.testing.assert_allclose(fleet_losses, solo_losses, atol=1e-9)

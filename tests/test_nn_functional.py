@@ -21,6 +21,42 @@ def numeric_grad(func, array, eps=1e-6):
     return grad
 
 
+def reference_conv2d(x: Tensor, weight: Tensor, bias: Tensor = None,
+                     stride=1, padding=0) -> Tensor:
+    """The im2col/col2im convolution that ``F.conv2d`` replaced, kept as
+    the reference its output and gradients are checked against."""
+    batch, _, height, width = x.shape
+    out_channels, in_channels, kh, kw = weight.shape
+    if x.shape[1] != in_channels:
+        raise ValueError(f"input has {x.shape[1]} channels, weight expects {in_channels}")
+    out_h, out_w = F.conv_output_shape(height, width, (kh, kw), stride, padding)
+
+    cols = F.im2col_array(x.data, (kh, kw), stride, padding)         # (B, CKK, L)
+    w2 = weight.data.reshape(out_channels, -1)                       # (OC, CKK)
+    out_data = np.matmul(w2, cols)                                   # (B, OC, L)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, -1, 1)
+    out_data = out_data.reshape(batch, out_channels, out_h, out_w)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = x._make_child(out_data, parents, "conv2d")
+    if out.requires_grad:
+
+        def backward(grad: np.ndarray) -> None:
+            g2 = grad.reshape(batch, out_channels, -1)               # (B, OC, L)
+            if weight.requires_grad:
+                gw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+                weight._accumulate(gw.reshape(weight.shape))
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(g2.sum(axis=(0, 2)))
+            if x.requires_grad:
+                gcols = np.matmul(w2.T, g2)                          # (B, CKK, L)
+                x._accumulate(F.col2im_array(gcols, x.shape, (kh, kw), stride, padding))
+
+        out._backward = backward
+    return out
+
+
 class TestIm2Col:
     def test_shapes(self):
         x = np.arange(2 * 3 * 5 * 5, dtype=float).reshape(2, 3, 5, 5)
@@ -87,14 +123,80 @@ class TestConv2d:
 
         def value():
             out = F.conv2d(Tensor(x.data), Tensor(w.data), Tensor(b.data),
-                           stride=2, padding=1)
+                           padding=1)
             return float((out * out).sum().data)
 
-        out = F.conv2d(x, w, b, stride=2, padding=1)
+        out = F.conv2d(x, w, b, padding=1)
         (out * out).sum().backward()
         for tensor in (x, w, b):
             approx = numeric_grad(value, tensor.data)
             assert np.allclose(tensor.grad, approx, atol=1e-4)
+
+    @pytest.mark.parametrize("padding", [(3, 1), (1, 3), (-1, 0)],
+                             ids=["rows", "columns", "negative"])
+    def test_padding_must_be_smaller_than_the_kernel(self, padding):
+        x = Tensor(np.zeros((1, 2, 6, 6)))
+        w = Tensor(np.zeros((4, 2, 3, 3)))
+        with pytest.raises(ValueError, match="padding"):
+            F.conv2d(x, w, padding=padding)
+
+
+#: Every conv layer of the image models as (C_in, C_out, H, W): DCSNet's
+#: decoder and the fig5 classifier, for digits (1x28x28) and signs
+#: (3x32x32); all 3x3 with padding 1.
+MODEL_LAYERS = {
+    "dcsnet-digits-32to16": (32, 16, 14, 14),
+    "dcsnet-digits-16to8": (16, 8, 28, 28),
+    "dcsnet-digits-8to8": (8, 8, 28, 28),
+    "dcsnet-digits-8to1": (8, 1, 28, 28),
+    "dcsnet-signs-32to16": (32, 16, 16, 16),
+    "dcsnet-signs-16to8": (16, 8, 32, 32),
+    "dcsnet-signs-8to8": (8, 8, 32, 32),
+    "dcsnet-signs-8to3": (8, 3, 32, 32),
+    "classifier-digits-1to8": (1, 8, 28, 28),
+    "classifier-digits-8to16": (8, 16, 14, 14),
+    "classifier-signs-3to8": (3, 8, 32, 32),
+    "classifier-signs-8to16": (8, 16, 16, 16),
+}
+CONV_CASES = [pytest.param((2, c_in, h, w), (c_out, c_in, 3, 3), (1, 1), id=name)
+              for name, (c_in, c_out, h, w) in MODEL_LAYERS.items()]
+#: The 2x3 kernel with padding (1, 0) of tests/test_nn_gradcheck.py.
+CONV_CASES.append(pytest.param((2, 2, 5, 6), (3, 2, 2, 3), (1, 0),
+                               id="gradcheck-2x3"))
+
+#: The largest difference of an output or gradient, over the largest
+#: magnitude of the reference's, may be 32 eps of the dtype.  Both sides
+#: sum the same products in different orders; over these shapes that
+#: moves a result by at most ~5 eps, in float32 and in float64.
+TOLERANCE_EPS = 32
+
+
+class TestConv2dMatchesReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("x_shape,w_shape,padding", CONV_CASES)
+    def test_output_and_gradients(self, x_shape, w_shape, padding, dtype):
+        rng = np.random.default_rng(11)
+        arrays = [rng.standard_normal(x_shape),
+                  rng.standard_normal(w_shape) * 0.3,
+                  rng.standard_normal(w_shape[0])]
+        upstream = None
+        results = []
+        for conv in (F.conv2d, reference_conv2d):
+            x, w, b = (Tensor(a.astype(dtype), requires_grad=True)
+                       for a in arrays)
+            out = conv(x, w, b, padding=padding)
+            if upstream is None:
+                upstream = rng.standard_normal(out.shape).astype(dtype)
+            out.backward(upstream)
+            results.append([out.data, x.grad, w.grad, b.grad])
+        tolerance = TOLERANCE_EPS * np.finfo(dtype).eps
+        for name, new, ref in zip(("output", "input grad", "weight grad",
+                                   "bias grad"), *results):
+            assert new.dtype == ref.dtype == dtype, name
+            assert new.shape == ref.shape, name
+            error = np.abs(new - ref).max() / np.abs(ref).max()
+            assert error <= tolerance, (name, error)
 
 
 class TestConvTranspose2d:
@@ -106,9 +208,9 @@ class TestConvTranspose2d:
 
     def test_inverse_shape_of_conv(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 4, 8, 8))
-        down = F.conv2d(Tensor(x), Tensor(rng.standard_normal((6, 4, 3, 3))),
-                        stride=2, padding=1)
+        # A stride-2 3x3 convolution with padding 1 maps 8x8 to 4x4.
+        assert F.conv_output_shape(8, 8, (3, 3), 2, 1) == (4, 4)
+        down = Tensor(rng.standard_normal((1, 6, 4, 4)))
         up = F.conv_transpose2d(down, Tensor(rng.standard_normal((6, 4, 4, 4))),
                                 stride=2, padding=1)
         assert up.shape == (1, 4, 8, 8)

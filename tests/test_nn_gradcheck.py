@@ -101,7 +101,7 @@ OPS = [
     Op("conv2d", lambda rng: [rng.standard_normal((2, 2, 5, 6)),
                               rng.standard_normal((3, 2, 2, 3)) * 0.4,
                               rng.standard_normal(3)],
-       lambda x, w, b: F.conv2d(x, w, b, stride=(1, 2), padding=(1, 0))),
+       lambda x, w, b: F.conv2d(x, w, b, padding=(1, 0))),
     Op("conv-transpose2d", lambda rng: [rng.standard_normal((1, 2, 3, 3)),
                                         rng.standard_normal((2, 3, 2, 2)) * 0.4,
                                         rng.standard_normal(3)],

@@ -19,13 +19,6 @@ class TestModuleMachinery:
         names = [name for name, _ in model.named_parameters()]
         assert "0.weight" in names and "2.bias" in names
 
-    def test_train_eval_propagates(self):
-        model = nn.Sequential(nn.Dense(2, 2), nn.Sequential(nn.Sigmoid()))
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in model.modules())
-
     def test_forward_not_implemented(self):
         with pytest.raises(NotImplementedError):
             nn.Module()(Tensor(np.zeros(1)))

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.optim import BETA1, BETA2, CHUNK, EPS
+from repro.nn.optim import BETA1, BETA2, BLOCK_BYTES, EPS
+
+#: Elements per Adam block: 32K in float64, 64K in float32.
+BLOCK64 = BLOCK_BYTES // 8
+BLOCK32 = BLOCK_BYTES // 4
 
 
 def quadratic_param(start=5.0):
@@ -105,14 +109,16 @@ class TestAdamKernelOracle:
     """The blocked in-place kernel is bit-identical to the allocating
     expression, across block boundaries and awkward layouts."""
 
-    SIZES = (1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
-
     def arrays(self, dtype=np.float64):
+        block = BLOCK_BYTES // np.dtype(dtype).itemsize
         rng = np.random.default_rng(1)
-        return [rng.standard_normal(n).astype(dtype) for n in self.SIZES]
+        return [rng.standard_normal(n).astype(dtype)
+                for n in (1, block, block + 1, 3 * block + 7)]
 
-    def test_block_boundary_sizes(self):
-        assert_bit_identical(*run_against_reference(self.arrays()))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["float64", "float32"])
+    def test_block_boundary_sizes(self, dtype):
+        assert_bit_identical(*run_against_reference(self.arrays(dtype)))
 
     def test_zero_gradient_leaves_params_unchanged(self):
         arrays = self.arrays()
@@ -146,17 +152,17 @@ class TestAdamKernelOracle:
 
     def test_float32_param(self):
         param = nn.Parameter(
-            (np.arange(3 * CHUNK + 7) % 11 - 5).astype(np.float32))
+            (np.arange(3 * BLOCK32 + 7) % 11 - 5).astype(np.float32))
         assert param.data.dtype == np.float32
         fast_opt, slow_opt = run_against_reference([param.data, np.ones(5)])
         assert_bit_identical(fast_opt, slow_opt)
         assert fast_opt.params[0].data.dtype == np.float32
 
     def test_step_updates_param_data_in_place(self):
-        param = nn.Parameter(np.ones(CHUNK + 3))
+        param = nn.Parameter(np.ones(BLOCK64 + 3))
         data = param.data
         opt = nn.Adam([param], lr=0.1)
-        param.grad = np.ones(CHUNK + 3)
+        param.grad = np.ones(BLOCK64 + 3)
         opt.step()
         assert param.data is data
         assert (data < 1.0).all()
@@ -164,17 +170,17 @@ class TestAdamKernelOracle:
     def test_step_never_writes_grad(self):
         # Autograd can hand two tensors the same gradient array.
         rng = np.random.default_rng(3)
-        shared = rng.standard_normal(CHUNK + 9)
+        shared = rng.standard_normal(BLOCK64 + 9)
         before = shared.copy()
-        a = nn.Parameter(rng.standard_normal(CHUNK + 9))
-        b = nn.Parameter(rng.standard_normal(CHUNK + 9))
+        a = nn.Parameter(rng.standard_normal(BLOCK64 + 9))
+        b = nn.Parameter(rng.standard_normal(BLOCK64 + 9))
         a.grad = b.grad = shared
         nn.Adam([a, b], lr=0.01).step()
         np.testing.assert_array_equal(shared, before)
 
     def test_fleet_adam_matches_reference_per_slice(self):
         rng = np.random.default_rng(4)
-        slices, n = 3, CHUNK + 5
+        slices, n = 3, BLOCK64 + 5
         stacked = nn.Parameter(rng.standard_normal((slices, 1, n)))
         singles = [nn.Parameter(stacked.data[k].copy()) for k in range(slices)]
         fleet = nn.FleetAdam([stacked], lr=0.01, num_slices=slices)
@@ -227,7 +233,7 @@ class TestMaskedFleetAdam:
 
     def _pair(self):
         rng = np.random.default_rng(7)
-        shapes = [(self.SLICES, 1, CHUNK + 5), (self.SLICES, 3, 4)]
+        shapes = [(self.SLICES, 1, BLOCK64 + 5), (self.SLICES, 3, 4)]
         pair = []
         for _ in range(2):
             params = [nn.Parameter(np.random.default_rng(k).standard_normal(
@@ -282,11 +288,16 @@ class TestMaskedFleetAdam:
 
 class TestAdamScratch:
     def test_scratch_is_min_of_chunk_and_largest_param(self):
+        """Blocks are 256 KiB per array: 32K float64 or 64K float32
+        elements."""
         small = nn.Adam([nn.Parameter(np.zeros(3)),
                          nn.Parameter(np.zeros((4, 50)))])
         large = nn.Adam([nn.Parameter(np.zeros(7)),
-                         nn.Parameter(np.zeros(3 * CHUNK + 7))])
-        for opt, expected in ((small, 200), (large, CHUNK)):
+                         nn.Parameter(np.zeros(3 * BLOCK64 + 7))])
+        large32 = nn.Adam([nn.Parameter(np.zeros(3 * BLOCK32 + 7,
+                                                 np.float32))])
+        for opt, expected in ((small, 200), (large, 32 * 1024),
+                              (large32, 64 * 1024)):
             (buffers,) = opt._scratch.values()
             assert [b.size for b in buffers] == [expected, expected]
 

@@ -38,7 +38,6 @@ from repro.obs import (
     MetricsCollector,
     ParityChosen,
     QuorumCheck,
-    RingSeries,
     RoundCompleted,
     SegmentFused,
     SpanClosed,
@@ -477,16 +476,6 @@ class TestMetricPrimitives:
         with pytest.raises(ValueError):
             Histogram((2.0, 1.0))
 
-    def test_ring_series_total_counts_every_push(self):
-        series = RingSeries(3)
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0):
-            series.push(value)
-        assert series.total == 5
-
-    def test_ring_series_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            RingSeries(0)
-
 
 class TestMetricsCollector:
     def _collector_with_traffic(self):
@@ -520,7 +509,6 @@ class TestMetricsCollector:
         assert collector.clusters["c0"].delivered.value == 1
         assert collector.clusters["c0"].faults.value == 1
         assert collector.clusters["c0"].loss.value == 0.3
-        assert collector.clusters["c0"].loss_series.total == 1
         # radio energy is the fleet sum of per-cluster cumulative gauges
         assert collector.radio_energy_j == pytest.approx(0.7 + 0.4)
         assert collector.retirements == {"battery": 1}

@@ -45,10 +45,15 @@ class TestSimulateLifetime:
                                    latent_dim=4, battery_j=100.0,
                                    max_rounds=20)
         assert report.rounds_to_first_death >= report.total_rounds_simulated
-        assert report.rounds_to_fraction_dead is None
 
-    def test_fraction_death_round_after_first(self):
-        report = simulate_lifetime(deployment(), "raw", battery_j=0.02,
-                                   max_rounds=8000, death_fraction=0.1)
-        if report.rounds_to_fraction_dead is not None:
-            assert report.rounds_to_fraction_dead >= report.rounds_to_first_death
+    def test_first_death_is_the_round_after_the_last_completed(self):
+        depleted = simulate_lifetime(deployment(), "raw", battery_j=0.02,
+                                     max_rounds=8000)
+        assert depleted.total_rounds_simulated < 8000
+        assert depleted.rounds_to_first_death == \
+            depleted.total_rounds_simulated + 1
+        survived = simulate_lifetime(deployment(16, seed=1), "hybrid",
+                                     latent_dim=4, battery_j=100.0,
+                                     max_rounds=20)
+        assert survived.total_rounds_simulated == 20
+        assert survived.rounds_to_first_death == 20
